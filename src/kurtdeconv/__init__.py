@@ -10,15 +10,12 @@ studies.
 from .adapt1d import (
     AdaptConfig,
     AdaptResult,
-    SourceClass,
     SurfaceResult,
     adapt_step,
-    choose_mu_sign,
-    init_filter,
     kurtosis_surface,
     run_adapt,
 )
-from .adapt2d import Adapt2dConfig, Adapt2dResult, adapt2d_step, identity_kernel, row_chain, run_adapt2d
+from .adapt2d import Adapt2dConfig, Adapt2dResult, run_adapt2d
 from .degrade import (
     DegradeSpec,
     apply_degradation,
@@ -44,7 +41,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentReport,
     SourceSpec,
-    WhitenSpec,
     load_config,
     make_source,
     parse_config,
@@ -69,8 +65,6 @@ from .signals import (
     Signal1D,
     apply_kernel,
     apply_taps,
-    patch_at,
-    window_at,
 )
 from .stats import (
     M2_GUARD,
@@ -82,6 +76,6 @@ from .stats import (
     kurtosis_excess,
     update_moments,
 )
-from .whitening import LpcModel, fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten
+from .whitening import LpcModel, WhitenSpec, fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten, whiten
 
 __version__ = "0.1.0"

@@ -1,40 +1,42 @@
-"""Online gradient-ascent maximum-kurtosis adaptive filtering (1-D).
+"""Online gradient-ascent maximum-kurtosis adaptive filtering.
 
-Each step filters the current window, advances the running moment
-estimates, and nudges the taps along feedback * window:
+Each step filters the current regressor, advances the running moment
+estimates, and nudges the filter along feedback * regressor:
 
-    y(n)    = h' x(n..n-L+1)
-    h(n+1)  = h(n) + mu * f(n) * window
+    y(n)    = h' x(n)
+    h(n+1)  = h(n) + mu * f(n) * x(n)
 
 with f(n) the instantaneous kurtosis-gradient feedback from stats. The
 sign of mu selects whether kurtosis is pushed up (super-gaussian sources)
-or down (sub-gaussian sources).
+or down (sub-gaussian sources). One core runs this recursion over a
+matrix of regressor rows; run_adapt feeds it the tap windows of a signal
+and adapt2d.run_adapt2d the flattened patches of an image.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, NearSingularMomentError
-from .signals import FilterTaps1D, Signal1D, apply_taps, window_at
+from .signals import FilterTaps1D, Signal1D, _tap_windows, apply_taps
 from .stats import M2_GUARD, MomentState, feedback, init_moments, kurtosis_excess, update_moments
 
 #: Magnitude above which any tap is treated as numeric blow-up.
 TAP_LIMIT = 1e6
 
 
-class SourceClass(Enum):
-    SUPER_GAUSSIAN = "super_gaussian"
-    SUB_GAUSSIAN = "sub_gaussian"
-
-
-def choose_mu_sign(source_class: SourceClass) -> int:
-    """+1 for super-gaussian sources (speech-like), -1 for sub-gaussian
-    (image-like)."""
-    return 1 if source_class is SourceClass.SUPER_GAUSSIAN else -1
+def _check_schedule(cfg) -> None:
+    """Validate the mu/beta/warmup/passes fields shared by both configs."""
+    if not np.isfinite(cfg.mu):
+        raise ContractViolationError("mu must be finite")
+    if not 0.0 < cfg.beta < 1.0:
+        raise ContractViolationError(f"beta must lie in (0, 1), got {cfg.beta}")
+    if cfg.warmup < 0:
+        raise ContractViolationError(f"warmup must be >= 0, got {cfg.warmup}")
+    if cfg.passes < 1:
+        raise ContractViolationError(f"passes must be >= 1, got {cfg.passes}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,7 @@ class AdaptConfig:
     def __post_init__(self):
         if self.taps < 1:
             raise ContractViolationError(f"taps must be >= 1, got {self.taps}")
-        if not np.isfinite(self.mu):
-            raise ContractViolationError("mu must be finite")
-        if not 0.0 < self.beta < 1.0:
-            raise ContractViolationError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.warmup < 0:
-            raise ContractViolationError(f"warmup must be >= 0, got {self.warmup}")
-        if self.passes < 1:
-            raise ContractViolationError(f"passes must be >= 1, got {self.passes}")
+        _check_schedule(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,20 +69,12 @@ class AdaptResult:
     kurtosis_trace: tuple[float, ...]
 
 
-def init_filter(L: int) -> FilterTaps1D:
-    """Unit-impulse (pass-through) starting filter."""
-    if L < 1:
-        raise ContractViolationError(f"L must be >= 1, got {L}")
-    taps = np.zeros(L)
-    taps[0] = 1.0
-    return FilterTaps1D(taps)
-
-
 def adapt_step(h: FilterTaps1D, state: MomentState, window: np.ndarray, mu: float):
     """One adaptive update; returns (y, new taps, new state).
 
     The moment state always advances; the tap update is skipped when the
-    second moment is still under the singularity guard.
+    second moment is still under the singularity guard. This is the
+    reference the adaptation core is tested against.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.ndim != 1 or w.size != len(h):
@@ -101,6 +88,42 @@ def adapt_step(h: FilterTaps1D, state: MomentState, window: np.ndarray, mu: floa
     return y, FilterTaps1D(h.taps + (mu * f) * w), state
 
 
+def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The adaptation recursion shared by run_adapt and run_adapt2d.
+
+    Row n of the read-only matrix X is the regressor the filter sees at
+    step n. The first cfg.warmup rows only seed the moment estimates with
+    the output of the starting filter h; every pass then updates h in
+    place over the remaining rows, moments carried across passes.
+    filtered(h) is the full filtering of the input, whose excess kurtosis
+    is recorded after each pass. Returns h and that per-pass trace.
+    """
+    state = init_moments(X[: cfg.warmup] @ h, cfg.beta)
+    m2, m4 = state.m2, state.m4
+    mu, beta = cfg.mu, cfg.beta
+    omb = 1.0 - beta
+    trace = []
+    for pass_index in range(cfg.passes):
+        for n in range(cfg.warmup, X.shape[0]):
+            w = X[n]
+            y = float(h @ w)
+            y2 = y * y
+            m2 = beta * m2 + omb * y2
+            m4 = beta * m4 + omb * y2 * y2
+            if m2 > M2_GUARD:
+                f = 4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2)
+                h += (mu * f) * w
+                # negated form so NaN coefficients also trip the guard
+                if not np.all(np.abs(h) <= TAP_LIMIT):
+                    raise DivergenceError(
+                        f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",
+                        pass_index=pass_index,
+                        sample_index=n,
+                    )
+        trace.append(kurtosis_excess(filtered(h)))
+    return h, tuple(trace)
+
+
 def run_adapt(x1: Signal1D, cfg: AdaptConfig) -> AdaptResult:
     """Adapt over the signal and return the converged filter and output.
 
@@ -112,47 +135,13 @@ def run_adapt(x1: Signal1D, cfg: AdaptConfig) -> AdaptResult:
     each pass.
     """
     x = x1.samples
-    n_total = x.size
-    L, mu, beta = cfg.taps, cfg.mu, cfg.beta
-    if n_total <= cfg.warmup + L:
-        raise DegenerateInputError(f"signal length {n_total} too short for warmup {cfg.warmup} and {L} taps")
-
-    h = np.zeros(L)
+    if x.size <= cfg.warmup + cfg.taps:
+        raise DegenerateInputError(f"signal length {x.size} too short for warmup {cfg.warmup} and {cfg.taps} taps")
+    h = np.zeros(cfg.taps)
     h[0] = 1.0
-    if cfg.warmup > 0:
-        block = x[: cfg.warmup]
-        b2 = block * block
-        m2, m4 = float(b2.mean()), float((b2 * b2).mean())
-    else:
-        m2 = m4 = 0.0
-
-    omb = 1.0 - beta
-    trace = []
-    for pass_index in range(cfg.passes):
-        for n in range(cfg.warmup, n_total):
-            if n + 1 >= L:
-                w = x[n - L + 1 : n + 1][::-1]
-            else:
-                w = window_at(x1, n, L)
-            y = float(h @ w)
-            y2 = y * y
-            m2 = beta * m2 + omb * y2
-            m4 = beta * m4 + omb * y2 * y2
-            if m2 > M2_GUARD:
-                f = 4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2)
-                h += (mu * f) * w
-                # negated form so NaN taps also trip the guard
-                if not np.all(np.abs(h) <= TAP_LIMIT):
-                    raise DivergenceError(
-                        f"tap magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",
-                        pass_index=pass_index,
-                        sample_index=n,
-                    )
-        trace.append(kurtosis_excess(lfilter(h, [1.0], x)))
-
+    h, trace = _adapt(_tap_windows(x1, cfg.taps), h, cfg, lambda h: lfilter(h, [1.0], x))
     taps = FilterTaps1D(h)
-    output = apply_taps(x1, taps)
-    return AdaptResult(taps, output, trace[-1], tuple(trace))
+    return AdaptResult(taps, apply_taps(x1, taps), trace[-1], trace)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,10 @@
 """Maximum-kurtosis adaptive filtering for images.
 
-Same update rule as the 1-D algorithm with the tap window replaced by the
-M x N neighborhood of each pixel; pixels are visited in raster order
-(left to right, top to bottom) with zero-padded patches at the borders,
-so border pixels still generate updates.
+The 1-D adaptation core with the tap window replaced by the M x N
+neighborhood of each pixel: the kernel is adapted as a flattened vector
+over one patch row per pixel, pixels visited in raster order (left to
+right, top to bottom) with zero-padded patches at the borders, so border
+pixels still generate updates.
 """
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError, DivergenceError, NearSingularMomentError
-from .signals import Image2D, Kernel2D, Signal1D, apply_kernel
-from .stats import M2_GUARD, MomentState, feedback, kurtosis_excess, update_moments
-from .adapt1d import TAP_LIMIT
+from .adapt1d import _adapt, _check_schedule
+from .errors import ContractViolationError, DegenerateInputError
+from .signals import Image2D, Kernel2D, _patch_rows, apply_kernel
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,7 @@ class Adapt2dConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1 or self.rows % 2 == 0 or self.cols % 2 == 0:
             raise ContractViolationError(f"kernel dimensions must be odd and positive, got {self.rows}x{self.cols}")
-        if not np.isfinite(self.mu):
-            raise ContractViolationError("mu must be finite")
-        if not 0.0 < self.beta < 1.0:
-            raise ContractViolationError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.warmup < 0:
-            raise ContractViolationError(f"warmup must be >= 0, got {self.warmup}")
-        if self.passes < 1:
-            raise ContractViolationError(f"passes must be >= 1, got {self.passes}")
+        _check_schedule(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,36 +43,14 @@ class Adapt2dResult:
     kurtosis_trace: tuple[float, ...]
 
 
-def identity_kernel(M: int, N: int) -> Kernel2D:
-    """Center-1 pass-through kernel."""
-    if M < 1 or N < 1 or M % 2 == 0 or N % 2 == 0:
-        raise ContractViolationError(f"kernel dimensions must be odd and positive, got {M}x{N}")
-    w = np.zeros((M, N))
-    w[(M - 1) // 2, (N - 1) // 2] = 1.0
-    return Kernel2D(w)
-
-
-def adapt2d_step(w: Kernel2D, state: MomentState, patch: np.ndarray, mu: float):
-    """One adaptive update; returns (y, new kernel, new state)."""
-    p = np.asarray(patch, dtype=np.float64)
-    if p.shape != w.weights.shape:
-        raise ContractViolationError(f"patch shape {p.shape} does not match kernel {w.weights.shape}")
-    y = float(np.sum(w.weights * p))
-    state = update_moments(state, y)
-    try:
-        f = feedback(state, y)
-    except NearSingularMomentError:
-        return y, w, state
-    return y, Kernel2D(w.weights + (mu * f) * p), state
-
-
 def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
     """Adapt a kernel over a (whitened) image.
 
     Warmup pixels (raster order) seed the moment estimates under the
     initial identity kernel; every pass then updates over the remaining
-    pixels, kernel and moments persisting across passes. Output is the
-    pure 2-D filtering of img1 with the converged kernel.
+    pixels, kernel and moments persisting across passes. A DivergenceError
+    names the pixel by its raster index. Output is the pure 2-D filtering
+    of img1 with the converged kernel.
     """
     H, W = img1.height, img1.width
     M, N = cfg.rows, cfg.cols
@@ -90,55 +61,13 @@ def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
     if cfg.warmup >= H * W:
         raise DegenerateInputError(f"warmup {cfg.warmup} consumes the whole {H}x{W} image")
 
-    g = img1.pixels
-    flat = g.ravel()
-    if cfg.warmup > 0:
-        block = flat[: cfg.warmup]
-        b2 = block * block
-        m2, m4 = float(b2.mean()), float((b2 * b2).mean())
-    else:
-        m2 = m4 = 0.0
-
-    cM, cN = (M - 1) // 2, (N - 1) // 2
-    padded = np.zeros((H + M - 1, W + N - 1))
-    padded[cM : cM + H, cN : cN + W] = g
-
     w = np.zeros((M, N))
-    w[cM, cN] = 1.0
-    mu, beta = cfg.mu, cfg.beta
-    omb = 1.0 - beta
-    trace = []
-    for pass_index in range(cfg.passes):
-        for idx in range(cfg.warmup, H * W):
-            r, c = divmod(idx, W)
-            patch = padded[r : r + M, c : c + N]
-            y = float(np.sum(w * patch))
-            y2 = y * y
-            m2 = beta * m2 + omb * y2
-            m4 = beta * m4 + omb * y2 * y2
-            if m2 > M2_GUARD:
-                f = 4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2)
-                w += (mu * f) * patch
-                # negated form so NaN weights also trip the guard
-                if not np.all(np.abs(w) <= TAP_LIMIT):
-                    raise DivergenceError(
-                        f"kernel magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, pixel ({r}, {c})",
-                        pass_index=pass_index,
-                        sample_index=idx,
-                    )
-        trace.append(kurtosis_excess(apply_kernel(img1, Kernel2D(w)).pixels))
-
-    kernel = Kernel2D(w)
-    output = apply_kernel(img1, kernel)
-    return Adapt2dResult(kernel, output, trace[-1], tuple(trace))
-
-
-def row_chain(img: Image2D) -> Signal1D:
-    """Row-major flattening of an image into a 1-D signal.
-
-    Provided for completeness of the vector-filter formulation; the
-    experiment pipeline adapts with a 2-D kernel instead, since a chained
-    row filter would need most of its (very long) tap vector forced to
-    zero on every iteration.
-    """
-    return Signal1D(img.pixels.ravel())
+    w[(M - 1) // 2, (N - 1) // 2] = 1.0
+    h, trace = _adapt(
+        _patch_rows(img1, M, N),
+        w.ravel(),
+        cfg,
+        lambda h: apply_kernel(img1, Kernel2D(h.reshape(M, N))).pixels,
+    )
+    kernel = Kernel2D(h.reshape(M, N))
+    return Adapt2dResult(kernel, apply_kernel(img1, kernel), trace[-1], trace)

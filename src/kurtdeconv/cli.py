@@ -26,7 +26,7 @@ from .fileio import read_image, read_wav, rescale_unit, write_image, write_wav
 from .metrics import aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
 from .signals import apply_kernel, apply_taps
 from .stats import kurtosis_excess
-from .whitening import fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten
+from .whitening import WhitenSpec, whiten
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,18 +89,7 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_whiten(args) -> int:
     print(f"whiten: kind={args.kind} order={args.order} input={args.input} output={args.output}")
-    data = _read_any(args.input)
-    if _is_image_path(args.input):
-        if args.kind != "highpass":
-            raise FormatError("images support only highpass whitening")
-        _write_any(args.output, highpass_whiten_2d(data))
-        return 0
-    if args.kind == "highpass":
-        _write_any(args.output, highpass_whiten(data))
-    else:
-        model = fit_lpc(data, args.order)
-        print("lpc coefficients:", " ".join(f"{c:.6f}" for c in model.coeffs))
-        _write_any(args.output, lpc_whiten(data, model))
+    _write_any(args.output, whiten(_read_any(args.input), WhitenSpec(kind=args.kind, order=args.order)))
     return 0
 
 
@@ -110,11 +99,11 @@ def _cmd_deconv(args) -> int:
         f"mu={args.mu:g} beta={args.beta:g} warmup={args.warmup} passes={args.passes} whiten={args.whiten}"
     )
     data = _read_any(args.input)
+    work = whiten(data, WhitenSpec(kind=args.whiten, order=args.order))
     # The converged filter carries an arbitrary blind gain/sign; normalize
     # (largest tap -> +1) before restoring so the output amplitude stays
     # comparable to the input.
     if _is_image_path(args.input):
-        work = highpass_whiten_2d(data) if args.whiten == "highpass" else data
         cfg = Adapt2dConfig(rows=args.rows, cols=args.cols, mu=args.mu, beta=args.beta,
                             warmup=args.warmup, passes=args.passes)
         result = run_adapt2d(work, cfg)
@@ -122,12 +111,6 @@ def _cmd_deconv(args) -> int:
         restored = apply_kernel(data, kernel)
         dump = "\n".join(" ".join(repr(v) for v in row) for row in kernel.weights.tolist())
     else:
-        if args.whiten == "highpass":
-            work = highpass_whiten(data)
-        elif args.whiten == "lpc":
-            work = lpc_whiten(data, fit_lpc(data, args.order))
-        else:
-            work = data
         cfg = AdaptConfig(taps=args.taps, mu=args.mu, beta=args.beta, warmup=args.warmup, passes=args.passes)
         result = run_adapt(work, cfg)
         taps = normalize_taps(result.filter)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DivergenceError
 from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D
 
 KINDS = ("echo_iir", "ar2_iir", "fir2", "image_iir2", "image_iir3")
@@ -106,7 +106,8 @@ def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0, *, check_stab
     Raster-order causal recursion with zero boundary. |a1|+|a2|+|a3| < 1
     is a conservative sufficient bound for a bounded recursion; callers
     that knowingly run outside it (some 3-parameter setups are bounded in
-    practice) pass check_stability=False and must check the output.
+    practice) pass check_stability=False, and an output that overflows or
+    peaks above 1e9 then raises DivergenceError.
     """
     if check_stability and abs(a1) + abs(a2) + abs(a3) >= 1.0:
         raise ContractViolationError(
@@ -117,13 +118,20 @@ def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0, *, check_stab
     g = np.empty_like(f)
     prev = np.zeros(img.width)
     # Row recursion: within a row, g(x, y) = a2 g(x, y-1) + c(y) is a
-    # first-order IIR over y with driving term c from the row above.
-    for x in range(img.height):
-        c = f[x].copy()
-        c += a1 * prev
-        c[1:] += a3 * prev[:-1]
-        g[x] = lfilter([1.0], [1.0, -a2], c)
-        prev = g[x]
+    # first-order IIR over y with driving term c from the row above. An
+    # unstable recursion may overflow; that is reported below, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in range(img.height):
+            c = f[x].copy()
+            c += a1 * prev
+            c[1:] += a3 * prev[:-1]
+            g[x] = lfilter([1.0], [1.0, -a2], c)
+            prev = g[x]
+    if not check_stability:
+        peak = float(np.max(np.abs(g)))
+        # negated form so NaN output also trips the guard
+        if not peak <= 1e9:
+            raise DivergenceError(f"degraded image peak {peak:g} indicates an unstable 2-D recursion")
     return Image2D(g)
 
 

@@ -16,15 +16,14 @@ import numpy as np
 from .adapt1d import AdaptConfig, run_adapt
 from .adapt2d import Adapt2dConfig, run_adapt2d
 from .degrade import DegradeSpec, apply_degradation
-from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
+from .errors import ContractViolationError, FormatError, KurtdeconvError
 from .fileio import read_image, read_wav
 from .metrics import extract_parameters, normalized_correlation, parameter_error, true_parameters
 from .signals import Image2D, Signal1D, apply_kernel, apply_taps
 from .stats import kurtosis_excess
-from .whitening import fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten
+from .whitening import WhitenSpec, whiten
 
 SYNTHETIC_KINDS = ("laplace", "uniform", "gaussian", "integrated_laplace", "integrated_uniform")
-WHITEN_KINDS = ("none", "highpass", "lpc")
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,6 @@ class SourceSpec:
         if self.kind == "file":
             return str(self.path).lower().endswith(".pgm")
         return self.height is not None or self.width is not None
-
-
-@dataclass(frozen=True)
-class WhitenSpec:
-    kind: str = "none"
-    order: int = 5
-
-    def __post_init__(self):
-        if self.kind not in WHITEN_KINDS:
-            raise ContractViolationError(f"unknown whitening kind {self.kind!r}")
-        if self.kind == "lpc" and self.order < 1:
-            raise ContractViolationError(f"lpc order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -242,100 +229,44 @@ def _degrade_desc(spec: DegradeSpec | None) -> str:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full pipeline for one config."""
     t0 = time.perf_counter()
-    source = make_source(cfg.source)
-    if isinstance(cfg.adapt, Adapt2dConfig):
-        return _run_2d(cfg, source, t0)
-    return _run_1d(cfg, source, t0)
-
-
-def _run_1d(cfg: ExperimentConfig, s: Signal1D, t0: float) -> ExperimentReport:
+    s = make_source(cfg.source)
     x = apply_degradation(cfg.degrade, s) if cfg.degrade is not None else s
-
-    if cfg.whiten.kind == "highpass":
-        x1 = highpass_whiten(x)
-        whiten_desc = "highpass"
-    elif cfg.whiten.kind == "lpc":
-        model = fit_lpc(x, cfg.whiten.order)
-        x1 = lpc_whiten(x, model)
-        whiten_desc = f"lpc({cfg.whiten.order})"
-    else:
-        x1 = x
-        whiten_desc = "none"
-
-    result = run_adapt(x1, cfg.adapt)
+    x1 = whiten(x, cfg.whiten)
     # The inverse is identified on the whitened domain but, because the
     # whitener and the degradation are both LTI, it restores the raw
     # observation directly.
-    s_est = apply_taps(x, result.filter)
-
-    parameters = _parameter_rows(cfg.degrade, result.filter)
+    if isinstance(cfg.adapt, Adapt2dConfig):
+        estimate = run_adapt2d(x1, cfg.adapt).kernel
+        s_est = apply_kernel(x, estimate)
+        mode, size_desc, filter_desc = "2d", f"{s.height}x{s.width}", f"{cfg.adapt.rows}x{cfg.adapt.cols}"
+        arrays, coeffs = (s.pixels, x.pixels, s_est.pixels), estimate.weights
+    else:
+        estimate = run_adapt(x1, cfg.adapt).filter
+        s_est = apply_taps(x, estimate)
+        mode, size_desc, filter_desc = "1d", str(len(s)), str(cfg.adapt.taps)
+        arrays, coeffs = (s.samples, x.samples, s_est.samples), estimate.taps
+    kurt_source, kurt_degraded, kurt_restored = map(kurtosis_excess, arrays)
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
-        mode="1d",
+        mode=mode,
         source_desc=cfg.source.kind if cfg.source.kind != "file" else str(cfg.source.path),
         seed=cfg.source.seed,
-        size_desc=str(len(s)),
+        size_desc=size_desc,
         degrade_desc=_degrade_desc(cfg.degrade),
-        whiten_desc=whiten_desc,
-        filter_desc=str(cfg.adapt.taps),
+        whiten_desc=f"lpc({cfg.whiten.order})" if cfg.whiten.kind == "lpc" else cfg.whiten.kind,
+        filter_desc=filter_desc,
         mu=cfg.adapt.mu,
         beta=cfg.adapt.beta,
         warmup=cfg.adapt.warmup,
         passes=cfg.adapt.passes,
-        parameters=parameters,
-        kurt_source=kurtosis_excess(s.samples),
-        kurt_degraded=kurtosis_excess(x.samples),
-        kurt_restored=kurtosis_excess(s_est.samples),
+        parameters=_parameter_rows(cfg.degrade, estimate),
+        kurt_source=kurt_source,
+        kurt_degraded=kurt_degraded,
+        kurt_restored=kurt_restored,
         rho_sx=normalized_correlation(s, x),
         rho_restored=normalized_correlation(s, s_est),
         wall_time_s=time.perf_counter() - t0,
-        estimate=result.filter.taps,
-    )
-
-
-def _run_2d(cfg: ExperimentConfig, f: Image2D, t0: float) -> ExperimentReport:
-    if cfg.degrade is not None:
-        g = apply_degradation(cfg.degrade, f)
-        peak = float(np.max(np.abs(g.pixels)))
-        if peak > 1e9:
-            raise DivergenceError(f"degraded image peak {peak:g} indicates an unstable 2-D recursion")
-    else:
-        g = f
-
-    if cfg.whiten.kind == "highpass":
-        d = highpass_whiten_2d(g)
-        whiten_desc = "highpass"
-    elif cfg.whiten.kind == "lpc":
-        raise ContractViolationError("lpc whitening is not defined for images")
-    else:
-        d = g
-        whiten_desc = "none"
-
-    result = run_adapt2d(d, cfg.adapt)
-    s_est = apply_kernel(g, result.kernel)
-
-    parameters = _parameter_rows(cfg.degrade, result.kernel)
-    return ExperimentReport(
-        experiment_id=cfg.experiment_id,
-        mode="2d",
-        source_desc=cfg.source.kind if cfg.source.kind != "file" else str(cfg.source.path),
-        seed=cfg.source.seed,
-        size_desc=f"{f.height}x{f.width}",
-        degrade_desc=_degrade_desc(cfg.degrade),
-        whiten_desc=whiten_desc,
-        filter_desc=f"{cfg.adapt.rows}x{cfg.adapt.cols}",
-        mu=cfg.adapt.mu,
-        beta=cfg.adapt.beta,
-        warmup=cfg.adapt.warmup,
-        passes=cfg.adapt.passes,
-        parameters=parameters,
-        kurt_source=kurtosis_excess(f.pixels),
-        kurt_degraded=kurtosis_excess(g.pixels),
-        kurt_restored=kurtosis_excess(s_est.pixels),
-        rho_sx=normalized_correlation(f, g),
-        rho_restored=normalized_correlation(f, s_est),
-        wall_time_s=time.perf_counter() - t0,
-        estimate=result.kernel.weights,
+        estimate=coeffs,
     )
 
 

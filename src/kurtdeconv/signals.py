@@ -1,16 +1,18 @@
-"""Sample-sequence and image containers plus window/patch extraction.
+"""Sample-sequence and image containers, FIR/kernel filtering, and the
+regressor matrices the adaptation core reads.
 
 All containers are immutable value objects: construction copies the data
 into a read-only float64 array, so instances can be shared freely between
-threads. The extraction helpers use a zero-padding convention for indices
-that fall outside the data (the recursions downstream stay well defined
-from sample 0).
+threads. The regressor matrices (one tap window per sample, one flattened
+patch per pixel) read indices that fall outside the data as zero, so the
+recursion stays well defined from sample 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate as _correlate2d
 from scipy.signal import lfilter
 
@@ -98,40 +100,27 @@ class Kernel2D:
         return self.weights.shape[1]
 
 
-def window_at(x1: Signal1D, n: int, L: int) -> np.ndarray:
-    """Tap-ordered window ending at sample n.
+def _tap_windows(x1: Signal1D, L: int) -> np.ndarray:
+    """Read-only (samples, L) view whose row n is the tap-ordered window
+    ending at sample n: element k is x1(n-k), so it lines up with tap k of
+    a FilterTaps1D. Samples before index 0 read as zero."""
+    padded = np.concatenate((np.zeros(L - 1), x1.samples))
+    return sliding_window_view(padded, L)[:, ::-1]
 
-    Element k of the result is sample x1(n-k), so it lines up with tap k of
-    a FilterTaps1D. Samples before index 0 read as zero.
+
+def _patch_rows(img: Image2D, M: int, N: int) -> np.ndarray:
+    """Read-only (H*W, M*N) matrix whose row r*W + c is the flattened M x N
+    neighborhood centered at pixel (r, c), zero outside the image.
+
+    M counts rows and N columns, matching Kernel2D; both must be odd.
     """
-    if L < 1:
-        raise ContractViolationError(f"window length must be >= 1, got {L}")
-    x = x1.samples
-    if not 0 <= n < x.size:
-        raise IndexError(f"sample index {n} out of range for signal of length {x.size}")
-    out = np.zeros(L)
-    avail = min(L, n + 1)
-    out[:avail] = x[n - avail + 1 : n + 1][::-1]
-    return out
-
-
-def patch_at(img: Image2D, n: int, m: int, M: int, N: int) -> np.ndarray:
-    """M x N neighborhood centered at pixel (n, m), zero outside the image.
-
-    Rows span n-(M-1)/2 .. n+(M-1)/2 and columns m-(N-1)/2 .. m+(N-1)/2;
-    M always counts rows and N columns, matching Kernel2D.
-    """
-    if M < 1 or N < 1 or M % 2 == 0 or N % 2 == 0:
-        raise ContractViolationError(f"patch dimensions must be odd and positive, got {M}x{N}")
-    p = img.pixels
-    out = np.zeros((M, N))
-    r0 = n - (M - 1) // 2
-    c0 = m - (N - 1) // 2
-    rs, re = max(r0, 0), min(r0 + M, p.shape[0])
-    cs, ce = max(c0, 0), min(c0 + N, p.shape[1])
-    if rs < re and cs < ce:
-        out[rs - r0 : re - r0, cs - c0 : ce - c0] = p[rs:re, cs:ce]
-    return out
+    H, W = img.height, img.width
+    cM, cN = (M - 1) // 2, (N - 1) // 2
+    padded = np.zeros((H + M - 1, W + N - 1))
+    padded[cM : cM + H, cN : cN + W] = img.pixels
+    rows = sliding_window_view(padded, (M, N)).reshape(H * W, M * N)
+    rows.setflags(write=False)
+    return rows
 
 
 def apply_taps(x: Signal1D, taps: FilterTaps1D) -> Signal1D:
@@ -143,8 +132,8 @@ def apply_taps(x: Signal1D, taps: FilterTaps1D) -> Signal1D:
 def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
     """Center-anchored 2-D correlation with zero padding at the borders.
 
-    Output pixel (n, m) is the inner product of the kernel with
-    patch_at(img, n, m, rows, cols).
+    Output pixel (n, m) is the inner product of the kernel with the
+    zero-padded rows x cols neighborhood centered at (n, m).
     """
     out = _correlate2d(img.pixels, kernel.weights, mode="constant", cval=0.0)
     return Image2D(out)

@@ -3,7 +3,8 @@
 Whitening removes sample-to-sample correlation so the central-limit
 argument behind kurtosis maximization applies. The highpass choice is the
 plain first difference, which commutes exactly with any LTI degradation
-under the zero-initial-state convention used throughout.
+under the zero-initial-state convention used throughout. ``whiten`` applies
+a WhitenSpec to a signal or an image.
 """
 from __future__ import annotations
 
@@ -13,6 +14,20 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError
 from .signals import Image2D, Signal1D
+
+WHITEN_KINDS = ("none", "highpass", "lpc")
+
+
+@dataclass(frozen=True)
+class WhitenSpec:
+    kind: str = "none"
+    order: int = 5
+
+    def __post_init__(self):
+        if self.kind not in WHITEN_KINDS:
+            raise ContractViolationError(f"unknown whitening kind {self.kind!r}")
+        if self.kind == "lpc" and self.order < 1:
+            raise ContractViolationError(f"lpc order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,3 +118,20 @@ def highpass_whiten_2d(img: Image2D) -> Image2D:
     d[:, 1:] -= g[:, :-1]
     d[1:, 1:] += g[:-1, :-1]
     return Image2D(d)
+
+
+def whiten(data, spec: WhitenSpec):
+    """Whiten a Signal1D or Image2D as spec describes.
+
+    Images support only highpass whitening; asking for lpc on an image
+    raises ContractViolationError.
+    """
+    if spec.kind == "none":
+        return data
+    if isinstance(data, Image2D):
+        if spec.kind == "lpc":
+            raise ContractViolationError("lpc whitening is not defined for images")
+        return highpass_whiten_2d(data)
+    if spec.kind == "highpass":
+        return highpass_whiten(data)
+    return lpc_whiten(data, fit_lpc(data, spec.order))

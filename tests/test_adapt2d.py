@@ -4,26 +4,24 @@ import pytest
 from kurtdeconv import (
     Adapt2dConfig,
     AdaptConfig,
-    ContractViolationError,
     DegenerateInputError,
     DegradeSpec,
+    DivergenceError,
+    FilterTaps1D,
     Image2D,
-    Kernel2D,
     MomentState,
     Signal1D,
-    adapt2d_step,
     adapt_step,
-    apply_kernel,
     highpass_whiten_2d,
-    identity_kernel,
     image_iir,
     kurtosis_excess,
     normalize_kernel,
     parameter_error,
-    row_chain,
     run_adapt,
     run_adapt2d,
 )
+from kurtdeconv.adapt1d import TAP_LIMIT
+from conftest import patch
 
 
 def integrated_uniform_image(seed, shape):
@@ -32,30 +30,25 @@ def integrated_uniform_image(seed, shape):
     return Image2D(field / np.sqrt(shape[0] * shape[1]))
 
 
-class TestAdapt2dStep:
-    def test_identity_kernel_reads_center(self, rng):
-        patch = rng.standard_normal((3, 3))
-        y, _, _ = adapt2d_step(identity_kernel(3, 3), MomentState(1.0, 1.0, 0.9), patch, 0.0)
-        assert y == patch[1, 1]
+def oracle_kernel(img, cfg):
+    """Repeated adapt_step over the flattened zero-padded patches of img in
+    raster order.
 
-    def test_zero_patch(self):
-        w = identity_kernel(3, 3)
-        y, w2, _ = adapt2d_step(w, MomentState(1.0, 1.0, 0.9), np.zeros((3, 3)), 0.1)
-        assert y == 0.0 and np.array_equal(w2.weights, w.weights)
-
-    def test_one_by_one_reduces_to_adapt_step(self):
-        state = MomentState(0.5, 0.75, 0.98)
-        y1, k2, s2 = adapt2d_step(Kernel2D([[0.8]]), state, np.array([[1.3]]), 0.01)
-        from kurtdeconv import FilterTaps1D
-
-        y2, h2, s3 = adapt_step(FilterTaps1D([0.8]), state, np.array([1.3]), 0.01)
-        assert y1 == y2
-        assert k2.weights[0, 0] == h2.taps[0]
-        assert (s2.m2, s2.m4) == (s3.m2, s3.m4)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            adapt2d_step(identity_kernel(3, 3), MomentState(1.0, 1.0, 0.9), np.zeros((3, 5)), 0.1)
+    Returns the final flattened kernel and the (pass, pixel) at which any
+    weight first exceeds TAP_LIMIT (the adaptation stops there), or None.
+    """
+    M, N = cfg.rows, cfg.cols
+    g = img.pixels
+    patches = [patch(g, r, c, M, N).ravel() for r in range(img.height) for c in range(img.width)]
+    h = FilterTaps1D(np.eye(1, M * N, (M * N) // 2)[0])
+    block = g.ravel()[: cfg.warmup]
+    state = MomentState(float((block**2).mean()), float((block**4).mean()), cfg.beta)
+    for p in range(cfg.passes):
+        for n in range(cfg.warmup, len(patches)):
+            _, h, state = adapt_step(h, state, patches[n], cfg.mu)
+            if np.max(np.abs(h.taps)) > TAP_LIMIT:
+                return h.taps, (p, n)
+    return h.taps, None
 
 
 class TestRunAdapt2d:
@@ -67,13 +60,29 @@ class TestRunAdapt2d:
         cfg1 = AdaptConfig(taps=1, mu=1e-4, beta=0.99, warmup=32, passes=3)
         r2 = run_adapt2d(img, cfg2)
         r1 = run_adapt(Signal1D(x), cfg1)
-        assert np.allclose(r2.kurtosis_trace, r1.kurtosis_trace, atol=1e-12)
-        assert r2.kernel.weights[0, 0] == pytest.approx(r1.filter.taps[0], abs=1e-12)
+        assert np.array_equal(r2.kurtosis_trace, r1.kurtosis_trace)
+        assert np.array_equal(r2.kernel.weights.ravel(), r1.filter.taps)
+
+    def test_matches_repeated_adapt_step(self, rng):
+        img = Image2D(rng.laplace(0.0, 1.0, (12, 14)))
+        cfg = Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.99, warmup=16, passes=2)
+        res = run_adapt2d(img, cfg)
+        want, first = oracle_kernel(img, cfg)
+        assert first is None
+        assert np.allclose(res.kernel.weights.ravel(), want, atol=1e-12)
+
+    def test_divergence_guard_names_location(self, rng):
+        img = Image2D(rng.laplace(0.0, 1.0, (12, 14)))
+        cfg = Adapt2dConfig(rows=3, cols=3, mu=1e12, warmup=16, passes=1)
+        with pytest.raises(DivergenceError) as exc:
+            run_adapt2d(img, cfg)
+        _, first = oracle_kernel(img, cfg)
+        assert (exc.value.pass_index, exc.value.sample_index) == first
 
     def test_identity_with_zero_mu(self, rng):
         img = Image2D(rng.standard_normal((12, 14)))
         res = run_adapt2d(img, Adapt2dConfig(rows=3, cols=3, mu=0.0, warmup=16, passes=1))
-        assert np.array_equal(res.kernel.weights, identity_kernel(3, 3).weights)
+        assert res.kernel.weights.tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
         assert np.allclose(res.output.pixels, img.pixels, atol=1e-15)
 
     def test_image_smaller_than_kernel(self):
@@ -104,17 +113,3 @@ class TestRunAdapt2d:
         d = highpass_whiten_2d(g)
         res = run_adapt2d(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
         assert abs(res.final_kurtosis) > abs(kurtosis_excess(d.pixels))
-
-
-class TestRowChain:
-    def test_small_matrix(self):
-        assert row_chain(Image2D([[1.0, 2.0], [3.0, 4.0]])).samples.tolist() == [1, 2, 3, 4]
-
-    def test_single_row(self, rng):
-        x = rng.standard_normal(7)
-        assert np.array_equal(row_chain(Image2D(x.reshape(1, -1))).samples, x)
-
-    def test_round_trip(self, rng):
-        img = Image2D(rng.standard_normal((3, 5)))
-        flat = row_chain(img).samples
-        assert np.array_equal(flat.reshape(3, 5), img.pixels)

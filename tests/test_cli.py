@@ -130,3 +130,21 @@ def test_image_pipeline(tmp_path):
     assert restored.exists()
     kernel_rows = (tmp_path / "k.txt").read_text().splitlines()
     assert len(kernel_rows) == 3 and len(kernel_rows[0].split()) == 3
+
+
+def test_unstable_image_degradation_exits_3(tmp_path):
+    out = tmp_path / "blown.pgm"
+    rc = main(["degrade", "synthetic:uniform", str(out), "--kind", "image_iir3",
+               "--a1", "0.99", "--a2", "0.99", "--a3", "0.99", "--seed", "1", "--height", "512", "--width", "512"])
+    assert rc == 3
+    assert not out.exists()
+
+
+def test_lpc_whitening_of_image_is_usage_error(tmp_path):
+    src = tmp_path / "img.pgm"
+    write_image(src, Image2D(np.random.default_rng(54).random((32, 32))))
+    filt = tmp_path / "k.txt"
+    rc = main(["deconv", str(src), str(tmp_path / "rest.pgm"), "--filter-out", str(filt), "--whiten", "lpc"])
+    assert rc == 1
+    assert not filt.exists()
+    assert main(["whiten", str(src), str(tmp_path / "white.pgm"), "--kind", "lpc"]) == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -5,6 +7,7 @@ from scipy.signal import lfilter
 from kurtdeconv import (
     ContractViolationError,
     DegradeSpec,
+    DivergenceError,
     Image2D,
     Signal1D,
     apply_kernel,
@@ -12,6 +15,7 @@ from kurtdeconv import (
     ar2_iir,
     echo_iir,
     fir_degrade,
+    apply_degradation,
     image_iir,
     inverse_fir_taps,
     inverse_kernel_2d,
@@ -162,6 +166,16 @@ class TestImageIir:
         with pytest.raises(ContractViolationError):
             image_iir(img, 0.8, 0.4, 0.0)
         image_iir(img, 0.8, 0.4, 0.0, check_stability=False)  # explicit escape
+
+    @pytest.mark.parametrize("size", [64, 512])
+    def test_unstable_recursion_raises_divergence(self, size):
+        # 64: finite but far past the peak limit; 512: overflows to inf/nan
+        spec = DegradeSpec(kind="image_iir3", a1=0.99, a2=0.99, a3=0.99)
+        img = Image2D(np.random.default_rng(1).random((size, size)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                apply_degradation(spec, img)
 
 
 class TestInverseKernel2d:
