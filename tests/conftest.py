@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from kurtdeconv import FilterTaps1D, MomentState, adapt_step
+from kurtdeconv.adapt1d import TAP_LIMIT
+
 
 @pytest.fixture
 def rng():
@@ -29,3 +32,20 @@ def patch(g, r, c, M, N):
     cs, ce = max(c0, 0), min(c0 + N, g.shape[1])
     out[rs - r0 : re - r0, cs - c0 : ce - c0] = g[rs:re, cs:ce]
     return out
+
+
+def oracle_adapt(rows, h, block, cfg):
+    """Repeated adapt_step over regressor rows[cfg.warmup:], cfg.passes
+    times, from coefficients h and moments seeded by the warm-up block.
+
+    Returns the final coefficients and the (pass, row) at which any first
+    exceeds TAP_LIMIT (the adaptation stops there), or None.
+    """
+    h = FilterTaps1D(h)
+    state = MomentState(float((block**2).mean()), float((block**4).mean()), cfg.beta)
+    for p in range(cfg.passes):
+        for n in range(cfg.warmup, len(rows)):
+            _, h, state = adapt_step(h, state, rows[n], cfg.mu)
+            if np.max(np.abs(h.taps)) > TAP_LIMIT:
+                return h.taps, (p, n)
+    return h.taps, None

@@ -21,25 +21,13 @@ from kurtdeconv import (
     run_adapt,
     update_moments,
 )
-from kurtdeconv.adapt1d import TAP_LIMIT
-from conftest import laplace_signal, window
+from conftest import laplace_signal, oracle_adapt, window
 
 
 def oracle_taps(x, cfg):
-    """Repeated adapt_step over the tap windows of sample array x.
-
-    Returns the final taps and the (pass, sample) at which any tap first
-    exceeds TAP_LIMIT (the adaptation stops there), or None.
-    """
-    h = FilterTaps1D(np.eye(1, cfg.taps)[0])
-    block = x[: cfg.warmup]
-    state = MomentState(float((block**2).mean()), float((block**4).mean()), cfg.beta)
-    for p in range(cfg.passes):
-        for n in range(cfg.warmup, x.size):
-            _, h, state = adapt_step(h, state, window(x, n, cfg.taps), cfg.mu)
-            if np.max(np.abs(h.taps)) > TAP_LIMIT:
-                return h.taps, (p, n)
-    return h.taps, None
+    """oracle_adapt over the tap windows of sample array x."""
+    windows = [window(x, n, cfg.taps) for n in range(x.size)]
+    return oracle_adapt(windows, np.eye(1, cfg.taps)[0], x[: cfg.warmup], cfg)
 
 
 class TestAdaptStep:

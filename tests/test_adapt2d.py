@@ -7,11 +7,8 @@ from kurtdeconv import (
     DegenerateInputError,
     DegradeSpec,
     DivergenceError,
-    FilterTaps1D,
     Image2D,
-    MomentState,
     Signal1D,
-    adapt_step,
     highpass_whiten_2d,
     image_iir,
     kurtosis_excess,
@@ -20,8 +17,7 @@ from kurtdeconv import (
     run_adapt,
     run_adapt2d,
 )
-from kurtdeconv.adapt1d import TAP_LIMIT
-from conftest import patch
+from conftest import oracle_adapt, patch
 
 
 def integrated_uniform_image(seed, shape):
@@ -31,24 +27,11 @@ def integrated_uniform_image(seed, shape):
 
 
 def oracle_kernel(img, cfg):
-    """Repeated adapt_step over the flattened zero-padded patches of img in
-    raster order.
-
-    Returns the final flattened kernel and the (pass, pixel) at which any
-    weight first exceeds TAP_LIMIT (the adaptation stops there), or None.
-    """
-    M, N = cfg.rows, cfg.cols
-    g = img.pixels
+    """oracle_adapt over the flattened zero-padded patches of img in raster
+    order, from the center-1 kernel; returns flattened weights."""
+    M, N, g = cfg.rows, cfg.cols, img.pixels
     patches = [patch(g, r, c, M, N).ravel() for r in range(img.height) for c in range(img.width)]
-    h = FilterTaps1D(np.eye(1, M * N, (M * N) // 2)[0])
-    block = g.ravel()[: cfg.warmup]
-    state = MomentState(float((block**2).mean()), float((block**4).mean()), cfg.beta)
-    for p in range(cfg.passes):
-        for n in range(cfg.warmup, len(patches)):
-            _, h, state = adapt_step(h, state, patches[n], cfg.mu)
-            if np.max(np.abs(h.taps)) > TAP_LIMIT:
-                return h.taps, (p, n)
-    return h.taps, None
+    return oracle_adapt(patches, np.eye(1, M * N, (M * N) // 2)[0], g.ravel()[: cfg.warmup], cfg)
 
 
 class TestRunAdapt2d:
