@@ -23,8 +23,6 @@ from .degrade import (
     echo_iir,
     fir_degrade,
     image_iir,
-    inverse_fir_taps,
-    inverse_kernel_2d,
     stability_check,
     true_inverse_kernel,
     true_inverse_taps,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, NearSingularMomentError
-from .signals import FilterTaps1D, Signal1D, _tap_windows, apply_taps
+from .signals import FilterTaps1D, Signal1D, _rms_shift, _tap_windows, apply_taps
 from .stats import M2_GUARD, MomentState, feedback, init_moments, kurtosis_excess, update_moments
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -130,16 +130,18 @@ def run_adapt(x1: Signal1D, cfg: AdaptConfig) -> AdaptResult:
     The first cfg.warmup samples only seed the moment estimates (filter
     output under the initial identity taps is the signal itself); every
     pass then updates over samples warmup..end, with taps and moments
-    carried across passes. The returned output is one pure filtering pass
-    of x1 with the final taps; the trace holds its excess kurtosis after
-    each pass.
+    carried across passes. The windows are divided by the power of two
+    nearest the RMS of x1, which changes no tap but makes the moment guard
+    relative to the input power. The returned output is one pure filtering
+    pass of x1 with the final taps; the trace holds its excess kurtosis
+    after each pass.
     """
     x = x1.samples
     if x.size <= cfg.warmup + cfg.taps:
         raise DegenerateInputError(f"signal length {x.size} too short for warmup {cfg.warmup} and {cfg.taps} taps")
     h = np.zeros(cfg.taps)
     h[0] = 1.0
-    h, trace = _adapt(_tap_windows(x1, cfg.taps), h, cfg, lambda h: lfilter(h, [1.0], x))
+    h, trace = _adapt(_tap_windows(x1, cfg.taps, _rms_shift(x)), h, cfg, lambda h: lfilter(h, [1.0], x))
     taps = FilterTaps1D(h)
     return AdaptResult(taps, apply_taps(x1, taps), trace[-1], trace)
 

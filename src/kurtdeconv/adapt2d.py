@@ -14,7 +14,7 @@ import numpy as np
 
 from .adapt1d import _adapt, _check_schedule
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import Image2D, Kernel2D, _patch_rows, apply_kernel
+from .signals import Image2D, Kernel2D, _patch_rows, _rms_shift, apply_kernel
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,10 @@ def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
 
     Warmup pixels (raster order) seed the moment estimates under the
     initial identity kernel; every pass then updates over the remaining
-    pixels, kernel and moments persisting across passes. A DivergenceError
-    names the pixel by its raster index. Output is the pure 2-D filtering
-    of img1 with the converged kernel.
+    pixels, kernel and moments persisting across passes. As in run_adapt,
+    the patches are divided by the power of two nearest the RMS of img1. A
+    DivergenceError names the pixel by its raster index. Output is the pure
+    2-D filtering of img1 with the converged kernel.
     """
     H, W = img1.height, img1.width
     M, N = cfg.rows, cfg.cols
@@ -64,7 +65,7 @@ def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
     w = np.zeros((M, N))
     w[(M - 1) // 2, (N - 1) // 2] = 1.0
     h, trace = _adapt(
-        _patch_rows(img1, M, N),
+        _patch_rows(img1, M, N, _rms_shift(img1.pixels)),
         w.ravel(),
         cfg,
         lambda h: apply_kernel(img1, Kernel2D(h.reshape(M, N))).pixels,

@@ -19,14 +19,14 @@ import numpy as np
 
 from .adapt1d import AdaptConfig, kurtosis_surface, run_adapt
 from .adapt2d import Adapt2dConfig, run_adapt2d
-from .degrade import DegradeSpec, apply_degradation
-from .errors import DivergenceError, FormatError, KurtdeconvError
+from .degrade import KINDS, DegradeSpec, apply_degradation
+from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
 from .experiment import load_config, run_experiment, write_report_csv
 from .fileio import read_image, read_wav, rescale_unit, write_image, write_wav
 from .metrics import aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
 from .signals import apply_kernel, apply_taps
 from .stats import kurtosis_excess
-from .whitening import WhitenSpec, whiten
+from .whitening import WHITEN_KINDS, WhitenSpec, whiten
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +59,7 @@ def _write_any(path: str, data) -> None:
 
 
 def _add_degrade_args(p):
-    p.add_argument("--kind", required=True, choices=("echo_iir", "ar2_iir", "fir2", "image_iir2", "image_iir3"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--a1", type=float, default=0.0)
     p.add_argument("--a2", type=float, default=0.0)
     p.add_argument("--a3", type=float, default=0.0)
@@ -124,11 +124,15 @@ def _cmd_deconv(args) -> int:
     return 0
 
 
+def _grid(lo: float, hi: float, count: float) -> np.ndarray:
+    if not np.isfinite(count) or int(count) < 1:
+        raise ContractViolationError(f"grid COUNT must be at least 1, got {count:g}")
+    return np.linspace(lo, hi, int(count))
+
+
 def _cmd_sweep(args) -> int:
-    lo, hi, count = args.a1_range
-    grid_a1 = np.linspace(lo, hi, int(count))
-    lo, hi, count = args.a2_range
-    grid_a2 = np.linspace(lo, hi, int(count))
+    grid_a1 = _grid(*args.a1_range)
+    grid_a2 = _grid(*args.a2_range)
     print(f"sweep: input={args.input} a1 grid {grid_a1[0]:g}..{grid_a1[-1]:g} ({grid_a1.size}) "
           f"a2 grid {grid_a2[0]:g}..{grid_a2[-1]:g} ({grid_a2.size})")
     signal = read_wav(args.input)
@@ -208,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.99)
     p.add_argument("--warmup", type=int, default=256)
     p.add_argument("--passes", type=int, default=1)
-    p.add_argument("--whiten", choices=("none", "highpass", "lpc"), default="none")
+    p.add_argument("--whiten", choices=WHITEN_KINDS, default="none")
     p.add_argument("--order", type=int, default=5, help="LPC order when --whiten lpc")
     p.set_defaults(func=_cmd_deconv)
 

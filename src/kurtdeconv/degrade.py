@@ -14,7 +14,19 @@ from scipy.signal import lfilter
 from .errors import ContractViolationError, DivergenceError
 from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D
 
-KINDS = ("echo_iir", "ar2_iir", "fir2", "image_iir2", "image_iir3")
+# Where each kind's identified parameters sit in its analytic inverse,
+# {name: (position, sign)}: the parameter is sign times the coefficient at
+# that position once the unit coefficient is +1. 1-D positions are tap
+# indices counted from the unit tap 0 (echo_iir's in units of its delay
+# D); image positions are (row, col) offsets from the unit kernel center.
+_SLOTS = {
+    "echo_iir": {"a1": (1, -1.0), "a2": (2, -1.0)},
+    "ar2_iir": {"a1": (1, -1.0), "a2": (2, -1.0)},
+    "fir2": {"h1": (1, 1.0), "h2": (2, 1.0)},
+    "image_iir2": {"a1": ((-1, 0), -1.0), "a2": ((0, -1), -1.0)},
+    "image_iir3": {"a1": ((-1, 0), -1.0), "a2": ((0, -1), -1.0), "a3": ((-1, -1), -1.0)},
+}
+KINDS = tuple(_SLOTS)
 
 
 def stability_check(a1: float, a2: float) -> bool:
@@ -29,9 +41,9 @@ class DegradeSpec:
 
     For echo_iir, ``delay`` is the echo spacing D; a3 is meaningful only
     for image_iir3. The 1-D recursive kinds must satisfy the stability
-    triangle. The image kinds are only checked at run time because the
-    conservative 2-D bound excludes parameter sets that are still usable
-    in practice (see image_iir).
+    triangle. The image kinds are only checked at run time, by the peak
+    guard of image_iir, because the conservative 2-D bound excludes
+    parameter sets that are still usable in practice.
     """
 
     kind: str
@@ -81,39 +93,14 @@ def fir_degrade(s: Signal1D, a1: float, a2: float) -> Signal1D:
     return Signal1D(lfilter([1.0, a1 + a2, a1 * a2], [1.0], s.samples), sample_rate=s.sample_rate)
 
 
-def inverse_fir_taps(a1: float, a2: float, L: int) -> FilterTaps1D:
-    """First L taps of the power-series inverse of [1, a1+a2, a1*a2].
-
-    h(0) = 1, h(k) = -(a1+a2) h(k-1) - a1 a2 h(k-2); converges because
-    both roots -a1, -a2 of the degrading polynomial lie inside the unit
-    circle.
-    """
-    if not (abs(a1) < 1.0 and abs(a2) < 1.0):
-        raise ContractViolationError("inverse taps diverge unless |a1| < 1 and |a2| < 1")
-    if L < 3:
-        raise ContractViolationError(f"need L >= 3 taps, got {L}")
-    h = np.zeros(L)
-    h[0] = 1.0
-    h[1] = -(a1 + a2)
-    for k in range(2, L):
-        h[k] = -(a1 + a2) * h[k - 1] - (a1 * a2) * h[k - 2]
-    return FilterTaps1D(h)
-
-
-def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0, *, check_stability: bool = True) -> Image2D:
+def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0) -> Image2D:
     """g(x,y) = a1 g(x-1,y) + a2 g(x,y-1) + a3 g(x-1,y-1) + f(x,y).
 
     Raster-order causal recursion with zero boundary. |a1|+|a2|+|a3| < 1
-    is a conservative sufficient bound for a bounded recursion; callers
-    that knowingly run outside it (some 3-parameter setups are bounded in
-    practice) pass check_stability=False, and an output that overflows or
-    peaks above 1e9 then raises DivergenceError.
+    is a conservative sufficient bound for a bounded recursion, but some
+    sets outside it are bounded in practice: every set runs, and an output
+    that overflows or peaks above 1e9 raises DivergenceError.
     """
-    if check_stability and abs(a1) + abs(a2) + abs(a3) >= 1.0:
-        raise ContractViolationError(
-            f"|a1|+|a2|+|a3| = {abs(a1) + abs(a2) + abs(a3):g} >= 1; "
-            "pass check_stability=False to run outside the conservative bound"
-        )
     f = img.pixels
     g = np.empty_like(f)
     prev = np.zeros(img.width)
@@ -127,27 +114,11 @@ def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0, *, check_stab
             c[1:] += a3 * prev[:-1]
             g[x] = lfilter([1.0], [1.0, -a2], c)
             prev = g[x]
-    if not check_stability:
-        peak = float(np.max(np.abs(g)))
-        # negated form so NaN output also trips the guard
-        if not peak <= 1e9:
-            raise DivergenceError(f"degraded image peak {peak:g} indicates an unstable 2-D recursion")
+    peak = float(np.max(np.abs(g)))
+    # negated form so NaN output also trips the guard
+    if not peak <= 1e9:
+        raise DivergenceError(f"degraded image peak {peak:g} indicates an unstable 2-D recursion")
     return Image2D(g)
-
-
-def inverse_kernel_2d(a1: float, a2: float, a3: float = 0.0) -> Kernel2D:
-    """3x3 center-anchored kernel inverting image_iir exactly.
-
-    Correlating with it computes g(x,y) - a1 g(x-1,y) - a2 g(x,y-1)
-    - a3 g(x-1,y-1): the 1 sits at the center, -a1 directly above it,
-    -a2 directly left, -a3 on the upper-left diagonal.
-    """
-    w = np.zeros((3, 3))
-    w[1, 1] = 1.0
-    w[0, 1] = -a1
-    w[1, 0] = -a2
-    w[0, 0] = -a3
-    return Kernel2D(w)
 
 
 def apply_degradation(spec: DegradeSpec, source):
@@ -158,32 +129,56 @@ def apply_degradation(spec: DegradeSpec, source):
         return ar2_iir(source, spec.a1, spec.a2)
     if spec.kind == "fir2":
         return fir_degrade(source, spec.a1, spec.a2)
-    conservative = abs(spec.a1) + abs(spec.a2) + abs(spec.a3) < 1.0
-    return image_iir(source, spec.a1, spec.a2, spec.a3, check_stability=conservative)
+    return image_iir(source, spec.a1, spec.a2, spec.a3)
+
+
+def _slots(spec: DegradeSpec) -> dict[str, tuple]:
+    """The parameter slots of spec's kind, echo_iir's scaled by its delay."""
+    if spec.kind != "echo_iir":
+        return _SLOTS[spec.kind]
+    return {name: (pos * spec.delay, sign) for name, (pos, sign) in _SLOTS[spec.kind].items()}
 
 
 def true_inverse_taps(spec: DegradeSpec, L: int) -> FilterTaps1D:
-    """Analytic inverse filter of a 1-D spec, truncated/padded to L taps."""
-    h = np.zeros(L)
-    if spec.kind == "ar2_iir":
-        if L < 3:
-            raise ContractViolationError("AR(2) inverse needs L >= 3")
-        h[0], h[1], h[2] = 1.0, -spec.a1, -spec.a2
-    elif spec.kind == "echo_iir":
-        if L < 2 * spec.delay + 1:
-            raise ContractViolationError(f"echo inverse needs L >= {2 * spec.delay + 1}")
-        h[0] = 1.0
-        h[spec.delay] = -spec.a1
-        h[2 * spec.delay] = -spec.a2
-    elif spec.kind == "fir2":
-        return inverse_fir_taps(spec.a1, spec.a2, L)
-    else:
+    """Analytic inverse filter of a 1-D spec, truncated/padded to L taps.
+
+    Tap 0 is 1 and each parameter sits at its slot; fir2's inverse is the
+    power series (impulse response) of 1 / (1 + (a1+a2) z^-1 + a1 a2 z^-2),
+    which converges because both roots -a1, -a2 lie inside the unit circle.
+    """
+    if spec.kind.startswith("image_"):
         raise ContractViolationError(f"{spec.kind} has no 1-D inverse filter")
+    slots = _slots(spec)
+    need = 1 + max(pos for pos, _ in slots.values())
+    if L < need:
+        raise ContractViolationError(f"{spec.kind} inverse needs L >= {need}")
+    h = np.zeros(L)
+    h[0] = 1.0
+    if spec.kind == "fir2":
+        return FilterTaps1D(lfilter([1.0], [1.0, spec.a1 + spec.a2, spec.a1 * spec.a2], h))
+    for name, (pos, sign) in slots.items():
+        h[pos] = sign * getattr(spec, name)
     return FilterTaps1D(h)
 
 
 def true_inverse_kernel(spec: DegradeSpec) -> Kernel2D:
-    """Analytic 3x3 inverse kernel of an image spec."""
-    if spec.kind not in ("image_iir2", "image_iir3"):
+    """Analytic 3x3 inverse kernel of an image spec.
+
+    Correlating with it computes g(x,y) - a1 g(x-1,y) - a2 g(x,y-1)
+    - a3 g(x-1,y-1): the 1 sits at the center, -a1 directly above it,
+    -a2 directly left, -a3 on the upper-left diagonal.
+    """
+    if not spec.kind.startswith("image_"):
         raise ContractViolationError(f"{spec.kind} has no 2-D inverse kernel")
-    return inverse_kernel_2d(spec.a1, spec.a2, spec.a3)
+    w = np.zeros((3, 3))
+    w[1, 1] = 1.0
+    for name, ((dr, dc), sign) in _SLOTS[spec.kind].items():
+        w[1 + dr, 1 + dc] = sign * getattr(spec, name)
+    return Kernel2D(w)
+
+
+def _true_inverse(spec: DegradeSpec):
+    """The analytic inverse of spec at the smallest size holding its slots."""
+    if spec.kind.startswith("image_"):
+        return true_inverse_kernel(spec)
+    return true_inverse_taps(spec, 1 + max(pos for pos, _ in _slots(spec).values()))

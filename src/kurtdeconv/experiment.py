@@ -18,7 +18,7 @@ from .adapt2d import Adapt2dConfig, run_adapt2d
 from .degrade import DegradeSpec, apply_degradation
 from .errors import ContractViolationError, FormatError, KurtdeconvError
 from .fileio import read_image, read_wav
-from .metrics import extract_parameters, normalized_correlation, parameter_error, true_parameters
+from .metrics import extract_parameters, normalized_correlation, true_parameters
 from .signals import Image2D, Signal1D, apply_kernel, apply_taps
 from .stats import kurtosis_excess
 from .whitening import WhitenSpec, whiten
@@ -273,10 +273,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _parameter_rows(spec: DegradeSpec | None, estimated) -> tuple[ParameterRow, ...]:
     if spec is None:
         return ()
-    est = extract_parameters(spec, estimated)
-    err = parameter_error(spec, estimated)
-    true = true_parameters(spec)
-    return tuple(ParameterRow(k, float(true[k]), float(est[k]), float(err[k])) for k in true)
+    true, est = true_parameters(spec), extract_parameters(spec, estimated)
+    return tuple(ParameterRow(k, float(true[k]), float(est[k]), float(abs(est[k] - true[k]))) for k in true)
 
 
 def write_report_csv(path, reports) -> None:

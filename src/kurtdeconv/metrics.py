@@ -2,8 +2,9 @@
 
 Blind deconvolution recovers the source only up to gain, sign, and shift.
 Correlation is affine-invariant by construction; parameter comparisons
-first normalize the estimated filter so its largest-magnitude tap becomes
-+1 (and, for kernels, sits at the center).
+first scale the estimated filter so the coefficient that is 1 in the
+analytic inverse becomes +1: tap 0 of taps, and for kernels the
+largest-magnitude weight, rolled to the center.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .degrade import DegradeSpec
+from .degrade import DegradeSpec, _slots, _true_inverse
 from .errors import ContractViolationError, DegenerateInputError
 from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D
 
@@ -97,52 +98,38 @@ def normalize_kernel(kernel: Kernel2D) -> Kernel2D:
     return Kernel2D(centered)
 
 
+def _read(spec: DegradeSpec, filt) -> dict[str, float]:
+    """sign * coefficient at each parameter slot of spec, divided by the
+    unit coefficient: tap 0 of taps, the center of a kernel."""
+    if isinstance(filt, FilterTaps1D):
+        coeffs, origin = filt.taps, (0,)
+    elif isinstance(filt, Kernel2D):
+        coeffs, origin = filt.weights, ((filt.rows - 1) // 2, (filt.cols - 1) // 2)
+    else:
+        raise ContractViolationError(f"unsupported estimate type {type(filt).__name__}")
+    unit = coeffs[origin]
+    if unit == 0.0:
+        raise DegenerateInputError("a filter whose unit coefficient is 0 cannot be scaled")
+    out = {}
+    for name, (pos, sign) in _slots(spec).items():
+        index = np.add(origin, pos)
+        if np.size(pos) != coeffs.ndim or not np.all((index >= 0) & (index < coeffs.shape)):
+            raise ContractViolationError(f"a {coeffs.shape} filter has no {spec.kind} slot at {pos}")
+        out[name] = sign * coeffs[tuple(index)] / unit
+    return out
+
+
 def true_parameters(spec: DegradeSpec) -> dict[str, float]:
-    """Identification targets the estimated filter is scored against."""
-    if spec.kind in ("ar2_iir", "echo_iir"):
-        return {"a1": spec.a1, "a2": spec.a2}
-    if spec.kind == "fir2":
-        s, p = spec.a1 + spec.a2, spec.a1 * spec.a2
-        return {"h1": -s, "h2": spec.a1**2 + p + spec.a2**2}
-    if spec.kind == "image_iir2":
-        return {"a1": spec.a1, "a2": spec.a2}
-    if spec.kind == "image_iir3":
-        return {"a1": spec.a1, "a2": spec.a2, "a3": spec.a3}
-    raise ContractViolationError(f"{spec.kind} has no parameter mapping")
+    """Identification targets: the parameter slots of the analytic inverse."""
+    return _read(spec, _true_inverse(spec))
 
 
 def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
-    """Read identified parameters off a (normalized) estimated filter.
-
-    Tap positions follow the analytic inverse of the spec kind; for fir2
-    the identified quantities are the inverse-filter taps h(1), h(2)
-    themselves.
-    """
-    if isinstance(estimated, FilterTaps1D):
-        t = normalize_taps(estimated).taps
-        if spec.kind == "ar2_iir":
-            if t.size < 3:
-                raise ContractViolationError("AR(2) readout needs at least 3 taps")
-            return {"a1": -t[1], "a2": -t[2]}
-        if spec.kind == "echo_iir":
-            if t.size < 2 * spec.delay + 1:
-                raise ContractViolationError(f"echo readout needs at least {2 * spec.delay + 1} taps")
-            return {"a1": -t[spec.delay], "a2": -t[2 * spec.delay]}
-        if spec.kind == "fir2":
-            if t.size < 3:
-                raise ContractViolationError("fir2 readout needs at least 3 taps")
-            return {"h1": t[1], "h2": t[2]}
-        raise ContractViolationError(f"{spec.kind} does not describe a 1-D system")
-    if isinstance(estimated, Kernel2D):
-        if spec.kind not in ("image_iir2", "image_iir3"):
-            raise ContractViolationError(f"{spec.kind} does not describe a 2-D system")
-        w = normalize_kernel(estimated).weights
-        cr, cc = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
-        out = {"a1": -w[cr - 1, cc], "a2": -w[cr, cc - 1]}
-        if spec.kind == "image_iir3":
-            out["a3"] = -w[cr - 1, cc - 1]
-        return out
-    raise ContractViolationError(f"unsupported estimate type {type(estimated).__name__}")
+    """Read identified parameters off an estimated filter at the slots of
+    the analytic inverse, scaled so its unit coefficient is +1: tap 0 of
+    taps; for kernels the largest weight, rolled to the center by
+    normalize_kernel."""
+    return _read(spec, normalize_kernel(estimated) if isinstance(estimated, Kernel2D) else estimated)
 
 
 def parameter_error(spec: DegradeSpec, estimated) -> dict[str, float]:

@@ -4,8 +4,8 @@ regressor matrices the adaptation core reads.
 All containers are immutable value objects: construction copies the data
 into a read-only float64 array, so instances can be shared freely between
 threads. The regressor matrices (one tap window per sample, one flattened
-patch per pixel) read indices that fall outside the data as zero, so the
-recursion stays well defined from sample 0.
+patch per pixel) read indices outside the data as zero, so the recursion
+stays well defined from sample 0, and divide the data by a power of two.
 """
 from __future__ import annotations
 
@@ -100,17 +100,26 @@ class Kernel2D:
         return self.weights.shape[1]
 
 
-def _tap_windows(x1: Signal1D, L: int) -> np.ndarray:
+def _rms_shift(values: np.ndarray) -> int:
+    """Exponent k of the power of two nearest the RMS of values (0 if all
+    are zero); dividing by 2**k is exact."""
+    mantissa, k = np.frexp(np.sqrt(np.vdot(values, values) / values.size))
+    return int(k) - int(0.0 < mantissa < np.sqrt(0.5))
+
+
+def _tap_windows(x1: Signal1D, L: int, shift: int) -> np.ndarray:
     """Read-only (samples, L) view whose row n is the tap-ordered window
-    ending at sample n: element k is x1(n-k), so it lines up with tap k of
-    a FilterTaps1D. Samples before index 0 read as zero."""
+    ending at sample n: element k is x1(n-k) / 2**shift, so it lines up
+    with tap k of a FilterTaps1D. Samples before index 0 read as zero."""
     padded = np.concatenate((np.zeros(L - 1), x1.samples))
+    np.ldexp(padded, -shift, out=padded)
     return sliding_window_view(padded, L)[:, ::-1]
 
 
-def _patch_rows(img: Image2D, M: int, N: int) -> np.ndarray:
+def _patch_rows(img: Image2D, M: int, N: int, shift: int) -> np.ndarray:
     """Read-only (H*W, M*N) matrix whose row r*W + c is the flattened M x N
-    neighborhood centered at pixel (r, c), zero outside the image.
+    neighborhood centered at pixel (r, c), divided by 2**shift and zero
+    outside the image.
 
     M counts rows and N columns, matching Kernel2D; both must be odd.
     """
@@ -118,6 +127,7 @@ def _patch_rows(img: Image2D, M: int, N: int) -> np.ndarray:
     cM, cN = (M - 1) // 2, (N - 1) // 2
     padded = np.zeros((H + M - 1, W + N - 1))
     padded[cM : cM + H, cN : cN + W] = img.pixels
+    np.ldexp(padded, -shift, out=padded)
     rows = sliding_window_view(padded, (M, N)).reshape(H * W, M * N)
     rows.setflags(write=False)
     return rows

@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, NearSingularMomentError
 
-#: Guard threshold on the running second moment (normalized amplitude^2).
-#: Below this the feedback denominator is considered singular and the
-#: filter update is skipped.
+#: Guard threshold on the running second moment, below which the feedback
+#: denominator is considered singular and the filter update is skipped.
+#: run_adapt and run_adapt2d scale their regressors to an RMS near 1, so
+#: there the guard is relative to the input power.
 M2_GUARD = 1e-8
 
 

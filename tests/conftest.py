@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kurtdeconv import FilterTaps1D, MomentState, adapt_step
 from kurtdeconv.adapt1d import TAP_LIMIT
+
+# The same examples on every run: no random seed, no replay of examples
+# saved by earlier runs, and no timing-dependent deadline failures.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

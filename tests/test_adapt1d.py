@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
 from kurtdeconv import (
@@ -67,6 +70,18 @@ class TestAdaptStep:
             adapt_step(FilterTaps1D([1.0, 0.0]), MomentState(1.0, 1.0, 0.9), np.zeros(3), 0.1)
 
 
+GAIN_CFG = AdaptConfig(taps=3, mu=3e-5, beta=0.99, warmup=64, passes=2)
+
+
+def ar2_observation():
+    return ar2_iir(Signal1D(laplace_signal(36, 2000)), 0.6, 0.3).samples
+
+
+@functools.cache
+def unit_gain_result():
+    return run_adapt(Signal1D(ar2_observation()), GAIN_CFG)
+
+
 class TestRunAdapt:
     def test_mu_zero_is_pure_filter(self, rng):
         x = Signal1D(rng.standard_normal(2000))
@@ -121,6 +136,22 @@ class TestRunAdapt:
         res = run_adapt(s, AdaptConfig(taps=3, mu=3e-6, beta=0.999, warmup=2000, passes=2))
         t = normalize_taps(res.filter).taps
         assert np.all(np.abs(t[1:]) <= 0.05)
+
+    @given(st.integers(-26, 13), st.sampled_from([1.0, -1.0]))
+    def test_power_of_two_gain_leaves_taps(self, k, sign):
+        # the update is gain-invariant and a power of two scales exactly,
+        # so the only way a gain can show is through the moment guard
+        res = run_adapt(Signal1D(sign * np.ldexp(ar2_observation(), k)), GAIN_CFG)
+        assert np.array_equal(res.filter.taps, unit_gain_result().filter.taps)
+        assert res.kurtosis_trace == unit_gain_result().kurtosis_trace
+
+    def test_quiet_input_adapts(self):
+        # at gain 1e-5 the output power sits under M2_GUARD; unscaled, no
+        # update would be applied and the identity taps came back
+        res = run_adapt(Signal1D(1e-5 * ar2_observation()), GAIN_CFG)
+        ref = unit_gain_result().filter.taps
+        assert np.max(np.abs(ref[1:] / ref[0])) > 0.3
+        assert np.max(np.abs(res.filter.taps - ref)) <= 1e-9
 
     def test_positive_scaling_leaves_kurtosis(self):
         x = laplace_signal(35, 20_000)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kurtdeconv import (
     Adapt2dConfig,
@@ -53,6 +54,15 @@ class TestRunAdapt2d:
         want, first = oracle_kernel(img, cfg)
         assert first is None
         assert np.allclose(res.kernel.weights.ravel(), want, atol=1e-12)
+
+    @given(st.integers(-26, 13), st.sampled_from([1.0, -1.0]))
+    def test_power_of_two_gain_leaves_kernel(self, k, sign):
+        g = np.random.default_rng(45).laplace(0.0, 1.0, (12, 14))
+        cfg = Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.99, warmup=16, passes=2)
+        ref = run_adapt2d(Image2D(g), cfg)
+        res = run_adapt2d(Image2D(sign * np.ldexp(g, k)), cfg)
+        assert np.array_equal(res.kernel.weights, ref.kernel.weights)
+        assert res.kurtosis_trace == ref.kurtosis_trace
 
     def test_divergence_guard_names_location(self, rng):
         img = Image2D(rng.laplace(0.0, 1.0, (12, 14)))

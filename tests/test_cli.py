@@ -97,6 +97,9 @@ def test_exit_codes(tmp_path):
     rc = main(["deconv", str(src), str(tmp_path / "o.wav"), "--filter-out", str(tmp_path / "f.txt"),
                "--taps", "2", "--mu", "1e12", "--warmup", "16"])
     assert rc == 3
+    # empty and negative sweep grids are usage errors
+    for count in ("0", "-3"):
+        assert main(["sweep", str(src), str(tmp_path / "g.csv"), "--a1-range", "0", "1", count]) == 1
 
 
 def test_degrade_synthetic_source(tmp_path):

@@ -17,14 +17,20 @@ from kurtdeconv import (
     fir_degrade,
     apply_degradation,
     image_iir,
-    inverse_fir_taps,
-    inverse_kernel_2d,
     kurtosis_excess,
     stability_check,
     true_inverse_kernel,
     true_inverse_taps,
 )
 from conftest import laplace_signal
+
+
+def fir2_inverse(a1, a2, L):
+    return true_inverse_taps(DegradeSpec(kind="fir2", a1=a1, a2=a2), L)
+
+
+def image_inverse(a1, a2, a3=0.0):
+    return true_inverse_kernel(DegradeSpec(kind="image_iir3" if a3 else "image_iir2", a1=a1, a2=a2, a3=a3))
 
 
 class TestStability:
@@ -109,7 +115,7 @@ class TestFirDegrade:
 
     def test_inverse_first_tap_from_sum(self):
         # a1 + a2 = 0.7 makes the analytic inverse h(1) = -0.7
-        taps = inverse_fir_taps(0.5, 0.2, 8).taps
+        taps = fir2_inverse(0.5, 0.2, 8).taps
         assert taps[1] == pytest.approx(-0.7, abs=1e-12)
 
     def test_precondition(self):
@@ -120,18 +126,18 @@ class TestFirDegrade:
 class TestInverseFirTaps:
     def test_first_three_formula(self):
         for a1, a2 in [(0.5, 0.2), (-0.3, 0.6), (0.1, -0.7)]:
-            t = inverse_fir_taps(a1, a2, 5).taps
+            t = fir2_inverse(a1, a2, 5).taps
             assert t[0] == 1.0
             assert t[1] == pytest.approx(-(a1 + a2), abs=1e-14)
             assert t[2] == pytest.approx(a1**2 + a1 * a2 + a2**2, abs=1e-14)
 
     def test_zero_parameters(self):
-        assert inverse_fir_taps(0.0, 0.0, 6).taps.tolist() == [1, 0, 0, 0, 0, 0]
+        assert fir2_inverse(0.0, 0.0, 6).taps.tolist() == [1, 0, 0, 0, 0, 0]
 
     def test_convolution_oracle(self):
         # truncated inverse times the degrading FIR is an impulse up to a
         # tail residual that has decayed below 1e-6 by tap 62
-        inv = inverse_fir_taps(0.5, 0.2, 64).taps
+        inv = fir2_inverse(0.5, 0.2, 64).taps
         conv = np.convolve(inv, [1.0, 0.7, 0.1])
         assert conv[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(conv[1:62])) < 1e-12
@@ -139,7 +145,7 @@ class TestInverseFirTaps:
 
     def test_needs_three_taps(self):
         with pytest.raises(ContractViolationError):
-            inverse_fir_taps(0.1, 0.1, 2)
+            fir2_inverse(0.1, 0.1, 2)
 
 
 class TestImageIir:
@@ -158,14 +164,16 @@ class TestImageIir:
     def test_inverse_kernel_round_trip(self, rng):
         img = Image2D(rng.standard_normal((16, 13)))
         g = image_iir(img, 0.5, 0.4)
-        back = apply_kernel(g, inverse_kernel_2d(0.5, 0.4))
+        back = apply_kernel(g, image_inverse(0.5, 0.4))
         assert np.max(np.abs(back.pixels - img.pixels)) < 1e-10
 
-    def test_conservative_bound_enforced(self):
-        img = Image2D(np.ones((4, 4)))
-        with pytest.raises(ContractViolationError):
-            image_iir(img, 0.8, 0.4, 0.0)
-        image_iir(img, 0.8, 0.4, 0.0, check_stability=False)  # explicit escape
+    def test_runs_outside_conservative_bound(self, rng):
+        # |a1|+|a2| = 1.2: bounded on a small image, and exactly inverted
+        img = Image2D(rng.standard_normal((4, 4)))
+        back = apply_kernel(image_iir(img, 0.8, 0.4), image_inverse(0.8, 0.4))
+        assert np.max(np.abs(back.pixels - img.pixels)) < 1e-10
+        with pytest.raises(DivergenceError):
+            image_iir(Image2D(np.ones((64, 64))), 0.99, 0.99, 0.99)
 
     @pytest.mark.parametrize("size", [64, 512])
     def test_unstable_recursion_raises_divergence(self, size):
@@ -180,19 +188,19 @@ class TestImageIir:
 
 class TestInverseKernel2d:
     def test_stated_positions(self):
-        w = inverse_kernel_2d(0.5, 0.4).weights
+        w = image_inverse(0.5, 0.4).weights
         want = np.zeros((3, 3))
         want[1, 1], want[0, 1], want[1, 0] = 1.0, -0.5, -0.4
         assert np.array_equal(w, want)
 
     def test_identity(self):
-        w = inverse_kernel_2d(0.0, 0.0).weights
+        w = image_inverse(0.0, 0.0).weights
         assert w[1, 1] == 1.0 and np.count_nonzero(w) == 1
 
     def test_three_parameter_round_trip(self, rng):
         img = Image2D(rng.standard_normal((12, 12)))
         g = image_iir(img, 0.3, 0.2, 0.1)
-        back = apply_kernel(g, inverse_kernel_2d(0.3, 0.2, 0.1))
+        back = apply_kernel(g, image_inverse(0.3, 0.2, 0.1))
         assert np.max(np.abs(back.pixels - img.pixels)) < 1e-10
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kurtdeconv import (
     ContractViolationError,
@@ -14,7 +15,17 @@ from kurtdeconv import (
     normalize_taps,
     normalized_correlation,
     parameter_error,
+    true_inverse_taps,
     true_parameters,
+)
+
+# (a1, a2) strictly inside the AR(2) stability triangle
+_triangle = st.tuples(st.floats(-0.999, 0.999), st.floats(-0.999, 0.999)).map(lambda uv: (uv[0] * (1.0 - uv[1]), uv[1]))
+_coefficient = st.floats(-0.999, 0.999)
+_specs_1d = st.one_of(
+    _triangle.map(lambda a: DegradeSpec(kind="ar2_iir", a1=a[0], a2=a[1])),
+    st.builds(lambda a, d: DegradeSpec(kind="echo_iir", a1=a[0], a2=a[1], delay=d), _triangle, st.integers(1, 4)),
+    st.builds(lambda a1, a2: DegradeSpec(kind="fir2", a1=a1, a2=a2), _coefficient, _coefficient),
 )
 
 
@@ -121,6 +132,20 @@ class TestParameterError:
         assert true_parameters(spec) == {"h1": pytest.approx(-0.7), "h2": pytest.approx(0.39)}
         est = extract_parameters(spec, FilterTaps1D([1.0, -0.7, 0.39, 0.0]))
         assert est["h1"] == pytest.approx(-0.7) and est["h2"] == pytest.approx(0.39)
+
+    @given(_specs_1d, st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), st.integers(0, 3))
+    @example(DegradeSpec(kind="ar2_iir", a1=1.5, a2=-0.6), 1.0, 0)
+    @example(DegradeSpec(kind="fir2", a1=0.9, a2=0.9), 1.0, 0)
+    @example(DegradeSpec(kind="echo_iir", a1=1.2, a2=-0.5, delay=2), 1.0, 0)
+    def test_scaled_exact_inverse_reads_exactly(self, spec, gain, extra_taps):
+        # the readout scales by tap 0, which the largest tap need not be
+        taps = gain * true_inverse_taps(spec, 2 * spec.delay + 1 + extra_taps).taps
+        assert max(parameter_error(spec, FilterTaps1D(taps)).values()) <= 1e-12
+
+    def test_zero_unit_tap_rejected(self):
+        spec = DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3)
+        with pytest.raises(DegenerateInputError):
+            extract_parameters(spec, FilterTaps1D([0.0, 1.0, 0.5]))
 
     def test_kernel_readout(self):
         spec = DegradeSpec(kind="image_iir3", a1=0.8, a2=-0.4, a3=0.5)

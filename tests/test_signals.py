@@ -12,7 +12,7 @@ from kurtdeconv import (
     apply_kernel,
     apply_taps,
 )
-from kurtdeconv.signals import _patch_rows, _tap_windows
+from kurtdeconv.signals import _patch_rows, _rms_shift, _tap_windows
 from conftest import patch, window
 
 
@@ -54,18 +54,18 @@ class TestWindowAt:
     """Row n of the 1-D regressor matrix is the window at sample n."""
 
     def test_direct_readoff(self):
-        assert _tap_windows(Signal1D([1, 2, 3]), 2)[2].tolist() == [3, 2]
+        assert _tap_windows(Signal1D([1, 2, 3]), 2, 0)[2].tolist() == [3, 2]
 
     def test_zero_prefix(self):
-        assert _tap_windows(Signal1D([5]), 3)[0].tolist() == [5, 0, 0]
+        assert _tap_windows(Signal1D([5]), 3, 0)[0].tolist() == [5, 0, 0]
 
     def test_constant_signal(self):
-        assert _tap_windows(Signal1D([1, 1, 1, 1]), 4)[3].tolist() == [1, 1, 1, 1]
+        assert _tap_windows(Signal1D([1, 1, 1, 1]), 4, 0)[3].tolist() == [1, 1, 1, 1]
 
     def test_read_only_view_one_row_per_sample(self):
         # a copy would cost samples * L * 8 bytes; at L = 201 that is
         # hundreds of MB for a few seconds of audio
-        X = _tap_windows(Signal1D(np.arange(1.0, 9.0)), 5)
+        X = _tap_windows(Signal1D(np.arange(1.0, 9.0)), 5, 0)
         assert X.shape == (8, 5)
         assert not X.flags.owndata and not X.flags.writeable
 
@@ -74,14 +74,20 @@ class TestWindowAt:
         # prepending k zeros and reading at n+k gives the same window once
         # the window no longer touches the padding
         x = np.arange(1.0, 9.0)
-        shifted = _tap_windows(Signal1D(np.concatenate((np.zeros(k), x))), L)
-        base = _tap_windows(Signal1D(x), L)
+        shifted = _tap_windows(Signal1D(np.concatenate((np.zeros(k), x))), L, 0)
+        base = _tap_windows(Signal1D(x), L, 0)
         for n in range(L - 1, x.size):
             assert base[n].tolist() == shifted[n + k].tolist()
 
     def test_round_trip_element_zero(self):
         x = np.array([3.0, -1.0, 4.0, 1.0, -5.0])
-        assert _tap_windows(Signal1D(x), 3)[:, 0].tolist() == x.tolist()
+        assert _tap_windows(Signal1D(x), 3, 0)[:, 0].tolist() == x.tolist()
+
+
+class TestRmsShift:
+    @pytest.mark.parametrize("value, shift", [(3.0, 2), (2.5, 1), (1.0, 0), (-1e-5, -17), (0.0, 0)])
+    def test_nearest_power_of_two(self, value, shift):
+        assert _rms_shift(np.full((2, 3), value)) == shift
 
 
 class TestPatchAt:
@@ -90,17 +96,17 @@ class TestPatchAt:
 
     def test_constant_interior(self):
         img = Image2D(np.full((3, 3), 7.0))
-        assert _patch_rows(img, 3, 3)[4].tolist() == np.full(9, 7.0).tolist()
+        assert _patch_rows(img, 3, 3, 0)[4].tolist() == np.full(9, 7.0).tolist()
 
     def test_corner_zero_padding(self):
         img = Image2D(np.arange(9.0).reshape(3, 3))
-        p = _patch_rows(img, 3, 3)[0].reshape(3, 3)
+        p = _patch_rows(img, 3, 3, 0)[0].reshape(3, 3)
         assert np.all(p[0, :] == 0.0) and np.all(p[:, 0] == 0.0)
         assert p[1, 1] == img.pixels[0, 0]
 
     def test_single_pixel(self):
         img = Image2D(np.arange(6.0).reshape(2, 3))
-        assert _patch_rows(img, 1, 1)[1 * 3 + 2, 0] == 5.0
+        assert _patch_rows(img, 1, 1, 0)[1 * 3 + 2, 0] == 5.0
 
     def test_even_dims_rejected(self):
         # patch dimensions reach the builder only through Adapt2dConfig
@@ -109,14 +115,14 @@ class TestPatchAt:
 
     def test_constant_image_constant_patches(self):
         img = Image2D(np.full((5, 5), 2.5))
-        rows = _patch_rows(img, 3, 3)
+        rows = _patch_rows(img, 3, 3, 0)
         for r in range(1, 4):
             for c in range(1, 4):
                 assert np.all(rows[r * 5 + c] == 2.5)
 
     def test_rows_match_patches_in_raster_order(self, rng):
         g = rng.standard_normal((4, 6))
-        rows = _patch_rows(Image2D(g), 3, 5)
+        rows = _patch_rows(Image2D(g), 3, 5, 0)
         assert rows.shape == (24, 15) and not rows.flags.writeable
         for r in range(4):
             for c in range(6):
