@@ -11,10 +11,24 @@ sign of mu selects whether kurtosis is pushed up (super-gaussian sources)
 or down (sub-gaussian sources). One core runs this recursion over a
 matrix of regressor rows; run_adapt feeds it the tap windows of a signal
 and adapt2d.run_adapt2d the flattened patches of an image.
+
+Each pass of the core runs in C (_adapt.c) when it can be built: the cc on
+PATH compiles it on first use into this package's __pycache__, under a
+name hashing its source and flags, and ctypes loads it. Without a
+compiler, or where the cache cannot be written, the same recursion runs
+as a Python loop. Both run the same operations in the same order and
+raise the same DivergenceError.
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
@@ -88,22 +102,82 @@ def adapt_step(h: FilterTaps1D, state: MomentState, window: np.ndarray, mu: floa
     return y, FilterTaps1D(h.taps + (mu * f) * w), state
 
 
-def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tuple[float, ...]]:
-    """The adaptation recursion shared by run_adapt and run_adapt2d.
+_SOURCE = Path(__file__).with_name("_adapt.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-    Row n of the read-only matrix X is the regressor the filter sees at
-    step n. The first cfg.warmup rows only seed the moment estimates with
-    the output of the starting filter h; every pass then updates h in
-    place over the remaining rows, moments carried across passes.
-    filtered(h) is the full filtering of the input, whose excess kurtosis
-    is recorded after each pass. Returns h and that per-pass trace.
-    """
-    state = init_moments(X[: cfg.warmup] @ h, cfg.beta)
-    m2, m4 = state.m2, state.m4
+
+def _load_kernel():
+    """ctypes handle of kd_adapt_pass from _adapt.c, built on first use into
+    __pycache__/_adapt-<hash of source and flags>.so; None when the source
+    is missing, no cc is on PATH, or the library cannot be built or loaded."""
+    try:
+        source = _SOURCE.read_bytes()
+        tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+        lib = _SOURCE.parent / "__pycache__" / f"_adapt-{tag}.so"
+        if not lib.exists():
+            cc = shutil.which("cc")
+            if cc is None:
+                return None
+            lib.parent.mkdir(exist_ok=True)
+            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], check=True, capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                tmp.unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(lib)).kd_adapt_pass
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    index, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+    kernel.restype = index
+    kernel.argtypes = (pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
+    return kernel
+
+
+_UNLOADED = object()
+#: The compiled pass once _kernel has loaded it, or None to run _python_pass.
+_KERNEL = _UNLOADED
+_KERNEL_LOCK = threading.Lock()
+
+
+def _kernel():
+    """The compiled pass, loaded (and if need be built) on the first call."""
+    global _KERNEL
+    with _KERNEL_LOCK:
+        if _KERNEL is _UNLOADED:
+            _KERNEL = _load_kernel()
+    return _KERNEL
+
+
+def _compiled_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
+    """One pass of the recursion in C; same contract as _python_pass."""
+    if not (
+        X.dtype == h.dtype == np.float64
+        and X.ndim == 2
+        and X.shape[1] == h.size
+        and h.flags.c_contiguous
+        and h.flags.writeable
+        and not any(stride % X.itemsize for stride in X.strides)
+    ):
+        raise ContractViolationError("the compiled pass needs float64 regressor rows and a writable contiguous filter")
+    s0, s1 = (stride // X.itemsize for stride in X.strides)
+    return _KERNEL(
+        X.ctypes.data, s0, s1, cfg.warmup, X.shape[0], X.shape[1],
+        h.ctypes.data, m.ctypes.data, cfg.mu, cfg.beta, M2_GUARD, TAP_LIMIT,
+    )
+
+
+def _python_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
+    """One pass of the recursion over rows cfg.warmup.. of X, updating the
+    coefficients h and the moments m = [m2, m4] in place. Returns the
+    first row after whose update a coefficient exceeds TAP_LIMIT in
+    magnitude or is NaN (the pass stops there), or -1."""
+    m2, m4 = m.tolist()
     mu, beta = cfg.mu, cfg.beta
     omb = 1.0 - beta
-    trace = []
-    for pass_index in range(cfg.passes):
+    failed = -1
+    # an update that overflows is caught by the tap check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.warmup, X.shape[0]):
             w = X[n]
             y = float(h @ w)
@@ -115,11 +189,35 @@ def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tup
                 h += (mu * f) * w
                 # negated form so NaN coefficients also trip the guard
                 if not np.all(np.abs(h) <= TAP_LIMIT):
-                    raise DivergenceError(
-                        f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",
-                        pass_index=pass_index,
-                        sample_index=n,
-                    )
+                    failed = n
+                    break
+    m[:] = m2, m4
+    return failed
+
+
+def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The adaptation recursion shared by run_adapt and run_adapt2d.
+
+    Row n of the read-only float64 matrix X is the regressor the filter
+    sees at step n. The first cfg.warmup rows only seed the moment
+    estimates with the output of the starting filter h; every pass then
+    updates the contiguous float64 h in place over the remaining rows,
+    moments carried across passes. filtered(h) is the full filtering of
+    the input, whose excess kurtosis is recorded after each pass. Returns h
+    and that per-pass trace.
+    """
+    state = init_moments(X[: cfg.warmup] @ h, cfg.beta)
+    m = np.array([state.m2, state.m4])
+    run_pass = _python_pass if _kernel() is None else _compiled_pass
+    trace = []
+    for pass_index in range(cfg.passes):
+        n = run_pass(X, h, m, cfg)
+        if n >= 0:
+            raise DivergenceError(
+                f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",
+                pass_index=pass_index,
+                sample_index=n,
+            )
         trace.append(kurtosis_excess(filtered(h)))
     return h, tuple(trace)
 

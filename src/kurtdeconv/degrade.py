@@ -39,11 +39,12 @@ def stability_check(a1: float, a2: float) -> bool:
 class DegradeSpec:
     """Parametric description of a degrading system.
 
-    For echo_iir, ``delay`` is the echo spacing D; a3 is meaningful only
-    for image_iir3. The 1-D recursive kinds must satisfy the stability
-    triangle. The image kinds are only checked at run time, by the peak
-    guard of image_iir, because the conservative 2-D bound excludes
-    parameter sets that are still usable in practice.
+    For echo_iir, ``delay`` is the echo spacing D; every other kind takes
+    the default 1. a3 is meaningful only for image_iir3. The 1-D recursive
+    kinds must satisfy the stability triangle. The image kinds are only
+    checked at run time, by the peak guard of image_iir, because the
+    conservative 2-D bound excludes parameter sets that are still usable in
+    practice.
     """
 
     kind: str
@@ -64,6 +65,8 @@ class DegradeSpec:
             raise ContractViolationError("fir2 requires |a1| < 1 and |a2| < 1 for an invertible system")
         if self.kind == "echo_iir" and self.delay < 1:
             raise ContractViolationError(f"delay must be >= 1, got {self.delay}")
+        if self.kind != "echo_iir" and self.delay != 1:
+            raise ContractViolationError(f"delay is only meaningful for echo_iir, got {self.delay}")
         if self.kind != "image_iir3" and self.a3 != 0.0:
             raise ContractViolationError(f"a3 is only meaningful for image_iir3, got {self.a3}")
 

@@ -3,8 +3,7 @@
 Blind deconvolution recovers the source only up to gain, sign, and shift.
 Correlation is affine-invariant by construction; parameter comparisons
 first scale the estimated filter so the coefficient that is 1 in the
-analytic inverse becomes +1: tap 0 of taps, and for kernels the
-largest-magnitude weight, rolled to the center.
+analytic inverse becomes +1: tap 0 of taps, the center of kernels.
 """
 from __future__ import annotations
 
@@ -98,15 +97,16 @@ def normalize_kernel(kernel: Kernel2D) -> Kernel2D:
     return Kernel2D(centered)
 
 
-def _read(spec: DegradeSpec, filt) -> dict[str, float]:
-    """sign * coefficient at each parameter slot of spec, divided by the
-    unit coefficient: tap 0 of taps, the center of a kernel."""
-    if isinstance(filt, FilterTaps1D):
-        coeffs, origin = filt.taps, (0,)
-    elif isinstance(filt, Kernel2D):
-        coeffs, origin = filt.weights, ((filt.rows - 1) // 2, (filt.cols - 1) // 2)
+def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
+    """Read identified parameters off an estimated filter: sign times the
+    coefficient at each parameter slot of the analytic inverse, divided by
+    the unit coefficient, tap 0 of taps or the center of a kernel."""
+    if isinstance(estimated, FilterTaps1D):
+        coeffs, origin = estimated.taps, (0,)
+    elif isinstance(estimated, Kernel2D):
+        coeffs, origin = estimated.weights, ((estimated.rows - 1) // 2, (estimated.cols - 1) // 2)
     else:
-        raise ContractViolationError(f"unsupported estimate type {type(filt).__name__}")
+        raise ContractViolationError(f"unsupported estimate type {type(estimated).__name__}")
     unit = coeffs[origin]
     if unit == 0.0:
         raise DegenerateInputError("a filter whose unit coefficient is 0 cannot be scaled")
@@ -121,15 +121,7 @@ def _read(spec: DegradeSpec, filt) -> dict[str, float]:
 
 def true_parameters(spec: DegradeSpec) -> dict[str, float]:
     """Identification targets: the parameter slots of the analytic inverse."""
-    return _read(spec, _true_inverse(spec))
-
-
-def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
-    """Read identified parameters off an estimated filter at the slots of
-    the analytic inverse, scaled so its unit coefficient is +1: tap 0 of
-    taps; for kernels the largest weight, rolled to the center by
-    normalize_kernel."""
-    return _read(spec, normalize_kernel(estimated) if isinstance(estimated, Kernel2D) else estimated)
+    return extract_parameters(spec, _true_inverse(spec))
 
 
 def parameter_error(spec: DegradeSpec, estimated) -> dict[str, float]:

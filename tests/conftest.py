@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kurtdeconv import FilterTaps1D, MomentState, adapt_step
+from kurtdeconv import FilterTaps1D, MomentState, adapt1d, adapt_step
 from kurtdeconv.adapt1d import TAP_LIMIT
 
 # The same examples on every run: no random seed, no replay of examples
@@ -14,6 +14,12 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def python_core(monkeypatch):
+    """Run the adaptation core's Python loop in place of the compiled kernel."""
+    monkeypatch.setattr(adapt1d, "_KERNEL", None)
 
 
 def laplace_signal(seed, n):

@@ -1,8 +1,9 @@
 import functools
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.signal import lfilter
 
 from kurtdeconv import (
@@ -24,6 +25,7 @@ from kurtdeconv import (
     run_adapt,
     update_moments,
 )
+from kurtdeconv import adapt1d
 from conftest import laplace_signal, oracle_adapt, window
 
 
@@ -103,6 +105,9 @@ class TestRunAdapt:
         _, first = oracle_taps(x.samples, cfg)
         assert (exc.value.pass_index, exc.value.sample_index) == first
 
+    def test_python_core_divergence_guard_names_location(self, python_core):
+        self.test_divergence_guard_names_location()
+
     def test_matches_repeated_adapt_step(self):
         x = Signal1D(laplace_signal(32, 600))
         cfg = AdaptConfig(taps=3, mu=1e-4, beta=0.99, warmup=32, passes=2)
@@ -110,6 +115,9 @@ class TestRunAdapt:
         want, first = oracle_taps(x.samples, cfg)
         assert first is None
         assert np.allclose(res.filter.taps, want, atol=1e-12)
+
+    def test_python_core_matches_repeated_adapt_step(self, python_core):
+        self.test_matches_repeated_adapt_step()
 
     def test_recovers_ar2_parameters(self):
         # i.i.d. super-gaussian source, so no whitening is needed
@@ -182,6 +190,81 @@ class TestRunAdapt:
             acc += (4.0 * ((m2 * y2 - m4) * yi) / m2**3) * wins[i]
         avg = acc / (n - 2000)
         assert np.linalg.norm(avg - want) / np.linalg.norm(want) <= 0.10
+
+
+def outcome(x, cfg):
+    """Taps and trace of run_adapt, or the (pass, sample) it diverged at."""
+    try:
+        res = run_adapt(x, cfg)
+    except DivergenceError as exc:
+        return exc.pass_index, exc.sample_index
+    return res.filter.taps, res.kurtosis_trace
+
+
+class TestEngines:
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_compiled_kernel_in_use(self):
+        # a broken build must not fall back to the Python loop unnoticed
+        assert adapt1d._kernel() is not None
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    @given(
+        st.integers(1, 32),
+        # step sizes that adapt, and ones that exceed the tap limit or
+        # overflow the update to inf or NaN
+        st.floats(-7.0, -2.0) | st.floats(6.0, 308.0),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(0.5, 0.999),
+        st.integers(0, 64),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 308.0, 1.0, 0.99, 0, 1, 0)
+    def test_compiled_and_python_cores_agree(self, taps, log_mu, sign, beta, warmup, passes, seed):
+        x = Signal1D(laplace_signal(seed, 300))
+        cfg = AdaptConfig(taps=taps, mu=sign * 10.0**log_mu, beta=beta, warmup=warmup, passes=passes)
+        compiled = outcome(x, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adapt1d, "_KERNEL", None)
+            python = outcome(x, cfg)
+        if isinstance(compiled[0], int):
+            assert python == compiled
+        else:
+            assert np.max(np.abs(compiled[0] - python[0])) <= 1e-12
+            assert np.allclose(compiled[1], python[1], rtol=0.0, atol=1e-12)
+
+
+class TestKernelBuild:
+    @pytest.fixture
+    def source(self, tmp_path, monkeypatch):
+        """A copy of the kernel source, so builds land in tmp_path."""
+        path = tmp_path / "_adapt.c"
+        path.write_bytes(adapt1d._SOURCE.read_bytes())
+        monkeypatch.setattr(adapt1d, "_SOURCE", path)
+        return path
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_built_once_then_loaded_from_cache(self, source, monkeypatch):
+        assert adapt1d._load_kernel() is not None
+        built = list((source.parent / "__pycache__").iterdir())
+        assert len(built) == 1 and built[0].name.startswith("_adapt-") and built[0].suffix == ".so"
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("the cached kernel was rebuilt")
+
+        monkeypatch.setattr(adapt1d.subprocess, "run", no_compile)
+        assert adapt1d._load_kernel() is not None
+
+    def test_no_compiler_falls_back(self, source, monkeypatch):
+        monkeypatch.setattr(adapt1d.shutil, "which", lambda name: None)
+        assert adapt1d._load_kernel() is None
+        assert not (source.parent / "__pycache__").exists()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_failed_build_falls_back(self, source):
+        source.write_text("not C\n")
+        assert adapt1d._load_kernel() is None
+        assert list((source.parent / "__pycache__").iterdir()) == []
 
 
 class TestKurtosisSurface:

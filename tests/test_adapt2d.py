@@ -55,6 +55,9 @@ class TestRunAdapt2d:
         assert first is None
         assert np.allclose(res.kernel.weights.ravel(), want, atol=1e-12)
 
+    def test_python_core_matches_repeated_adapt_step(self, rng, python_core):
+        self.test_matches_repeated_adapt_step(rng)
+
     @given(st.integers(-26, 13), st.sampled_from([1.0, -1.0]))
     def test_power_of_two_gain_leaves_kernel(self, k, sign):
         g = np.random.default_rng(45).laplace(0.0, 1.0, (12, 14))
@@ -71,6 +74,9 @@ class TestRunAdapt2d:
             run_adapt2d(img, cfg)
         _, first = oracle_kernel(img, cfg)
         assert (exc.value.pass_index, exc.value.sample_index) == first
+
+    def test_python_core_divergence_guard_names_location(self, rng, python_core):
+        self.test_divergence_guard_names_location(rng)
 
     def test_identity_with_zero_mu(self, rng):
         img = Image2D(rng.standard_normal((12, 14)))

@@ -100,6 +100,10 @@ def test_exit_codes(tmp_path):
     # empty and negative sweep grids are usage errors
     for count in ("0", "-3"):
         assert main(["sweep", str(src), str(tmp_path / "g.csv"), "--a1-range", "0", "1", count]) == 1
+    # a delay on a kind other than echo_iir is a contract violation
+    cfg = tmp_path / "delay.cfg"
+    cfg.write_text("source.length = 5000\nsource.seed = 1\ndegrade.kind = ar2_iir\ndegrade.a1 = 0.5\ndegrade.delay = 3\n")
+    assert main(["experiment", str(cfg)]) == 1
 
 
 def test_degrade_synthetic_source(tmp_path):

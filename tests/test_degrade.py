@@ -57,6 +57,11 @@ class TestDegradeSpec:
         with pytest.raises(ContractViolationError):
             DegradeSpec(kind="ar2_iir", a1=0.1, a2=0.1, a3=0.5)
 
+    @pytest.mark.parametrize("kind, delay", [("ar2_iir", 0), ("fir2", -3), ("ar2_iir", 2), ("image_iir2", 5)])
+    def test_delay_only_for_echo_kind(self, kind, delay):
+        with pytest.raises(ContractViolationError):
+            DegradeSpec(kind=kind, a1=0.5, a2=0.2, delay=delay)
+
     def test_aggressive_image_sets_constructible(self):
         DegradeSpec(kind="image_iir3", a1=0.8, a2=-0.4, a3=0.5)
         DegradeSpec(kind="image_iir3", a1=0.8, a2=-0.3, a3=0.2)

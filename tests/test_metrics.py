@@ -15,6 +15,7 @@ from kurtdeconv import (
     normalize_taps,
     normalized_correlation,
     parameter_error,
+    true_inverse_kernel,
     true_inverse_taps,
     true_parameters,
 )
@@ -26,6 +27,17 @@ _specs_1d = st.one_of(
     _triangle.map(lambda a: DegradeSpec(kind="ar2_iir", a1=a[0], a2=a[1])),
     st.builds(lambda a, d: DegradeSpec(kind="echo_iir", a1=a[0], a2=a[1], delay=d), _triangle, st.integers(1, 4)),
     st.builds(lambda a1, a2: DegradeSpec(kind="fir2", a1=a1, a2=a2), _coefficient, _coefficient),
+)
+# image coefficients are only checked at run time, so any finite set is a spec
+_image_coefficient = st.floats(-2.0, 2.0)
+_specs_2d = st.one_of(
+    st.builds(lambda a1, a2: DegradeSpec(kind="image_iir2", a1=a1, a2=a2), _image_coefficient, _image_coefficient),
+    st.builds(
+        lambda a1, a2, a3: DegradeSpec(kind="image_iir3", a1=a1, a2=a2, a3=a3),
+        _image_coefficient,
+        _image_coefficient,
+        _image_coefficient,
+    ),
 )
 
 
@@ -133,14 +145,19 @@ class TestParameterError:
         est = extract_parameters(spec, FilterTaps1D([1.0, -0.7, 0.39, 0.0]))
         assert est["h1"] == pytest.approx(-0.7) and est["h2"] == pytest.approx(0.39)
 
-    @given(_specs_1d, st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), st.integers(0, 3))
+    @given(_specs_1d | _specs_2d, st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), st.integers(0, 3))
     @example(DegradeSpec(kind="ar2_iir", a1=1.5, a2=-0.6), 1.0, 0)
     @example(DegradeSpec(kind="fir2", a1=0.9, a2=0.9), 1.0, 0)
     @example(DegradeSpec(kind="echo_iir", a1=1.2, a2=-0.5, delay=2), 1.0, 0)
+    @example(DegradeSpec(kind="image_iir2", a1=1.2, a2=0.1), 1.0, 0)
     def test_scaled_exact_inverse_reads_exactly(self, spec, gain, extra_taps):
-        # the readout scales by tap 0, which the largest tap need not be
-        taps = gain * true_inverse_taps(spec, 2 * spec.delay + 1 + extra_taps).taps
-        assert max(parameter_error(spec, FilterTaps1D(taps)).values()) <= 1e-12
+        # the readout scales by tap 0 or the kernel center, which the
+        # largest coefficient need not be
+        if spec.kind.startswith("image_"):
+            estimate = Kernel2D(gain * true_inverse_kernel(spec).weights)
+        else:
+            estimate = FilterTaps1D(gain * true_inverse_taps(spec, 2 * spec.delay + 1 + extra_taps).taps)
+        assert max(parameter_error(spec, estimate).values()) <= 1e-12
 
     def test_zero_unit_tap_rejected(self):
         spec = DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3)
@@ -157,9 +174,12 @@ class TestParameterError:
     def test_shifted_kernel_realigned(self):
         spec = DegradeSpec(kind="image_iir2", a1=0.5, a2=0.4)
         w = np.zeros((3, 3))
-        # same structure shifted down-right by one pixel
+        # same structure shifted down-right by one pixel: the readout takes
+        # the center as the unit weight, normalize_kernel rolls it back
         w[2, 2], w[1, 2], w[2, 1] = 1.0, -0.5, -0.4
-        assert max(parameter_error(spec, Kernel2D(w)).values()) < 1e-12
+        with pytest.raises(DegenerateInputError):
+            parameter_error(spec, Kernel2D(w))
+        assert max(parameter_error(spec, normalize_kernel(Kernel2D(w))).values()) < 1e-12
 
     def test_kind_without_mapping(self):
         spec = DegradeSpec(kind="image_iir2", a1=0.2, a2=0.2)
