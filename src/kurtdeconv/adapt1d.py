@@ -34,7 +34,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, NearSingularMomentError
-from .signals import FilterTaps1D, Signal1D, _rms_shift, _tap_windows, apply_taps
+from .signals import FilterTaps1D, Signal1D, _rms_shift, _tap_windows
 from .stats import M2_GUARD, MomentState, feedback, init_moments, kurtosis_excess, update_moments
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -63,7 +63,7 @@ class AdaptConfig:
     the signal; taps and moments persist across passes.
     """
 
-    taps: int
+    taps: int = 3
     mu: float = 1e-3
     beta: float = 0.99
     warmup: int = 256
@@ -195,7 +195,7 @@ def _python_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
     return failed
 
 
-def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tuple[float, ...]]:
+def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
     """The adaptation recursion shared by run_adapt and run_adapt2d.
 
     Row n of the read-only float64 matrix X is the regressor the filter
@@ -203,8 +203,9 @@ def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tup
     estimates with the output of the starting filter h; every pass then
     updates the contiguous float64 h in place over the remaining rows,
     moments carried across passes. filtered(h) is the full filtering of
-    the input, whose excess kurtosis is recorded after each pass. Returns h
-    and that per-pass trace.
+    the input, whose excess kurtosis is recorded after each pass. Returns h,
+    that per-pass trace and the last pass's filtered(h), the output of the
+    final filter.
     """
     state = init_moments(X[: cfg.warmup] @ h, cfg.beta)
     m = np.array([state.m2, state.m4])
@@ -218,8 +219,9 @@ def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tup
                 pass_index=pass_index,
                 sample_index=n,
             )
-        trace.append(kurtosis_excess(filtered(h)))
-    return h, tuple(trace)
+        y = filtered(h)
+        trace.append(kurtosis_excess(y))
+    return h, tuple(trace), y
 
 
 def run_adapt(x1: Signal1D, cfg: AdaptConfig) -> AdaptResult:
@@ -239,9 +241,8 @@ def run_adapt(x1: Signal1D, cfg: AdaptConfig) -> AdaptResult:
         raise DegenerateInputError(f"signal length {x.size} too short for warmup {cfg.warmup} and {cfg.taps} taps")
     h = np.zeros(cfg.taps)
     h[0] = 1.0
-    h, trace = _adapt(_tap_windows(x1, cfg.taps, _rms_shift(x)), h, cfg, lambda h: lfilter(h, [1.0], x))
-    taps = FilterTaps1D(h)
-    return AdaptResult(taps, apply_taps(x1, taps), trace[-1], trace)
+    h, trace, y = _adapt(_tap_windows(x1, cfg.taps, _rms_shift(x)), h, cfg, lambda h: lfilter(h, [1.0], x))
+    return AdaptResult(FilterTaps1D(h), Signal1D(y, sample_rate=x1.sample_rate), trace[-1], trace)
 
 
 @dataclass(frozen=True, eq=False)

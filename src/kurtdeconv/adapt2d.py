@@ -22,8 +22,8 @@ class Adapt2dConfig:
     """Knobs for run_adapt2d; rows/cols are the (odd) kernel dimensions,
     warmup counts pixels in raster order. Scan order is fixed raster."""
 
-    rows: int
-    cols: int
+    rows: int = 3
+    cols: int = 3
     mu: float = -1e-3
     beta: float = 0.99
     warmup: int = 256
@@ -64,11 +64,10 @@ def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
 
     w = np.zeros((M, N))
     w[(M - 1) // 2, (N - 1) // 2] = 1.0
-    h, trace = _adapt(
+    h, trace, y = _adapt(
         _patch_rows(img1, M, N, _rms_shift(img1.pixels)),
         w.ravel(),
         cfg,
         lambda h: apply_kernel(img1, Kernel2D(h.reshape(M, N))).pixels,
     )
-    kernel = Kernel2D(h.reshape(M, N))
-    return Adapt2dResult(kernel, apply_kernel(img1, kernel), trace[-1], trace)
+    return Adapt2dResult(Kernel2D(h.reshape(M, N)), Image2D(y), trace[-1], trace)

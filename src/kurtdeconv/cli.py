@@ -8,6 +8,9 @@ Subcommands:
     experiment  run config-file experiments and emit report CSV/text
     metrics     correlation and kurtosis between two files
 
+Files are WAV or PGM by extension. An option left out takes the default of
+the library spec it sets; one the input lacks (--taps on a PGM) is an error.
+
 Exit codes: 0 success, 1 usage error, 2 format error, 3 numeric divergence.
 """
 from __future__ import annotations
@@ -21,9 +24,9 @@ from .adapt1d import AdaptConfig, kurtosis_surface, run_adapt
 from .adapt2d import Adapt2dConfig, run_adapt2d
 from .degrade import KINDS, DegradeSpec, apply_degradation
 from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
-from .experiment import load_config, run_experiment, write_report_csv
-from .fileio import read_image, read_wav, rescale_unit, write_image, write_wav
-from .metrics import aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
+from .experiment import SourceSpec, _build, load_config, make_source, run_experiment, write_report_csv
+from .fileio import is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
+from .metrics import _flat, aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
 from .signals import apply_kernel, apply_taps
 from .stats import kurtosis_excess
 from .whitening import WHITEN_KINDS, WhitenSpec, whiten
@@ -37,20 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}") from None
 
 
-def _is_image_path(path: str) -> bool:
-    if path.lower().endswith(".pgm"):
-        return True
-    if path.lower().endswith(".wav"):
-        return False
-    raise FormatError(f"cannot tell WAV from PGM by extension: {path!r}")
-
-
-def _read_any(path: str):
-    return read_image(path) if _is_image_path(path) else read_wav(path)
+def _given(args, *names) -> dict:
+    """The options among names that the command line set (the degrade,
+    whiten and deconv parsers have no defaults but CLI-specific ones)."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _write_any(path: str, data) -> None:
-    if _is_image_path(path):
+    if is_image_path(path):
         write_image(path, rescale_unit(data))
     else:
         clipped = write_wav(path, data)
@@ -60,58 +57,49 @@ def _write_any(path: str, data) -> None:
 
 def _add_degrade_args(p):
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--a1", type=float, default=0.0)
-    p.add_argument("--a2", type=float, default=0.0)
-    p.add_argument("--a3", type=float, default=0.0)
-    p.add_argument("--delay", type=int, default=1, help="echo spacing D (echo_iir only)")
+    p.add_argument("--a1", type=float)
+    p.add_argument("--a2", type=float)
+    p.add_argument("--a3", type=float)
+    p.add_argument("--delay", type=int, help="echo spacing D (echo_iir only)")
 
 
 def _cmd_degrade(args) -> int:
-    spec = DegradeSpec(kind=args.kind, a1=args.a1, a2=args.a2, a3=args.a3, delay=args.delay)
+    spec = DegradeSpec(**_given(args, "kind", "a1", "a2", "a3", "delay"))
     print(f"degrade: {spec} input={args.input} output={args.output}")
     if args.input.startswith("synthetic:"):
-        from .experiment import SourceSpec, make_source
-
-        source = SourceSpec(
-            kind=args.input.split(":", 1)[1],
-            seed=args.seed,
-            length=args.length,
-            height=args.height,
-            width=args.width,
-        )
+        source = SourceSpec(kind=args.input.split(":", 1)[1], **_given(args, "seed", "length", "height", "width"))
         print(f"  source={source}")
         data = make_source(source)
     else:
-        data = _read_any(args.input)
+        data = read_any(args.input)
     _write_any(args.output, apply_degradation(spec, data))
     return 0
 
 
 def _cmd_whiten(args) -> int:
-    print(f"whiten: kind={args.kind} order={args.order} input={args.input} output={args.output}")
-    _write_any(args.output, whiten(_read_any(args.input), WhitenSpec(kind=args.kind, order=args.order)))
+    spec = WhitenSpec(**_given(args, "kind", "order"))
+    print(f"whiten: {spec} input={args.input} output={args.output}")
+    _write_any(args.output, whiten(read_any(args.input), spec))
     return 0
 
 
 def _cmd_deconv(args) -> int:
-    print(
-        f"deconv: input={args.input} taps={args.taps} kernel={args.rows}x{args.cols} "
-        f"mu={args.mu:g} beta={args.beta:g} warmup={args.warmup} passes={args.passes} whiten={args.whiten}"
-    )
-    data = _read_any(args.input)
-    work = whiten(data, WhitenSpec(kind=args.whiten, order=args.order))
+    image = is_image_path(args.input)
+    options = _given(args, "taps", "rows", "cols", "mu", "beta", "warmup", "passes")
+    cfg = _build(Adapt2dConfig if image else AdaptConfig, options, "--{}".format)
+    spec = WhitenSpec(**_given(args, "kind", "order"))
+    print(f"deconv: input={args.input} {cfg} whiten={spec}")
+    data = read_any(args.input)
+    work = whiten(data, spec)
     # The converged filter carries an arbitrary blind gain/sign; normalize
     # (largest tap -> +1) before restoring so the output amplitude stays
     # comparable to the input.
-    if _is_image_path(args.input):
-        cfg = Adapt2dConfig(rows=args.rows, cols=args.cols, mu=args.mu, beta=args.beta,
-                            warmup=args.warmup, passes=args.passes)
+    if image:
         result = run_adapt2d(work, cfg)
         kernel = normalize_kernel(result.kernel)
         restored = apply_kernel(data, kernel)
         dump = "\n".join(" ".join(repr(v) for v in row) for row in kernel.weights.tolist())
     else:
-        cfg = AdaptConfig(taps=args.taps, mu=args.mu, beta=args.beta, warmup=args.warmup, passes=args.passes)
         result = run_adapt(work, cfg)
         taps = normalize_taps(result.filter)
         restored = apply_taps(data, taps)
@@ -167,15 +155,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    a = _read_any(args.file_a)
-    b = _read_any(args.file_b)
+    a = read_any(args.file_a)
+    b = read_any(args.file_b)
     rho = normalized_correlation(a, b)
     print(f"rho (zero lag)  {rho:.6f}")
-    if not _is_image_path(args.file_a) and args.max_lag > 0:
+    if not is_image_path(args.file_a) and args.max_lag > 0:
         al = aligned_correlation(a, b, args.max_lag)
         print(f"rho (aligned)   {al.rho:.6f} at lag {al.lag} sign {al.sign:+d}")
-    ka = kurtosis_excess(a.samples if hasattr(a, "samples") else a.pixels)
-    kb = kurtosis_excess(b.samples if hasattr(b, "samples") else b.pixels)
+    ka, kb = (kurtosis_excess(_flat(v)) for v in (a, b))
     print(f"kurtosis        {ka:.6f} vs {kb:.6f}")
     return 0
 
@@ -184,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kurtdeconv", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("degrade", help="apply a parametric degradation")
+    p = sub.add_parser("degrade", help="apply a parametric degradation", argument_default=argparse.SUPPRESS)
     p.add_argument("input", help="WAV/PGM path, or synthetic:<kind> with --length/--height/--width and --seed")
     p.add_argument("output")
     _add_degrade_args(p)
@@ -194,26 +181,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, help="synthetic image width")
     p.set_defaults(func=_cmd_degrade)
 
-    p = sub.add_parser("whiten", help="highpass/LPC whitening")
+    p = sub.add_parser("whiten", help="highpass/LPC whitening", argument_default=argparse.SUPPRESS)
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--kind", choices=("highpass", "lpc"), default="highpass")
-    p.add_argument("--order", type=int, default=5)
+    p.add_argument("--kind", choices=[k for k in WHITEN_KINDS if k != "none"], default="highpass")
+    p.add_argument("--order", type=int)
     p.set_defaults(func=_cmd_whiten)
 
-    p = sub.add_parser("deconv", help="adapt an inverse filter and restore")
+    p = sub.add_parser("deconv", help="adapt an inverse filter and restore", argument_default=argparse.SUPPRESS)
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--filter-out", default="filter.txt")
-    p.add_argument("--taps", type=int, default=3, help="1-D filter length")
-    p.add_argument("--rows", type=int, default=3, help="2-D kernel rows")
-    p.add_argument("--cols", type=int, default=3, help="2-D kernel cols")
-    p.add_argument("--mu", type=float, default=1e-3)
-    p.add_argument("--beta", type=float, default=0.99)
-    p.add_argument("--warmup", type=int, default=256)
-    p.add_argument("--passes", type=int, default=1)
-    p.add_argument("--whiten", choices=WHITEN_KINDS, default="none")
-    p.add_argument("--order", type=int, default=5, help="LPC order when --whiten lpc")
+    p.add_argument("--taps", type=int, help="1-D filter length")
+    p.add_argument("--rows", type=int, help="2-D kernel rows")
+    p.add_argument("--cols", type=int, help="2-D kernel cols")
+    p.add_argument("--mu", type=float, help="signed step size (default: the AdaptConfig or Adapt2dConfig one)")
+    p.add_argument("--beta", type=float)
+    p.add_argument("--warmup", type=int)
+    p.add_argument("--passes", type=int)
+    p.add_argument("--whiten", dest="kind", choices=WHITEN_KINDS, help="whitening kind")
+    p.add_argument("--order", type=int, help="LPC order when --whiten lpc")
     p.set_defaults(func=_cmd_deconv)
 
     p = sub.add_parser("sweep", help="kurtosis surface over an (a1, a2) grid")

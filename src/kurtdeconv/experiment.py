@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .adapt1d import AdaptConfig, run_adapt
 from .adapt2d import Adapt2dConfig, run_adapt2d
 from .degrade import DegradeSpec, apply_degradation
-from .errors import ContractViolationError, FormatError, KurtdeconvError
-from .fileio import read_image, read_wav
+from .errors import ContractViolationError, FormatError
+from .fileio import is_image_path, read_any
 from .metrics import extract_parameters, normalized_correlation, true_parameters
 from .signals import Image2D, Signal1D, apply_kernel, apply_taps
 from .stats import kurtosis_excess
@@ -28,7 +29,7 @@ SYNTHETIC_KINDS = ("laplace", "uniform", "gaussian", "integrated_laplace", "inte
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Either a synthetic generator (kind + size + seed) or a file path."""
+    """Either a synthetic generator (kind + size + seed) or a .wav/.pgm path."""
 
     kind: str
     seed: int | None = None
@@ -41,6 +42,7 @@ class SourceSpec:
         if self.kind == "file":
             if not self.path:
                 raise ContractViolationError("file sources need a nonempty path")
+            is_image_path(self.path)  # FormatError for any other extension
             return
         if self.kind not in SYNTHETIC_KINDS:
             raise ContractViolationError(f"unknown source kind {self.kind!r}")
@@ -55,7 +57,7 @@ class SourceSpec:
     @property
     def is_image(self) -> bool:
         if self.kind == "file":
-            return str(self.path).lower().endswith(".pgm")
+            return is_image_path(self.path)
         return self.height is not None or self.width is not None
 
 
@@ -83,7 +85,7 @@ class ExperimentConfig:
 def make_source(spec: SourceSpec):
     """Materialize a SourceSpec into a Signal1D or Image2D."""
     if spec.kind == "file":
-        return read_image(spec.path) if spec.is_image else read_wav(spec.path)
+        return read_any(spec.path)
     rng = np.random.default_rng(spec.seed)
     if not spec.is_image:
         n = spec.length
@@ -298,13 +300,24 @@ _FLOAT_KEYS = {"degrade.a1", "degrade.a2", "degrade.a3", "adapt.mu", "adapt.beta
 _STR_KEYS = {"experiment.id", "source.kind", "source.path", "degrade.kind", "whiten.kind", "report.path"}
 
 
+def _build(cls, given: dict, name):
+    """cls(**given) from the fields a user set, so cls keeps every default;
+    a key cls has no field for is a ContractViolationError naming name(key)."""
+    extra = sorted(given.keys() - {f.name for f in fields(cls)})
+    if extra:
+        raise ContractViolationError(f"{name(extra[0])} does not apply to {cls.__name__}")
+    return cls(**given)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a line-oriented ``section.key = value`` experiment config.
 
     Blank lines and lines starting with '#' are ignored; later keys
-    override earlier ones.
+    override earlier ones. Only the keys set reach the specs, so a key left
+    out takes the spec's default (an image's mu is Adapt2dConfig's, < 0); a
+    key the spec lacks (adapt.rows on audio) is a ContractViolationError.
     """
-    kv: dict[str, str] = {}
+    given: dict[str, dict] = defaultdict(dict)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -315,63 +328,31 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
             raise FormatError(f"config line {lineno}: unknown key {key!r}")
-        kv[key] = value
-
-    def pick(key, default=None):
-        if key not in kv:
-            return default
-        value = kv[key]
         try:
             if key in _INT_KEYS:
-                return int(value)
-            if key in _FLOAT_KEYS:
-                return float(value)
+                value = int(value)
+            elif key in _FLOAT_KEYS:
+                value = float(value)
         except ValueError:
             raise FormatError(f"config key {key}: invalid number {value!r}") from None
-        return value
+        section, _, name = key.partition(".")
+        given[section][name] = value
 
-    try:
-        source = SourceSpec(
-            kind=pick("source.kind", "laplace"),
-            seed=pick("source.seed"),
-            length=pick("source.length"),
-            height=pick("source.height"),
-            width=pick("source.width"),
-            path=pick("source.path"),
-        )
-        degrade_kind = pick("degrade.kind", "none")
-        degrade = None
-        if degrade_kind != "none":
-            degrade = DegradeSpec(
-                kind=degrade_kind,
-                a1=pick("degrade.a1", 0.0),
-                a2=pick("degrade.a2", 0.0),
-                a3=pick("degrade.a3", 0.0),
-                delay=pick("degrade.delay", 1),
-            )
-        whiten = WhitenSpec(kind=pick("whiten.kind", "none"), order=pick("whiten.order", 5))
-        common = dict(
-            mu=pick("adapt.mu", 1e-3),
-            beta=pick("adapt.beta", 0.99),
-            warmup=pick("adapt.warmup", 256),
-            passes=pick("adapt.passes", 1),
-        )
-        if source.is_image:
-            adapt = Adapt2dConfig(rows=pick("adapt.rows", 3), cols=pick("adapt.cols", 3), **common)
-        else:
-            adapt = AdaptConfig(taps=pick("adapt.taps", 3), **common)
-        return ExperimentConfig(
-            experiment_id=pick("experiment.id", "experiment"),
-            source=source,
-            adapt=adapt,
-            degrade=degrade,
-            whiten=whiten,
-            report_path=pick("report.path"),
-        )
-    except KurtdeconvError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid config: {exc}") from exc
+    source = SourceSpec(**{"kind": "laplace", **given["source"]})
+    degrade_kind = given["degrade"].pop("kind", "none")
+    degrade = None
+    if degrade_kind != "none":
+        degrade = DegradeSpec(kind=degrade_kind, **given["degrade"])
+    elif given["degrade"]:
+        raise ContractViolationError(f"degrade.{min(given['degrade'])} is set but degrade.kind is none")
+    return ExperimentConfig(
+        experiment_id=given["experiment"].get("id", "experiment"),
+        source=source,
+        adapt=_build(Adapt2dConfig if source.is_image else AdaptConfig, given["adapt"], "adapt.{}".format),
+        degrade=degrade,
+        whiten=WhitenSpec(**given["whiten"]),
+        report_path=given["report"].get("path"),
+    )
 
 
 def load_config(path) -> ExperimentConfig:

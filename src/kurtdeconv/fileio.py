@@ -9,6 +9,22 @@ from .errors import ContractViolationError, FormatError
 from .signals import Image2D, Signal1D
 
 
+def is_image_path(path) -> bool:
+    """True for a .pgm path, False for a .wav path (either case), FormatError
+    otherwise: the one rule by which a path names an image or a signal."""
+    name = str(path).lower()
+    if name.endswith(".pgm"):
+        return True
+    if name.endswith(".wav"):
+        return False
+    raise FormatError(f"cannot tell WAV from PGM by extension: {str(path)!r}")
+
+
+def read_any(path) -> Signal1D | Image2D:
+    """Read a WAV or PGM file, chosen by is_image_path."""
+    return read_image(path) if is_image_path(path) else read_wav(path)
+
+
 def read_wav(path) -> Signal1D:
     """Read a RIFF/WAVE file; only PCM, 16-bit, mono is accepted.
 
@@ -49,6 +65,9 @@ def read_wav(path) -> Signal1D:
         raise FormatError(f"channels={channels} unsupported")
     if bits != 16:
         raise FormatError(f"bits={bits} unsupported (want 16)")
+    # the byte rate, 2 * rate, must fit the header's u32 field on write
+    if not 1 <= rate <= 0x7FFFFFFF:
+        raise FormatError(f"sample rate={rate} unsupported")
     if len(raw) % 2:
         raise FormatError(f"data size={len(raw)} is not a whole number of 16-bit samples")
     if len(raw) == 0:

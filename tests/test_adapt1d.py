@@ -308,3 +308,8 @@ def test_result_output_matches_filter(rng):
     want = lfilter(res.filter.taps, [1.0], x.samples)
     assert np.array_equal(res.output.samples, want)
     assert res.final_kurtosis == res.kurtosis_trace[-1]
+
+
+def test_result_output_keeps_sample_rate(rng):
+    x = Signal1D(rng.standard_normal(1000), sample_rate=16000)
+    assert run_adapt(x, AdaptConfig(warmup=64)).output.sample_rate == 16000

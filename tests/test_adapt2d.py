@@ -10,6 +10,7 @@ from kurtdeconv import (
     DivergenceError,
     Image2D,
     Signal1D,
+    apply_kernel,
     highpass_whiten_2d,
     image_iir,
     kurtosis_excess,
@@ -112,3 +113,10 @@ class TestRunAdapt2d:
         d = highpass_whiten_2d(g)
         res = run_adapt2d(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
         assert abs(res.final_kurtosis) > abs(kurtosis_excess(d.pixels))
+
+
+def test_result_output_matches_kernel(rng):
+    img = Image2D(rng.standard_normal((20, 24)))
+    res = run_adapt2d(img, Adapt2dConfig(mu=-1e-4, warmup=32, passes=2))
+    assert np.array_equal(res.output.pixels, apply_kernel(img, res.kernel).pixels)
+    assert res.final_kurtosis == res.kurtosis_trace[-1] == kurtosis_excess(res.output.pixels)

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from kurtdeconv import Signal1D, read_wav, write_wav, write_image, Image2D
+from kurtdeconv import (
+    Adapt2dConfig,
+    AdaptConfig,
+    Image2D,
+    Signal1D,
+    normalize_kernel,
+    normalize_taps,
+    read_image,
+    read_wav,
+    run_adapt,
+    run_adapt2d,
+    write_image,
+    write_wav,
+)
 from kurtdeconv.cli import main
 from conftest import laplace_signal
 
@@ -137,6 +150,52 @@ def test_image_pipeline(tmp_path):
     assert restored.exists()
     kernel_rows = (tmp_path / "k.txt").read_text().splitlines()
     assert len(kernel_rows) == 3 and len(kernel_rows[0].split()) == 3
+
+
+def test_deconv_defaults_are_the_library_configs(tmp_path):
+    """Options left out take AdaptConfig's / Adapt2dConfig's defaults; a PGM
+    adapts with the negative step of Adapt2dConfig."""
+    src = tmp_path / "img.pgm"
+    write_image(src, Image2D(np.random.default_rng(55).random((32, 32))))
+    filt = tmp_path / "k.txt"
+    assert main(["deconv", str(src), str(tmp_path / "rest.pgm"), "--filter-out", str(filt)]) == 0
+    kernel = normalize_kernel(run_adapt2d(read_image(src), Adapt2dConfig()).kernel)
+    assert Adapt2dConfig().mu < 0
+    assert [[float(v) for v in row.split()] for row in filt.read_text().splitlines()] == kernel.weights.tolist()
+
+    wav = tmp_path / "s.wav"
+    write_wav(wav, Signal1D(0.1 * laplace_signal(56, 3000)))
+    assert main(["deconv", str(wav), str(tmp_path / "rest.wav"), "--filter-out", str(filt)]) == 0
+    taps = normalize_taps(run_adapt(read_wav(wav), AdaptConfig()).filter)
+    assert [float(v) for v in filt.read_text().splitlines()] == taps.taps.tolist()
+
+
+def test_settings_of_other_dimension_exit_1(tmp_path, capsys):
+    img = tmp_path / "img.pgm"
+    write_image(img, Image2D(np.random.default_rng(57).random((32, 32))))
+    wav = tmp_path / "s.wav"
+    write_wav(wav, Signal1D(0.1 * laplace_signal(58, 3000)))
+    filt = tmp_path / "f.txt"
+    assert main(["deconv", str(img), str(tmp_path / "o.pgm"), "--filter-out", str(filt), "--taps", "5"]) == 1
+    assert "--taps" in capsys.readouterr().err
+    assert main(["deconv", str(wav), str(tmp_path / "o.wav"), "--filter-out", str(filt), "--rows", "5"]) == 1
+    assert "--rows" in capsys.readouterr().err
+    assert not filt.exists()
+    for text, key in [
+        ("source.length = 5000\nadapt.rows = 3\n", "adapt.rows"),
+        ("source.height = 32\nsource.width = 32\nadapt.taps = 3\n", "adapt.taps"),
+        ("source.length = 5000\ndegrade.a1 = 0.5\n", "degrade.a1"),
+    ]:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("source.seed = 1\n" + text)
+        assert main(["experiment", str(cfg)]) == 1
+        assert key in capsys.readouterr().err
+
+
+def test_unknown_extension_in_config_exits_2(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"source.kind = file\nsource.path = {tmp_path / 'x.txt'}\n")
+    assert main(["experiment", str(cfg)]) == 2
 
 
 def test_unstable_image_degradation_exits_3(tmp_path):

@@ -102,6 +102,35 @@ class TestParseConfig:
         )
         assert isinstance(cfg.adapt, Adapt2dConfig)
 
+    def test_minimal_configs_take_dataclass_defaults(self):
+        cfg = parse_config("source.seed = 1\nsource.length = 1000\n")
+        assert cfg.adapt == AdaptConfig()
+        assert (cfg.degrade, cfg.whiten) == (None, WhitenSpec())
+        cfg = parse_config("source.kind = uniform\nsource.seed = 1\nsource.height = 32\nsource.width = 32\n")
+        assert cfg.adapt == Adapt2dConfig()
+        assert cfg.adapt.mu == -1e-3
+
+    @pytest.mark.parametrize("size, key", [
+        ("source.length = 1000", "adapt.rows"),
+        ("source.length = 1000", "adapt.cols"),
+        ("source.height = 32\nsource.width = 32", "adapt.taps"),
+    ])
+    def test_key_of_other_dimension_rejected(self, size, key):
+        with pytest.raises(ContractViolationError, match=key):
+            parse_config(f"source.seed = 1\n{size}\n{key} = 3\n")
+
+    @pytest.mark.parametrize("kind", ["", "degrade.kind = none\n"])
+    def test_degrade_key_without_kind_rejected(self, kind):
+        with pytest.raises(ContractViolationError, match="degrade.a1"):
+            parse_config(f"source.seed = 1\nsource.length = 1000\n{kind}degrade.a1 = 0.5\n")
+
+    def test_file_path_needs_wav_or_pgm_extension(self):
+        with pytest.raises(FormatError, match="extension"):
+            parse_config("source.kind = file\nsource.path = x.txt\n")
+        with pytest.raises(FormatError, match="extension"):
+            SourceSpec(kind="file", path="x.txt")
+        assert parse_config("source.kind = file\nsource.path = x.PGM\n").source.is_image
+
     def test_dimensionality_mismatch(self):
         with pytest.raises(ContractViolationError):
             ExperimentConfig(

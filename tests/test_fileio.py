@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kurtdeconv import (
     ContractViolationError,
@@ -14,6 +16,7 @@ from kurtdeconv import (
     write_image,
     write_wav,
 )
+from kurtdeconv.fileio import is_image_path, read_any
 
 
 def wav_bytes(pcm, channels=1, bits=16, tag=1, rate=8000):
@@ -21,7 +24,7 @@ def wav_bytes(pcm, channels=1, bits=16, tag=1, rate=8000):
     block = channels * bits // 8
     return (
         b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVEfmt "
-        + struct.pack("<IHHIIHH", 16, tag, channels, rate, rate * block, block, bits)
+        + struct.pack("<IHHIIHH", 16, tag, channels, rate, (rate * block) & 0xFFFFFFFF, block, bits)
         + b"data" + struct.pack("<I", len(frames)) + frames
     )
 
@@ -79,6 +82,23 @@ class TestWav:
             Signal1D([])
 
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        p = tmp_path / "t.wav"
+        p.write_bytes(wav_bytes([1, 2], rate=0))
+        with pytest.raises(FormatError, match="sample rate=0"):
+            read_wav(p)
+
+    def test_sample_rate_beyond_byte_rate_field_rejected(self, tmp_path):
+        # 2 * rate must fit the u32 byte-rate field for the file to be written back
+        p = tmp_path / "t.wav"
+        p.write_bytes(wav_bytes([1, 2], rate=3_000_000_000))
+        with pytest.raises(FormatError, match="sample rate=3000000000"):
+            read_wav(p)
+        p.write_bytes(wav_bytes([1, 2], rate=0x7FFFFFFF))
+        write_wav(tmp_path / "back.wav", read_wav(p))
+        assert read_wav(tmp_path / "back.wav").sample_rate == 0x7FFFFFFF
+
+
 class TestPgm:
     def test_read_values(self, tmp_path):
         p = tmp_path / "t.pgm"
@@ -130,3 +150,61 @@ def test_rescale_unit():
     assert img.pixels.min() == 0.0 and img.pixels.max() == 1.0
     flat = rescale_unit(Image2D(np.full((2, 2), 4.0)))
     assert np.all(flat.pixels == 0.0)
+
+
+class TestPaths:
+    @pytest.mark.parametrize("path, image", [("a.pgm", True), ("A.PGM", True), ("d/a.wav", False), ("a.Wav", False)])
+    def test_extension_decides(self, path, image):
+        assert is_image_path(path) is image
+
+    @pytest.mark.parametrize("path", ["a.txt", "a", "a.pgm.bak", "wav"])
+    def test_other_extensions_rejected(self, path):
+        with pytest.raises(FormatError, match="extension"):
+            is_image_path(path)
+
+    def test_read_any(self, tmp_path):
+        write_wav(tmp_path / "s.wav", Signal1D([0.5, -0.25]))
+        write_image(tmp_path / "i.pgm", Image2D([[0.0, 1.0]]))
+        assert read_any(tmp_path / "s.wav").samples.tolist() == [0.5, -0.25]
+        assert read_any(tmp_path / "i.pgm").pixels.tolist() == [[0.0, 1.0]]
+        with pytest.raises(FormatError):
+            read_any(tmp_path / "s.raw")
+
+
+VALID_WAV = wav_bytes([0, 1000, -1000, 32767, -32768, 5, 6, 7])
+VALID_PGM = b"P5\n# c\n3 2\n255\n" + bytes([0, 1, 2, 250, 254, 255])
+
+
+@st.composite
+def corrupted(draw, valid: bytes, header: int):
+    """valid with its first header bytes truncated, overwritten or added to;
+    half the junk is zero bytes, as in a zeroed disk block."""
+    pos = draw(st.integers(0, header))
+    junk = draw(st.one_of(st.binary(min_size=1, max_size=8), st.integers(1, 8).map(bytes)))
+    edit = draw(st.sampled_from(("truncate", "overwrite", "insert")))
+    if edit == "truncate":
+        return valid[:pos]
+    if edit == "overwrite":
+        return valid[:pos] + junk + valid[pos + len(junk):]
+    return valid[:pos] + junk + valid[pos:]
+
+
+class TestCorruptFiles:
+    """A damaged header is a FormatError (exit 2), never another exception."""
+
+    @staticmethod
+    def read_or_format_error(read, data, tmp_path_factory, name):
+        path = tmp_path_factory.getbasetemp() / name
+        path.write_bytes(data)
+        try:
+            read(path)
+        except FormatError:
+            pass
+
+    @given(data=corrupted(VALID_WAV, 44))
+    def test_wav(self, data, tmp_path_factory):
+        self.read_or_format_error(read_wav, data, tmp_path_factory, "corrupt.wav")
+
+    @given(data=corrupted(VALID_PGM, 15))
+    def test_pgm(self, data, tmp_path_factory):
+        self.read_or_format_error(read_image, data, tmp_path_factory, "corrupt.pgm")
