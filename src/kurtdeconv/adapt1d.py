@@ -12,29 +12,19 @@ or down (sub-gaussian sources). One core runs this recursion over a
 matrix of regressor rows; run_adapt feeds it the tap windows of a signal
 and adapt2d.run_adapt2d the flattened patches of an image.
 
-Each pass of the core runs in C (_adapt.c) when it can be built: the cc on
-PATH compiles it on first use into this package's __pycache__, under a
-name hashing its source and flags, and ctypes loads it. Without a
-compiler, or where the cache cannot be written, the same recursion runs
-as a Python loop. Both run the same operations in the same order and
-raise the same DivergenceError.
+Each pass of the core runs in C (kd_adapt_pass, built and loaded by
+_native) when a compiler is available, else as a Python loop. Both run
+the same operations in the same order and raise the same DivergenceError.
 """
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
+from . import _native
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, NearSingularMomentError
-from .signals import FilterTaps1D, Signal1D, _rms_shift, _tap_windows
+from .signals import FilterTaps1D, Signal1D, _fir, _rms_shift, _tap_windows
 from .stats import M2_GUARD, MomentState, feedback, init_moments, kurtosis_excess, update_moments
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -102,53 +92,6 @@ def adapt_step(h: FilterTaps1D, state: MomentState, window: np.ndarray, mu: floa
     return y, FilterTaps1D(h.taps + (mu * f) * w), state
 
 
-_SOURCE = Path(__file__).with_name("_adapt.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _load_kernel():
-    """ctypes handle of kd_adapt_pass from _adapt.c, built on first use into
-    __pycache__/_adapt-<hash of source and flags>.so; None when the source
-    is missing, no cc is on PATH, or the library cannot be built or loaded."""
-    try:
-        source = _SOURCE.read_bytes()
-        tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-        lib = _SOURCE.parent / "__pycache__" / f"_adapt-{tag}.so"
-        if not lib.exists():
-            cc = shutil.which("cc")
-            if cc is None:
-                return None
-            lib.parent.mkdir(exist_ok=True)
-            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-            try:
-                subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], check=True, capture_output=True)
-                os.replace(tmp, lib)
-            finally:
-                tmp.unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(lib)).kd_adapt_pass
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    index, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
-    kernel.restype = index
-    kernel.argtypes = (pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
-    return kernel
-
-
-_UNLOADED = object()
-#: The compiled pass once _kernel has loaded it, or None to run _python_pass.
-_KERNEL = _UNLOADED
-_KERNEL_LOCK = threading.Lock()
-
-
-def _kernel():
-    """The compiled pass, loaded (and if need be built) on the first call."""
-    global _KERNEL
-    with _KERNEL_LOCK:
-        if _KERNEL is _UNLOADED:
-            _KERNEL = _load_kernel()
-    return _KERNEL
-
-
 def _compiled_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
     """One pass of the recursion in C; same contract as _python_pass."""
     if not (
@@ -161,7 +104,7 @@ def _compiled_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
     ):
         raise ContractViolationError("the compiled pass needs float64 regressor rows and a writable contiguous filter")
     s0, s1 = (stride // X.itemsize for stride in X.strides)
-    return _KERNEL(
+    return _native.library().kd_adapt_pass(
         X.ctypes.data, s0, s1, cfg.warmup, X.shape[0], X.shape[1],
         h.ctypes.data, m.ctypes.data, cfg.mu, cfg.beta, M2_GUARD, TAP_LIMIT,
     )
@@ -209,7 +152,7 @@ def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tup
     """
     state = init_moments(X[: cfg.warmup] @ h, cfg.beta)
     m = np.array([state.m2, state.m4])
-    run_pass = _python_pass if _kernel() is None else _compiled_pass
+    run_pass = _python_pass if _native.library() is None else _compiled_pass
     trace = []
     for pass_index in range(cfg.passes):
         n = run_pass(X, h, m, cfg)
@@ -241,7 +184,7 @@ def run_adapt(x1: Signal1D, cfg: AdaptConfig) -> AdaptResult:
         raise DegenerateInputError(f"signal length {x.size} too short for warmup {cfg.warmup} and {cfg.taps} taps")
     h = np.zeros(cfg.taps)
     h[0] = 1.0
-    h, trace, y = _adapt(_tap_windows(x1, cfg.taps, _rms_shift(x)), h, cfg, lambda h: lfilter(h, [1.0], x))
+    h, trace, y = _adapt(_tap_windows(x1, cfg.taps, _rms_shift(x)), h, cfg, lambda h: _fir(h, x))
     return AdaptResult(FilterTaps1D(h), Signal1D(y, sample_rate=x1.sample_rate), trace[-1], trace)
 
 

@@ -29,7 +29,12 @@ SYNTHETIC_KINDS = ("laplace", "uniform", "gaussian", "integrated_laplace", "inte
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Either a synthetic generator (kind + size + seed) or a .wav/.pgm path."""
+    """Either a synthetic generator (kind + size + seed) or a .wav/.pgm path.
+
+    A field the source does not use is a ContractViolationError: seed and
+    sizes on a file, path on a synthetic source, length on a synthetic
+    image (one given a height or width).
+    """
 
     kind: str
     seed: int | None = None
@@ -40,6 +45,7 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.kind == "file":
+            self._reject_unused("a file", "seed", "length", "height", "width")
             if not self.path:
                 raise ContractViolationError("file sources need a nonempty path")
             is_image_path(self.path)  # FormatError for any other extension
@@ -49,10 +55,18 @@ class SourceSpec:
         if self.seed is None:
             raise ContractViolationError("synthetic sources require a seed")
         if self.is_image:
+            self._reject_unused("a 2-D synthetic", "path", "length")
             if not (self.height and self.width and self.height > 0 and self.width > 0):
                 raise ContractViolationError("2-D synthetic sources need positive height and width")
-        elif not (self.length and self.length > 0):
+            return
+        self._reject_unused("a 1-D synthetic", "path")
+        if not (self.length and self.length > 0):
             raise ContractViolationError("1-D synthetic sources need a positive length")
+
+    def _reject_unused(self, what: str, *names: str) -> None:
+        for name in names:
+            if getattr(self, name) is not None:
+                raise ContractViolationError(f"source.{name} does not apply to {what} source")
 
     @property
     def is_image(self) -> bool:

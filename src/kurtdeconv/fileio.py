@@ -9,6 +9,11 @@ from .errors import ContractViolationError, FormatError
 from .signals import Image2D, Signal1D
 
 
+#: Largest sample rate a WAV header holds: its byte rate, 2 * rate for
+#: 16-bit mono, is a u32 field.
+_MAX_RATE = 0x7FFFFFFF
+
+
 def is_image_path(path) -> bool:
     """True for a .pgm path, False for a .wav path (either case), FormatError
     otherwise: the one rule by which a path names an image or a signal."""
@@ -65,8 +70,7 @@ def read_wav(path) -> Signal1D:
         raise FormatError(f"channels={channels} unsupported")
     if bits != 16:
         raise FormatError(f"bits={bits} unsupported (want 16)")
-    # the byte rate, 2 * rate, must fit the header's u32 field on write
-    if not 1 <= rate <= 0x7FFFFFFF:
+    if not 1 <= rate <= _MAX_RATE:
         raise FormatError(f"sample rate={rate} unsupported")
     if len(raw) % 2:
         raise FormatError(f"data size={len(raw)} is not a whole number of 16-bit samples")
@@ -78,8 +82,13 @@ def read_wav(path) -> Signal1D:
 
 def write_wav(path, s: Signal1D) -> int:
     """Write 16-bit PCM mono; returns how many samples were hard-clipped
-    to fit [-1, 1)."""
+    to fit [-1, 1). A sample rate that is not a whole number in
+    [1, 2**31 - 1] is a ContractViolationError, raised before the file
+    is opened."""
     rate = s.sample_rate if s.sample_rate is not None else 8000
+    if not (rate == int(rate) and 1 <= rate <= _MAX_RATE):
+        raise ContractViolationError(f"sample rate {rate} does not fit a WAV header")
+    rate = int(rate)
     x = s.samples
     pcm = np.rint(x * 32768.0)
     clipped = int(np.count_nonzero((pcm < -32768.0) | (pcm > 32767.0)))

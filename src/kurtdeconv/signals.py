@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import correlate as _correlate2d
-from scipy.signal import lfilter
 
 from .errors import ContractViolationError
 
@@ -133,17 +131,29 @@ def _patch_rows(img: Image2D, M: int, N: int, shift: int) -> np.ndarray:
     return rows
 
 
+def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Causal FIR filtering y(n) = sum_k h(k) x(n-k) of the sample array x,
+    zero initial state, as many outputs as inputs."""
+    return np.convolve(h, x)[: x.size]
+
+
 def apply_taps(x: Signal1D, taps: FilterTaps1D) -> Signal1D:
     """Causal FIR filtering y(n) = sum_k h(k) x(n-k), zero initial state."""
-    y = lfilter(taps.taps, [1.0], x.samples)
-    return Signal1D(y, sample_rate=x.sample_rate)
+    return Signal1D(_fir(taps.taps, x.samples), sample_rate=x.sample_rate)
 
 
 def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
     """Center-anchored 2-D correlation with zero padding at the borders.
 
     Output pixel (n, m) is the inner product of the kernel with the
-    zero-padded rows x cols neighborhood centered at (n, m).
+    zero-padded rows x cols neighborhood centered at (n, m), summed over
+    the kernel in raster order.
     """
-    out = _correlate2d(img.pixels, kernel.weights, mode="constant", cval=0.0)
+    H, W = img.height, img.width
+    padded = np.pad(img.pixels, ((kernel.rows // 2,) * 2, (kernel.cols // 2,) * 2))
+    out = np.zeros((H, W))
+    term = np.empty((H, W))
+    for (i, j), w in np.ndenumerate(kernel.weights):
+        np.multiply(padded[i : i + H, j : j + W], w, out=term)
+        out += term
     return Image2D(out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import Image2D, Signal1D
+from .signals import Image2D, Signal1D, _fir
 
 WHITEN_KINDS = ("none", "highpass", "lpc")
 
@@ -97,11 +97,8 @@ def fit_lpc(x: Signal1D, order: int) -> LpcModel:
 
 def lpc_whiten(x: Signal1D, model: LpcModel) -> Signal1D:
     """Prediction residual e(n) = x(n) - sum_k a_k x(n-k), zero prefix."""
-    s = x.samples
     analysis = np.concatenate(([1.0], -model.coeffs))
-    from scipy.signal import lfilter
-
-    return Signal1D(lfilter(analysis, [1.0], s), sample_rate=x.sample_rate)
+    return Signal1D(_fir(analysis, x.samples), sample_rate=x.sample_rate)
 
 
 def highpass_whiten_2d(img: Image2D) -> Image2D:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kurtdeconv import FilterTaps1D, MomentState, adapt1d, adapt_step
+from kurtdeconv import FilterTaps1D, MomentState, _native, adapt_step
 from kurtdeconv.adapt1d import TAP_LIMIT
 
 # The same examples on every run: no random seed, no replay of examples
@@ -18,8 +18,9 @@ def rng():
 
 @pytest.fixture
 def python_core(monkeypatch):
-    """Run the adaptation core's Python loop in place of the compiled kernel."""
-    monkeypatch.setattr(adapt1d, "_KERNEL", None)
+    """Run the Python loops (the adaptation pass and the all-pole recursion)
+    in place of the compiled library."""
+    monkeypatch.setattr(_native, "_LIBRARY", None)
 
 
 def laplace_signal(seed, n):

@@ -25,7 +25,7 @@ from kurtdeconv import (
     run_adapt,
     update_moments,
 )
-from kurtdeconv import adapt1d
+from kurtdeconv import _native
 from conftest import laplace_signal, oracle_adapt, window
 
 
@@ -205,7 +205,7 @@ class TestEngines:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_compiled_kernel_in_use(self):
         # a broken build must not fall back to the Python loop unnoticed
-        assert adapt1d._kernel() is not None
+        assert _native.library() is not None
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     @given(
@@ -225,7 +225,7 @@ class TestEngines:
         cfg = AdaptConfig(taps=taps, mu=sign * 10.0**log_mu, beta=beta, warmup=warmup, passes=passes)
         compiled = outcome(x, cfg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(adapt1d, "_KERNEL", None)
+            mp.setattr(_native, "_LIBRARY", None)
             python = outcome(x, cfg)
         if isinstance(compiled[0], int):
             assert python == compiled
@@ -239,31 +239,31 @@ class TestKernelBuild:
     def source(self, tmp_path, monkeypatch):
         """A copy of the kernel source, so builds land in tmp_path."""
         path = tmp_path / "_adapt.c"
-        path.write_bytes(adapt1d._SOURCE.read_bytes())
-        monkeypatch.setattr(adapt1d, "_SOURCE", path)
+        path.write_bytes(_native._SOURCE.read_bytes())
+        monkeypatch.setattr(_native, "_SOURCE", path)
         return path
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_built_once_then_loaded_from_cache(self, source, monkeypatch):
-        assert adapt1d._load_kernel() is not None
+        assert _native._load_library() is not None
         built = list((source.parent / "__pycache__").iterdir())
         assert len(built) == 1 and built[0].name.startswith("_adapt-") and built[0].suffix == ".so"
 
         def no_compile(*args, **kwargs):
             raise AssertionError("the cached kernel was rebuilt")
 
-        monkeypatch.setattr(adapt1d.subprocess, "run", no_compile)
-        assert adapt1d._load_kernel() is not None
+        monkeypatch.setattr(_native.subprocess, "run", no_compile)
+        assert _native._load_library() is not None
 
     def test_no_compiler_falls_back(self, source, monkeypatch):
-        monkeypatch.setattr(adapt1d.shutil, "which", lambda name: None)
-        assert adapt1d._load_kernel() is None
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        assert _native._load_library() is None
         assert not (source.parent / "__pycache__").exists()
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_failed_build_falls_back(self, source):
         source.write_text("not C\n")
-        assert adapt1d._load_kernel() is None
+        assert _native._load_library() is None
         assert list((source.parent / "__pycache__").iterdir()) == []
 
 

@@ -192,6 +192,19 @@ def test_settings_of_other_dimension_exit_1(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_unused_source_settings_exit_1(tmp_path, capsys):
+    out = tmp_path / "synthetic.pgm"
+    rc = main(["degrade", "synthetic:uniform", str(out), "--kind", "image_iir2", "--a1", "0.5", "--a2", "0.4",
+               "--seed", "1", "--height", "8", "--width", "8", "--length", "100"])
+    assert rc == 1
+    assert "source.length" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"source.kind = file\nsource.path = {tmp_path / 'x.wav'}\nsource.seed = 1\n")
+    assert main(["experiment", str(cfg)]) == 1
+    assert "source.seed" in capsys.readouterr().err
+
+
 def test_unknown_extension_in_config_exits_2(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"source.kind = file\nsource.path = {tmp_path / 'x.txt'}\n")

@@ -1,7 +1,9 @@
+import shutil
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
 from kurtdeconv import (
@@ -22,6 +24,8 @@ from kurtdeconv import (
     true_inverse_kernel,
     true_inverse_taps,
 )
+from kurtdeconv import _native
+from kurtdeconv.degrade import KINDS, _allpole
 from conftest import laplace_signal
 
 
@@ -244,3 +248,126 @@ class TestTrueInverses:
         x = ar2_iir(s, spec.a1, spec.a2)
         back = apply_taps(x, true_inverse_taps(spec, 3))
         assert np.max(np.abs(back.samples - s.samples)) < 1e-12
+
+
+@st.composite
+def specs(draw, kind):
+    """A DegradeSpec of kind: 1-D recursions inside the stability triangle,
+    fir2 roots within 0.9 of the origin, image coefficients within 0.45."""
+    if kind in ("ar2_iir", "echo_iir"):
+        a2 = draw(st.floats(-0.95, 0.95))
+        a1 = draw(st.floats(-0.99, 0.99)) * (1.0 - a2)
+        return DegradeSpec(kind, a1, a2, delay=draw(st.integers(1, 40)) if kind == "echo_iir" else 1)
+    if kind == "fir2":
+        return DegradeSpec(kind, draw(st.floats(-0.9, 0.9)), draw(st.floats(-0.9, 0.9)))
+    a1, a2 = draw(st.floats(-0.45, 0.45)), draw(st.floats(-0.45, 0.45))
+    return DegradeSpec(kind, a1, a2, draw(st.floats(-0.45, 0.45)) if kind == "image_iir3" else 0.0)
+
+
+@st.composite
+def sources(draw, spec):
+    """A Laplace signal of 1-300 samples, or image of up to 12 x 12 pixels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if spec.kind.startswith("image_"):
+        return Image2D(rng.laplace(size=(draw(st.integers(1, 12)), draw(st.integers(1, 12)))))
+    return Signal1D(rng.laplace(size=draw(st.integers(1, 300))))
+
+
+def filter_outputs(spec, source):
+    """The degradation of source and, for fir2, its 300-tap analytic
+    inverse: every output that runs through the all-pole recursion or FIR."""
+    x = apply_degradation(spec, source)
+    outputs = [x.pixels if isinstance(x, Image2D) else x.samples]
+    if spec.kind == "fir2":
+        outputs.append(true_inverse_taps(spec, 300).taps)
+    return outputs
+
+
+def lfilter_outputs(spec, source):
+    """filter_outputs computed with scipy.signal.lfilter."""
+    if spec.kind == "fir2":
+        impulse = np.eye(1, 300)[0]
+        a = [1.0, spec.a1 + spec.a2, spec.a1 * spec.a2]
+        return [lfilter(a, [1.0], source.samples), lfilter([1.0], a, impulse)]
+    if isinstance(source, Signal1D):
+        a = np.zeros(2 * spec.delay + 1)
+        a[0], a[spec.delay], a[2 * spec.delay] = 1.0, -spec.a1, -spec.a2
+        return [lfilter([1.0], a, source.samples)]
+    f = source.pixels
+    g = np.empty_like(f)
+    prev = np.zeros(f.shape[1])
+    for r in range(f.shape[0]):
+        c = f[r] + spec.a1 * prev
+        c[1:] += spec.a3 * prev[:-1]
+        g[r] = prev = lfilter([1.0], [1.0, -spec.a2], c)
+    return [g]
+
+
+class TestFilterEngines:
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    def test_compiled_python_and_lfilter_agree(self, kind, data):
+        spec = data.draw(specs(kind))
+        source = data.draw(sources(spec))
+        compiled = filter_outputs(spec, source)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "_LIBRARY", None)
+            python = filter_outputs(spec, source)
+        for c, p, want in zip(compiled, python, lfilter_outputs(spec, source), strict=True):
+            assert np.array_equal(c, want) and np.array_equal(p, want)
+
+    @pytest.mark.parametrize("x, lags, coeffs", [
+        (np.zeros(4), (0,), (0.5,)),
+        (np.zeros(4), (-1,), (0.5,)),
+        (np.zeros(4), (2, 1), (0.5,)),
+        (np.zeros((2, 2)), (1,), (0.5,)),
+    ])
+    def test_allpole_rejects_bad_arguments(self, x, lags, coeffs):
+        with pytest.raises(ContractViolationError):
+            _allpole(x, lags, coeffs)
+
+    @pytest.fixture
+    def unloaded(self, tmp_path, monkeypatch):
+        """An unloaded library built, on the next call, from a copy of the
+        source in tmp_path."""
+        path = tmp_path / "_adapt.c"
+        path.write_bytes(_native._SOURCE.read_bytes())
+        monkeypatch.setattr(_native, "_SOURCE", path)
+        monkeypatch.setattr(_native, "_LIBRARY", _native._UNLOADED)
+        return path
+
+    def test_no_compiler_falls_back(self, unloaded, monkeypatch):
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        spec = DegradeSpec("echo_iir", -0.6, 0.3, delay=7)
+        source = Signal1D(laplace_signal(61, 500))
+        got = filter_outputs(spec, source)
+        assert _native._LIBRARY is None
+        assert np.array_equal(got[0], lfilter_outputs(spec, source)[0])
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_failed_build_falls_back(self, unloaded):
+        unloaded.write_text("not C\n")
+        spec = DegradeSpec("image_iir3", 0.3, 0.2, 0.1)
+        source = Image2D(np.random.default_rng(62).random((9, 11)))
+        got = filter_outputs(spec, source)
+        assert _native._LIBRARY is None
+        assert np.array_equal(got[0], lfilter_outputs(spec, source)[0])
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    def test_degrade_then_analytic_inverse_returns_source(self, kind, data):
+        # exact inverses, but for fir2's 400-tap truncation of its IIR
+        # inverse (error below 400 * 0.9**400); the bound is 1e-9 of the
+        # largest degraded value
+        spec = data.draw(specs(kind))
+        source = data.draw(sources(spec))
+        x = apply_degradation(spec, source)
+        if kind.startswith("image_"):
+            back, want, scale = apply_kernel(x, true_inverse_kernel(spec)).pixels, source.pixels, x.pixels
+        else:
+            taps = true_inverse_taps(spec, 400 if kind == "fir2" else 2 * spec.delay + 1)
+            back, want, scale = apply_taps(x, taps).samples, source.samples, x.samples
+        assert np.max(np.abs(back - want)) <= 1e-9 * np.max(np.abs(scale))

@@ -48,6 +48,19 @@ class TestSourceSpec:
         assert SourceSpec(kind="uniform", seed=1, height=4, width=4).is_image
         assert not SourceSpec(kind="uniform", seed=1, length=10).is_image
 
+    @pytest.mark.parametrize("fields, name", [
+        (dict(kind="uniform", seed=1, height=4, width=4, length=10), "source.length"),
+        (dict(kind="uniform", seed=1, height=4, width=4, path="x.pgm"), "source.path"),
+        (dict(kind="laplace", seed=1, length=10, path="x.wav"), "source.path"),
+        (dict(kind="file", path="x.wav", seed=1), "source.seed"),
+        (dict(kind="file", path="x.wav", length=10), "source.length"),
+        (dict(kind="file", path="x.wav", height=4), "source.height"),
+        (dict(kind="file", path="x.pgm", width=4), "source.width"),
+    ])
+    def test_unused_field_rejected(self, fields, name):
+        with pytest.raises(ContractViolationError, match=name):
+            SourceSpec(**fields)
+
     def test_make_source_shapes(self):
         s = make_source(SourceSpec(kind="laplace", seed=1, length=50))
         assert len(s) == 50
@@ -123,6 +136,16 @@ class TestParseConfig:
     def test_degrade_key_without_kind_rejected(self, kind):
         with pytest.raises(ContractViolationError, match="degrade.a1"):
             parse_config(f"source.seed = 1\nsource.length = 1000\n{kind}degrade.a1 = 0.5\n")
+
+    @pytest.mark.parametrize("text, key", [
+        ("source.seed = 1\nsource.length = 100\nsource.height = 8\nsource.width = 8\n", "source.length"),
+        ("source.kind = file\nsource.path = x.wav\nsource.seed = 1\n", "source.seed"),
+        ("source.kind = file\nsource.path = x.pgm\nsource.length = 100\n", "source.length"),
+        ("source.seed = 1\nsource.length = 100\nsource.path = x.wav\n", "source.path"),
+    ])
+    def test_unused_source_key_rejected(self, text, key):
+        with pytest.raises(ContractViolationError, match=key):
+            parse_config(text)
 
     def test_file_path_needs_wav_or_pgm_extension(self):
         with pytest.raises(FormatError, match="extension"):

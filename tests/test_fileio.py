@@ -98,6 +98,17 @@ class TestWav:
         write_wav(tmp_path / "back.wav", read_wav(p))
         assert read_wav(tmp_path / "back.wav").sample_rate == 0x7FFFFFFF
 
+    @pytest.mark.parametrize("rate", [3_000_000_000, 2**31, 8000.5])
+    def test_unwritable_sample_rate_rejected_before_writing(self, tmp_path, rate):
+        p = tmp_path / "t.wav"
+        with pytest.raises(ContractViolationError, match="sample rate"):
+            write_wav(p, Signal1D([0.1], sample_rate=rate))
+        assert not p.exists()
+
+    def test_whole_float_sample_rate_written(self, tmp_path):
+        write_wav(tmp_path / "t.wav", Signal1D([0.1], sample_rate=16000.0))
+        assert read_wav(tmp_path / "t.wav").sample_rate == 16000
+
 
 class TestPgm:
     def test_read_values(self, tmp_path):
@@ -208,3 +219,29 @@ class TestCorruptFiles:
     @given(data=corrupted(VALID_PGM, 15))
     def test_pgm(self, data, tmp_path_factory):
         self.read_or_format_error(read_image, data, tmp_path_factory, "corrupt.pgm")
+
+
+class TestRoundTrip:
+    """Writing then reading returns the data quantized to the format's grid."""
+
+    @given(
+        samples=st.lists(st.floats(-1.0, 32767 / 32768), min_size=1, max_size=200),
+        rate=st.integers(1, 0x7FFFFFFF),
+    )
+    def test_wav(self, samples, rate, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "round.wav"
+        s = Signal1D(samples, sample_rate=rate)
+        assert write_wav(path, s) == 0
+        back = read_wav(path)
+        assert back.sample_rate == rate
+        assert np.array_equal(back.samples, np.rint(s.samples * 32768.0) / 32768.0)
+        assert np.max(np.abs(back.samples - s.samples)) <= 0.5 / 32768.0
+
+    @given(height=st.integers(1, 16), width=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_pgm(self, height, width, seed, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "round.pgm"
+        img = Image2D(np.random.default_rng(seed).random((height, width)))
+        write_image(path, img)
+        back = read_image(path)
+        assert np.array_equal(back.pixels, np.rint(img.pixels * 255.0) / 255.0)
+        assert np.max(np.abs(back.pixels - img.pixels)) <= 0.5 / 255.0

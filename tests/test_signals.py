@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.ndimage import correlate
+from scipy.signal import lfilter
 
 from kurtdeconv import (
     Adapt2dConfig,
@@ -149,3 +151,23 @@ class TestApply:
         for r, c in [(0, 0), (2, 3), (5, 6)]:
             want = float(np.sum(kernel.weights * patch(img.pixels, r, c, 3, 3)))
             assert out.pixels[r, c] == pytest.approx(want, abs=1e-12)
+
+    @given(st.integers(1, 260), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_apply_taps_matches_lfilter(self, K, N, seed):
+        rng = np.random.default_rng(seed)
+        x, taps = Signal1D(rng.standard_normal(N)), FilterTaps1D(rng.standard_normal(K))
+        assert np.array_equal(apply_taps(x, taps).samples, lfilter(taps.taps, [1.0], x.samples))
+
+    @given(
+        st.integers(0, 3), st.integers(0, 3), st.integers(1, 20), st.integers(1, 20),
+        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    )
+    def test_apply_kernel_matches_correlate(self, half_rows, half_cols, H, W, zeros, seed):
+        # correlate leaves out weights of magnitude <= 2.2e-16, apply_kernel
+        # keeps them; these draws have none but exact zeros
+        rng = np.random.default_rng(seed)
+        img = Image2D(rng.standard_normal((H, W)))
+        weights = rng.standard_normal((2 * half_rows + 1, 2 * half_cols + 1))
+        weights[rng.random(weights.shape) < zeros] = 0.0
+        want = correlate(img.pixels, weights, mode="constant", cval=0.0)
+        assert np.array_equal(apply_kernel(img, Kernel2D(weights)).pixels, want)
