@@ -11,7 +11,6 @@ from .adapt1d import (
     AdaptConfig,
     AdaptResult,
     SurfaceResult,
-    adapt_step,
     kurtosis_surface,
     run_adapt,
 )
@@ -33,7 +32,6 @@ from .errors import (
     DivergenceError,
     FormatError,
     KurtdeconvError,
-    NearSingularMomentError,
 )
 from .experiment import (
     ExperimentConfig,
@@ -66,13 +64,10 @@ from .signals import (
 )
 from .stats import (
     M2_GUARD,
-    MomentState,
     batch_gradient,
     batch_kurtosis,
-    feedback,
     init_moments,
     kurtosis_excess,
-    update_moments,
 )
 from .whitening import LpcModel, WhitenSpec, fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten, whiten
 

@@ -1,12 +1,14 @@
 """Online gradient-ascent maximum-kurtosis adaptive filtering.
 
 Each step filters the current regressor, advances the running moment
-estimates, and nudges the filter along feedback * regressor:
+estimates, and nudges the filter along f(n) * regressor:
 
     y(n)    = h' x(n)
+    m2(n)   = beta * m2(n-1) + (1 - beta) * y(n)^2     (m4 likewise, y^4)
+    f(n)    = 4 * [(m2(n) * y(n)^2 - m4(n)) * y(n)] / m2(n)^3
     h(n+1)  = h(n) + mu * f(n) * x(n)
 
-with f(n) the instantaneous kurtosis-gradient feedback from stats. The
+with the tap update skipped while m2(n) <= stats.M2_GUARD. The
 sign of mu selects whether kurtosis is pushed up (super-gaussian sources)
 or down (sub-gaussian sources). One core runs this recursion over a
 matrix of regressor rows; run_adapt feeds it the tap windows of a signal
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .errors import ContractViolationError, DegenerateInputError, DivergenceError, NearSingularMomentError
+from .errors import ContractViolationError, DegenerateInputError, DivergenceError
 from .signals import FilterTaps1D, Signal1D, _fir, _rms_shift, _tap_windows
-from .stats import M2_GUARD, MomentState, feedback, init_moments, kurtosis_excess, update_moments
+from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
 TAP_LIMIT = 1e6
@@ -71,25 +73,6 @@ class AdaptResult:
     output: Signal1D
     final_kurtosis: float
     kurtosis_trace: tuple[float, ...]
-
-
-def adapt_step(h: FilterTaps1D, state: MomentState, window: np.ndarray, mu: float):
-    """One adaptive update; returns (y, new taps, new state).
-
-    The moment state always advances; the tap update is skipped when the
-    second moment is still under the singularity guard. This is the
-    reference the adaptation core is tested against.
-    """
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 1 or w.size != len(h):
-        raise ContractViolationError(f"window shape {w.shape} does not match {len(h)} taps")
-    y = float(h.taps @ w)
-    state = update_moments(state, y)
-    try:
-        f = feedback(state, y)
-    except NearSingularMomentError:
-        return y, h, state
-    return y, FilterTaps1D(h.taps + (mu * f) * w), state
 
 
 def _compiled_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
@@ -150,8 +133,7 @@ def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tup
     that per-pass trace and the last pass's filtered(h), the output of the
     final filter.
     """
-    state = init_moments(X[: cfg.warmup] @ h, cfg.beta)
-    m = np.array([state.m2, state.m4])
+    m = init_moments(X[: cfg.warmup] @ h)
     run_pass = _python_pass if _native.library() is None else _compiled_pass
     trace = []
     for pass_index in range(cfg.passes):

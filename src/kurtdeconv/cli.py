@@ -113,8 +113,8 @@ def _cmd_deconv(args) -> int:
 
 
 def _grid(lo: float, hi: float, count: float) -> np.ndarray:
-    if not np.isfinite(count) or int(count) < 1:
-        raise ContractViolationError(f"grid COUNT must be at least 1, got {count:g}")
+    if not (np.isfinite(count) and count >= 1 and count == int(count)):
+        raise ContractViolationError(f"grid COUNT must be a whole number of at least 1, got {count:g}")
     return np.linspace(lo, hi, int(count))
 
 

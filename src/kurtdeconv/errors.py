@@ -13,11 +13,6 @@ class DegenerateInputError(KurtdeconvError, ValueError):
     """Input is too short, constant, or otherwise statistically unusable."""
 
 
-class NearSingularMomentError(KurtdeconvError, ArithmeticError):
-    """Second-moment estimate is below the guard threshold; the feedback
-    value would blow up. Callers skip the corresponding filter update."""
-
-
 class DivergenceError(KurtdeconvError, RuntimeError):
     """Adaptive filter coefficients exceeded the divergence guard."""
 

@@ -52,8 +52,8 @@ class SourceSpec:
             return
         if self.kind not in SYNTHETIC_KINDS:
             raise ContractViolationError(f"unknown source kind {self.kind!r}")
-        if self.seed is None:
-            raise ContractViolationError("synthetic sources require a seed")
+        if self.seed is None or self.seed < 0:
+            raise ContractViolationError(f"synthetic sources require a nonnegative seed, got {self.seed}")
         if self.is_image:
             self._reject_unused("a 2-D synthetic", "path", "length")
             if not (self.height and self.width and self.height > 0 and self.width > 0):
@@ -202,7 +202,7 @@ class ExperimentReport:
             _fmt(self.rho_sx),
             _fmt(self.rho_restored),
         ]
-        return ",".join(cells)
+        return ",".join(map(_csv_cell, cells))
 
     def text(self) -> str:
         lines = [
@@ -223,6 +223,14 @@ class ExperimentReport:
             f"wall time       {self.wall_time_s:.2f} s",
         ]
         return "\n".join(lines)
+
+
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it: quoted, inner quotes doubled, when it
+    holds a comma or a double quote; unchanged otherwise."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _fmt(v: float) -> str:

@@ -1,4 +1,4 @@
-"""Kurtosis estimation, recursive moment tracking, and the feedback term.
+"""Kurtosis estimation, the warm-up moment seed, and the batch gradient.
 
 The cost driving everything here is normalized excess kurtosis
 
@@ -12,14 +12,12 @@ differentiates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError, NearSingularMomentError
+from .errors import ContractViolationError, DegenerateInputError
 
-#: Guard threshold on the running second moment, below which the feedback
-#: denominator is considered singular and the filter update is skipped.
+#: Guard threshold on the running second moment, below which the m2^3
+#: denominator of the update is taken as singular and the update skipped.
 #: run_adapt and run_adapt2d scale their regressors to an RMS near 1, so
 #: there the guard is relative to the input power.
 M2_GUARD = 1e-8
@@ -51,49 +49,14 @@ def batch_kurtosis(samples) -> float:
     return float((y2 * y2).mean() / (m2 * m2) - 3.0)
 
 
-@dataclass(frozen=True)
-class MomentState:
-    """EWMA estimates of E{y^2} and E{y^4} with smoothing factor beta."""
-
-    m2: float
-    m4: float
-    beta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.m2) and np.isfinite(self.m4) and np.isfinite(self.beta)):
-            raise ContractViolationError("moment state values must be finite")
-        if self.m2 < 0.0 or self.m4 < 0.0:
-            raise ContractViolationError("moment estimates must be nonnegative")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ContractViolationError(f"beta must lie in [0, 1], got {self.beta}")
-
-
-def init_moments(block, beta: float) -> MomentState:
-    """Moment state seeded with the batch moments of a warm-up block."""
+def init_moments(block) -> np.ndarray:
+    """[m2, m4]: the batch moments E{y^2} and E{y^4} of a warm-up block,
+    zeros for an empty block."""
     y = np.asarray(block, dtype=np.float64).ravel()
     if y.size == 0:
-        return MomentState(0.0, 0.0, beta)
+        return np.zeros(2)
     y2 = y * y
-    return MomentState(float(y2.mean()), float((y2 * y2).mean()), beta)
-
-
-def update_moments(state: MomentState, y: float) -> MomentState:
-    """One EWMA step: m' = beta*m + (1-beta)*y^k for k = 2, 4."""
-    y2 = y * y
-    b = state.beta
-    return MomentState(b * state.m2 + (1.0 - b) * y2, b * state.m4 + (1.0 - b) * y2 * y2, b)
-
-
-def feedback(state: MomentState, y: float) -> float:
-    """Instantaneous kurtosis-gradient feedback 4*[(m2*y^2 - m4)*y] / m2^3.
-
-    Raises NearSingularMomentError when m2 is at or below M2_GUARD; the
-    caller is expected to skip the corresponding filter update.
-    """
-    m2 = state.m2
-    if m2 <= M2_GUARD:
-        raise NearSingularMomentError(f"second moment {m2!r} at or below guard {M2_GUARD!r}")
-    return float(4.0 * ((m2 * y * y - state.m4) * y) / (m2 * m2 * m2))
+    return np.array([y2.mean(), (y2 * y2).mean()])
 
 
 def batch_gradient(y, windows) -> np.ndarray:
@@ -103,7 +66,7 @@ def batch_gradient(y, windows) -> np.ndarray:
 
     with every expectation a plain sample average over the batch; y[i] is
     the filter output for regressor window windows[i]. Serves as the
-    oracle the online feedback rule is checked against.
+    oracle the online update rule is checked against.
     """
     yv = np.asarray(y, dtype=np.float64).ravel()
     X = np.asarray(windows, dtype=np.float64)

@@ -13,9 +13,7 @@ from kurtdeconv import (
     DegradeSpec,
     DivergenceError,
     FilterTaps1D,
-    MomentState,
     Signal1D,
-    adapt_step,
     ar2_iir,
     batch_gradient,
     kurtosis_excess,
@@ -23,14 +21,16 @@ from kurtdeconv import (
     normalize_taps,
     parameter_error,
     run_adapt,
-    update_moments,
 )
 from kurtdeconv import _native
-from conftest import laplace_signal, oracle_adapt, window
+from kurtdeconv.signals import _rms_shift
+from conftest import MomentState, adapt_step, laplace_signal, oracle_adapt, window
 
 
 def oracle_taps(x, cfg):
-    """oracle_adapt over the tap windows of sample array x."""
+    """oracle_adapt over the tap windows of sample array x, divided as in
+    run_adapt by the power of two nearest its RMS."""
+    x = np.ldexp(x, -_rms_shift(x))
     windows = [window(x, n, cfg.taps) for n in range(x.size)]
     return oracle_adapt(windows, np.eye(1, cfg.taps)[0], x[: cfg.warmup], cfg)
 
@@ -232,6 +232,36 @@ class TestEngines:
         else:
             assert np.max(np.abs(compiled[0] - python[0])) <= 1e-12
             assert np.allclose(compiled[1], python[1], rtol=0.0, atol=1e-12)
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 40),
+        st.integers(1, 3),
+        st.floats(0.05, 0.999),
+        # step sizes that adapt, and ones that exceed the tap limit
+        st.floats(-7.0, -2.0) | st.floats(6.0, 12.0),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(-3.0, 3.0),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_engines_match_oracle(self, taps, warmup, passes, beta, log_mu, sign, log_gain, seed, data):
+        # the engines round as adapt_step does, so they match it bit for bit
+        # and diverge at the same (pass, sample); without a compiler both
+        # runs take the Python pass
+        n = data.draw(st.integers(warmup + taps + 1, 300))
+        x = 10.0**log_gain * laplace_signal(seed, n)
+        cfg = AdaptConfig(taps=taps, mu=sign * 10.0**log_mu, beta=beta, warmup=warmup, passes=passes)
+        want, first = oracle_taps(x, cfg)
+        engines = [outcome(Signal1D(x), cfg)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "_LIBRARY", None)
+            engines.append(outcome(Signal1D(x), cfg))
+        for got in engines:
+            if first is None:
+                assert np.array_equal(got[0], want)
+            else:
+                assert isinstance(got[0], int) and got == first
 
 
 class TestKernelBuild:

@@ -19,6 +19,7 @@ from kurtdeconv import (
     run_adapt,
     run_adapt2d,
 )
+from kurtdeconv.signals import _rms_shift
 from conftest import oracle_adapt, patch
 
 
@@ -30,8 +31,10 @@ def integrated_uniform_image(seed, shape):
 
 def oracle_kernel(img, cfg):
     """oracle_adapt over the flattened zero-padded patches of img in raster
-    order, from the center-1 kernel; returns flattened weights."""
-    M, N, g = cfg.rows, cfg.cols, img.pixels
+    order, divided as in run_adapt2d by the power of two nearest its RMS,
+    from the center-1 kernel; returns flattened weights."""
+    M, N = cfg.rows, cfg.cols
+    g = np.ldexp(img.pixels, -_rms_shift(img.pixels))
     patches = [patch(g, r, c, M, N).ravel() for r in range(img.height) for c in range(img.width)]
     return oracle_adapt(patches, np.eye(1, M * N, (M * N) // 2)[0], g.ravel()[: cfg.warmup], cfg)
 

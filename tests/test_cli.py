@@ -110,13 +110,17 @@ def test_exit_codes(tmp_path):
     rc = main(["deconv", str(src), str(tmp_path / "o.wav"), "--filter-out", str(tmp_path / "f.txt"),
                "--taps", "2", "--mu", "1e12", "--warmup", "16"])
     assert rc == 3
-    # empty and negative sweep grids are usage errors
-    for count in ("0", "-3"):
-        assert main(["sweep", str(src), str(tmp_path / "g.csv"), "--a1-range", "0", "1", count]) == 1
-    # a delay on a kind other than echo_iir is a contract violation
+    # empty, negative and fractional sweep grids are usage errors
+    for count in ("0", "-3", "2.7"):
+        assert main(["sweep", str(src), str(tmp_path / "g.csv"), "--a1-range", "-0.5", "0.5", count]) == 1
+    # a delay on a kind other than echo_iir, and a negative seed, are contract violations
     cfg = tmp_path / "delay.cfg"
     cfg.write_text("source.length = 5000\nsource.seed = 1\ndegrade.kind = ar2_iir\ndegrade.a1 = 0.5\ndegrade.delay = 3\n")
     assert main(["experiment", str(cfg)]) == 1
+    cfg.write_text("source.length = 5000\nsource.seed = -1\n")
+    assert main(["experiment", str(cfg)]) == 1
+    assert main(["degrade", "synthetic:laplace", str(tmp_path / "x.wav"), "--kind", "ar2_iir", "--a1", "0.5",
+                 "--length", "100", "--seed", "-1"]) == 1
 
 
 def test_degrade_synthetic_source(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,8 @@ class TestSourceSpec:
     def test_synthetic_requires_seed(self):
         with pytest.raises(ContractViolationError):
             SourceSpec(kind="laplace", length=100)
+        with pytest.raises(ContractViolationError, match="nonnegative seed"):
+            SourceSpec(kind="laplace", seed=-1, length=100)
 
     def test_file_requires_path(self):
         with pytest.raises(ContractViolationError):
@@ -196,6 +200,13 @@ class TestRunExperiment:
         write_report_csv(p2, [run_experiment(parse_config(CONFIG_TEXT))])
         assert p1.read_bytes() == p2.read_bytes()
         assert b"\r" not in p1.read_bytes()
+
+    def test_csv_quotes_commas(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report_csv(path, [run_experiment(parse_config(CONFIG_TEXT.replace("= demo", '= run, "take" 2')))])
+        header, row = csv.reader(path.read_text().splitlines())
+        assert len(row) == len(header) == 29
+        assert row[0] == 'run, "take" 2' and row[1:3] == ["1d", "integrated_laplace"]
 
     def test_lpc_whitening_path(self):
         cfg = ExperimentConfig(
