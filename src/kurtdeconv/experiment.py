@@ -7,6 +7,7 @@ config must be byte-identical.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from collections import defaultdict
@@ -302,13 +303,19 @@ def _parameter_rows(spec: DegradeSpec | None, estimated) -> tuple[ParameterRow, 
 
 
 def write_report_csv(path, reports) -> None:
-    """Write reports as one fixed-header CSV (LF endings, atomic replace)."""
+    """Write reports as one fixed-header UTF-8 CSV (LF endings, atomic
+    replace; the temporary file is removed if the write fails)."""
     lines = [ExperimentReport.CSV_HEADER] + [r.csv_row() for r in reports]
     body = "\n".join(lines) + "\n"
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="ascii", newline="") as fh:
-        fh.write(body)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # --- config file parsing ---------------------------------------------------

@@ -100,9 +100,13 @@ class Kernel2D:
 
 def _rms_shift(values: np.ndarray) -> int:
     """Exponent k of the power of two nearest the RMS of values (0 if all
-    are zero); dividing by 2**k is exact."""
-    mantissa, k = np.frexp(np.sqrt(np.vdot(values, values) / values.size))
-    return int(k) - int(0.0 < mantissa < np.sqrt(0.5))
+    are zero); dividing by 2**k is exact. The squares are summed after an
+    exact division by the power of two of max|values|, so they neither
+    overflow nor underflow at any finite gain."""
+    _, e = np.frexp(max(values.max(), -values.min()))
+    scaled = np.ldexp(values, -e)
+    mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
+    return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
 
 def _tap_windows(x1: Signal1D, L: int, shift: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError
+from .signals import _rms_shift
 
 #: Guard threshold on the running second moment, below which the m2^3
 #: denominator of the update is taken as singular and the update skipped.
@@ -28,7 +29,10 @@ def kurtosis_excess(samples) -> float:
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 2:
         raise DegenerateInputError(f"need at least 2 samples, got {x.size}")
-    x = x - x.mean()
+    # an exact power-of-two scale keeps the sum and the powers finite and
+    # normal at any gain and changes no bit of the ratio
+    x = np.ldexp(x, -_rms_shift(x))
+    x -= x.mean()
     x2 = x * x
     m2 = x2.mean()
     if m2 <= 0.0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kurtdeconv import M2_GUARD, ContractViolationError, FilterTaps1D, _native
+from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, FilterTaps1D, _native, kurtosis_excess
 from kurtdeconv.adapt1d import TAP_LIMIT
 
 # The same examples on every run: no random seed, no replay of examples
@@ -128,3 +128,21 @@ def oracle_adapt(rows, h, block, cfg):
             if np.max(np.abs(h.taps)) > TAP_LIMIT:
                 return h.taps, (p, n)
     return h.taps, None
+
+
+def direct_surface(x, grid_a1, grid_a2):
+    """|excess kurtosis| of x - a1 x(n-1) - a2 x(n-2) for every (a1, a2) on
+    the grids, each cell filtered and measured on its own; NaN where the
+    output has zero variance. The reference kurtosis_surface is tested
+    against."""
+    xm1 = np.concatenate(([0.0], x[:-1]))
+    xm2 = np.concatenate(([0.0, 0.0], x[:-2]))
+    surface = np.full((len(grid_a1), len(grid_a2)), np.nan)
+    for i, a1 in enumerate(grid_a1):
+        base = x - a1 * xm1
+        for j, a2 in enumerate(grid_a2):
+            try:
+                surface[i, j] = abs(kurtosis_excess(base - a2 * xm2))
+            except DegenerateInputError:
+                continue
+    return surface

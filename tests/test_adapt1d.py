@@ -3,7 +3,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 
 from kurtdeconv import (
@@ -14,17 +14,20 @@ from kurtdeconv import (
     DivergenceError,
     FilterTaps1D,
     Signal1D,
+    SourceSpec,
+    apply_degradation,
     ar2_iir,
     batch_gradient,
     kurtosis_excess,
     kurtosis_surface,
+    make_source,
     normalize_taps,
     parameter_error,
     run_adapt,
 )
 from kurtdeconv import _native
 from kurtdeconv.signals import _rms_shift
-from conftest import MomentState, adapt_step, laplace_signal, oracle_adapt, window
+from conftest import MomentState, adapt_step, direct_surface, laplace_signal, oracle_adapt, window
 
 
 def oracle_taps(x, cfg):
@@ -146,6 +149,10 @@ class TestRunAdapt:
         assert np.all(np.abs(t[1:]) <= 0.05)
 
     @given(st.integers(-26, 13), st.sampled_from([1.0, -1.0]))
+    @example(480, 1.0)
+    @example(-480, -1.0)
+    @example(540, -1.0)
+    @example(-540, 1.0)
     def test_power_of_two_gain_leaves_taps(self, k, sign):
         # the update is gain-invariant and a power of two scales exactly,
         # so the only way a gain can show is through the moment guard
@@ -330,6 +337,74 @@ class TestKurtosisSurface:
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolationError):
             kurtosis_surface(Signal1D(np.ones(10)), [], [0.1])
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(3, 400),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["laplace", "uniform"]),
+        st.sampled_from(["white", "cumsum", "ar2"]),
+        st.floats(-5.0, 5.0),
+        st.sampled_from([0.0]) | st.floats(-10.0, 10.0),
+        st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5),
+        st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5),
+    )
+    @example(500, 3, "laplace", "white", 0.0, 0.0, [-1e200, 0.5, 3e250], [1e220, -0.25])
+    def test_closed_form_matches_direct(self, n, seed, kind, shape, log_gain, dc, grid_a1, grid_a2):
+        rng = np.random.default_rng(seed)
+        x = rng.laplace(size=n) if kind == "laplace" else rng.uniform(-1.0, 1.0, n)
+        if shape == "cumsum":
+            x = np.cumsum(x)
+        elif shape == "ar2":
+            x = ar2_iir(Signal1D(x), 0.6, 0.3).samples
+        self.assert_matches_direct(10.0**log_gain * (x + dc), grid_a1, grid_a2)
+
+    @staticmethod
+    def assert_matches_direct(x, grid_a1, grid_a2):
+        """Assert kurtosis_surface agrees with direct_surface; returns the latter."""
+        direct = direct_surface(x, grid_a1, grid_a2)
+        try:
+            surf = kurtosis_surface(Signal1D(x), grid_a1, grid_a2).surface
+        except DegenerateInputError:
+            assert np.all(np.isnan(direct))
+            return direct
+        assert np.array_equal(np.isnan(surf), np.isnan(direct))
+        assert np.nanmax(np.abs(surf - direct) / np.fmax(1.0, direct), initial=0.0) <= 1e-12
+        return direct
+
+    def test_filtered_to_constant_is_nan(self):
+        # (a1, a2) = (-1, -1) turns [1, 0, 0] into [1, 1, 1]: the closed
+        # form's v is rounding noise there, not zero, and must still be NaN
+        grid = [-1.0, 0.0, 1.0]
+        self.assert_matches_direct(np.array([1.0, 0.0, 0.0]), grid, grid)
+        surf = kurtosis_surface(Signal1D(np.array([1.0, 0.0, 0.0])), grid, grid).surface
+        assert np.isnan(surf[0, 0]) and np.count_nonzero(np.isnan(surf)) == 1
+
+    def test_constant_input_nan_only_at_origin(self):
+        grid = [-1.0, 0.0, 0.5]
+        x = np.full(64, 2.5)
+        self.assert_matches_direct(x, grid, grid)
+        nan = np.isnan(kurtosis_surface(Signal1D(x), grid, grid).surface)
+        assert nan[1, 1] and np.count_nonzero(nan) == 1
+
+    def test_unwhitened_observation_same_argmax(self):
+        # integrated Laplace through AR(2), unwhitened: the columns nearly
+        # cancel, which is where expanding raw moments loses accuracy
+        spec = SourceSpec(kind="integrated_laplace", seed=105, length=100_000)
+        x = apply_degradation(DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3), make_source(spec)).samples
+        grid = np.linspace(-1.0, 1.0, 41)
+        direct = self.assert_matches_direct(x, grid, grid)
+        i, j = np.unravel_index(np.nanargmax(direct), direct.shape)
+        assert kurtosis_surface(Signal1D(x), grid, grid).argmax == (grid[i], grid[j])
+
+    @pytest.mark.parametrize("k", [-540, 540])
+    def test_power_of_two_gain_leaves_surface(self, k):
+        grid = np.linspace(-1.0, 1.0, 9)
+        x = ar2_observation()
+        want = kurtosis_surface(Signal1D(x), grid, grid)
+        got = kurtosis_surface(Signal1D(np.ldexp(x, k)), grid, grid)
+        assert np.array_equal(got.surface, want.surface)
+        assert got.argmax == want.argmax
 
 
 def test_result_output_matches_filter(rng):

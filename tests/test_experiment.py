@@ -208,6 +208,20 @@ class TestRunExperiment:
         assert len(row) == len(header) == 29
         assert row[0] == 'run, "take" 2' and row[1:3] == ["1d", "integrated_laplace"]
 
+    def test_csv_round_trips_non_ascii_id(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report_csv(path, [run_experiment(parse_config(CONFIG_TEXT.replace("= demo", "= café")))])
+        header, row = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        assert row[0] == "café"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_failed_csv_write_leaves_no_temp_file(self, tmp_path):
+        # replacing a directory fails after the temporary file is written
+        (tmp_path / "r.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_report_csv(tmp_path / "r.csv", [run_experiment(parse_config(CONFIG_TEXT))])
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
     def test_lpc_whitening_path(self):
         cfg = ExperimentConfig(
             experiment_id="lpc",

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import kurtdeconv
 
-# Imports the package and its CLI, runs a 1-D and an image experiment, and
-# prints every scipy module loaded along the way.
+# Imports the package and its CLI, runs a 1-D and an image experiment and a
+# kurtosis surface sweep, and prints every scipy module loaded along the way.
 SNIPPET = """
 import sys
 import kurtdeconv as kd
@@ -26,6 +26,11 @@ kd.run_experiment(kd.ExperimentConfig(
     whiten=kd.WhitenSpec(kind="highpass"),
     adapt=kd.Adapt2dConfig(warmup=16),
 ))
+kd.kurtosis_surface(
+    kd.make_source(kd.SourceSpec(kind="laplace", seed=1, length=2000)),
+    [-0.5, 0.0, 0.5],
+    [-0.5, 0.0, 0.5],
+)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
