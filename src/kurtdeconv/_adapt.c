@@ -44,7 +44,7 @@ ptrdiff_t kd_adapt_pass(const double *X, ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t w
     return failed;
 }
 
-/* The sparse all-pole recursion of kurtdeconv.degrade._allpole:
+/* The sparse all-pole recursion of kurtdeconv._native.allpole:
  *
  *     y(i) = x(i) + sum_j c[j] * y(i - lags[j]),   j = 0..k-1,
  *

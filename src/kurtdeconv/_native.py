@@ -1,10 +1,10 @@
-"""The compiled kernels of _adapt.c: the adaptation pass of adapt1d and the
-all-pole recursion of degrade.
+"""The two recursions of kurtdeconv, adapt_pass (the adapt1d core) and
+allpole (the all-pole filters of degrade): each runs its kernel from
+_adapt.c, or its Python twin of the same operations in the same order.
 
-The cc on PATH compiles _adapt.c on first use into this package's
-__pycache__, under a name hashing its source and flags, and ctypes loads
-it. Without a compiler, or where the cache cannot be written, library()
-is None and each caller runs its Python loop of the same operations.
+The cc on PATH compiles _adapt.c on first use into __pycache__, under a
+name hashing source and flags, and ctypes loads it; without a compiler,
+or where the cache cannot be written, library() is None.
 """
 from __future__ import annotations
 
@@ -15,6 +15,10 @@ import shutil
 import subprocess
 import threading
 from pathlib import Path
+
+import numpy as np
+
+from .errors import ContractViolationError
 
 _SOURCE = Path(__file__).with_name("_adapt.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -52,7 +56,7 @@ def _load_library():
 
 _UNLOADED = object()
 #: The compiled library once library() has loaded it, or None to run the
-#: Python loops.
+#: Python twins.
 _LIBRARY = _UNLOADED
 _LIBRARY_LOCK = threading.Lock()
 
@@ -66,3 +70,83 @@ def library():
         if _LIBRARY is _UNLOADED:
             _LIBRARY = _load_library()
     return _LIBRARY
+
+
+def adapt_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, mu: float, beta: float, warmup: int, guard: float, limit: float) -> int:
+    """One pass of the kurtosis-gradient recursion over rows warmup.. of
+    the float64 matrix X, updating the contiguous float64 coefficients h
+    and moments m = [m2, m4] in place, no update while m2 <= guard. Returns
+    the first row after whose update a coefficient exceeds limit in
+    magnitude or is NaN (the pass stops there), or -1."""
+    if not (
+        X.dtype == h.dtype == np.float64
+        and X.ndim == 2
+        and X.shape[1] == h.size
+        and h.flags.c_contiguous
+        and h.flags.writeable
+        and not any(stride % X.itemsize for stride in X.strides)
+    ):
+        raise ContractViolationError("the adaptation pass needs float64 regressor rows and a writable contiguous filter")
+    lib = library()
+    if lib is None:
+        return _python_pass(X, h, m, mu, beta, warmup, guard, limit)
+    s0, s1 = (stride // X.itemsize for stride in X.strides)
+    return lib.kd_adapt_pass(X.ctypes.data, s0, s1, warmup, X.shape[0], X.shape[1], h.ctypes.data, m.ctypes.data, mu, beta, guard, limit)
+
+
+def _python_pass(X, h, m, mu, beta, warmup, guard, limit) -> int:
+    """adapt_pass as a Python loop. y is accumulated tap by tap, as
+    kd_adapt_pass sums it; h @ w may let BLAS reorder the sum."""
+    m2, m4 = m.tolist()
+    omb = 1.0 - beta
+    failed = -1
+    # an update that overflows is caught by the limit check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(warmup, X.shape[0]):
+            w = X[n]
+            y = float(np.add.accumulate(h * w)[-1])
+            y2 = y * y
+            m2 = beta * m2 + omb * y2
+            m4 = beta * m4 + omb * y2 * y2
+            if m2 > guard:
+                f = 4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2)
+                h += (mu * f) * w
+                # negated form so NaN coefficients also trip the check
+                if not np.all(np.abs(h) <= limit):
+                    failed = n
+                    break
+    m[:] = m2, m4
+    return failed
+
+
+def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
+    """y(n) = x(n) + sum_j coeffs[j] y(n - lags[j]), zero initial state.
+
+    The sum over j runs in the order given and x(n) is added last. With
+    lags from the deepest in, those are the operations of a
+    direct-form-II-transposed filter (scipy's lfilter), and the output is
+    bit-identical to it. Runs kd_allpole when the compiled library is there.
+    """
+    if x.ndim != 1 or len(lags) != len(coeffs) or min(lags) < 1:
+        raise ContractViolationError("the all-pole recursion needs 1-D input and one positive lag per coefficient")
+    lib = library()
+    if lib is None:
+        return _python_allpole(x, lags, coeffs)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.empty_like(x)
+    k = len(lags)
+    lib.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, (ctypes.c_ssize_t * k)(*lags), (ctypes.c_double * k)(*coeffs), k)
+    return y
+
+
+def _python_allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
+    """allpole as a Python loop."""
+    y = x.tolist()
+    terms = tuple(zip(lags, coeffs))
+    for n in range(len(y)):
+        acc = 0.0
+        for lag, c in terms:
+            if n >= lag:
+                acc += c * y[n - lag]
+        y[n] += acc
+    return np.array(y)

@@ -14,9 +14,8 @@ or down (sub-gaussian sources). One core runs this recursion over a
 matrix of regressor rows; run_adapt feeds it the tap windows of a signal
 and adapt2d.run_adapt2d the flattened patches of an image.
 
-Each pass of the core runs in C (kd_adapt_pass, built and loaded by
-_native) when a compiler is available, else as a Python loop. Both run
-the same operations in the same order and raise the same DivergenceError.
+Each pass of the core is one _native.adapt_pass: compiled C when a
+compiler is available, else its Python twin, bit for bit the same.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from . import _native
+from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
 from .signals import FilterTaps1D, Signal1D, _fir, _rms_shift, _tap_windows
 from .stats import M2_GUARD, init_moments, kurtosis_excess
@@ -76,52 +75,6 @@ class AdaptResult:
     kurtosis_trace: tuple[float, ...]
 
 
-def _compiled_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
-    """One pass of the recursion in C; same contract as _python_pass."""
-    if not (
-        X.dtype == h.dtype == np.float64
-        and X.ndim == 2
-        and X.shape[1] == h.size
-        and h.flags.c_contiguous
-        and h.flags.writeable
-        and not any(stride % X.itemsize for stride in X.strides)
-    ):
-        raise ContractViolationError("the compiled pass needs float64 regressor rows and a writable contiguous filter")
-    s0, s1 = (stride // X.itemsize for stride in X.strides)
-    return _native.library().kd_adapt_pass(
-        X.ctypes.data, s0, s1, cfg.warmup, X.shape[0], X.shape[1],
-        h.ctypes.data, m.ctypes.data, cfg.mu, cfg.beta, M2_GUARD, TAP_LIMIT,
-    )
-
-
-def _python_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, cfg) -> int:
-    """One pass of the recursion over rows cfg.warmup.. of X, updating the
-    coefficients h and the moments m = [m2, m4] in place. Returns the
-    first row after whose update a coefficient exceeds TAP_LIMIT in
-    magnitude or is NaN (the pass stops there), or -1."""
-    m2, m4 = m.tolist()
-    mu, beta = cfg.mu, cfg.beta
-    omb = 1.0 - beta
-    failed = -1
-    # an update that overflows is caught by the tap check, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cfg.warmup, X.shape[0]):
-            w = X[n]
-            y = float(h @ w)
-            y2 = y * y
-            m2 = beta * m2 + omb * y2
-            m4 = beta * m4 + omb * y2 * y2
-            if m2 > M2_GUARD:
-                f = 4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2)
-                h += (mu * f) * w
-                # negated form so NaN coefficients also trip the guard
-                if not np.all(np.abs(h) <= TAP_LIMIT):
-                    failed = n
-                    break
-    m[:] = m2, m4
-    return failed
-
-
 def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
     """The adaptation recursion shared by run_adapt and run_adapt2d.
 
@@ -132,13 +85,17 @@ def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tup
     moments carried across passes. filtered(h) is the full filtering of
     the input, whose excess kurtosis is recorded after each pass. Returns h,
     that per-pass trace and the last pass's filtered(h), the output of the
-    final filter.
+    final filter. A warm-up block whose second moment is at or below
+    M2_GUARD (silence, since the rows are RMS-scaled) is a
+    DegenerateInputError: its zero moments would make the first updates
+    divide by a vanishing m2^3.
     """
     m = init_moments(X[: cfg.warmup] @ h)
-    run_pass = _python_pass if _native.library() is None else _compiled_pass
+    if cfg.warmup > 0 and m[0] <= M2_GUARD:
+        raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
     trace = []
     for pass_index in range(cfg.passes):
-        n = run_pass(X, h, m, cfg)
+        n = adapt_pass(X, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
         if n >= 0:
             raise DivergenceError(
                 f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",

@@ -6,12 +6,11 @@ identification experiments a machine-precision ground truth.
 """
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native
+from ._native import allpole
 from .errors import ContractViolationError, DivergenceError
 from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _fir
 
@@ -72,47 +71,13 @@ class DegradeSpec:
             raise ContractViolationError(f"a3 is only meaningful for image_iir3, got {self.a3}")
 
 
-def _python_allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
-    """_allpole as a Python loop, for when there is no compiled library."""
-    y = x.tolist()
-    terms = tuple(zip(lags, coeffs))
-    for n in range(len(y)):
-        acc = 0.0
-        for lag, c in terms:
-            if n >= lag:
-                acc += c * y[n - lag]
-        y[n] += acc
-    return np.array(y)
-
-
-def _allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
-    """y(n) = x(n) + sum_j coeffs[j] y(n - lags[j]), zero initial state.
-
-    The sum over j runs in the order given and x(n) is added last. With
-    lags from the deepest in, those are the operations of a
-    direct-form-II-transposed filter (scipy's lfilter), and the output is
-    bit-identical to it. Runs kd_allpole from the compiled library when
-    there is one.
-    """
-    if x.ndim != 1 or len(lags) != len(coeffs) or min(lags) < 1:
-        raise ContractViolationError("the all-pole recursion needs 1-D input and one positive lag per coefficient")
-    lib = _native.library()
-    if lib is None:
-        return _python_allpole(x, lags, coeffs)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.empty_like(x)
-    k = len(lags)
-    lib.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, (ctypes.c_ssize_t * k)(*lags), (ctypes.c_double * k)(*coeffs), k)
-    return y
-
-
 def echo_iir(s: Signal1D, a1: float, a2: float, delay: int) -> Signal1D:
     """x(n) = a1 x(n-D) + a2 x(n-2D) + s(n), zero initial state."""
     if delay < 1:
         raise ContractViolationError(f"delay must be >= 1, got {delay}")
     if not stability_check(a1, a2):
         raise ContractViolationError(f"({a1}, {a2}) lies outside the stability triangle")
-    return Signal1D(_allpole(s.samples, (2 * delay, delay), (a2, a1)), sample_rate=s.sample_rate)
+    return Signal1D(allpole(s.samples, (2 * delay, delay), (a2, a1)), sample_rate=s.sample_rate)
 
 
 def ar2_iir(s: Signal1D, a1: float, a2: float) -> Signal1D:
@@ -146,7 +111,7 @@ def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0) -> Image2D:
             c = f[x].copy()
             c += a1 * prev
             c[1:] += a3 * prev[:-1]
-            g[x] = _allpole(c, (1,), (a2,))
+            g[x] = allpole(c, (1,), (a2,))
             prev = g[x]
     peak = float(np.max(np.abs(g)))
     # negated form so NaN output also trips the guard
@@ -189,7 +154,7 @@ def true_inverse_taps(spec: DegradeSpec, L: int) -> FilterTaps1D:
     h = np.zeros(L)
     h[0] = 1.0
     if spec.kind == "fir2":
-        return FilterTaps1D(_allpole(h, (2, 1), (-(spec.a1 * spec.a2), -(spec.a1 + spec.a2))))
+        return FilterTaps1D(allpole(h, (2, 1), (-(spec.a1 * spec.a2), -(spec.a1 + spec.a2))))
     for name, (pos, sign) in slots.items():
         h[pos] = sign * getattr(spec, name)
     return FilterTaps1D(h)

@@ -19,9 +19,9 @@ from .adapt1d import AdaptConfig, run_adapt
 from .adapt2d import Adapt2dConfig, run_adapt2d
 from .degrade import DegradeSpec, apply_degradation
 from .errors import ContractViolationError, FormatError
-from .fileio import is_image_path, read_any
+from .fileio import is_image_path, read_any, rescale_unit
 from .metrics import extract_parameters, normalized_correlation, true_parameters
-from .signals import Image2D, Signal1D, apply_kernel, apply_taps
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, apply_kernel, apply_taps
 from .stats import kurtosis_excess
 from .whitening import WhitenSpec, whiten
 
@@ -95,6 +95,13 @@ class ExperimentConfig:
             image_kind = self.degrade.kind.startswith("image_")
             if image_kind != want_2d:
                 raise ContractViolationError(f"degradation {self.degrade.kind} does not match the adapt configuration")
+            # a filter with no slot for a parameter fails here, not after adapting
+            if want_2d:
+                M, N = self.adapt.rows, self.adapt.cols
+                identity = Kernel2D(np.eye(1, M * N, M * N // 2).reshape(M, N))
+            else:
+                identity = FilterTaps1D(np.eye(1, self.adapt.taps)[0])
+            extract_parameters(self.degrade, identity)
 
 
 def make_source(spec: SourceSpec):
@@ -121,20 +128,15 @@ def make_source(spec: SourceSpec):
     if spec.kind == "uniform":
         return Image2D(rng.random(shape))
     if spec.kind == "gaussian":
-        return Image2D(_unit_range(rng.standard_normal(shape)))
+        return rescale_unit(Image2D(rng.standard_normal(shape)))
     if spec.kind == "laplace":
-        return Image2D(_unit_range(rng.laplace(0.0, 1.0, shape)))
+        return rescale_unit(Image2D(rng.laplace(0.0, 1.0, shape)))
     if spec.kind == "integrated_laplace":
         noise = rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape)
     else:
         noise = rng.uniform(-1.0, 1.0, shape)
     field2d = np.cumsum(np.cumsum(noise, axis=0), axis=1)
     return Image2D(field2d / np.sqrt(shape[0] * shape[1]))
-
-
-def _unit_range(arr: np.ndarray) -> np.ndarray:
-    lo, hi = arr.min(), arr.max()
-    return (arr - lo) / (hi - lo) if hi > lo else np.zeros_like(arr)
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,8 @@ class ExperimentReport:
 
 def _csv_cell(text: str) -> str:
     """text as csv.writer writes it: quoted, inner quotes doubled, when it
-    holds a comma or a double quote; unchanged otherwise."""
-    if "," in text or '"' in text:
+    holds a comma, a double quote, a CR or an LF; unchanged otherwise."""
+    if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 

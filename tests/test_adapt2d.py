@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kurtdeconv import (
     Adapt2dConfig,
@@ -19,6 +19,7 @@ from kurtdeconv import (
     run_adapt,
     run_adapt2d,
 )
+from kurtdeconv import _native
 from kurtdeconv.signals import _rms_shift
 from conftest import oracle_adapt, patch
 
@@ -39,6 +40,14 @@ def oracle_kernel(img, cfg):
     return oracle_adapt(patches, np.eye(1, M * N, (M * N) // 2)[0], g.ravel()[: cfg.warmup], cfg)
 
 
+def outcome(img, cfg):
+    """Flattened kernel of run_adapt2d, or the (pass, pixel) it diverged at."""
+    try:
+        return run_adapt2d(img, cfg).kernel.weights.ravel()
+    except DivergenceError as exc:
+        return exc.pass_index, exc.sample_index
+
+
 class TestRunAdapt2d:
     def test_one_by_one_matches_1d(self):
         rng = np.random.default_rng(41)
@@ -57,7 +66,7 @@ class TestRunAdapt2d:
         res = run_adapt2d(img, cfg)
         want, first = oracle_kernel(img, cfg)
         assert first is None
-        assert np.allclose(res.kernel.weights.ravel(), want, atol=1e-12)
+        assert np.array_equal(res.kernel.weights.ravel(), want)
 
     def test_python_core_matches_repeated_adapt_step(self, rng, python_core):
         self.test_matches_repeated_adapt_step(rng)
@@ -71,6 +80,42 @@ class TestRunAdapt2d:
         assert np.array_equal(res.kernel.weights, ref.kernel.weights)
         assert res.kurtosis_trace == ref.kurtosis_trace
 
+    @given(
+        st.sampled_from([1, 3, 5]),
+        st.sampled_from([1, 3, 5]),
+        st.integers(2, 10),
+        st.integers(2, 10),
+        st.integers(0, 40),
+        st.integers(1, 3),
+        st.floats(0.05, 0.999),
+        # step sizes that adapt, and ones that exceed the kernel limit
+        st.builds(
+            lambda sign, log_mu: sign * 10.0**log_mu,
+            st.sampled_from([1.0, -1.0]),
+            st.floats(-7.0, -1.5) | st.floats(6.0, 12.0),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    # an 11x11 image under a 3x1 kernel, whose patch rows a BLAS dot
+    # product sums out of kernel order
+    @example(3, 1, 8, 10, 8, 2, 0.99, -0.008, 2)
+    def test_engines_match_oracle(self, rows, cols, extra_h, extra_w, warmup, passes, beta, mu, seed):
+        # both engines sum each patch in kernel order, as adapt_step does, so
+        # they match it bit for bit and diverge at the same (pass, pixel);
+        # without a compiler both runs take the Python twin
+        img = Image2D(np.random.default_rng(seed).laplace(0.0, 1.0, (rows + extra_h, cols + extra_w)))
+        cfg = Adapt2dConfig(rows=rows, cols=cols, mu=mu, beta=beta, warmup=min(warmup, img.pixels.size - 1), passes=passes)
+        want, first = oracle_kernel(img, cfg)
+        engines = [outcome(img, cfg)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "_LIBRARY", None)
+            engines.append(outcome(img, cfg))
+        for got in engines:
+            if first is None:
+                assert np.array_equal(got, want)
+            else:
+                assert got == first
+
     def test_divergence_guard_names_location(self, rng):
         img = Image2D(rng.laplace(0.0, 1.0, (12, 14)))
         cfg = Adapt2dConfig(rows=3, cols=3, mu=1e12, warmup=16, passes=1)
@@ -81,6 +126,16 @@ class TestRunAdapt2d:
 
     def test_python_core_divergence_guard_names_location(self, rng, python_core):
         self.test_divergence_guard_names_location(rng)
+
+    def test_silent_warmup_band_raises(self):
+        # a black band across the top of the image whitens to zeros, so a
+        # warm-up inside it has no moments to start from
+        img = integrated_uniform_image(46, (64, 64)).pixels.copy()
+        img[:32] = 0.0
+        d = highpass_whiten_2d(image_iir(Image2D(img), 0.5, 0.4))
+        assert not d.pixels[:32].any()
+        with pytest.raises(DegenerateInputError, match="warm-up"):
+            run_adapt2d(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=1024, passes=1))
 
     def test_identity_with_zero_mu(self, rng):
         img = Image2D(rng.standard_normal((12, 14)))

@@ -209,6 +209,29 @@ def test_unused_source_settings_exit_1(tmp_path, capsys):
     assert "source.seed" in capsys.readouterr().err
 
 
+def test_filter_without_parameter_slot_exits_1_before_adapting(tmp_path, capsys, monkeypatch):
+    import kurtdeconv.experiment
+
+    def no_source(spec):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(kurtdeconv.experiment, "make_source", no_source)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("source.seed = 1\nsource.length = 200000\ndegrade.kind = echo_iir\ndegrade.a1 = -0.6\n"
+                   "degrade.a2 = 0.3\ndegrade.delay = 100\nadapt.taps = 101\n")
+    assert main(["experiment", str(cfg)]) == 1
+    assert "no echo_iir slot" in capsys.readouterr().err
+
+
+def test_silent_warmup_exits_1(tmp_path, capsys):
+    wav = tmp_path / "s.wav"
+    write_wav(wav, Signal1D(np.concatenate((np.zeros(1000), 0.1 * laplace_signal(59, 5000)))))
+    filt = tmp_path / "f.txt"
+    assert main(["deconv", str(wav), str(tmp_path / "o.wav"), "--filter-out", str(filt), "--warmup", "500"]) == 1
+    assert "warm-up" in capsys.readouterr().err
+    assert not filt.exists()
+
+
 def test_unknown_extension_in_config_exits_2(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"source.kind = file\nsource.path = {tmp_path / 'x.txt'}\n")

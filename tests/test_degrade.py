@@ -25,7 +25,8 @@ from kurtdeconv import (
     true_inverse_taps,
 )
 from kurtdeconv import _native
-from kurtdeconv.degrade import KINDS, _allpole
+from kurtdeconv._native import allpole
+from kurtdeconv.degrade import KINDS
 from conftest import laplace_signal
 
 
@@ -325,7 +326,7 @@ class TestFilterEngines:
     ])
     def test_allpole_rejects_bad_arguments(self, x, lags, coeffs):
         with pytest.raises(ContractViolationError):
-            _allpole(x, lags, coeffs)
+            allpole(x, lags, coeffs)
 
     @pytest.fixture
     def unloaded(self, tmp_path, monkeypatch):

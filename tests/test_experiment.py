@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ class TestParseConfig:
         )
         assert isinstance(cfg.adapt, Adapt2dConfig)
 
+    @pytest.mark.parametrize("text, slot", [
+        ("source.length = 200000\ndegrade.kind = echo_iir\ndegrade.a1 = -0.6\ndegrade.a2 = 0.3\n"
+         "degrade.delay = 100\nadapt.taps = 101\n", "echo_iir slot at 200"),
+        ("source.height = 32\nsource.width = 32\ndegrade.kind = image_iir2\ndegrade.a1 = 0.5\n"
+         "degrade.a2 = 0.4\nadapt.rows = 1\nadapt.cols = 1\n", "image_iir2 slot at (-1, 0)"),
+    ], ids=["echo_iir", "image_iir2"])
+    def test_filter_without_parameter_slot_rejected(self, text, slot):
+        # rejected when the config is built, before any adaptation runs
+        with pytest.raises(ContractViolationError, match=re.escape(slot)):
+            parse_config("source.seed = 1\n" + text)
+
     def test_minimal_configs_take_dataclass_defaults(self):
         cfg = parse_config("source.seed = 1\nsource.length = 1000\n")
         assert cfg.adapt == AdaptConfig()
@@ -214,6 +226,24 @@ class TestRunExperiment:
         header, row = csv.reader(path.read_text(encoding="utf-8").splitlines())
         assert row[0] == "café"
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_csv_quotes_line_breaks(self, tmp_path):
+        # an unquoted CR or LF would split the row for any CSV reader
+        from kurtdeconv import Signal1D, write_wav
+
+        wav = tmp_path / "take\r1.wav"
+        write_wav(wav, Signal1D(0.3 * np.random.default_rng(11).uniform(-1, 1, 5000)))
+        cfg = ExperimentConfig(
+            experiment_id="two\nlines",
+            source=SourceSpec(kind="file", path=str(wav)),
+            adapt=AdaptConfig(taps=3, mu=-3e-6, beta=0.999, warmup=500, passes=1),
+        )
+        path = tmp_path / "r.csv"
+        write_report_csv(path, [run_experiment(cfg)])
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header) == 29
+        assert row[:3] == ["two\nlines", "1d", str(wav)]
 
     def test_failed_csv_write_leaves_no_temp_file(self, tmp_path):
         # replacing a directory fails after the temporary file is written
