@@ -1,6 +1,7 @@
-"""The two recursions of kurtdeconv, adapt_pass (the adapt1d core) and
-allpole (the all-pole filters of degrade): each runs its kernel from
-_adapt.c, or its Python twin of the same operations in the same order.
+"""The recursions of kurtdeconv, adapt_pass (the adapt1d core), allpole
+(the 1-D all-pole filters of degrade) and image_allpole (its image
+recursion): each runs its kernel from _adapt.c, or its Python twin of the
+same operations in the same order.
 
 The cc on PATH compiles _adapt.c on first use into __pycache__, under a
 name hashing source and flags, and ctypes loads it; without a compiler,
@@ -51,6 +52,8 @@ def _load_library():
     lib.kd_adapt_pass.argtypes = (pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
     lib.kd_allpole.restype = None
     lib.kd_allpole.argtypes = (pointer, pointer, index, pointer, pointer, index)
+    lib.kd_image_allpole.restype = None
+    lib.kd_image_allpole.argtypes = (pointer, pointer, index, index, double, double, double)
     return lib
 
 
@@ -150,3 +153,34 @@ def _python_allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, .
                 acc += c * y[n - lag]
         y[n] += acc
     return np.array(y)
+
+
+def image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
+    """g(x, y) = a1 g(x-1, y) + a2 g(x, y-1) + a3 g(x-1, y-1) + f(x, y)
+    over the 2-D f in raster order, zero boundary state, each pixel summed
+    as ((f + a1 up) + a3 up_left) + (0.0 + a2 left). Runs kd_image_allpole
+    when the compiled library is there. An unstable recursion may
+    overflow; that is left to the caller."""
+    if f.ndim != 2:
+        raise ContractViolationError("the image recursion needs a 2-D input")
+    lib = library()
+    if lib is None:
+        return _python_image_allpole(f, a1, a2, a3)
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    g = np.empty_like(f)
+    lib.kd_image_allpole(f.ctypes.data, g.ctypes.data, f.shape[0], f.shape[1], a1, a2, a3)
+    return g
+
+
+def _python_image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
+    """image_allpole as a loop over rows: within row x, g(x, y) = a2 g(x, y-1)
+    + c(y) is a first-order all-pole recursion over y, driven by c from the
+    row above."""
+    g = np.empty(f.shape)
+    prev = np.zeros(f.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in range(f.shape[0]):
+            c = f[x] + a1 * prev
+            c[1:] += a3 * prev[:-1]
+            g[x] = prev = _python_allpole(c, (1,), (a2,))
+    return g

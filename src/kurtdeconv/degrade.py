@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._native import allpole
+from ._native import allpole, image_allpole
 from .errors import ContractViolationError, DivergenceError
 from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _fir
 
@@ -100,19 +100,7 @@ def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0) -> Image2D:
     sets outside it are bounded in practice: every set runs, and an output
     that overflows or peaks above 1e9 raises DivergenceError.
     """
-    f = img.pixels
-    g = np.empty_like(f)
-    prev = np.zeros(img.width)
-    # Row recursion: within a row, g(x, y) = a2 g(x, y-1) + c(y) is a
-    # first-order IIR over y with driving term c from the row above. An
-    # unstable recursion may overflow; that is reported below, not warned.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in range(img.height):
-            c = f[x].copy()
-            c += a1 * prev
-            c[1:] += a3 * prev[:-1]
-            g[x] = allpole(c, (1,), (a2,))
-            prev = g[x]
+    g = image_allpole(img.pixels, a1, a2, a3)
     peak = float(np.max(np.abs(g)))
     # negated form so NaN output also trips the guard
     if not peak <= 1e9:

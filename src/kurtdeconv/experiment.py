@@ -261,18 +261,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     x1 = whiten(x, cfg.whiten)
     # The inverse is identified on the whitened domain but, because the
     # whitener and the degradation are both LTI, it restores the raw
-    # observation directly.
+    # observation directly. Unwhitened, the adaptation's own output is that
+    # restoration.
     if isinstance(cfg.adapt, Adapt2dConfig):
-        estimate = run_adapt2d(x1, cfg.adapt).kernel
-        s_est = apply_kernel(x, estimate)
+        result = run_adapt2d(x1, cfg.adapt)
+        estimate = result.kernel
+        s_est = result.output if x1 is x else apply_kernel(x, estimate)
         mode, size_desc, filter_desc = "2d", f"{s.height}x{s.width}", f"{cfg.adapt.rows}x{cfg.adapt.cols}"
         arrays, coeffs = (s.pixels, x.pixels, s_est.pixels), estimate.weights
     else:
-        estimate = run_adapt(x1, cfg.adapt).filter
-        s_est = apply_taps(x, estimate)
+        result = run_adapt(x1, cfg.adapt)
+        estimate = result.filter
+        s_est = result.output if x1 is x else apply_taps(x, estimate)
         mode, size_desc, filter_desc = "1d", str(len(s)), str(cfg.adapt.taps)
         arrays, coeffs = (s.samples, x.samples, s_est.samples), estimate.taps
-    kurt_source, kurt_degraded, kurt_restored = map(kurtosis_excess, arrays)
+    kurt_source, kurt_degraded = map(kurtosis_excess, arrays[:2])
+    kurt_restored = result.final_kurtosis if x1 is x else kurtosis_excess(arrays[2])
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
         mode=mode,

@@ -1,5 +1,6 @@
 import functools
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 
 from kurtdeconv import (
+    M2_GUARD,
     AdaptConfig,
     ContractViolationError,
     DegenerateInputError,
@@ -26,6 +28,7 @@ from kurtdeconv import (
     run_adapt,
 )
 from kurtdeconv import _native
+from kurtdeconv.adapt1d import TAP_LIMIT
 from kurtdeconv.signals import _rms_shift
 from conftest import MomentState, adapt_step, direct_surface, laplace_signal, oracle_adapt, window
 
@@ -285,6 +288,45 @@ class TestEngines:
             else:
                 assert isinstance(got[0], int) and got == first
 
+    @staticmethod
+    def passes_agree(X, h, m, mu, beta, warmup, limit=TAP_LIMIT):
+        """The row, taps and moments one compiled adapt_pass leaves from h
+        and m, asserted equal to those of _python_pass (NaN equal to NaN)."""
+        assert _native.library() is not None
+        runs = []
+        for run in (_native.adapt_pass, _native._python_pass):
+            taps, moments = h.copy(), m.copy()
+            runs.append((run(X, taps, moments, mu, beta, warmup, M2_GUARD, limit), taps, moments))
+        (row, taps, moments), (want_row, want_taps, want_moments) = runs
+        assert row == want_row
+        assert np.array_equal(taps, want_taps, equal_nan=True)
+        assert np.array_equal(moments, want_moments, equal_nan=True)
+        return row, taps, moments
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_norm_over_limit_with_every_tap_under_it_runs_on(self):
+        # |h|_2 = 2e6 trips the sum-of-squares screen on every row, and the
+        # exact per-tap test clears it; every row updates, the last one too
+        h = np.full(100, 2e5)
+        X = 1e-3 * np.random.default_rng(71).laplace(size=(50, 100))
+        row, taps, _ = self.passes_agree(X, h, np.array([1.0, 3.0]), 1e3, 0.9, 0)
+        assert row == -1
+        assert np.linalg.norm(taps) > TAP_LIMIT and not np.array_equal(taps, h)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    @pytest.mark.parametrize("row, spike, warmup, limit", [
+        pytest.param(5, 5.0, 0, 10.0, id="last-row"),
+        pytest.param(2, 5.0, 2, 10.0, id="first-updated-row"),
+        # y = 1e100 makes m4 infinite and the update NaN: no tap exceeds
+        # the limit, but the NaN taps must still stop the pass
+        pytest.param(4, 1e100, 0, TAP_LIMIT, id="nan-taps"),
+    ])
+    def test_divergence_names_the_row_that_updated(self, row, spike, warmup, limit):
+        X = 0.1 * np.random.default_rng(72).laplace(size=(6, 3))
+        X[row, 0] = spike
+        got, taps, _ = self.passes_agree(X, np.array([1.0, 0.0, 0.0]), np.array([1.0, 3.0]), 1.0, 0.99, warmup, limit)
+        assert got == row and not np.all(np.abs(taps) <= limit)
+
 
 class TestKernelBuild:
     @pytest.fixture
@@ -306,6 +348,12 @@ class TestKernelBuild:
 
         monkeypatch.setattr(_native.subprocess, "run", no_compile)
         assert _native._load_library() is not None
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_compiles_without_warnings(self, source):
+        flags = (*_native._CFLAGS, "-Wall", "-Wextra", "-Werror")
+        build = subprocess.run(["cc", *flags, "-o", str(source.with_suffix(".so")), str(source)], capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
 
     def test_no_compiler_falls_back(self, source, monkeypatch):
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)

@@ -11,10 +11,16 @@ from kurtdeconv import (
     DegradeSpec,
     ExperimentConfig,
     ExperimentReport,
+    FilterTaps1D,
     FormatError,
+    Kernel2D,
     SourceSpec,
     WhitenSpec,
+    apply_kernel,
+    apply_taps,
+    kurtosis_excess,
     make_source,
+    normalized_correlation,
     parse_config,
     run_experiment,
     write_report_csv,
@@ -251,6 +257,25 @@ class TestRunExperiment:
         with pytest.raises(IsADirectoryError):
             write_report_csv(tmp_path / "r.csv", [run_experiment(parse_config(CONFIG_TEXT))])
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    @pytest.mark.parametrize("source, adapt", [
+        (SourceSpec(kind="laplace", seed=3, length=5_000), AdaptConfig(taps=5, mu=1e-4, beta=0.999, warmup=500, passes=2)),
+        (SourceSpec(kind="uniform", seed=3, height=24, width=24), Adapt2dConfig(rows=3, cols=3, mu=-1e-4, warmup=64, passes=2)),
+    ])
+    def test_unwhitened_report_scores_the_final_filtering(self, source, adapt):
+        # without whitening the report reuses the adaptation's own output;
+        # its scores must be those of filtering the observation afresh
+        cfg = ExperimentConfig(experiment_id="raw", source=source, adapt=adapt)
+        report = run_experiment(cfg)
+        s = make_source(source)
+        if isinstance(adapt, Adapt2dConfig):
+            restored = apply_kernel(s, Kernel2D(report.estimate))
+            values = restored.pixels
+        else:
+            restored = apply_taps(s, FilterTaps1D(report.estimate))
+            values = restored.samples
+        assert report.kurt_restored == kurtosis_excess(values)
+        assert report.rho_restored == normalized_correlation(s, restored)
 
     def test_lpc_whitening_path(self):
         cfg = ExperimentConfig(
