@@ -15,18 +15,22 @@ matrix of regressor rows; run_adapt feeds it the tap windows of a signal
 and adapt2d.run_adapt2d the flattened patches of an image.
 
 Each pass of the core is one _native.adapt_pass: compiled C when a
-compiler is available, else its Python twin, bit for bit the same.
+compiler is available, else its Python twin, bit for bit the same. The
+core filters nothing: a result keeps each pass's final coefficients, and
+filters the input only when its output or kurtosis is first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
-from .signals import FilterTaps1D, Signal1D, _fir, _rms_shift, _tap_windows
+from .metrics import _flat
+from .signals import FilterTaps1D, Image2D, Signal1D, _rms_shift, _tap_windows, apply_taps
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -68,32 +72,66 @@ class AdaptConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class AdaptResult:
-    filter: FilterTaps1D
-    output: Signal1D
-    final_kurtosis: float
-    kurtosis_trace: tuple[float, ...]
+class FilteredOnRead:
+    """The fields AdaptResult and Adapt2dResult share.
+
+    input is the signal or image the filter was adapted on, pass_filters
+    the filter at the end of each pass (the last is the result). output,
+    the input filtered by the final filter, and its excess kurtosis
+    final_kurtosis are computed on first read and kept. So is
+    kurtosis_trace, the output's excess kurtosis after each pass, which
+    filters the input once for each earlier pass. Errors of that filtering
+    (a non-finite output, a zero-variance one) are raised on that read.
+    A subclass supplies _filtered(coeffs), the input filtered by coeffs.
+    """
+
+    input: Signal1D | Image2D
+    pass_filters: tuple
+
+    @cached_property
+    def output(self):
+        return self._filtered(self.pass_filters[-1])
+
+    @cached_property
+    def final_kurtosis(self) -> float:
+        return kurtosis_excess(_flat(self.output))
+
+    @cached_property
+    def kurtosis_trace(self) -> tuple[float, ...]:
+        earlier = tuple(kurtosis_excess(_flat(self._filtered(f))) for f in self.pass_filters[:-1])
+        return earlier + (self.final_kurtosis,)
 
 
-def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class AdaptResult(FilteredOnRead):
+    input: Signal1D
+    pass_filters: tuple[FilterTaps1D, ...]
+
+    @property
+    def filter(self) -> FilterTaps1D:
+        return self.pass_filters[-1]
+
+    def _filtered(self, taps: FilterTaps1D) -> Signal1D:
+        return apply_taps(self.input, taps)
+
+
+def _adapt(X: np.ndarray, h: np.ndarray, cfg) -> list[np.ndarray]:
     """The adaptation recursion shared by run_adapt and run_adapt2d.
 
     Row n of the read-only float64 matrix X is the regressor the filter
     sees at step n. The first cfg.warmup rows only seed the moment
     estimates with the output of the starting filter h; every pass then
     updates the contiguous float64 h in place over the remaining rows,
-    moments carried across passes. filtered(h) is the full filtering of
-    the input, whose excess kurtosis is recorded after each pass. Returns h,
-    that per-pass trace and the last pass's filtered(h), the output of the
-    final filter. A warm-up block whose second moment is at or below
-    M2_GUARD (silence, since the rows are RMS-scaled) is a
+    moments carried across passes. Returns a copy of h at the end of each
+    pass; nothing is filtered here. A warm-up block whose second moment is
+    at or below M2_GUARD (silence, since the rows are RMS-scaled) is a
     DegenerateInputError: its zero moments would make the first updates
     divide by a vanishing m2^3.
     """
     m = init_moments(X[: cfg.warmup] @ h)
     if cfg.warmup > 0 and m[0] <= M2_GUARD:
         raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
-    trace = []
+    pass_filters = []
     for pass_index in range(cfg.passes):
         n = adapt_pass(X, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
         if n >= 0:
@@ -102,30 +140,30 @@ def _adapt(X: np.ndarray, h: np.ndarray, cfg, filtered) -> tuple[np.ndarray, tup
                 pass_index=pass_index,
                 sample_index=n,
             )
-        y = filtered(h)
-        trace.append(kurtosis_excess(y))
-    return h, tuple(trace), y
+        pass_filters.append(h.copy())
+    return pass_filters
 
 
 def run_adapt(x1: Signal1D, cfg: AdaptConfig) -> AdaptResult:
-    """Adapt over the signal and return the converged filter and output.
+    """Adapt over the signal and return the converged filter.
 
     The first cfg.warmup samples only seed the moment estimates (filter
     output under the initial identity taps is the signal itself); every
     pass then updates over samples warmup..end, with taps and moments
     carried across passes. The windows are divided by the power of two
     nearest the RMS of x1, which changes no tap but makes the moment guard
-    relative to the input power. The returned output is one pure filtering
-    pass of x1 with the final taps; the trace holds its excess kurtosis
-    after each pass.
+    relative to the input power. A DivergenceError is raised here; x1 is
+    not filtered here. The result's output, one pure filtering pass of x1
+    with the final taps, and its kurtosis fields are computed on first
+    read (see FilteredOnRead).
     """
     x = x1.samples
     if x.size <= cfg.warmup + cfg.taps:
         raise DegenerateInputError(f"signal length {x.size} too short for warmup {cfg.warmup} and {cfg.taps} taps")
     h = np.zeros(cfg.taps)
     h[0] = 1.0
-    h, trace, y = _adapt(_tap_windows(x1, cfg.taps, _rms_shift(x)), h, cfg, lambda h: _fir(h, x))
-    return AdaptResult(FilterTaps1D(h), Signal1D(y, sample_rate=x1.sample_rate), trace[-1], trace)
+    pass_filters = _adapt(_tap_windows(x1, cfg.taps, _rms_shift(x)), h, cfg)
+    return AdaptResult(x1, tuple(map(FilterTaps1D, pass_filters)))
 
 
 @dataclass(frozen=True, eq=False)

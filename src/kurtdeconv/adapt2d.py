@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt1d import _adapt, _check_schedule
+from .adapt1d import FilteredOnRead, _adapt, _check_schedule
 from .errors import ContractViolationError, DegenerateInputError
 from .signals import Image2D, Kernel2D, _patch_rows, _rms_shift, apply_kernel
 
@@ -36,11 +36,16 @@ class Adapt2dConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Adapt2dResult:
-    kernel: Kernel2D
-    output: Image2D
-    final_kurtosis: float
-    kurtosis_trace: tuple[float, ...]
+class Adapt2dResult(FilteredOnRead):
+    input: Image2D
+    pass_filters: tuple[Kernel2D, ...]
+
+    @property
+    def kernel(self) -> Kernel2D:
+        return self.pass_filters[-1]
+
+    def _filtered(self, kernel: Kernel2D) -> Image2D:
+        return apply_kernel(self.input, kernel)
 
 
 def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
@@ -50,8 +55,9 @@ def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
     initial identity kernel; every pass then updates over the remaining
     pixels, kernel and moments persisting across passes. As in run_adapt,
     the patches are divided by the power of two nearest the RMS of img1. A
-    DivergenceError names the pixel by its raster index. Output is the pure
-    2-D filtering of img1 with the converged kernel.
+    DivergenceError, raised here, names the pixel by its raster index. The
+    result's output, the pure 2-D filtering of img1 with the converged
+    kernel, and its kurtosis fields are computed on first read.
     """
     H, W = img1.height, img1.width
     M, N = cfg.rows, cfg.cols
@@ -64,10 +70,5 @@ def run_adapt2d(img1: Image2D, cfg: Adapt2dConfig) -> Adapt2dResult:
 
     w = np.zeros((M, N))
     w[(M - 1) // 2, (N - 1) // 2] = 1.0
-    h, trace, y = _adapt(
-        _patch_rows(img1, M, N, _rms_shift(img1.pixels)),
-        w.ravel(),
-        cfg,
-        lambda h: apply_kernel(img1, Kernel2D(h.reshape(M, N))).pixels,
-    )
-    return Adapt2dResult(Kernel2D(h.reshape(M, N)), Image2D(y), trace[-1], trace)
+    pass_filters = _adapt(_patch_rows(img1, M, N, _rms_shift(img1.pixels)), w.ravel(), cfg)
+    return Adapt2dResult(img1, tuple(Kernel2D(h.reshape(M, N)) for h in pass_filters))

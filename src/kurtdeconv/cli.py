@@ -104,9 +104,11 @@ def _cmd_deconv(args) -> int:
         taps = normalize_taps(result.filter)
         restored = apply_taps(data, taps)
         dump = "\n".join(repr(v) for v in taps.taps.tolist())
+    # reading the trace filters the whitened input once per pass; any error
+    # of that filtering comes before a file is written
+    print(f"final kurtosis {result.final_kurtosis:.4f}; trace {[round(k, 4) for k in result.kurtosis_trace]}")
     with open(args.filter_out, "w", encoding="ascii") as fh:
         fh.write(dump + "\n")
-    print(f"final kurtosis {result.final_kurtosis:.4f}; trace {[round(k, 4) for k in result.kurtosis_trace]}")
     _write_any(args.output, restored)
     print(f"filter written to {args.filter_out}")
     return 0

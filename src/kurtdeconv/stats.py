@@ -33,11 +33,12 @@ def kurtosis_excess(samples) -> float:
     # normal at any gain and changes no bit of the ratio
     x = np.ldexp(x, -_rms_shift(x))
     x -= x.mean()
-    x2 = x * x
-    m2 = x2.mean()
+    np.square(x, out=x)
+    m2 = x.mean()
     if m2 <= 0.0:
         raise DegenerateInputError("zero-variance input")
-    m4 = (x2 * x2).mean()
+    np.square(x, out=x)
+    m4 = x.mean()
     return float(m4 / (m2 * m2) - 3.0)
 
 
