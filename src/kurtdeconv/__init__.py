@@ -7,14 +7,15 @@ degradation engines plus an experiment harness for parameter-recovery
 studies.
 """
 
-from .adapt1d import (
+from .adapt import (
+    Adapt2dConfig,
     AdaptConfig,
     AdaptResult,
     SurfaceResult,
     kurtosis_surface,
     run_adapt,
+    run_adapt2d,
 )
-from .adapt2d import Adapt2dConfig, Adapt2dResult, run_adapt2d
 from .degrade import (
     DegradeSpec,
     apply_degradation,

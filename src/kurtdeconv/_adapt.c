@@ -16,7 +16,7 @@ static int over_limit(const double *h, ptrdiff_t k, double limit)
     return 0;
 }
 
-/* One pass of the kurtosis-gradient recursion of kurtdeconv.adapt1d._adapt.
+/* One pass of the kurtosis-gradient recursion of kurtdeconv.adapt._adapt.
  *
  * Runs rows warmup..n-1 of the regressor matrix X, whose element (r, j)
  * sits at X[r * s0 + j * s1] (strides in elements, either sign), over the

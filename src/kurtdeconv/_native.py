@@ -1,5 +1,5 @@
-"""The recursions of kurtdeconv, adapt_pass (the adapt1d core), allpole
-(the 1-D all-pole filters of degrade) and image_allpole (its image
+"""The recursions of kurtdeconv, adapt_pass (one pass of adapt.run_adapt),
+allpole (the 1-D all-pole filters of degrade) and image_allpole (its image
 recursion): each runs its kernel from _adapt.c, or its Python twin of the
 same operations in the same order.
 

@@ -20,14 +20,13 @@ import sys
 
 import numpy as np
 
-from .adapt1d import AdaptConfig, kurtosis_surface, run_adapt
-from .adapt2d import Adapt2dConfig, run_adapt2d
+from .adapt import Adapt2dConfig, AdaptConfig, kurtosis_surface, run_adapt
 from .degrade import KINDS, DegradeSpec, apply_degradation
 from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
 from .experiment import SourceSpec, _build, load_config, make_source, run_experiment, write_report_csv
 from .fileio import is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
 from .metrics import _flat, aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
-from .signals import apply_kernel, apply_taps
+from .signals import _apply, _array
 from .stats import kurtosis_excess
 from .whitening import WHITEN_KINDS, WhitenSpec, whiten
 
@@ -94,16 +93,12 @@ def _cmd_deconv(args) -> int:
     # The converged filter carries an arbitrary blind gain/sign; normalize
     # (largest tap -> +1) before restoring so the output amplitude stays
     # comparable to the input.
-    if image:
-        result = run_adapt2d(work, cfg)
-        kernel = normalize_kernel(result.kernel)
-        restored = apply_kernel(data, kernel)
-        dump = "\n".join(" ".join(repr(v) for v in row) for row in kernel.weights.tolist())
-    else:
-        result = run_adapt(work, cfg)
-        taps = normalize_taps(result.filter)
-        restored = apply_taps(data, taps)
-        dump = "\n".join(repr(v) for v in taps.taps.tolist())
+    result = run_adapt(work, cfg)
+    estimate = (normalize_kernel if image else normalize_taps)(result.filter)
+    restored = _apply(data, estimate)
+    # one line per tap, or per kernel row
+    coeffs = _array(estimate)
+    dump = "\n".join(" ".join(map(repr, row)) for row in coeffs.reshape(len(coeffs), -1).tolist())
     # reading the trace filters the whitened input once per pass; any error
     # of that filtering comes before a file is written
     print(f"final kurtosis {result.final_kurtosis:.4f}; trace {[round(k, 4) for k in result.kurtosis_trace]}")

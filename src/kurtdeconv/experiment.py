@@ -15,13 +15,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adapt1d import AdaptConfig, run_adapt
-from .adapt2d import Adapt2dConfig, run_adapt2d
+from .adapt import Adapt2dConfig, AdaptConfig, run_adapt
 from .degrade import DegradeSpec, apply_degradation
 from .errors import ContractViolationError, FormatError
 from .fileio import is_image_path, read_any, rescale_unit
 from .metrics import extract_parameters, normalized_correlation, true_parameters
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, apply_kernel, apply_taps
+from .signals import Image2D, Signal1D, _apply, _array
 from .stats import kurtosis_excess
 from .whitening import WhitenSpec, whiten
 
@@ -96,12 +95,7 @@ class ExperimentConfig:
             if image_kind != want_2d:
                 raise ContractViolationError(f"degradation {self.degrade.kind} does not match the adapt configuration")
             # a filter with no slot for a parameter fails here, not after adapting
-            if want_2d:
-                M, N = self.adapt.rows, self.adapt.cols
-                identity = Kernel2D(np.eye(1, M * N, M * N // 2).reshape(M, N))
-            else:
-                identity = FilterTaps1D(np.eye(1, self.adapt.taps)[0])
-            extract_parameters(self.degrade, identity)
+            extract_parameters(self.degrade, self.adapt.identity())
 
 
 def make_source(spec: SourceSpec):
@@ -263,29 +257,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # whitener and the degradation are both LTI, it restores the raw
     # observation directly. Unwhitened, the adaptation's own output is that
     # restoration.
-    if isinstance(cfg.adapt, Adapt2dConfig):
-        result = run_adapt2d(x1, cfg.adapt)
-        estimate = result.kernel
-        s_est = result.output if x1 is x else apply_kernel(x, estimate)
-        mode, size_desc, filter_desc = "2d", f"{s.height}x{s.width}", f"{cfg.adapt.rows}x{cfg.adapt.cols}"
-        arrays, coeffs = (s.pixels, x.pixels, s_est.pixels), estimate.weights
-    else:
-        result = run_adapt(x1, cfg.adapt)
-        estimate = result.filter
-        s_est = result.output if x1 is x else apply_taps(x, estimate)
-        mode, size_desc, filter_desc = "1d", str(len(s)), str(cfg.adapt.taps)
-        arrays, coeffs = (s.samples, x.samples, s_est.samples), estimate.taps
-    kurt_source, kurt_degraded = map(kurtosis_excess, arrays[:2])
-    kurt_restored = result.final_kurtosis if x1 is x else kurtosis_excess(arrays[2])
+    result = run_adapt(x1, cfg.adapt)
+    estimate = result.filter
+    s_est = result.output if x1 is x else _apply(x, estimate)
+    kurt_source, kurt_degraded = (kurtosis_excess(_array(v)) for v in (s, x))
+    kurt_restored = result.final_kurtosis if x1 is x else kurtosis_excess(_array(s_est))
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
-        mode=mode,
+        mode=f"{_array(s).ndim}d",
         source_desc=cfg.source.kind if cfg.source.kind != "file" else str(cfg.source.path),
         seed=cfg.source.seed,
-        size_desc=size_desc,
+        size_desc="x".join(map(str, _array(s).shape)),
         degrade_desc=_degrade_desc(cfg.degrade),
         whiten_desc=f"lpc({cfg.whiten.order})" if cfg.whiten.kind == "lpc" else cfg.whiten.kind,
-        filter_desc=filter_desc,
+        filter_desc="x".join(map(str, _array(estimate).shape)),
         mu=cfg.adapt.mu,
         beta=cfg.adapt.beta,
         warmup=cfg.adapt.warmup,
@@ -297,7 +282,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rho_sx=normalized_correlation(s, x),
         rho_restored=normalized_correlation(s, s_est),
         wall_time_s=time.perf_counter() - t0,
-        estimate=coeffs,
+        estimate=_array(estimate),
     )
 
 

@@ -13,14 +13,12 @@ import numpy as np
 
 from .degrade import DegradeSpec, _slots, _true_inverse
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array
 
 
 def _flat(values) -> np.ndarray:
-    if isinstance(values, Signal1D):
-        return values.samples
-    if isinstance(values, Image2D):
-        return values.pixels.ravel()
+    if isinstance(values, (Signal1D, Image2D)):
+        values = _array(values)
     return np.asarray(values, dtype=np.float64).ravel()
 
 

@@ -161,3 +161,20 @@ def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
         np.multiply(padded[i : i + H, j : j + W], w, out=term)
         out += term
     return Image2D(out)
+
+
+def _array(container) -> np.ndarray:
+    """The samples, pixels, taps or weights of a Signal1D, Image2D,
+    FilterTaps1D or Kernel2D."""
+    if isinstance(container, Signal1D):
+        return container.samples
+    if isinstance(container, Image2D):
+        return container.pixels
+    if isinstance(container, FilterTaps1D):
+        return container.taps
+    return container.weights
+
+
+def _apply(x, f):
+    """x filtered by f: apply_taps for FilterTaps1D, apply_kernel for Kernel2D."""
+    return apply_kernel(x, f) if isinstance(f, Kernel2D) else apply_taps(x, f)

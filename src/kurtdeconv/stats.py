@@ -19,8 +19,8 @@ from .signals import _rms_shift
 
 #: Guard threshold on the running second moment, below which the m2^3
 #: denominator of the update is taken as singular and the update skipped.
-#: run_adapt and run_adapt2d scale their regressors to an RMS near 1, so
-#: there the guard is relative to the input power.
+#: run_adapt scales the regressors of a signal or an image to an RMS near
+#: 1, so there the guard is relative to the input power.
 M2_GUARD = 1e-8
 
 

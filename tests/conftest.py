@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, FilterTaps1D, _native, kurtosis_excess
-from kurtdeconv.adapt1d import TAP_LIMIT
+from kurtdeconv.adapt import TAP_LIMIT
 
 # The same examples on every run: no random seed, no replay of examples
 # saved by earlier runs, and no timing-dependent deadline failures.

@@ -185,16 +185,16 @@ def test_c08_two_parameter_image_identification():
 
 
 def test_c09_three_parameter_image_identification():
-    from kurtdeconv import parameter_error, run_adapt2d
+    from kurtdeconv import parameter_error, run_adapt
 
     spec = DegradeSpec(kind="image_iir3", a1=0.8, a2=-0.4, a3=0.5)
     img = make_source(SourceSpec(kind="integrated_uniform", seed=109, height=256, width=256))
     g = apply_degradation(spec, img)
     assert np.isfinite(g.pixels).all()  # runs outside the conservative bound
     d = highpass_whiten_2d(g)
-    res = run_adapt2d(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-4, beta=0.999, warmup=2000, passes=60))
-    assert max(parameter_error(spec, res.kernel).values()) <= 0.12
-    assert normalized_correlation(img, apply_kernel(g, res.kernel)) >= 0.95
+    res = run_adapt(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-4, beta=0.999, warmup=2000, passes=60))
+    assert max(parameter_error(spec, res.filter).values()) <= 0.12
+    assert normalized_correlation(img, apply_kernel(g, res.filter)) >= 0.95
     # restoration pushes the whitened signal further from gaussian
     assert abs(res.final_kurtosis) > abs(kurtosis_excess(d.pixels))
     _report(9, "3-parameter image identification: error <= 0.12, rho >= 0.95")

@@ -28,7 +28,7 @@ from kurtdeconv import (
     run_adapt,
 )
 from kurtdeconv import _native
-from kurtdeconv.adapt1d import TAP_LIMIT
+from kurtdeconv.adapt import TAP_LIMIT
 from kurtdeconv.signals import _rms_shift
 from conftest import MomentState, adapt_step, direct_surface, laplace_signal, oracle_adapt, window
 

@@ -17,7 +17,6 @@ from kurtdeconv import (
     normalize_kernel,
     parameter_error,
     run_adapt,
-    run_adapt2d,
 )
 from kurtdeconv import _native
 from kurtdeconv.signals import _rms_shift
@@ -32,7 +31,7 @@ def integrated_uniform_image(seed, shape):
 
 def oracle_kernel(img, cfg):
     """oracle_adapt over the flattened zero-padded patches of img in raster
-    order, divided as in run_adapt2d by the power of two nearest its RMS,
+    order, divided as in run_adapt by the power of two nearest its RMS,
     from the center-1 kernel; returns flattened weights."""
     M, N = cfg.rows, cfg.cols
     g = np.ldexp(img.pixels, -_rms_shift(img.pixels))
@@ -41,9 +40,9 @@ def oracle_kernel(img, cfg):
 
 
 def outcome(img, cfg):
-    """Flattened kernel of run_adapt2d, or the (pass, pixel) it diverged at."""
+    """Flattened kernel of run_adapt, or the (pass, pixel) it diverged at."""
     try:
-        return run_adapt2d(img, cfg).kernel.weights.ravel()
+        return run_adapt(img, cfg).filter.weights.ravel()
     except DivergenceError as exc:
         return exc.pass_index, exc.sample_index
 
@@ -55,18 +54,18 @@ class TestRunAdapt2d:
         img = Image2D(x.reshape(1, -1))
         cfg2 = Adapt2dConfig(rows=1, cols=1, mu=1e-4, beta=0.99, warmup=32, passes=3)
         cfg1 = AdaptConfig(taps=1, mu=1e-4, beta=0.99, warmup=32, passes=3)
-        r2 = run_adapt2d(img, cfg2)
+        r2 = run_adapt(img, cfg2)
         r1 = run_adapt(Signal1D(x), cfg1)
         assert np.array_equal(r2.kurtosis_trace, r1.kurtosis_trace)
-        assert np.array_equal(r2.kernel.weights.ravel(), r1.filter.taps)
+        assert np.array_equal(r2.filter.weights.ravel(), r1.filter.taps)
 
     def test_matches_repeated_adapt_step(self, rng):
         img = Image2D(rng.laplace(0.0, 1.0, (12, 14)))
         cfg = Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.99, warmup=16, passes=2)
-        res = run_adapt2d(img, cfg)
+        res = run_adapt(img, cfg)
         want, first = oracle_kernel(img, cfg)
         assert first is None
-        assert np.array_equal(res.kernel.weights.ravel(), want)
+        assert np.array_equal(res.filter.weights.ravel(), want)
 
     def test_python_core_matches_repeated_adapt_step(self, rng, python_core):
         self.test_matches_repeated_adapt_step(rng)
@@ -75,9 +74,9 @@ class TestRunAdapt2d:
     def test_power_of_two_gain_leaves_kernel(self, k, sign):
         g = np.random.default_rng(45).laplace(0.0, 1.0, (12, 14))
         cfg = Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.99, warmup=16, passes=2)
-        ref = run_adapt2d(Image2D(g), cfg)
-        res = run_adapt2d(Image2D(sign * np.ldexp(g, k)), cfg)
-        assert np.array_equal(res.kernel.weights, ref.kernel.weights)
+        ref = run_adapt(Image2D(g), cfg)
+        res = run_adapt(Image2D(sign * np.ldexp(g, k)), cfg)
+        assert np.array_equal(res.filter.weights, ref.filter.weights)
         assert res.kurtosis_trace == ref.kurtosis_trace
 
     @given(
@@ -120,7 +119,7 @@ class TestRunAdapt2d:
         img = Image2D(rng.laplace(0.0, 1.0, (12, 14)))
         cfg = Adapt2dConfig(rows=3, cols=3, mu=1e12, warmup=16, passes=1)
         with pytest.raises(DivergenceError) as exc:
-            run_adapt2d(img, cfg)
+            run_adapt(img, cfg)
         _, first = oracle_kernel(img, cfg)
         assert (exc.value.pass_index, exc.value.sample_index) == first
 
@@ -135,23 +134,23 @@ class TestRunAdapt2d:
         d = highpass_whiten_2d(image_iir(Image2D(img), 0.5, 0.4))
         assert not d.pixels[:32].any()
         with pytest.raises(DegenerateInputError, match="warm-up"):
-            run_adapt2d(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=1024, passes=1))
+            run_adapt(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=1024, passes=1))
 
     def test_identity_with_zero_mu(self, rng):
         img = Image2D(rng.standard_normal((12, 14)))
-        res = run_adapt2d(img, Adapt2dConfig(rows=3, cols=3, mu=0.0, warmup=16, passes=1))
-        assert res.kernel.weights.tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+        res = run_adapt(img, Adapt2dConfig(rows=3, cols=3, mu=0.0, warmup=16, passes=1))
+        assert res.filter.weights.tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
         assert np.allclose(res.output.pixels, img.pixels, atol=1e-15)
 
     def test_image_smaller_than_kernel(self):
         with pytest.raises(DegenerateInputError):
-            run_adapt2d(Image2D(np.ones((2, 8))), Adapt2dConfig(rows=3, cols=3))
+            run_adapt(Image2D(np.ones((2, 8))), Adapt2dConfig(rows=3, cols=3))
 
     def test_white_image_keeps_identity(self):
         rng = np.random.default_rng(42)
         img = Image2D(rng.uniform(-1.0, 1.0, (128, 128)))
-        res = run_adapt2d(img, Adapt2dConfig(rows=3, cols=3, mu=-3e-4, beta=0.999, warmup=2000, passes=2))
-        w = normalize_kernel(res.kernel).weights
+        res = run_adapt(img, Adapt2dConfig(rows=3, cols=3, mu=-3e-4, beta=0.999, warmup=2000, passes=2))
+        w = normalize_kernel(res.filter).weights
         off = np.abs(w).copy()
         off[1, 1] = 0.0
         assert off.max() <= 0.05
@@ -161,20 +160,20 @@ class TestRunAdapt2d:
         img = integrated_uniform_image(43, (128, 128))
         g = image_iir(img, 0.5, 0.4)
         d = highpass_whiten_2d(g)
-        res = run_adapt2d(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
-        err = parameter_error(spec, res.kernel)
+        res = run_adapt(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
+        err = parameter_error(spec, res.filter)
         assert max(err.values()) <= 0.1
 
     def test_restored_less_gaussian_than_degraded(self):
         img = integrated_uniform_image(44, (128, 128))
         g = image_iir(img, 0.5, 0.4)
         d = highpass_whiten_2d(g)
-        res = run_adapt2d(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
+        res = run_adapt(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
         assert abs(res.final_kurtosis) > abs(kurtosis_excess(d.pixels))
 
 
 def test_result_output_matches_kernel(rng):
     img = Image2D(rng.standard_normal((20, 24)))
-    res = run_adapt2d(img, Adapt2dConfig(mu=-1e-4, warmup=32, passes=2))
-    assert np.array_equal(res.output.pixels, apply_kernel(img, res.kernel).pixels)
+    res = run_adapt(img, Adapt2dConfig(mu=-1e-4, warmup=32, passes=2))
+    assert np.array_equal(res.output.pixels, apply_kernel(img, res.filter).pixels)
     assert res.final_kurtosis == res.kurtosis_trace[-1] == kurtosis_excess(res.output.pixels)

@@ -11,7 +11,6 @@ from kurtdeconv import (
     read_image,
     read_wav,
     run_adapt,
-    run_adapt2d,
     write_image,
     write_wav,
 )
@@ -163,7 +162,7 @@ def test_deconv_defaults_are_the_library_configs(tmp_path):
     write_image(src, Image2D(np.random.default_rng(55).random((32, 32))))
     filt = tmp_path / "k.txt"
     assert main(["deconv", str(src), str(tmp_path / "rest.pgm"), "--filter-out", str(filt)]) == 0
-    kernel = normalize_kernel(run_adapt2d(read_image(src), Adapt2dConfig()).kernel)
+    kernel = normalize_kernel(run_adapt(read_image(src), Adapt2dConfig()).filter)
     assert Adapt2dConfig().mu < 0
     assert [[float(v) for v in row.split()] for row in filt.read_text().splitlines()] == kernel.weights.tolist()
 
@@ -172,6 +171,21 @@ def test_deconv_defaults_are_the_library_configs(tmp_path):
     assert main(["deconv", str(wav), str(tmp_path / "rest.wav"), "--filter-out", str(filt)]) == 0
     taps = normalize_taps(run_adapt(read_wav(wav), AdaptConfig()).filter)
     assert [float(v) for v in filt.read_text().splitlines()] == taps.taps.tolist()
+
+
+def test_deconv_dumps_a_non_square_kernel(tmp_path):
+    """A 3x5 kernel is dumped as 3 lines of 5 values, the normalized kernel."""
+    src = tmp_path / "img.pgm"
+    write_image(src, Image2D(np.random.default_rng(60).random((40, 50))))
+    filt = tmp_path / "k.txt"
+    rest = tmp_path / "rest.pgm"
+    assert main(["deconv", str(src), str(rest), "--filter-out", str(filt), "--rows", "3", "--cols", "5",
+                 "--mu=-1e-4", "--warmup", "64"]) == 0
+    cfg = Adapt2dConfig(rows=3, cols=5, mu=-1e-4, warmup=64)
+    kernel = normalize_kernel(run_adapt(read_image(src), cfg).filter)
+    assert kernel.weights.shape == (3, 5)
+    assert [[float(v) for v in row.split()] for row in filt.read_text().splitlines()] == kernel.weights.tolist()
+    assert read_image(rest).pixels.shape == (40, 50)
 
 
 def test_settings_of_other_dimension_exit_1(tmp_path, capsys):

@@ -261,6 +261,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("source, adapt", [
         (SourceSpec(kind="laplace", seed=3, length=5_000), AdaptConfig(taps=5, mu=1e-4, beta=0.999, warmup=500, passes=2)),
         (SourceSpec(kind="uniform", seed=3, height=24, width=24), Adapt2dConfig(rows=3, cols=3, mu=-1e-4, warmup=64, passes=2)),
+        (SourceSpec(kind="uniform", seed=3, height=40, width=50), Adapt2dConfig(rows=3, cols=5, mu=-1e-4, warmup=64, passes=2)),
     ])
     def test_unwhitened_report_scores_the_final_filtering(self, source, adapt):
         # without whitening the report reuses the adaptation's own output;
@@ -276,6 +277,19 @@ class TestRunExperiment:
             values = restored.samples
         assert report.kurt_restored == kurtosis_excess(values)
         assert report.rho_restored == normalized_correlation(s, restored)
+
+    @pytest.mark.parametrize("source, adapt, cells", [
+        pytest.param(SourceSpec(kind="laplace", seed=3, length=5_000), AdaptConfig(taps=5, mu=1e-4, warmup=500),
+                     ("1d", "5000", "5"), id="1-D"),
+        pytest.param(SourceSpec(kind="uniform", seed=3, height=40, width=50), Adapt2dConfig(rows=3, cols=5, mu=-1e-4, warmup=64),
+                     ("2d", "40x50", "3x5"), id="2-D-3x5"),
+    ])
+    def test_mode_size_and_filter_cells(self, source, adapt, cells):
+        report = run_experiment(ExperimentConfig(experiment_id="cells", source=source, adapt=adapt))
+        assert (report.mode, report.size_desc, report.filter_desc) == cells
+        row = report.csv_row().split(",")
+        assert (row[1], row[4], row[7]) == cells
+        assert report.estimate.shape == tuple(map(int, cells[2].split("x")))
 
     def test_lpc_whitening_path(self):
         cfg = ExperimentConfig(

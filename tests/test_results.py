@@ -9,6 +9,7 @@ import pytest
 from kurtdeconv import (
     Adapt2dConfig,
     AdaptConfig,
+    ContractViolationError,
     DegenerateInputError,
     DegradeSpec,
     ExperimentConfig,
@@ -18,12 +19,9 @@ from kurtdeconv import (
     SourceSpec,
     WhitenSpec,
     _native,
-    adapt1d,
-    adapt2d,
-    experiment,
     run_adapt,
-    run_adapt2d,
     run_experiment,
+    signals,
     write_wav,
 )
 from kurtdeconv.cli import main
@@ -32,7 +30,7 @@ from conftest import laplace_signal
 RUNS = {
     "1-D": (run_adapt, Signal1D(laplace_signal(81, 400)), AdaptConfig(taps=3, mu=1e-4, beta=0.99, warmup=32, passes=4)),
     "2-D": (
-        run_adapt2d,
+        run_adapt,
         Image2D(np.random.default_rng(82).laplace(0.0, 1.0, (12, 14))),
         Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.99, warmup=16, passes=4),
     ),
@@ -41,15 +39,15 @@ RUNS = {
 
 @pytest.fixture
 def filterings(monkeypatch):
-    """The full filterings adapt1d, adapt2d and experiment do, by function name."""
+    """The full filterings adapt and experiment do, by function name: both
+    filter through signals._apply, which looks these two up in signals."""
     calls = []
-    for module, name in ((adapt1d, "apply_taps"), (adapt2d, "apply_kernel"),
-                         (experiment, "apply_taps"), (experiment, "apply_kernel")):
-        def counted(*args, _name=name, _real=getattr(module, name)):
+    for name in ("apply_taps", "apply_kernel"):
+        def counted(*args, _name=name, _real=getattr(signals, name)):
             calls.append(_name)
             return _real(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(signals, name, counted)
     return calls
 
 
@@ -139,7 +137,7 @@ def test_pickle_round_trip(dim, filterings):
 
 @pytest.mark.parametrize("run, x, cfg", [
     pytest.param(run_adapt, Signal1D(np.full(200, 2.0)), AdaptConfig(taps=2, mu=0.0, warmup=16, passes=2), id="1-D"),
-    pytest.param(run_adapt2d, Image2D(np.full((8, 8), 2.0)), Adapt2dConfig(mu=0.0, warmup=16, passes=2), id="2-D"),
+    pytest.param(run_adapt, Image2D(np.full((8, 8), 2.0)), Adapt2dConfig(mu=0.0, warmup=16, passes=2), id="2-D"),
 ])
 def test_filtering_errors_surface_on_read(run, x, cfg):
     # a constant input adapts, but its filtered output has no variance
@@ -160,3 +158,12 @@ def test_deconv_read_error_comes_before_any_file(tmp_path):
     rc = main(["deconv", str(src), str(out), "--filter-out", str(taps), "--whiten", "none", "--mu", "0", "--warmup", "16"])
     assert rc == 1
     assert not out.exists() and not taps.exists()
+
+
+@pytest.mark.parametrize("x, cfg", [
+    pytest.param(Image2D(np.ones((16, 16))), AdaptConfig(warmup=16), id="image-AdaptConfig"),
+    pytest.param(Signal1D(np.ones(400)), Adapt2dConfig(warmup=16), id="signal-Adapt2dConfig"),
+])
+def test_input_of_the_other_dimension_rejected(x, cfg):
+    with pytest.raises(ContractViolationError, match=f"{type(cfg).__name__} adapts over "):
+        run_adapt(x, cfg)
