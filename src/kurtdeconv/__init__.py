@@ -65,8 +65,6 @@ from .signals import (
 )
 from .stats import (
     M2_GUARD,
-    batch_gradient,
-    batch_kurtosis,
     init_moments,
     kurtosis_excess,
 )

@@ -18,12 +18,14 @@ static int over_limit(const double *h, ptrdiff_t k, double limit)
 
 /* One pass of the kurtosis-gradient recursion of kurtdeconv.adapt._adapt.
  *
- * Runs rows warmup..n-1 of the regressor matrix X, whose element (r, j)
- * sits at X[r * s0 + j * s1] (strides in elements, either sign), over the
- * k coefficients h and the moment estimates m = {m2, m4}, both updated in
- * place. Returns -1, or the first row after whose update a coefficient
- * exceeds limit in magnitude or is NaN; h and m are then as that row left
- * them.
+ * Runs rows warmup..n-1 of the regressor walk over P: row r starts at
+ * base(r) = (r / width) * stride + r % width, and its element j is
+ * P[base(r) + off[j]], so the rows walk width elements of a line and then
+ * jump to the next line, stride elements on. The k coefficients h and the
+ * moment estimates m = {m2, m4} are updated in place. Returns -1, or the
+ * first row after whose update a coefficient exceeds limit in magnitude or
+ * is NaN; h and m are then as that row left them. The caller keeps every
+ * read inside P (kurtdeconv._native.adapt_pass checks it).
  *
  * Each row costs one sweep over the taps. The update g * u computed at row
  * r (u = row r) is held until the sweep of row r + 1, which adds it to
@@ -38,25 +40,26 @@ static int over_limit(const double *h, ptrdiff_t k, double limit)
  * NaN or infinite tap leaves it NaN or infinite. A limit exceeded in the
  * sweep of row r is the update of row r - 1, whose moments m still holds.
  */
-ptrdiff_t kd_adapt_pass(const double *X, ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t warmup, ptrdiff_t n,
-                        ptrdiff_t k, double *h, double *m, double mu, double beta, double guard,
-                        double limit)
+ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, ptrdiff_t stride,
+                        ptrdiff_t warmup, ptrdiff_t n, ptrdiff_t k, double *h, double *m, double mu,
+                        double beta, double guard, double limit)
 {
     double m2 = m[0], m4 = m[1];
     const double omb = 1.0 - beta, limit2 = limit * limit;
     const double *u = NULL; /* the row whose update g * u is held, if any */
     double g = 0.0;
     ptrdiff_t failed = -1;
+    ptrdiff_t line = warmup / width * stride, col = warmup % width;
     for (ptrdiff_t r = warmup; r < n; r++) {
-        const double *w = X + r * s0;
+        const double *w = P + line + col;
         double y = 0.0;
         if (u) {
             double ss = 0.0;
             for (ptrdiff_t j = 0; j < k; j++) {
-                const double v = h[j] + g * u[j * s1];
+                const double v = h[j] + g * u[off[j]];
                 h[j] = v;
                 ss += v * v;
-                y += v * w[j * s1];
+                y += v * w[off[j]];
             }
             u = NULL;
             if (!(ss < limit2) && over_limit(h, k, limit)) {
@@ -65,7 +68,7 @@ ptrdiff_t kd_adapt_pass(const double *X, ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t w
             }
         } else {
             for (ptrdiff_t j = 0; j < k; j++)
-                y += h[j] * w[j * s1];
+                y += h[j] * w[off[j]];
         }
         const double y2 = y * y;
         m2 = beta * m2 + omb * y2;
@@ -74,10 +77,14 @@ ptrdiff_t kd_adapt_pass(const double *X, ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t w
             g = mu * (4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2));
             u = w;
         }
+        if (++col == width) {
+            col = 0;
+            line += stride;
+        }
     }
     if (u) {
         for (ptrdiff_t j = 0; j < k; j++)
-            h[j] += g * u[j * s1];
+            h[j] += g * u[off[j]];
         if (over_limit(h, k, limit))
             failed = n - 1;
     }

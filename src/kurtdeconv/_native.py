@@ -49,7 +49,7 @@ def _load_library():
         return None
     index, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
     lib.kd_adapt_pass.restype = index
-    lib.kd_adapt_pass.argtypes = (pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
+    lib.kd_adapt_pass.argtypes = (pointer, pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
     lib.kd_allpole.restype = None
     lib.kd_allpole.argtypes = (pointer, pointer, index, pointer, pointer, index)
     lib.kd_image_allpole.restype = None
@@ -75,29 +75,34 @@ def library():
     return _LIBRARY
 
 
-def adapt_pass(X: np.ndarray, h: np.ndarray, m: np.ndarray, mu: float, beta: float, warmup: int, guard: float, limit: float) -> int:
-    """One pass of the kurtosis-gradient recursion over rows warmup.. of
-    the float64 matrix X, updating the contiguous float64 coefficients h
-    and moments m = [m2, m4] in place, no update while m2 <= guard. Returns
-    the first row after whose update a coefficient exceeds limit in
-    magnitude or is NaN (the pass stops there), or -1."""
+def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray, m: np.ndarray, mu: float, beta: float, warmup: int, guard: float, limit: float) -> int:
+    """One pass of the kurtosis-gradient recursion over rows warmup..n-1
+    of the walk (P, off, width, stride, n) that signals._walk builds:
+    element j of row r is P[(r // width) * stride + r % width + off[j]].
+    Updates the contiguous float64 coefficients h and moments m = [m2, m4]
+    in place, no update while m2 <= guard. Returns the first row after
+    whose update a coefficient exceeds limit in magnitude or is NaN (the
+    pass stops there), or -1.
+
+    A walk that would read outside P is a ContractViolationError, raised
+    before any read. With 1 <= width <= stride the row bases never
+    decrease, so the last row bounds every read.
+    """
     if not (
-        X.dtype == h.dtype == np.float64
-        and X.ndim == 2
-        and X.shape[1] == h.size
-        and h.flags.c_contiguous
-        and h.flags.writeable
-        and not any(stride % X.itemsize for stride in X.strides)
+        P.dtype == h.dtype == m.dtype == np.float64 and off.dtype == np.intp
+        and P.ndim == h.ndim == m.ndim == 1 and off.shape == h.shape and h.size > 0 and m.size == 2
+        and all(a.flags.c_contiguous for a in (P, off, h, m)) and h.flags.writeable and m.flags.writeable
+        and 0 <= warmup and 1 <= width <= stride and off.min() >= 0
+        and (n - 1) // width * stride + (n - 1) % width + off.max() < P.size
     ):
-        raise ContractViolationError("the adaptation pass needs float64 regressor rows and a writable contiguous filter")
+        raise ContractViolationError("the adaptation pass needs a float64 walk inside P, one intp offset per tap, and writable contiguous taps and moments")
     lib = library()
     if lib is None:
-        return _python_pass(X, h, m, mu, beta, warmup, guard, limit)
-    s0, s1 = (stride // X.itemsize for stride in X.strides)
-    return lib.kd_adapt_pass(X.ctypes.data, s0, s1, warmup, X.shape[0], X.shape[1], h.ctypes.data, m.ctypes.data, mu, beta, guard, limit)
+        return _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit)
+    return lib.kd_adapt_pass(P.ctypes.data, off.ctypes.data, width, stride, warmup, n, h.size, h.ctypes.data, m.ctypes.data, mu, beta, guard, limit)
 
 
-def _python_pass(X, h, m, mu, beta, warmup, guard, limit) -> int:
+def _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit) -> int:
     """adapt_pass as a Python loop. y is accumulated tap by tap, as
     kd_adapt_pass sums it; h @ w may let BLAS reorder the sum."""
     m2, m4 = m.tolist()
@@ -105,8 +110,8 @@ def _python_pass(X, h, m, mu, beta, warmup, guard, limit) -> int:
     failed = -1
     # an update that overflows is caught by the limit check, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(warmup, X.shape[0]):
-            w = X[n]
+        for r in range(warmup, n):
+            w = P[r // width * stride + r % width + off]
             y = float(np.add.accumulate(h * w)[-1])
             y2 = y * y
             m2 = beta * m2 + omb * y2
@@ -116,7 +121,7 @@ def _python_pass(X, h, m, mu, beta, warmup, guard, limit) -> int:
                 h += (mu * f) * w
                 # negated form so NaN coefficients also trip the check
                 if not np.all(np.abs(h) <= limit):
-                    failed = n
+                    failed = r
                     break
     m[:] = m2, m4
     return failed

@@ -15,7 +15,9 @@ or down (sub-gaussian sources). run_adapt runs this recursion over one
 regressor row per sample: the tap window of a signal, or the M x N
 neighborhood of an image's pixel, flattened, pixels visited in raster
 order (left to right, top to bottom) with zero-padded neighborhoods at the
-borders, so border pixels still generate updates.
+borders, so border pixels still generate updates. The rows are read in
+place from one zero-padded copy of the input through a table of tap
+offsets (signals._walk); no row is copied.
 
 Each pass of the recursion is one _native.adapt_pass: compiled C when a
 compiler is available, else its Python twin, bit for bit the same. It
@@ -32,7 +34,7 @@ import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _patch_rows, _rms_shift, _tap_windows
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _rms_shift, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -138,25 +140,25 @@ class AdaptResult:
         return earlier + (self.final_kurtosis,)
 
 
-def _adapt(X: np.ndarray, h: np.ndarray, cfg) -> list[np.ndarray]:
-    """The adaptation recursion over the regressor rows of either dimension.
+def _adapt(walk: tuple, h: np.ndarray, y0: np.ndarray, cfg) -> list[np.ndarray]:
+    """The adaptation recursion over the regressor walk of either dimension.
 
-    Row n of the read-only float64 matrix X is the regressor the filter
-    sees at step n. The first cfg.warmup rows only seed the moment
-    estimates with the output of the starting filter h; every pass then
-    updates the contiguous float64 h in place over the remaining rows,
-    moments carried across passes. Returns a copy of h at the end of each
-    pass; nothing is filtered here. A warm-up block whose second moment is
-    at or below M2_GUARD (silence, since the rows are RMS-scaled) is a
-    DegenerateInputError: its zero moments would make the first updates
-    divide by a vanishing m2^3.
+    walk is the (P, off, width, stride, n) of signals._walk, whose row r
+    is the regressor the filter sees at step r. The first cfg.warmup rows
+    only seed the moment estimates with y0, the output of the starting
+    filter h over them; every pass then updates the contiguous float64 h
+    in place over the remaining rows, moments carried across passes.
+    Returns a copy of h at the end of each pass; nothing is filtered here.
+    A warm-up block whose second moment is at or below M2_GUARD (silence,
+    since the rows are RMS-scaled) is a DegenerateInputError: its zero
+    moments would make the first updates divide by a vanishing m2^3.
     """
-    m = init_moments(X[: cfg.warmup] @ h)
+    m = init_moments(y0)
     if cfg.warmup > 0 and m[0] <= M2_GUARD:
         raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
     pass_filters = []
     for pass_index in range(cfg.passes):
-        n = adapt_pass(X, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
+        n = adapt_pass(*walk, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
         if n >= 0:
             raise DivergenceError(
                 f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",
@@ -171,17 +173,17 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     """Adapt a filter over a (whitened) signal or image.
 
     An AdaptConfig adapts taps over a Signal1D, one tap window per sample;
-    an Adapt2dConfig a kernel over an Image2D, one neighborhood per pixel.
-    An input of another type is a ContractViolationError. The first
-    cfg.warmup rows only seed the moment estimates under cfg.identity(),
-    whose output is the input itself; every pass then updates over the
-    remaining rows, filter and moments carried across passes. The rows are
-    divided by the power of two nearest the RMS of x1, which changes no
-    coefficient but makes the moment guard relative to the input power. A
-    DivergenceError, raised here, names the sample (the pixel by its raster
-    index). x1 is not filtered here; the result's output, one pure
-    filtering pass of x1 with the final filter, and its kurtosis fields are
-    computed on first read (see AdaptResult).
+    an Adapt2dConfig a kernel over an Image2D, one centred neighborhood
+    per pixel. An input of another type is a ContractViolationError. Both
+    walk one zero-padded copy of x1 (signals._walk), divided by the power
+    of two nearest its RMS, which changes no coefficient but makes the
+    moment guard relative to the input power; only the padding and the tap
+    order differ. The first cfg.warmup rows only seed the moment estimates
+    under cfg.identity(), whose output is the input itself; every pass
+    then updates over the remaining rows, filter and moments carried
+    across passes. A DivergenceError, raised here, names the sample (the
+    pixel by its raster index). x1 is not filtered here; the result's
+    output and its kurtosis fields are computed on first read.
     """
     kind = Image2D if isinstance(cfg, Adapt2dConfig) else Signal1D
     if not isinstance(x1, kind):
@@ -195,15 +197,19 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
             raise DegenerateInputError(f"image {H}x{W} is smaller than the kernel {M}x{N}")
         if cfg.warmup >= H * W:
             raise DegenerateInputError(f"warmup {cfg.warmup} consumes the whole {H}x{W} image")
-        X = _patch_rows(x1, M, N, _rms_shift(x1.pixels))
+        # centred neighborhoods, taps in raster order
+        shape, before, order = (M, N), (M // 2, N // 2), 1
     else:
-        x = x1.samples
-        if x.size <= cfg.warmup + cfg.taps:
-            raise DegenerateInputError(f"signal length {x.size} too short for warmup {cfg.warmup} and {cfg.taps} taps")
-        X = _tap_windows(x1, cfg.taps, _rms_shift(x))
+        if len(x1) <= cfg.warmup + cfg.taps:
+            raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
+        # tap k reads sample n - k
+        shape, before, order = (1, cfg.taps), (0, cfg.taps - 1), -1
+    values = _array(x1)
+    shift = _rms_shift(values)
     start = cfg.identity()
     h0 = _array(start)
-    pass_filters = _adapt(X, h0.flatten(), cfg)
+    y0 = np.ldexp(values.ravel()[: cfg.warmup], -shift)
+    pass_filters = _adapt(_walk(values, shape, before, order, shift), h0.flatten(), y0, cfg)
     return AdaptResult(x1, tuple(type(start)(h.reshape(h0.shape)) for h in pass_filters))
 
 
@@ -232,8 +238,11 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     over p, q, r, s. Differences rather than delayed copies keep smooth
     inputs, whose outputs nearly cancel in the low-order cells, as accurate
     as filtering cell by cell. A cell is degenerate when v vanishes to
-    rounding, |Rw| <= 16 eps ||R| |w||.
+    rounding, |Rw| <= 16 eps ||R| |w||. An x1 that is not a Signal1D is a
+    ContractViolationError.
     """
+    if not isinstance(x1, Signal1D):
+        raise ContractViolationError(f"the kurtosis surface is taken over a Signal1D, not {type(x1).__name__}")
     g1 = np.asarray(grid_a1, dtype=np.float64)
     g2 = np.asarray(grid_a2, dtype=np.float64)
     if g1.size == 0 or g2.size == 0:

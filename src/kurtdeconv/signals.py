@@ -1,18 +1,19 @@
 """Sample-sequence and image containers, FIR/kernel filtering, and the
-regressor matrices the adaptation core reads.
+regressor walk the adaptation core reads.
 
 All containers are immutable value objects: construction copies the data
 into a read-only float64 array, so instances can be shared freely between
-threads. The regressor matrices (one tap window per sample, one flattened
-patch per pixel) read indices outside the data as zero, so the recursion
-stays well defined from sample 0, and divide the data by a power of two.
+threads. The walk reads every regressor (the tap window of a sample, the
+neighborhood of a pixel) from one zero-padded copy of the data, divided by
+a power of two, through a table of tap offsets: indices outside the data
+read as zero, so the recursion stays well defined from sample 0, and no
+row is copied.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolationError
 
@@ -109,30 +110,31 @@ def _rms_shift(values: np.ndarray) -> int:
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
 
-def _tap_windows(x1: Signal1D, L: int, shift: int) -> np.ndarray:
-    """Read-only (samples, L) view whose row n is the tap-ordered window
-    ending at sample n: element k is x1(n-k) / 2**shift, so it lines up
-    with tap k of a FilterTaps1D. Samples before index 0 read as zero."""
-    padded = np.concatenate((np.zeros(L - 1), x1.samples))
-    np.ldexp(padded, -shift, out=padded)
-    return sliding_window_view(padded, L)[:, ::-1]
+def _walk(values: np.ndarray, shape: tuple[int, int], before: tuple[int, int], order: int, shift: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """The regressor rows of the adaptation as (P, off, width, stride, n):
+    a walk over one zero-padded copy of values, nothing copied per row.
 
-
-def _patch_rows(img: Image2D, M: int, N: int, shift: int) -> np.ndarray:
-    """Read-only (H*W, M*N) matrix whose row r*W + c is the flattened M x N
-    neighborhood centered at pixel (r, c), divided by 2**shift and zero
-    outside the image.
-
-    M counts rows and N columns, matching Kernel2D; both must be odd.
+    values is one line of samples (1-D) or lines of pixels (2-D), each
+    width long. P is a flat read-only copy of them divided by 2**shift,
+    with before[0] zero lines above and before[1] zero elements in front
+    of each line, and zeros after, enough for a shape[0] x shape[1] window
+    at every position; a padded line is stride = width + shape[1] - 1
+    long. Row r of the walk starts at base(r) = (r // width) * stride +
+    r % width, the window's top left for the r-th value in raster order,
+    and its element j is P[base(r) + off[j]]: off lists the window's
+    positions in raster order (order 1) or reversed (order -1). n counts
+    the rows, one per value.
     """
-    H, W = img.height, img.width
-    cM, cN = (M - 1) // 2, (N - 1) // 2
-    padded = np.zeros((H + M - 1, W + N - 1))
-    padded[cM : cM + H, cN : cN + W] = img.pixels
-    np.ldexp(padded, -shift, out=padded)
-    rows = sliding_window_view(padded, (M, N)).reshape(H * W, M * N)
-    rows.setflags(write=False)
-    return rows
+    lines = values.reshape(-1, values.shape[-1])
+    H, W = lines.shape
+    M, N = shape
+    stride = W + N - 1
+    P = np.zeros((H + M - 1, stride))
+    P[before[0] : before[0] + H, before[1] : before[1] + W] = lines
+    np.ldexp(P, -shift, out=P)
+    P.setflags(write=False)
+    off = (np.arange(M)[:, None] * stride + np.arange(N)).ravel()[::order].copy()
+    return P.ravel(), off, W, stride, H * W
 
 
 def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:

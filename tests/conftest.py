@@ -49,6 +49,41 @@ def patch(g, r, c, M, N):
     return out
 
 
+def batch_kurtosis(samples) -> float:
+    """Raw-moment excess kurtosis mean(y^4)/mean(y^2)^2 - 3 (no demeaning)."""
+    y = np.asarray(samples, dtype=np.float64).ravel()
+    if y.size < 2:
+        raise DegenerateInputError(f"need at least 2 samples, got {y.size}")
+    y2 = y * y
+    m2 = y2.mean()
+    if m2 <= 0.0:
+        raise DegenerateInputError("zero-energy input")
+    return float((y2 * y2).mean() / (m2 * m2) - 3.0)
+
+
+def batch_gradient(y, windows) -> np.ndarray:
+    """Exact batch gradient of the raw-moment kurtosis w.r.t. the taps.
+
+        grad = 4*[E{y^2} E{y^3 x} - E{y^4} E{y x}] / E{y^2}^3
+
+    with every expectation a plain sample average over the batch; y[i] is
+    the filter output for regressor window windows[i]. Serves as the
+    oracle the online update rule is checked against.
+    """
+    yv = np.asarray(y, dtype=np.float64).ravel()
+    X = np.asarray(windows, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != yv.size:
+        raise ContractViolationError(f"windows shape {X.shape} does not match {yv.size} outputs")
+    y2 = yv * yv
+    m2 = y2.mean()
+    if m2 <= 0.0:
+        raise DegenerateInputError("zero-energy output batch")
+    m4 = (y2 * y2).mean()
+    ey3x = (yv * y2) @ X / yv.size
+    eyx = yv @ X / yv.size
+    return 4.0 * (m2 * ey3x - m4 * eyx) / m2**3
+
+
 class NearSingularMomentError(ArithmeticError):
     """Second-moment estimate is at or below M2_GUARD; the feedback value
     would blow up. Callers skip the corresponding filter update."""

@@ -22,8 +22,6 @@ from kurtdeconv import (
     apply_kernel,
     apply_taps,
     ar2_iir,
-    batch_gradient,
-    batch_kurtosis,
     echo_iir,
     fir_degrade,
     highpass_whiten,
@@ -39,6 +37,7 @@ from kurtdeconv import (
     true_inverse_taps,
     write_report_csv,
 )
+from conftest import batch_gradient, batch_kurtosis
 
 
 def _report(n, name):

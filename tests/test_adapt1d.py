@@ -15,11 +15,11 @@ from kurtdeconv import (
     DegradeSpec,
     DivergenceError,
     FilterTaps1D,
+    Image2D,
     Signal1D,
     SourceSpec,
     apply_degradation,
     ar2_iir,
-    batch_gradient,
     kurtosis_excess,
     kurtosis_surface,
     make_source,
@@ -30,7 +30,7 @@ from kurtdeconv import (
 from kurtdeconv import _native
 from kurtdeconv.adapt import TAP_LIMIT
 from kurtdeconv.signals import _rms_shift
-from conftest import MomentState, adapt_step, direct_surface, laplace_signal, oracle_adapt, window
+from conftest import MomentState, adapt_step, batch_gradient, direct_surface, laplace_signal, oracle_adapt, window
 
 
 def oracle_taps(x, cfg):
@@ -290,13 +290,15 @@ class TestEngines:
 
     @staticmethod
     def passes_agree(X, h, m, mu, beta, warmup, limit=TAP_LIMIT):
-        """The row, taps and moments one compiled adapt_pass leaves from h
-        and m, asserted equal to those of _python_pass (NaN equal to NaN)."""
+        """The row, taps and moments one compiled adapt_pass over the rows
+        of X leaves from h and m, asserted equal to those of _python_pass
+        (NaN equal to NaN). X is fed as a walk of width 1 and stride k."""
         assert _native.library() is not None
+        walk = (X.ravel(), np.arange(X.shape[1]), 1, X.shape[1], X.shape[0])
         runs = []
         for run in (_native.adapt_pass, _native._python_pass):
             taps, moments = h.copy(), m.copy()
-            runs.append((run(X, taps, moments, mu, beta, warmup, M2_GUARD, limit), taps, moments))
+            runs.append((run(*walk, taps, moments, mu, beta, warmup, M2_GUARD, limit), taps, moments))
         (row, taps, moments), (want_row, want_taps, want_moments) = runs
         assert row == want_row
         assert np.array_equal(taps, want_taps, equal_nan=True)
@@ -326,6 +328,52 @@ class TestEngines:
         X[row, 0] = spike
         got, taps, _ = self.passes_agree(X, np.array([1.0, 0.0, 0.0]), np.array([1.0, 3.0]), 1.0, 0.99, warmup, limit)
         assert got == row and not np.all(np.abs(taps) <= limit)
+
+
+# A 4-row walk over 12 elements whose last row reads P[9:12], and one
+# change per case that takes it outside P or breaks its types.
+BAD_WALKS = {
+    "P-float32": lambda w: dict(w, P=w["P"].astype(np.float32)),
+    "P-strided": lambda w: dict(w, P=np.repeat(w["P"], 2)[::2]),
+    "h-float32": lambda w: dict(w, h=w["h"].astype(np.float32)),
+    "h-strided": lambda w: dict(w, h=np.repeat(w["h"], 2)[::2]),
+    "m-short": lambda w: dict(w, m=w["m"][:1]),
+    "off-int32": lambda w: dict(w, off=w["off"].astype(np.int32)),
+    "off-reversed-view": lambda w: dict(w, off=np.arange(3)[::-1]),
+    "off-short": lambda w: dict(w, off=np.arange(2)),
+    "off-negative": lambda w: dict(w, off=np.array([-1, 0, 1])),
+    "width-zero": lambda w: dict(w, width=0),
+    "width-over-stride": lambda w: dict(w, width=4),
+    "one-past-the-end": lambda w: dict(w, off=np.array([0, 1, 3])),
+    "row-past-the-end": lambda w: dict(w, n=5),
+}
+
+
+class TestWalkGuard:
+    @staticmethod
+    def walk():
+        return dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=1, stride=3, n=4, h=np.array([1.0, 0.0, 0.0]), m=np.array([1.0, 3.0]))
+
+    @staticmethod
+    def run(w):
+        return _native.adapt_pass(w["P"], w["off"], w["width"], w["stride"], w["n"], w["h"], w["m"], 1e-3, 0.9, 0, M2_GUARD, TAP_LIMIT)
+
+    @pytest.fixture(params=["compiled", "python"])
+    def core(self, request):
+        if request.param == "python":
+            request.getfixturevalue("python_core")
+
+    def test_walk_inside_P_runs(self, core):
+        w = self.walk()
+        assert self.run(w) == -1 and not np.array_equal(w["h"], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("case", BAD_WALKS)
+    def test_walk_outside_P_or_mistyped_is_rejected(self, core, case):
+        w = BAD_WALKS[case](self.walk())
+        h, m = w["h"].copy(), w["m"].copy()
+        with pytest.raises(ContractViolationError):
+            self.run(w)
+        assert np.array_equal(w["h"], h) and np.array_equal(w["m"], m)
 
 
 class TestKernelBuild:
@@ -396,6 +444,10 @@ class TestKurtosisSurface:
         surf = kurtosis_surface(x, np.array([0.5]), np.array([0.4])).surface
         direct = abs(kurtosis_excess(lfilter([1.0, -0.5, -0.4], [1.0], x.samples)))
         assert surf[0, 0] == pytest.approx(direct, abs=1e-12)
+
+    def test_image_rejected(self):
+        with pytest.raises(ContractViolationError):
+            kurtosis_surface(Image2D(np.random.default_rng(0).random((8, 8))), [0.1], [0.2])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolationError):

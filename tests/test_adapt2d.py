@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -145,6 +147,20 @@ class TestRunAdapt2d:
     def test_image_smaller_than_kernel(self):
         with pytest.raises(DegenerateInputError):
             run_adapt(Image2D(np.ones((2, 8))), Adapt2dConfig(rows=3, cols=3))
+
+    def test_memory_is_one_padded_copy(self, rng):
+        # rows copied out of a 256^2 image for a 7x7 kernel would take 49
+        # times the image; the walk reads one padded copy, (256 + 6)^2 values
+        img = Image2D(rng.laplace(0.0, 1.0, (256, 256)))
+        cfg = Adapt2dConfig(rows=7, cols=7, mu=-1e-6, warmup=256, passes=1)
+        _native.library()
+        tracemalloc.start()
+        try:
+            run_adapt(img, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * img.pixels.nbytes
 
     def test_white_image_keeps_identity(self):
         rng = np.random.default_rng(42)

@@ -14,7 +14,7 @@ from kurtdeconv import (
     apply_kernel,
     apply_taps,
 )
-from kurtdeconv.signals import _patch_rows, _rms_shift, _tap_windows
+from kurtdeconv.signals import _rms_shift, _walk
 from conftest import patch, window
 
 
@@ -52,38 +52,67 @@ class TestContainers:
         assert len(FilterTaps1D([1.0, 0.0])) == 2
 
 
+def walk_rows(walk):
+    """Every row of a signals._walk, gathered as P[base(r) + off]."""
+    P, off, width, stride, n = walk
+    r = np.arange(n)[:, None]
+    return P[r // width * stride + r % width + off]
+
+
+def tap_walk(x1, L, shift):
+    """The walk of run_adapt over a Signal1D: L - 1 zeros in front, taps
+    reversed, so element k of row n reads sample n - k."""
+    return _walk(x1.samples, (1, L), (0, L - 1), -1, shift)
+
+
+def patch_walk(img, M, N, shift):
+    """The walk of run_adapt over an Image2D: centred M x N neighborhoods,
+    taps in raster order."""
+    return _walk(img.pixels, (M, N), (M // 2, N // 2), 1, shift)
+
+
 class TestWindowAt:
-    """Row n of the 1-D regressor matrix is the window at sample n."""
+    """Row n of the 1-D regressor walk is the window at sample n."""
 
     def test_direct_readoff(self):
-        assert _tap_windows(Signal1D([1, 2, 3]), 2, 0)[2].tolist() == [3, 2]
+        assert walk_rows(tap_walk(Signal1D([1, 2, 3]), 2, 0))[2].tolist() == [3, 2]
 
     def test_zero_prefix(self):
-        assert _tap_windows(Signal1D([5]), 3, 0)[0].tolist() == [5, 0, 0]
+        assert walk_rows(tap_walk(Signal1D([5]), 3, 0))[0].tolist() == [5, 0, 0]
 
     def test_constant_signal(self):
-        assert _tap_windows(Signal1D([1, 1, 1, 1]), 4, 0)[3].tolist() == [1, 1, 1, 1]
+        assert walk_rows(tap_walk(Signal1D([1, 1, 1, 1]), 4, 0))[3].tolist() == [1, 1, 1, 1]
 
     def test_read_only_view_one_row_per_sample(self):
-        # a copy would cost samples * L * 8 bytes; at L = 201 that is
-        # hundreds of MB for a few seconds of audio
-        X = _tap_windows(Signal1D(np.arange(1.0, 9.0)), 5, 0)
-        assert X.shape == (8, 5)
-        assert not X.flags.owndata and not X.flags.writeable
+        # rows copied out would cost samples * L * 8 bytes; at L = 201 that
+        # is hundreds of MB for a few seconds of audio. The walk holds one
+        # padded copy of the input, N + L - 1 elements, one row per sample.
+        x = np.arange(1.0, 9.0)
+        P, off, width, stride, n = tap_walk(Signal1D(x), 5, 0)
+        assert P.size == 8 + 5 - 1 and P.tolist() == [0.0] * 4 + x.tolist() and not P.flags.writeable
+        assert (off.tolist(), width, n) == ([4, 3, 2, 1, 0], 8, 8)
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=5))
     def test_shift_equivariance(self, k, L):
         # prepending k zeros and reading at n+k gives the same window once
         # the window no longer touches the padding
         x = np.arange(1.0, 9.0)
-        shifted = _tap_windows(Signal1D(np.concatenate((np.zeros(k), x))), L, 0)
-        base = _tap_windows(Signal1D(x), L, 0)
+        shifted = walk_rows(tap_walk(Signal1D(np.concatenate((np.zeros(k), x))), L, 0))
+        base = walk_rows(tap_walk(Signal1D(x), L, 0))
         for n in range(L - 1, x.size):
             assert base[n].tolist() == shifted[n + k].tolist()
 
     def test_round_trip_element_zero(self):
         x = np.array([3.0, -1.0, 4.0, 1.0, -5.0])
-        assert _tap_windows(Signal1D(x), 3, 0)[:, 0].tolist() == x.tolist()
+        assert walk_rows(tap_walk(Signal1D(x), 3, 0))[:, 0].tolist() == x.tolist()
+
+    @pytest.mark.parametrize("L", [1, 2, 5, 17])
+    def test_rows_match_windows(self, rng, L):
+        x = rng.standard_normal(12)
+        rows = walk_rows(tap_walk(Signal1D(x), L, 0))
+        assert rows.shape == (12, L)
+        for n in range(12):
+            assert np.array_equal(rows[n], window(x, n, L))
 
 
 class TestRmsShift:
@@ -93,22 +122,22 @@ class TestRmsShift:
 
 
 class TestPatchAt:
-    """Row r*W + c of the 2-D regressor matrix is the flattened patch at
+    """Row r*W + c of the 2-D regressor walk is the flattened patch at
     pixel (r, c)."""
 
     def test_constant_interior(self):
         img = Image2D(np.full((3, 3), 7.0))
-        assert _patch_rows(img, 3, 3, 0)[4].tolist() == np.full(9, 7.0).tolist()
+        assert walk_rows(patch_walk(img, 3, 3, 0))[4].tolist() == np.full(9, 7.0).tolist()
 
     def test_corner_zero_padding(self):
         img = Image2D(np.arange(9.0).reshape(3, 3))
-        p = _patch_rows(img, 3, 3, 0)[0].reshape(3, 3)
+        p = walk_rows(patch_walk(img, 3, 3, 0))[0].reshape(3, 3)
         assert np.all(p[0, :] == 0.0) and np.all(p[:, 0] == 0.0)
         assert p[1, 1] == img.pixels[0, 0]
 
     def test_single_pixel(self):
         img = Image2D(np.arange(6.0).reshape(2, 3))
-        assert _patch_rows(img, 1, 1, 0)[1 * 3 + 2, 0] == 5.0
+        assert walk_rows(patch_walk(img, 1, 1, 0))[1 * 3 + 2, 0] == 5.0
 
     def test_even_dims_rejected(self):
         # patch dimensions reach the builder only through Adapt2dConfig
@@ -117,18 +146,28 @@ class TestPatchAt:
 
     def test_constant_image_constant_patches(self):
         img = Image2D(np.full((5, 5), 2.5))
-        rows = _patch_rows(img, 3, 3, 0)
+        rows = walk_rows(patch_walk(img, 3, 3, 0))
         for r in range(1, 4):
             for c in range(1, 4):
                 assert np.all(rows[r * 5 + c] == 2.5)
 
     def test_rows_match_patches_in_raster_order(self, rng):
         g = rng.standard_normal((4, 6))
-        rows = _patch_rows(Image2D(g), 3, 5, 0)
-        assert rows.shape == (24, 15) and not rows.flags.writeable
+        walk = patch_walk(Image2D(g), 3, 5, 0)
+        rows = walk_rows(walk)
+        assert rows.shape == (24, 15) and not walk[0].flags.writeable
         for r in range(4):
             for c in range(6):
                 assert np.array_equal(rows[r * 6 + c], patch(g, r, c, 3, 5).ravel())
+
+    @pytest.mark.parametrize("M, N", [(3, 5), (5, 3), (1, 7), (7, 7)])
+    def test_one_padded_copy(self, rng, M, N):
+        # (H + M - 1) * (W + N - 1) elements, whatever the kernel size
+        g = rng.standard_normal((7, 9))
+        P, off, width, stride, n = patch_walk(Image2D(g), M, N, 0)
+        assert P.size == (7 + M - 1) * (9 + N - 1) and (width, stride, n) == (9, 9 + N - 1, 63)
+        assert np.array_equal(P.reshape(-1, stride)[M // 2 : M // 2 + 7, N // 2 : N // 2 + 9], g)
+        assert np.count_nonzero(P) == np.count_nonzero(g)
 
 
 class TestApply:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
-from kurtdeconv import DegenerateInputError, batch_gradient, batch_kurtosis, init_moments, kurtosis_excess
-from conftest import MomentState, NearSingularMomentError, feedback, laplace_signal, update_moments
+from kurtdeconv import DegenerateInputError, init_moments, kurtosis_excess
+from conftest import MomentState, NearSingularMomentError, batch_gradient, batch_kurtosis, feedback, laplace_signal, update_moments
 
 
 class TestKurtosisExcess:
