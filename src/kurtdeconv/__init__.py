@@ -19,13 +19,8 @@ from .adapt import (
 from .degrade import (
     DegradeSpec,
     apply_degradation,
-    ar2_iir,
-    echo_iir,
-    fir_degrade,
-    image_iir,
     stability_check,
-    true_inverse_kernel,
-    true_inverse_taps,
+    true_inverse,
 )
 from .errors import (
     ContractViolationError,

@@ -26,7 +26,7 @@ from .errors import ContractViolationError, DivergenceError, FormatError, Kurtde
 from .experiment import SourceSpec, _build, load_config, make_source, run_experiment, write_report_csv
 from .fileio import is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
 from .metrics import _flat, aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
-from .signals import _apply, _array
+from .signals import Image2D, Signal1D, _apply, _array
 from .stats import kurtosis_excess
 from .whitening import WHITEN_KINDS, WhitenSpec, whiten
 
@@ -46,7 +46,10 @@ def _given(args, *names) -> dict:
 
 
 def _write_any(path: str, data) -> None:
-    if is_image_path(path):
+    image = is_image_path(path)
+    if not isinstance(data, Image2D if image else Signal1D):
+        raise ContractViolationError(f"{path} takes {'an image' if image else 'a signal'}, got {type(data).__name__}")
+    if image:
         write_image(path, rescale_unit(data))
     else:
         clipped = write_wav(path, data)
@@ -102,9 +105,9 @@ def _cmd_deconv(args) -> int:
     # reading the trace filters the whitened input once per pass; any error
     # of that filtering comes before a file is written
     print(f"final kurtosis {result.final_kurtosis:.4f}; trace {[round(k, 4) for k in result.kurtosis_trace]}")
+    _write_any(args.output, restored)
     with open(args.filter_out, "w", encoding="ascii") as fh:
         fh.write(dump + "\n")
-    _write_any(args.output, restored)
     print(f"filter written to {args.filter_out}")
     return 0
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._native import allpole, image_allpole
 from .errors import ContractViolationError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _fir
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _fir, _origin
 
 # Where each kind's identified parameters sit in its analytic inverse,
 # {name: (position, sign)}: the parameter is sign times the coefficient at
@@ -42,7 +42,7 @@ class DegradeSpec:
     For echo_iir, ``delay`` is the echo spacing D; every other kind takes
     the default 1. a3 is meaningful only for image_iir3. The 1-D recursive
     kinds must satisfy the stability triangle. The image kinds are only
-    checked at run time, by the peak guard of image_iir, because the
+    checked at run time, by the peak guard of apply_degradation, because the
     conservative 2-D bound excludes parameter sets that are still usable in
     practice.
     """
@@ -71,52 +71,35 @@ class DegradeSpec:
             raise ContractViolationError(f"a3 is only meaningful for image_iir3, got {self.a3}")
 
 
-def echo_iir(s: Signal1D, a1: float, a2: float, delay: int) -> Signal1D:
-    """x(n) = a1 x(n-D) + a2 x(n-2D) + s(n), zero initial state."""
-    if delay < 1:
-        raise ContractViolationError(f"delay must be >= 1, got {delay}")
-    if not stability_check(a1, a2):
-        raise ContractViolationError(f"({a1}, {a2}) lies outside the stability triangle")
-    return Signal1D(allpole(s.samples, (2 * delay, delay), (a2, a1)), sample_rate=s.sample_rate)
+def apply_degradation(spec: DegradeSpec, source):
+    """Run the degradation spec describes, with zero initial and boundary
+    state, on a Signal1D for a 1-D kind or an Image2D for an image kind;
+    any other source is a ContractViolationError.
 
+    echo_iir:   x(n) = a1 x(n-D) + a2 x(n-2D) + s(n)
+    ar2_iir:    x(n) = a1 x(n-1) + a2 x(n-2) + s(n), echo_iir at D = 1
+    fir2:       x(n) = s(n) + (a1+a2) s(n-1) + a1 a2 s(n-2), the FIR (1 + a1 z^-1)(1 + a2 z^-1)
+    image_iir3: g(x,y) = a1 g(x-1,y) + a2 g(x,y-1) + a3 g(x-1,y-1) + f(x,y) in raster order;
+                image_iir2 is the same with a3 = 0
 
-def ar2_iir(s: Signal1D, a1: float, a2: float) -> Signal1D:
-    """x(n) = a1 x(n-1) + a2 x(n-2) + s(n), zero initial state."""
-    return echo_iir(s, a1, a2, 1)
-
-
-def fir_degrade(s: Signal1D, a1: float, a2: float) -> Signal1D:
-    """FIR degradation with taps [1, a1+a2, a1*a2] = (1 + a1 z^-1)(1 + a2 z^-1)."""
-    if not (abs(a1) < 1.0 and abs(a2) < 1.0):
-        raise ContractViolationError("need |a1| < 1 and |a2| < 1 so the IIR inverse decays")
-    return Signal1D(_fir(np.array([1.0, a1 + a2, a1 * a2]), s.samples), sample_rate=s.sample_rate)
-
-
-def image_iir(img: Image2D, a1: float, a2: float, a3: float = 0.0) -> Image2D:
-    """g(x,y) = a1 g(x-1,y) + a2 g(x,y-1) + a3 g(x-1,y-1) + f(x,y).
-
-    Raster-order causal recursion with zero boundary. |a1|+|a2|+|a3| < 1
-    is a conservative sufficient bound for a bounded recursion, but some
-    sets outside it are bounded in practice: every set runs, and an output
-    that overflows or peaks above 1e9 raises DivergenceError.
+    |a1|+|a2|+|a3| < 1 is a conservative sufficient bound for a bounded
+    image recursion, but some sets outside it are bounded in practice:
+    every set runs, and an output that overflows or peaks above 1e9 raises
+    DivergenceError.
     """
-    g = image_allpole(img.pixels, a1, a2, a3)
+    image = spec.kind.startswith("image_")
+    if not isinstance(source, Image2D if image else Signal1D):
+        raise ContractViolationError(f"{spec.kind} degrades {'an Image2D' if image else 'a Signal1D'}, got {type(source).__name__}")
+    if spec.kind == "fir2":
+        return Signal1D(_fir(np.array([1.0, spec.a1 + spec.a2, spec.a1 * spec.a2]), source.samples), sample_rate=source.sample_rate)
+    if not image:
+        return Signal1D(allpole(source.samples, (2 * spec.delay, spec.delay), (spec.a2, spec.a1)), sample_rate=source.sample_rate)
+    g = image_allpole(source.pixels, spec.a1, spec.a2, spec.a3)
     peak = float(np.max(np.abs(g)))
     # negated form so NaN output also trips the guard
     if not peak <= 1e9:
         raise DivergenceError(f"degraded image peak {peak:g} indicates an unstable 2-D recursion")
     return Image2D(g)
-
-
-def apply_degradation(spec: DegradeSpec, source):
-    """Run the degradation a spec describes on a Signal1D or Image2D."""
-    if spec.kind == "echo_iir":
-        return echo_iir(source, spec.a1, spec.a2, spec.delay)
-    if spec.kind == "ar2_iir":
-        return ar2_iir(source, spec.a1, spec.a2)
-    if spec.kind == "fir2":
-        return fir_degrade(source, spec.a1, spec.a2)
-    return image_iir(source, spec.a1, spec.a2, spec.a3)
 
 
 def _slots(spec: DegradeSpec) -> dict[str, tuple]:
@@ -126,46 +109,32 @@ def _slots(spec: DegradeSpec) -> dict[str, tuple]:
     return {name: (pos * spec.delay, sign) for name, (pos, sign) in _SLOTS[spec.kind].items()}
 
 
-def true_inverse_taps(spec: DegradeSpec, L: int) -> FilterTaps1D:
-    """Analytic inverse filter of a 1-D spec, truncated/padded to L taps.
+def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | Kernel2D:
+    """The analytic inverse of spec: a 3x3 Kernel2D for an image kind, else
+    FilterTaps1D of taps length, by default the fewest that hold every slot.
 
-    Tap 0 is 1 and each parameter sits at its slot; fir2's inverse is the
-    power series (impulse response) of 1 / (1 + (a1+a2) z^-1 + a1 a2 z^-2),
-    which converges because both roots -a1, -a2 lie inside the unit circle.
+    The unit coefficient sits at the origin (tap 0, the kernel center) and
+    each parameter at its slot: correlating with an image inverse computes
+    g(x,y) - a1 g(x-1,y) - a2 g(x,y-1) - a3 g(x-1,y-1). fir2's inverse is
+    the power series (impulse response) of 1 / (1 + (a1+a2) z^-1 + a1 a2
+    z^-2), which converges because both roots -a1, -a2 lie inside the unit
+    circle.
     """
-    if spec.kind.startswith("image_"):
-        raise ContractViolationError(f"{spec.kind} has no 1-D inverse filter")
     slots = _slots(spec)
-    need = 1 + max(pos for pos, _ in slots.values())
-    if L < need:
-        raise ContractViolationError(f"{spec.kind} inverse needs L >= {need}")
-    h = np.zeros(L)
-    h[0] = 1.0
+    if spec.kind.startswith("image_"):
+        if taps is not None:
+            raise ContractViolationError(f"{spec.kind} has a 3x3 inverse kernel, not {taps} taps")
+        h = np.zeros((3, 3))
+    else:
+        need = 1 + max(pos for pos, _ in slots.values())
+        taps = need if taps is None else taps
+        if taps < need:
+            raise ContractViolationError(f"{spec.kind} inverse needs at least {need} taps, got {taps}")
+        h = np.zeros(taps)
+    origin = _origin(h)
+    h[origin] = 1.0
     if spec.kind == "fir2":
         return FilterTaps1D(allpole(h, (2, 1), (-(spec.a1 * spec.a2), -(spec.a1 + spec.a2))))
     for name, (pos, sign) in slots.items():
-        h[pos] = sign * getattr(spec, name)
-    return FilterTaps1D(h)
-
-
-def true_inverse_kernel(spec: DegradeSpec) -> Kernel2D:
-    """Analytic 3x3 inverse kernel of an image spec.
-
-    Correlating with it computes g(x,y) - a1 g(x-1,y) - a2 g(x,y-1)
-    - a3 g(x-1,y-1): the 1 sits at the center, -a1 directly above it,
-    -a2 directly left, -a3 on the upper-left diagonal.
-    """
-    if not spec.kind.startswith("image_"):
-        raise ContractViolationError(f"{spec.kind} has no 2-D inverse kernel")
-    w = np.zeros((3, 3))
-    w[1, 1] = 1.0
-    for name, ((dr, dc), sign) in _SLOTS[spec.kind].items():
-        w[1 + dr, 1 + dc] = sign * getattr(spec, name)
-    return Kernel2D(w)
-
-
-def _true_inverse(spec: DegradeSpec):
-    """The analytic inverse of spec at the smallest size holding its slots."""
-    if spec.kind.startswith("image_"):
-        return true_inverse_kernel(spec)
-    return true_inverse_taps(spec, 1 + max(pos for pos, _ in _slots(spec).values()))
+        h[tuple(np.add(origin, pos))] = sign * getattr(spec, name)
+    return Kernel2D(h) if h.ndim == 2 else FilterTaps1D(h)

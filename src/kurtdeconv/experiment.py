@@ -255,13 +255,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     x1 = whiten(x, cfg.whiten)
     # The inverse is identified on the whitened domain but, because the
     # whitener and the degradation are both LTI, it restores the raw
-    # observation directly. Unwhitened, the adaptation's own output is that
-    # restoration.
+    # observation directly.
     result = run_adapt(x1, cfg.adapt)
     estimate = result.filter
-    s_est = result.output if x1 is x else _apply(x, estimate)
-    kurt_source, kurt_degraded = (kurtosis_excess(_array(v)) for v in (s, x))
-    kurt_restored = result.final_kurtosis if x1 is x else kurtosis_excess(_array(s_est))
+    s_est = _apply(x, estimate)
+    kurt_source, kurt_degraded, kurt_restored = (kurtosis_excess(_array(v)) for v in (s, x, s_est))
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
         mode=f"{_array(s).ndim}d",

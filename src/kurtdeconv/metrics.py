@@ -11,9 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .degrade import DegradeSpec, _slots, _true_inverse
+from .degrade import DegradeSpec, _slots, true_inverse
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _origin
 
 
 def _flat(values) -> np.ndarray:
@@ -91,7 +91,7 @@ def normalize_kernel(kernel: Kernel2D) -> Kernel2D:
     peak = w[r, c]
     if peak == 0.0:
         raise DegenerateInputError("all-zero kernel cannot be normalized")
-    centered = np.roll(w / peak, ((kernel.rows - 1) // 2 - r, (kernel.cols - 1) // 2 - c), axis=(0, 1))
+    centered = np.roll(w / peak, tuple(np.subtract(_origin(w), (r, c))), axis=(0, 1))
     return Kernel2D(centered)
 
 
@@ -99,12 +99,10 @@ def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
     """Read identified parameters off an estimated filter: sign times the
     coefficient at each parameter slot of the analytic inverse, divided by
     the unit coefficient, tap 0 of taps or the center of a kernel."""
-    if isinstance(estimated, FilterTaps1D):
-        coeffs, origin = estimated.taps, (0,)
-    elif isinstance(estimated, Kernel2D):
-        coeffs, origin = estimated.weights, ((estimated.rows - 1) // 2, (estimated.cols - 1) // 2)
-    else:
+    if not isinstance(estimated, (FilterTaps1D, Kernel2D)):
         raise ContractViolationError(f"unsupported estimate type {type(estimated).__name__}")
+    coeffs = _array(estimated)
+    origin = _origin(coeffs)
     unit = coeffs[origin]
     if unit == 0.0:
         raise DegenerateInputError("a filter whose unit coefficient is 0 cannot be scaled")
@@ -119,7 +117,7 @@ def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
 
 def true_parameters(spec: DegradeSpec) -> dict[str, float]:
     """Identification targets: the parameter slots of the analytic inverse."""
-    return extract_parameters(spec, _true_inverse(spec))
+    return extract_parameters(spec, true_inverse(spec))
 
 
 def parameter_error(spec: DegradeSpec, estimated) -> dict[str, float]:

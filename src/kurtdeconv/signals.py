@@ -177,6 +177,12 @@ def _array(container) -> np.ndarray:
     return container.weights
 
 
+def _origin(coeffs: np.ndarray) -> tuple[int, ...]:
+    """Where a filter's unit coefficient sits: tap 0 of taps, the center
+    of a kernel's (odd-sized) weights."""
+    return (0,) if coeffs.ndim == 1 else tuple(n // 2 for n in coeffs.shape)
+
+
 def _apply(x, f):
     """x filtered by f: apply_taps for FilterTaps1D, apply_kernel for Kernel2D."""
     return apply_kernel(x, f) if isinstance(f, Kernel2D) else apply_taps(x, f)

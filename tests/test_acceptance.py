@@ -21,20 +21,15 @@ from kurtdeconv import (
     apply_degradation,
     apply_kernel,
     apply_taps,
-    ar2_iir,
-    echo_iir,
-    fir_degrade,
     highpass_whiten,
     highpass_whiten_2d,
-    image_iir,
     kurtosis_excess,
     kurtosis_surface,
     make_source,
     normalize_taps,
     normalized_correlation,
     run_experiment,
-    true_inverse_kernel,
-    true_inverse_taps,
+    true_inverse,
     write_report_csv,
 )
 from conftest import batch_gradient, batch_kurtosis
@@ -79,7 +74,7 @@ def test_c02_gradient_vs_finite_differences():
 def test_c03_gaussianization_ten_seeds():
     for seed in range(10):
         s = np.random.default_rng(200 + seed).uniform(-1.0, 1.0, 100_000)
-        x = ar2_iir(Signal1D(s), 0.6, -0.3).samples
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.6, -0.3), Signal1D(s)).samples
         ks, kx = kurtosis_excess(s), kurtosis_excess(x)
         assert abs(kx) < 0.9 * abs(ks), f"seed {seed}: |{kx:.3f}| not 10% under |{ks:.3f}|"
     _report(3, "degradation gaussianizes (10 seeds)")
@@ -90,7 +85,7 @@ def test_c04_surface_argmax():
     grid = np.linspace(-1.0, 1.0, 41)
     for a1, a2 in [(0.6, -0.3), (0.5, 0.4)]:
         s = Signal1D(np.random.default_rng(104).laplace(0.0, 1.0 / np.sqrt(2.0), 100_000))
-        x = ar2_iir(s, a1, a2)
+        x = apply_degradation(DegradeSpec("ar2_iir", a1, a2), s)
         result = kurtosis_surface(x, grid, grid)
         assert result.argmax[0] == pytest.approx(a1, abs=0.05 + 1e-9)
         assert result.argmax[1] == pytest.approx(a2, abs=0.05 + 1e-9)
@@ -204,16 +199,17 @@ def test_c10_exact_inverse_oracles():
         rng = np.random.default_rng(300 + seed)
         s = Signal1D(rng.standard_normal(1000))
 
-        x = ar2_iir(s, 0.6, 0.3)
-        back = apply_taps(x, true_inverse_taps(DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3), 3))
+        spec = DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3)
+        x = apply_degradation(spec, s)
+        back = apply_taps(x, true_inverse(spec, 3))
         assert np.max(np.abs(back.samples - s.samples)) < 1e-10
 
         spec = DegradeSpec(kind="echo_iir", a1=-0.6, a2=0.3, delay=7)
-        x = echo_iir(s, -0.6, 0.3, 7)
-        back = apply_taps(x, true_inverse_taps(spec, 15))
+        x = apply_degradation(spec, s)
+        back = apply_taps(x, true_inverse(spec, 15))
         assert np.max(np.abs(back.samples - s.samples)) < 1e-10
 
-        x = fir_degrade(s, 0.5, 0.2)
+        x = apply_degradation(DegradeSpec("fir2", 0.5, 0.2), s)
         back = lfilter([1.0], [1.0, 0.7, 0.1], x.samples)  # exact IIR inverse
         assert np.max(np.abs(back - s.samples)) < 1e-10
 
@@ -225,7 +221,7 @@ def test_c10_exact_inverse_oracles():
         ):
             g = apply_degradation(spec, img)
             assert np.isfinite(g.pixels).all()
-            back = apply_kernel(g, true_inverse_kernel(spec))
+            back = apply_kernel(g, true_inverse(spec))
             assert np.max(np.abs(back.pixels - img.pixels)) < 1e-10
     _report(10, "degrade/inverse round trips at machine precision (10 seeds)")
 
@@ -248,18 +244,19 @@ def test_c11_deterministic_reports(tmp_path):
 def test_c12_whitening_commutes_with_degradation():
     rng = np.random.default_rng(112)
     s = Signal1D(rng.standard_normal(10_000))
-    for degrade in (
-        lambda sig: ar2_iir(sig, 0.6, 0.3),
-        lambda sig: echo_iir(sig, -0.6, 0.3, 5),
-        lambda sig: fir_degrade(sig, 0.5, 0.2),
+    for spec in (
+        DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3),
+        DegradeSpec(kind="echo_iir", a1=-0.6, a2=0.3, delay=5),
+        DegradeSpec(kind="fir2", a1=0.5, a2=0.2),
     ):
-        a = highpass_whiten(degrade(s)).samples
-        b = degrade(highpass_whiten(s)).samples
+        a = highpass_whiten(apply_degradation(spec, s)).samples
+        b = apply_degradation(spec, highpass_whiten(s)).samples
         assert np.max(np.abs(a - b)) < 1e-9
 
     img = Image2D(rng.standard_normal((64, 64)))
     for a1, a2, a3 in [(0.5, 0.4, 0.0), (0.3, 0.2, 0.1)]:
-        a = highpass_whiten_2d(image_iir(img, a1, a2, a3)).pixels
-        b = image_iir(highpass_whiten_2d(img), a1, a2, a3).pixels
+        spec = DegradeSpec(kind="image_iir3", a1=a1, a2=a2, a3=a3)
+        a = highpass_whiten_2d(apply_degradation(spec, img)).pixels
+        b = apply_degradation(spec, highpass_whiten_2d(img)).pixels
         assert np.max(np.abs(a - b)) < 1e-9
     _report(12, "difference whitening commutes with LTI degradation")

@@ -19,7 +19,6 @@ from kurtdeconv import (
     Signal1D,
     SourceSpec,
     apply_degradation,
-    ar2_iir,
     kurtosis_excess,
     kurtosis_surface,
     make_source,
@@ -82,7 +81,7 @@ GAIN_CFG = AdaptConfig(taps=3, mu=3e-5, beta=0.99, warmup=64, passes=2)
 
 
 def ar2_observation():
-    return ar2_iir(Signal1D(laplace_signal(36, 2000)), 0.6, 0.3).samples
+    return apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), Signal1D(laplace_signal(36, 2000))).samples
 
 
 @functools.cache
@@ -128,7 +127,7 @@ class TestRunAdapt:
     def test_recovers_ar2_parameters(self):
         # i.i.d. super-gaussian source, so no whitening is needed
         s = Signal1D(laplace_signal(33, 100_000))
-        x = ar2_iir(s, 0.6, 0.3)
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), s)
         res = run_adapt(x, AdaptConfig(taps=3, mu=3e-6, beta=0.999, warmup=2000, passes=3))
         err = parameter_error(DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3), res.filter)
         assert max(err.values()) <= 0.1
@@ -139,7 +138,7 @@ class TestRunAdapt:
         # test_recovers_ar2_parameters behind leading silence: a warm-up
         # that is half signal still recovers, an all-silent one used to
         # adapt from zero moments to a wrong filter (worst error 0.54)
-        x = ar2_iir(Signal1D(laplace_signal(33, 100_000)), 0.6, 0.3)
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), Signal1D(laplace_signal(33, 100_000)))
         x = Signal1D(np.concatenate((np.zeros(zeros), x.samples)))
         cfg = AdaptConfig(taps=3, mu=3e-6, beta=0.999, warmup=2000, passes=3)
         if zeros >= cfg.warmup:
@@ -151,7 +150,7 @@ class TestRunAdapt:
 
     def test_wrong_mu_sign_degrades_or_diverges(self):
         s = Signal1D(laplace_signal(33, 100_000))
-        x = ar2_iir(s, 0.6, 0.3)
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), s)
         try:
             res = run_adapt(x, AdaptConfig(taps=3, mu=-3e-6, beta=0.999, warmup=2000, passes=3))
         except DivergenceError:
@@ -195,7 +194,7 @@ class TestRunAdapt:
 
     def test_online_direction_matches_batch_gradient(self):
         # frozen taps, EWMA moments in their converged regime
-        x1 = ar2_iir(Signal1D(laplace_signal(3, 100_000)), 0.6, 0.3).samples
+        x1 = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), Signal1D(laplace_signal(3, 100_000))).samples
         h = np.array([1.0, -0.3, -0.1])
         n = x1.size
         wins = np.zeros((n, 3))
@@ -418,7 +417,7 @@ class TestKernelBuild:
 class TestKurtosisSurface:
     def test_argmax_at_true_parameters(self):
         s = Signal1D(laplace_signal(36, 100_000))
-        x = ar2_iir(s, 0.6, -0.3)
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.6, -0.3), s)
         grid = np.linspace(-1.0, 1.0, 41)
         result = kurtosis_surface(x, grid, grid)
         assert result.argmax[0] == pytest.approx(0.6, abs=0.05 + 1e-9)
@@ -433,14 +432,14 @@ class TestKurtosisSurface:
 
     def test_true_cell_beats_origin(self):
         s = Signal1D(laplace_signal(38, 50_000))
-        x = ar2_iir(s, 0.5, 0.4)
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.5, 0.4), s)
         grid = np.array([0.0, 0.5])
         grid2 = np.array([0.0, 0.4])
         surf = kurtosis_surface(x, grid, grid2).surface
         assert surf[1, 1] >= surf[0, 0]
 
     def test_matches_direct_evaluation(self):
-        x = ar2_iir(Signal1D(laplace_signal(39, 20_000)), 0.5, 0.4)
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.5, 0.4), Signal1D(laplace_signal(39, 20_000)))
         surf = kurtosis_surface(x, np.array([0.5]), np.array([0.4])).surface
         direct = abs(kurtosis_excess(lfilter([1.0, -0.5, -0.4], [1.0], x.samples)))
         assert surf[0, 0] == pytest.approx(direct, abs=1e-12)
@@ -471,7 +470,7 @@ class TestKurtosisSurface:
         if shape == "cumsum":
             x = np.cumsum(x)
         elif shape == "ar2":
-            x = ar2_iir(Signal1D(x), 0.6, 0.3).samples
+            x = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), Signal1D(x)).samples
         self.assert_matches_direct(10.0**log_gain * (x + dc), grid_a1, grid_a2)
 
     @staticmethod

@@ -12,9 +12,9 @@ from kurtdeconv import (
     DivergenceError,
     Image2D,
     Signal1D,
+    apply_degradation,
     apply_kernel,
     highpass_whiten_2d,
-    image_iir,
     kurtosis_excess,
     normalize_kernel,
     parameter_error,
@@ -133,7 +133,7 @@ class TestRunAdapt2d:
         # warm-up inside it has no moments to start from
         img = integrated_uniform_image(46, (64, 64)).pixels.copy()
         img[:32] = 0.0
-        d = highpass_whiten_2d(image_iir(Image2D(img), 0.5, 0.4))
+        d = highpass_whiten_2d(apply_degradation(DegradeSpec("image_iir2", 0.5, 0.4), Image2D(img)))
         assert not d.pixels[:32].any()
         with pytest.raises(DegenerateInputError, match="warm-up"):
             run_adapt(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=1024, passes=1))
@@ -174,7 +174,7 @@ class TestRunAdapt2d:
     def test_recovers_two_parameter_blur(self):
         spec = DegradeSpec(kind="image_iir2", a1=0.5, a2=0.4)
         img = integrated_uniform_image(43, (128, 128))
-        g = image_iir(img, 0.5, 0.4)
+        g = apply_degradation(DegradeSpec("image_iir2", 0.5, 0.4), img)
         d = highpass_whiten_2d(g)
         res = run_adapt(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
         err = parameter_error(spec, res.filter)
@@ -182,7 +182,7 @@ class TestRunAdapt2d:
 
     def test_restored_less_gaussian_than_degraded(self):
         img = integrated_uniform_image(44, (128, 128))
-        g = image_iir(img, 0.5, 0.4)
+        g = apply_degradation(DegradeSpec("image_iir2", 0.5, 0.4), img)
         d = highpass_whiten_2d(g)
         res = run_adapt(d, Adapt2dConfig(rows=3, cols=3, mu=-1e-3, beta=0.999, warmup=2000, passes=10))
         assert abs(res.final_kurtosis) > abs(kurtosis_excess(d.pixels))

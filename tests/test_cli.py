@@ -54,9 +54,9 @@ def test_whiten_roundtrip(tmp_path, source_wav):
 
 def test_sweep_outputs_argmax(tmp_path, capsys):
     src = tmp_path / "x.wav"
-    from kurtdeconv import ar2_iir
+    from kurtdeconv import DegradeSpec, apply_degradation
 
-    sig = ar2_iir(Signal1D(0.02 * laplace_signal(51, 50_000)), 0.5, 0.3)
+    sig = apply_degradation(DegradeSpec("ar2_iir", 0.5, 0.3), Signal1D(0.02 * laplace_signal(51, 50_000)))
     write_wav(src, sig)
     out = tmp_path / "surface.csv"
     rc = main(["sweep", str(src), str(out), "--a1-range", "0.0", "0.75", "4", "--a2-range", "0.0", "0.45", "4"])
@@ -120,6 +120,23 @@ def test_exit_codes(tmp_path):
     assert main(["experiment", str(cfg)]) == 1
     assert main(["degrade", "synthetic:laplace", str(tmp_path / "x.wav"), "--kind", "ar2_iir", "--a1", "0.5",
                  "--length", "100", "--seed", "-1"]) == 1
+    # a source of the other dimension than the kind, or data of the other
+    # dimension than the output's extension, is a contract violation, and
+    # no file is written
+    pgm = tmp_path / "s.pgm"
+    write_image(pgm, Image2D(np.random.default_rng(54).random((8, 8))))
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (
+        ["degrade", str(pgm), str(out / "o.pgm"), "--kind", "ar2_iir", "--a1", "0.5"],
+        ["degrade", str(src), str(out / "o.wav"), "--kind", "image_iir2", "--a1", "0.5"],
+        ["degrade", "synthetic:laplace", str(out / "o.wav"), "--kind", "fir2", "--height", "8", "--width", "8", "--seed", "1"],
+        ["degrade", str(pgm), str(out / "o.wav"), "--kind", "image_iir2", "--a1", "0.5"],
+        ["whiten", str(src), str(out / "o.pgm")],
+        ["deconv", str(src), str(out / "o.pgm"), "--filter-out", str(out / "f.txt"), "--taps", "3", "--mu", "3e-6", "--warmup", "16"],
+    ):
+        assert main(argv) == 1
+        assert not any(out.iterdir())
 
 
 def test_degrade_synthetic_source(tmp_path):

@@ -12,17 +12,12 @@ from kurtdeconv import (
     DivergenceError,
     Image2D,
     Signal1D,
+    apply_degradation,
     apply_kernel,
     apply_taps,
-    ar2_iir,
-    echo_iir,
-    fir_degrade,
-    apply_degradation,
-    image_iir,
     kurtosis_excess,
     stability_check,
-    true_inverse_kernel,
-    true_inverse_taps,
+    true_inverse,
 )
 from kurtdeconv import _native
 from kurtdeconv._native import allpole
@@ -31,11 +26,11 @@ from conftest import laplace_signal
 
 
 def fir2_inverse(a1, a2, L):
-    return true_inverse_taps(DegradeSpec(kind="fir2", a1=a1, a2=a2), L)
+    return true_inverse(DegradeSpec(kind="fir2", a1=a1, a2=a2), L)
 
 
 def image_inverse(a1, a2, a3=0.0):
-    return true_inverse_kernel(DegradeSpec(kind="image_iir3" if a3 else "image_iir2", a1=a1, a2=a2, a3=a3))
+    return true_inverse(DegradeSpec(kind="image_iir3" if a3 else "image_iir2", a1=a1, a2=a2, a3=a3))
 
 
 class TestStability:
@@ -75,40 +70,41 @@ class TestDegradeSpec:
 class TestEchoIir:
     def test_identity(self, rng):
         s = Signal1D(rng.standard_normal(100))
-        assert np.array_equal(echo_iir(s, 0.0, 0.0, 5).samples, s.samples)
+        assert np.array_equal(apply_degradation(DegradeSpec("echo_iir", 0.0, 0.0, delay=5), s).samples, s.samples)
 
     def test_geometric_echo(self):
         impulse = Signal1D([1.0] + [0.0] * 7)
-        x = echo_iir(impulse, 0.5, 0.0, 2).samples
+        x = apply_degradation(DegradeSpec("echo_iir", 0.5, 0.0, delay=2), impulse).samples
         assert np.allclose(x, [1, 0, 0.5, 0, 0.25, 0, 0.125, 0], atol=1e-14)
 
     def test_gaussianizes_speechlike_source(self):
         s = Signal1D(laplace_signal(21, 100_000))
-        x = echo_iir(s, -0.6, 0.3, 100)
+        x = apply_degradation(DegradeSpec("echo_iir", -0.6, 0.3, delay=100), s)
         assert abs(kurtosis_excess(x.samples)) < abs(kurtosis_excess(s.samples))
 
     def test_unstable_rejected(self):
         with pytest.raises(ContractViolationError):
-            echo_iir(Signal1D([1.0, 0.0]), 0.9, 0.9, 3)
+            apply_degradation(DegradeSpec("echo_iir", 0.9, 0.9, delay=3), Signal1D([1.0, 0.0]))
 
     def test_delay_one_equals_ar2(self, rng):
         s = Signal1D(rng.standard_normal(500))
-        assert np.array_equal(echo_iir(s, 0.4, -0.2, 1).samples, ar2_iir(s, 0.4, -0.2).samples)
+        echo = apply_degradation(DegradeSpec("echo_iir", 0.4, -0.2, delay=1), s)
+        assert np.array_equal(echo.samples, apply_degradation(DegradeSpec("ar2_iir", 0.4, -0.2), s).samples)
 
 
 class TestAr2Iir:
     def test_identity(self, rng):
         s = Signal1D(rng.standard_normal(64))
-        assert np.array_equal(ar2_iir(s, 0.0, 0.0).samples, s.samples)
+        assert np.array_equal(apply_degradation(DegradeSpec("ar2_iir", 0.0, 0.0), s).samples, s.samples)
 
     def test_impulse_response_recursion(self):
         impulse = Signal1D([1.0] + [0.0] * 5)
-        x = ar2_iir(impulse, 0.6, 0.3).samples
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), impulse).samples
         assert np.allclose(x[:4], [1.0, 0.6, 0.66, 0.576], atol=1e-14)
 
     def test_inverse_fir_reproduces_source(self, rng):
         s = Signal1D(rng.standard_normal(300))
-        x = ar2_iir(s, 0.6, 0.3)
+        x = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), s)
         back = lfilter([1.0, -0.6, -0.3], [1.0], x.samples)
         assert np.max(np.abs(back - s.samples)) < 1e-12
 
@@ -116,11 +112,11 @@ class TestAr2Iir:
 class TestFirDegrade:
     def test_identity(self, rng):
         s = Signal1D(rng.standard_normal(64))
-        assert np.array_equal(fir_degrade(s, 0.0, 0.0).samples, s.samples)
+        assert np.array_equal(apply_degradation(DegradeSpec("fir2", 0.0, 0.0), s).samples, s.samples)
 
     def test_impulse(self):
         impulse = Signal1D([1.0] + [0.0] * 4)
-        x = fir_degrade(impulse, 0.5, 0.2).samples
+        x = apply_degradation(DegradeSpec("fir2", 0.5, 0.2), impulse).samples
         assert np.allclose(x, [1.0, 0.7, 0.1, 0.0, 0.0], atol=1e-14)
 
     def test_inverse_first_tap_from_sum(self):
@@ -130,7 +126,7 @@ class TestFirDegrade:
 
     def test_precondition(self):
         with pytest.raises(ContractViolationError):
-            fir_degrade(Signal1D([1.0]), 1.2, 0.0)
+            apply_degradation(DegradeSpec("fir2", 1.2, 0.0), Signal1D([1.0]))
 
 
 class TestInverseFirTaps:
@@ -161,29 +157,29 @@ class TestInverseFirTaps:
 class TestImageIir:
     def test_identity(self, rng):
         img = Image2D(rng.standard_normal((8, 9)))
-        assert np.array_equal(image_iir(img, 0.0, 0.0).pixels, img.pixels)
+        assert np.array_equal(apply_degradation(DegradeSpec("image_iir2", 0.0, 0.0), img).pixels, img.pixels)
 
     def test_impulse_hand_recursion(self):
         f = np.zeros((3, 3))
         f[0, 0] = 1.0
-        g = image_iir(Image2D(f), 0.5, 0.4).pixels
+        g = apply_degradation(DegradeSpec("image_iir2", 0.5, 0.4), Image2D(f)).pixels
         assert g[1, 0] == pytest.approx(0.5)
         assert g[0, 1] == pytest.approx(0.4)
         assert g[1, 1] == pytest.approx(0.4, abs=1e-14)  # 0.5*0.4 + 0.4*0.5
 
     def test_inverse_kernel_round_trip(self, rng):
         img = Image2D(rng.standard_normal((16, 13)))
-        g = image_iir(img, 0.5, 0.4)
+        g = apply_degradation(DegradeSpec("image_iir2", 0.5, 0.4), img)
         back = apply_kernel(g, image_inverse(0.5, 0.4))
         assert np.max(np.abs(back.pixels - img.pixels)) < 1e-10
 
     def test_runs_outside_conservative_bound(self, rng):
         # |a1|+|a2| = 1.2: bounded on a small image, and exactly inverted
         img = Image2D(rng.standard_normal((4, 4)))
-        back = apply_kernel(image_iir(img, 0.8, 0.4), image_inverse(0.8, 0.4))
+        back = apply_kernel(apply_degradation(DegradeSpec("image_iir2", 0.8, 0.4), img), image_inverse(0.8, 0.4))
         assert np.max(np.abs(back.pixels - img.pixels)) < 1e-10
         with pytest.raises(DivergenceError):
-            image_iir(Image2D(np.ones((64, 64))), 0.99, 0.99, 0.99)
+            apply_degradation(DegradeSpec("image_iir3", 0.99, 0.99, 0.99), Image2D(np.ones((64, 64))))
 
     @pytest.mark.parametrize("size", [64, 512])
     def test_unstable_recursion_raises_divergence(self, size):
@@ -194,6 +190,14 @@ class TestImageIir:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError):
                 apply_degradation(spec, img)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_source_of_the_other_dimension_rejected(kind):
+    spec = DegradeSpec(kind, 0.1, 0.1)
+    source = Signal1D(np.ones(9)) if kind.startswith("image_") else Image2D(np.ones((3, 3)))
+    with pytest.raises(ContractViolationError):
+        apply_degradation(spec, source)
 
 
 class TestInverseKernel2d:
@@ -209,7 +213,7 @@ class TestInverseKernel2d:
 
     def test_three_parameter_round_trip(self, rng):
         img = Image2D(rng.standard_normal((12, 12)))
-        g = image_iir(img, 0.3, 0.2, 0.1)
+        g = apply_degradation(DegradeSpec("image_iir3", 0.3, 0.2, 0.1), img)
         back = apply_kernel(g, image_inverse(0.3, 0.2, 0.1))
         assert np.max(np.abs(back.pixels - img.pixels)) < 1e-10
 
@@ -223,31 +227,37 @@ class TestGaussianization:
                 s = rng.laplace(0.0, 1.0, 100_000)
             else:
                 s = rng.uniform(-1.0, 1.0, 100_000)
-            x = ar2_iir(Signal1D(s), 0.6, -0.3)
+            x = apply_degradation(DegradeSpec("ar2_iir", 0.6, -0.3), Signal1D(s))
             ks, kx = kurtosis_excess(s), kurtosis_excess(x.samples)
             assert abs(kx) < 0.9 * abs(ks)
 
 
 class TestTrueInverses:
     def test_ar2_taps(self):
-        t = true_inverse_taps(DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3), 5).taps
+        t = true_inverse(DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3), 5).taps
         assert t.tolist() == [1.0, -0.6, -0.3, 0.0, 0.0]
 
     def test_echo_taps(self):
         spec = DegradeSpec(kind="echo_iir", a1=-0.6, a2=0.3, delay=3)
-        t = true_inverse_taps(spec, 7).taps
+        t = true_inverse(spec, 7).taps
         assert t[0] == 1.0 and t[3] == 0.6 and t[6] == -0.3
 
     def test_image_kernel(self):
         spec = DegradeSpec(kind="image_iir3", a1=0.8, a2=-0.4, a3=0.5)
-        w = true_inverse_kernel(spec).weights
+        w = true_inverse(spec).weights
         assert w[0, 1] == -0.8 and w[1, 0] == 0.4 and w[0, 0] == -0.5
+
+    def test_default_sizes_and_no_taps_for_images(self):
+        assert len(true_inverse(DegradeSpec(kind="echo_iir", a1=-0.6, a2=0.3, delay=4))) == 9
+        assert len(true_inverse(DegradeSpec(kind="fir2", a1=0.5, a2=0.2))) == 3
+        with pytest.raises(ContractViolationError):
+            true_inverse(DegradeSpec(kind="image_iir2", a1=0.5, a2=0.4), 3)
 
     def test_round_trip_via_taps(self, rng):
         spec = DegradeSpec(kind="ar2_iir", a1=0.5, a2=0.4)
         s = Signal1D(rng.standard_normal(400))
-        x = ar2_iir(s, spec.a1, spec.a2)
-        back = apply_taps(x, true_inverse_taps(spec, 3))
+        x = apply_degradation(spec, s)
+        back = apply_taps(x, true_inverse(spec, 3))
         assert np.max(np.abs(back.samples - s.samples)) < 1e-12
 
 
@@ -280,7 +290,7 @@ def filter_outputs(spec, source):
     x = apply_degradation(spec, source)
     outputs = [x.pixels if isinstance(x, Image2D) else x.samples]
     if spec.kind == "fir2":
-        outputs.append(true_inverse_taps(spec, 300).taps)
+        outputs.append(true_inverse(spec, 300).taps)
     return outputs
 
 
@@ -367,8 +377,8 @@ class TestRoundTrip:
         source = data.draw(sources(spec))
         x = apply_degradation(spec, source)
         if kind.startswith("image_"):
-            back, want, scale = apply_kernel(x, true_inverse_kernel(spec)).pixels, source.pixels, x.pixels
+            back, want, scale = apply_kernel(x, true_inverse(spec)).pixels, source.pixels, x.pixels
         else:
-            taps = true_inverse_taps(spec, 400 if kind == "fir2" else 2 * spec.delay + 1)
+            taps = true_inverse(spec, 400 if kind == "fir2" else 2 * spec.delay + 1)
             back, want, scale = apply_taps(x, taps).samples, source.samples, x.samples
         assert np.max(np.abs(back - want)) <= 1e-9 * np.max(np.abs(scale))

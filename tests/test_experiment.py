@@ -264,8 +264,8 @@ class TestRunExperiment:
         (SourceSpec(kind="uniform", seed=3, height=40, width=50), Adapt2dConfig(rows=3, cols=5, mu=-1e-4, warmup=64, passes=2)),
     ])
     def test_unwhitened_report_scores_the_final_filtering(self, source, adapt):
-        # without whitening the report reuses the adaptation's own output;
-        # its scores must be those of filtering the observation afresh
+        # without whitening the observation is also the adapted input; the
+        # scores must be those of filtering it with the final filter
         cfg = ExperimentConfig(experiment_id="raw", source=source, adapt=adapt)
         report = run_experiment(cfg)
         s = make_source(source)
@@ -320,9 +320,9 @@ class TestRunExperiment:
 
     def test_commutation_smoke(self):
         # whiten(degrade(s)) == degrade(whiten(s)) for the LTI pipeline
-        from kurtdeconv import Signal1D, ar2_iir, highpass_whiten
+        from kurtdeconv import Signal1D, apply_degradation, highpass_whiten
 
         s = make_source(SourceSpec(kind="gaussian", seed=8, length=5000))
-        a = highpass_whiten(ar2_iir(s, 0.6, 0.3)).samples
-        b = ar2_iir(highpass_whiten(s), 0.6, 0.3).samples
+        a = highpass_whiten(apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), s)).samples
+        b = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), highpass_whiten(s)).samples
         assert np.max(np.abs(a - b)) < 1e-9

@@ -15,8 +15,7 @@ from kurtdeconv import (
     normalize_taps,
     normalized_correlation,
     parameter_error,
-    true_inverse_kernel,
-    true_inverse_taps,
+    true_inverse,
     true_parameters,
 )
 
@@ -154,9 +153,9 @@ class TestParameterError:
         # the readout scales by tap 0 or the kernel center, which the
         # largest coefficient need not be
         if spec.kind.startswith("image_"):
-            estimate = Kernel2D(gain * true_inverse_kernel(spec).weights)
+            estimate = Kernel2D(gain * true_inverse(spec).weights)
         else:
-            estimate = FilterTaps1D(gain * true_inverse_taps(spec, 2 * spec.delay + 1 + extra_taps).taps)
+            estimate = FilterTaps1D(gain * true_inverse(spec, 2 * spec.delay + 1 + extra_taps).taps)
         assert max(parameter_error(spec, estimate).values()) <= 1e-12
 
     def test_zero_unit_tap_rejected(self):

@@ -4,10 +4,11 @@ import pytest
 from kurtdeconv import (
     ContractViolationError,
     DegenerateInputError,
+    DegradeSpec,
     Image2D,
     LpcModel,
     Signal1D,
-    ar2_iir,
+    apply_degradation,
     fit_lpc,
     highpass_whiten,
     highpass_whiten_2d,
@@ -144,6 +145,6 @@ class TestHighpass2D:
 def test_commutation_with_lti_degradation(rng):
     # difference whitening and an LTI degradation commute sample-for-sample
     s = Signal1D(rng.standard_normal(5000))
-    a = highpass_whiten(ar2_iir(s, 0.6, 0.3)).samples
-    b = ar2_iir(highpass_whiten(s), 0.6, 0.3).samples
+    a = highpass_whiten(apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), s)).samples
+    b = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), highpass_whiten(s)).samples
     assert np.max(np.abs(a - b)) < 1e-9
