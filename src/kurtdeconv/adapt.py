@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _rms_shift, _walk
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _ldexp, _peak_shift, _rms_shift, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -234,12 +233,22 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     and second differences (zero before index 0); centering the rows of C
     demeans every output. One O(N) pass factors the centered C = R'Q, Q
     orthonormal rows (Gram-Schmidt, twice), so each cell is O(1): with
-    v = Rw, m2 = |v|^2 / N and m4 = sum of E{Q_p Q_q Q_r Q_s} v_p v_q v_r v_s
-    over p, q, r, s. Differences rather than delayed copies keep smooth
-    inputs, whose outputs nearly cancel in the low-order cells, as accurate
-    as filtering cell by cell. A cell is degenerate when v vanishes to
-    rounding, |Rw| <= 16 eps ||R| |w||. An x1 that is not a Signal1D is a
-    ContractViolationError.
+    v = Rw, m2 = |v|^2 / N and m4 = (v (x) v)' E (v (x) v), E the 9 x 9
+    matrix of fourth moments E{Q_p Q_q Q_r Q_s}. Differences rather than
+    delayed copies keep smooth inputs, whose outputs nearly cancel in the
+    low-order cells, as accurate as filtering cell by cell. A cell is
+    degenerate when v vanishes to rounding, |Rw| <= 16 eps ||R| |w||. An
+    x1 that is not a Signal1D is a ContractViolationError.
+
+    x is first divided by the power of two just above max|x|, which is
+    exact and changes no bit of any cell, so the surface is the same at any
+    power-of-two gain. All O(N) work lives in one (6, N) buffer. Rows 3-5
+    hold C, then Q; rows 0-2 hold the Gram-Schmidt product r Q_j while it
+    runs. Then rows 0-2 take Q_0 Q_0, Q_0 Q_1 and Q_0 Q_2, and rows 3-5
+    Q_1 Q_1, Q_1 Q_2 and Q_2 Q_2, so one Gram product of the buffer with
+    itself gives all 15 fourth moments. Its sums run in another order than
+    one dot product per moment, so a value may differ from such a sum at
+    rounding level.
     """
     if not isinstance(x1, Signal1D):
         raise ContractViolationError(f"the kurtosis surface is taken over a Signal1D, not {type(x1).__name__}")
@@ -252,24 +261,33 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     x = x1.samples
     if x.size < 3:
         raise DegenerateInputError("need at least 3 samples")
-    Q = np.zeros((3, x.size))
-    np.ldexp(x, -_rms_shift(x), out=Q[0])
-    Q[1] = np.diff(Q[0], prepend=0.0)
-    Q[2] = np.diff(Q[1], prepend=0.0)
+    buf = np.empty((6, x.size))
+    tmp, Q = buf[:3], buf[3:]
+    _ldexp(x, -_peak_shift(x), out=Q[0])
+    for k in (1, 2):
+        Q[k, 0] = Q[k - 1, 0]
+        np.subtract(Q[k - 1, 1:], Q[k - 1, :-1], out=Q[k, 1:])
     Q -= Q.mean(axis=1, keepdims=True)
     R = np.zeros((3, 3))
     for k in range(3):
         for _ in range(2):
             for j in range(k):
                 r = Q[j] @ Q[k]
-                Q[k] -= r * Q[j]
+                np.multiply(Q[j], r, out=tmp[0])
+                Q[k] -= tmp[0]
                 R[j, k] += r
         R[k, k] = np.sqrt(Q[k] @ Q[k])
         if R[k, k] > 0.0:
             Q[k] /= R[k, k]
-    E4 = np.empty((3, 3, 3, 3))
-    for p, q, r, s in combinations_with_replacement(range(3), 4):
-        E4[tuple(zip(*permutations((p, q, r, s))))] = (Q[p] * Q[q]) @ (Q[r] * Q[s]) / x.size
+    np.multiply(Q[0], Q, out=tmp)
+    np.square(Q[1], out=Q[0])
+    Q[1] *= Q[2]
+    np.square(Q[2], out=Q[2])
+    # buf row of the product Q_p Q_q, for p, q in 0..2
+    pair = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+    E4 = (buf @ buf.T / x.size)[np.ix_(pair, pair)]
+    # freed before the per-cell arrays, so they add nothing to the peak
+    del buf, tmp, Q
     a1, a2 = np.broadcast_arrays(g1[:, None], g2)
     W = np.stack(((1.0 - a1) - a2, a1 + 2.0 * a2, -a2)).reshape(3, -1)
     # scaling w changes no kurtosis; a power of two per cell keeps huge
@@ -283,8 +301,9 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
         raise DegenerateInputError("every grid cell produced a degenerate output")
     v = v[:, ok]
     m2 = vv[ok] / x.size
+    V = (v[:, None] * v).reshape(9, -1)
     surface = np.full(vv.size, np.nan)
-    surface[ok] = np.abs(np.einsum("pqrs,pc,qc,rc,sc->c", E4, v, v, v, v) / (m2 * m2) - 3.0)
+    surface[ok] = np.abs(np.einsum("ac,ac->c", V, E4 @ V) / (m2 * m2) - 3.0)
     surface = surface.reshape(g1.size, g2.size)
     i, j = np.unravel_index(np.nanargmax(surface), surface.shape)
     return SurfaceResult(surface, (float(g1[i]), float(g2[j])))

@@ -129,7 +129,11 @@ def make_source(spec: SourceSpec):
         noise = rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape)
     else:
         noise = rng.uniform(-1.0, 1.0, shape)
-    field2d = np.cumsum(np.cumsum(noise, axis=0), axis=1)
+    # the running sum down the columns, row by row: np.cumsum(axis=0)'s
+    # additions in its order, at a fraction of its cost on C-order rows
+    for i in range(1, shape[0]):
+        noise[i] += noise[i - 1]
+    field2d = np.cumsum(noise, axis=1)
     return Image2D(field2d / np.sqrt(shape[0] * shape[1]))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .degrade import DegradeSpec, _slots, true_inverse
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _origin
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _ldexp, _origin, _peak_shift
 
 
 def _flat(values) -> np.ndarray:
@@ -22,13 +22,30 @@ def _flat(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).ravel()
 
 
-def normalized_correlation(a, b) -> float:
-    """Zero-lag Pearson correlation of mean-removed flattened values."""
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b flattened, each divided by the power of two just above its
+    largest magnitude.
+
+    The division is exact and each factor cancels in rho, so rho keeps
+    every bit at any power-of-two gain, and no product overflows or
+    underflows at any finite gain. A signal paired with an image, or
+    values of different sizes, are a ContractViolationError.
+    """
+    if len({type(v) for v in (a, b) if isinstance(v, (Signal1D, Image2D))}) > 1:
+        raise ContractViolationError("cannot correlate a Signal1D with an Image2D")
     av, bv = _flat(a), _flat(b)
     if av.size != bv.size:
         raise ContractViolationError(f"size mismatch: {av.size} vs {bv.size}")
-    av = av - av.mean()
-    bv = bv - bv.mean()
+    if av.size == 0:
+        raise DegenerateInputError("empty input")
+    return tuple(_ldexp(v, -_peak_shift(v)) for v in (av, bv))
+
+
+def normalized_correlation(a, b) -> float:
+    """Zero-lag Pearson correlation of mean-removed flattened values."""
+    av, bv = _pair(a, b)
+    av -= av.mean()
+    bv -= bv.mean()
     den = np.sqrt((av @ av) * (bv @ bv))
     if den <= 0.0:
         raise DegenerateInputError("zero-variance input")
@@ -50,9 +67,7 @@ def aligned_correlation(a: Signal1D, b: Signal1D, max_lag: int) -> AlignedCorrel
     """
     if max_lag < 0:
         raise ContractViolationError(f"max_lag must be >= 0, got {max_lag}")
-    av, bv = _flat(a), _flat(b)
-    if av.size != bv.size:
-        raise ContractViolationError(f"size mismatch: {av.size} vs {bv.size}")
+    av, bv = _pair(a, b)
     best = None
     for lag in range(-max_lag, max_lag + 1):
         if lag >= 0:

@@ -99,13 +99,28 @@ class Kernel2D:
         return self.weights.shape[1]
 
 
+def _ldexp(values: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """np.ldexp(values, k), bit for bit, at about a quarter of its cost: a
+    product with 2**k rounds the same exact value once, and 2**k is itself
+    a double for k in [-1074, 1023]."""
+    if -1074 <= k <= 1023:
+        return np.multiply(values, np.ldexp(1.0, k), out=out)
+    return np.ldexp(values, k, out=out)
+
+
+def _peak_shift(values: np.ndarray) -> int:
+    """Exponent e with max|values| in [2**(e-1), 2**e) (0 if all are zero);
+    dividing by 2**e is exact and leaves every value in (-1, 1)."""
+    return int(np.frexp(max(values.max(), -values.min()))[1])
+
+
 def _rms_shift(values: np.ndarray) -> int:
     """Exponent k of the power of two nearest the RMS of values (0 if all
     are zero); dividing by 2**k is exact. The squares are summed after an
-    exact division by the power of two of max|values|, so they neither
-    overflow nor underflow at any finite gain."""
-    _, e = np.frexp(max(values.max(), -values.min()))
-    scaled = np.ldexp(values, -e)
+    exact division by 2**_peak_shift(values), so they neither overflow nor
+    underflow at any finite gain."""
+    e = _peak_shift(values)
+    scaled = _ldexp(values, -e)
     mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 

@@ -137,6 +137,11 @@ def test_exit_codes(tmp_path):
     ):
         assert main(argv) == 1
         assert not any(out.iterdir())
+    # a signal and an image of the same size are not compared, in either order
+    short = tmp_path / "a.wav"
+    write_wav(short, Signal1D(0.1 * laplace_signal(55, 64)))
+    assert main(["metrics", str(short), str(pgm), "--max-lag", "2"]) == 1
+    assert main(["metrics", str(pgm), str(short), "--max-lag", "2"]) == 1
 
 
 def test_degrade_synthetic_source(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kurtdeconv import (
     ContractViolationError,
     DegenerateInputError,
     DegradeSpec,
     FilterTaps1D,
+    Image2D,
     Kernel2D,
     Signal1D,
     aligned_correlation,
@@ -60,6 +61,8 @@ class TestNormalizedCorrelation:
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
             normalized_correlation(np.ones(10), np.arange(10.0))
+        with pytest.raises(DegenerateInputError):
+            normalized_correlation(np.ones(0), np.ones(0))
 
     def test_size_mismatch(self):
         with pytest.raises(ContractViolationError):
@@ -90,6 +93,29 @@ class TestAlignedCorrelation:
         a = Signal1D(rng.standard_normal(400))
         b = Signal1D(np.roll(a.samples, 2) + 0.1 * rng.standard_normal(400))
         assert abs(aligned_correlation(a, b, 5).rho) >= abs(normalized_correlation(a, b)) - 1e-12
+
+
+@settings(max_examples=200)
+@given(st.integers(8, 300), st.integers(0, 2**32 - 1), st.integers(-540, 540), st.booleans())
+@example(1000, 0, 540, True)
+@example(1000, 0, -540, False)
+def test_correlations_same_at_any_power_of_two_gain(n, seed, k, second):
+    rng = np.random.default_rng(seed)
+    a = rng.laplace(size=n)
+    b = a + rng.laplace(size=n)
+    scaled = (a, np.ldexp(b, k)) if second else (np.ldexp(a, k), b)
+    assert normalized_correlation(*scaled) == normalized_correlation(a, b)
+    assert aligned_correlation(*scaled, 3) == aligned_correlation(a, b, 3)
+
+
+def test_signal_and_image_not_correlated():
+    s = Signal1D(np.random.default_rng(0).laplace(size=64))
+    img = Image2D(np.random.default_rng(1).random((8, 8)))
+    for pair in ((s, img), (img, s)):
+        with pytest.raises(ContractViolationError):
+            normalized_correlation(*pair)
+        with pytest.raises(ContractViolationError):
+            aligned_correlation(*pair, 2)
 
 
 class TestNormalization:
