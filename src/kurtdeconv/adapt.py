@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _ldexp, _peak_shift, _rms_shift, _walk
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _rms_shift, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -216,6 +217,23 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
 run_adapt2d = run_adapt
 
 
+def _fourth_moment_index() -> np.ndarray:
+    """Where kurtosis_surface finds each fourth moment of Q's three rows.
+
+    Its scratch rows hold Q_p Q_q for (p, q) in the order of `rows`, and
+    G[i, c] sums Q_i Q_i times row c, so the 18 entries of G hold all 15
+    moments. Entry (3p + q, 3r + s) is the index into G.ravel() of one
+    that equals N E{Q_p Q_q Q_r Q_s}.
+    """
+    rows = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    where = {tuple(sorted((i, i) + pq)): 6 * i + c for i in range(3) for c, pq in enumerate(rows)}
+    cells = list(product(range(3), repeat=2))
+    return np.array([[where[tuple(sorted(pq + rs))] for rs in cells] for pq in cells])
+
+
+_M4 = _fourth_moment_index()
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceResult:
     surface: np.ndarray
@@ -242,13 +260,14 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
 
     x is first divided by the power of two just above max|x|, which is
     exact and changes no bit of any cell, so the surface is the same at any
-    power-of-two gain. All O(N) work lives in one (6, N) buffer. Rows 3-5
-    hold C, then Q; rows 0-2 hold the Gram-Schmidt product r Q_j while it
-    runs. Then rows 0-2 take Q_0 Q_0, Q_0 Q_1 and Q_0 Q_2, and rows 3-5
-    Q_1 Q_1, Q_1 Q_2 and Q_2 Q_2, so one Gram product of the buffer with
-    itself gives all 15 fourth moments. Its sums run in another order than
-    one dot product per moment, so a value may differ from such a sum at
-    rounding level.
+    power-of-two gain. All O(N) work lives in two arrays: Q, which holds C
+    and then is made orthonormal in place, and a scratch array of N samples.
+    The scratch holds the Gram-Schmidt product r Q_j, then, one sixth of the
+    samples at a time, the six pair products Q_p Q_q as six rows. One matrix
+    product per block, of the three squares Q_i Q_i with all six rows, and
+    the sum over the blocks give all 15 fourth moments. Those sums run in
+    another order than one dot product per moment, so a value may differ
+    from such a sum at rounding level.
     """
     if not isinstance(x1, Signal1D):
         raise ContractViolationError(f"the kurtosis surface is taken over a Signal1D, not {type(x1).__name__}")
@@ -261,33 +280,38 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     x = x1.samples
     if x.size < 3:
         raise DegenerateInputError("need at least 3 samples")
-    buf = np.empty((6, x.size))
-    tmp, Q = buf[:3], buf[3:]
-    _ldexp(x, -_peak_shift(x), out=Q[0])
+    n = x.size
+    Q = np.empty((3, n))
+    P = np.empty((6, -(-n // 6)))
+    np.ldexp(x, -_peak_shift(x), out=Q[0])
     for k in (1, 2):
         Q[k, 0] = Q[k - 1, 0]
         np.subtract(Q[k - 1, 1:], Q[k - 1, :-1], out=Q[k, 1:])
     Q -= Q.mean(axis=1, keepdims=True)
+    tmp = P.reshape(-1)[:n]
     R = np.zeros((3, 3))
     for k in range(3):
         for _ in range(2):
             for j in range(k):
                 r = Q[j] @ Q[k]
-                np.multiply(Q[j], r, out=tmp[0])
-                Q[k] -= tmp[0]
+                np.multiply(Q[j], r, out=tmp)
+                Q[k] -= tmp
                 R[j, k] += r
         R[k, k] = np.sqrt(Q[k] @ Q[k])
         if R[k, k] > 0.0:
             Q[k] /= R[k, k]
-    np.multiply(Q[0], Q, out=tmp)
-    np.square(Q[1], out=Q[0])
-    Q[1] *= Q[2]
-    np.square(Q[2], out=Q[2])
-    # buf row of the product Q_p Q_q, for p, q in 0..2
-    pair = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
-    E4 = (buf @ buf.T / x.size)[np.ix_(pair, pair)]
+    G = np.zeros((3, 6))
+    b = P.shape[1]
+    for s in range(0, n, b):
+        q = Q[:, s:s + b]
+        p = P[:, :q.shape[1]]
+        np.square(q, out=p[:3])
+        np.multiply(q[0], q[1:], out=p[3:5])
+        np.multiply(q[1], q[2], out=p[5])
+        G += p[:3] @ p.T
+    E4 = G.ravel()[_M4] / n
     # freed before the per-cell arrays, so they add nothing to the peak
-    del buf, tmp, Q
+    del Q, P, tmp, q, p
     a1, a2 = np.broadcast_arrays(g1[:, None], g2)
     W = np.stack(((1.0 - a1) - a2, a1 + 2.0 * a2, -a2)).reshape(3, -1)
     # scaling w changes no kurtosis; a power of two per cell keeps huge
@@ -300,7 +324,7 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     if not np.any(ok):
         raise DegenerateInputError("every grid cell produced a degenerate output")
     v = v[:, ok]
-    m2 = vv[ok] / x.size
+    m2 = vv[ok] / n
     V = (v[:, None] * v).reshape(9, -1)
     surface = np.full(vv.size, np.nan)
     surface[ok] = np.abs(np.einsum("ac,ac->c", V, E4 @ V) / (m2 * m2) - 3.0)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .degrade import DegradeSpec, _slots, true_inverse
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _ldexp, _origin, _peak_shift
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _origin, _peak_shift
 
 
 def _flat(values) -> np.ndarray:
@@ -38,7 +38,7 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolationError(f"size mismatch: {av.size} vs {bv.size}")
     if av.size == 0:
         raise DegenerateInputError("empty input")
-    return tuple(_ldexp(v, -_peak_shift(v)) for v in (av, bv))
+    return tuple(np.ldexp(v, -_peak_shift(v)) for v in (av, bv))
 
 
 def normalized_correlation(a, b) -> float:

@@ -99,15 +99,6 @@ class Kernel2D:
         return self.weights.shape[1]
 
 
-def _ldexp(values: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """np.ldexp(values, k), bit for bit, at about a quarter of its cost: a
-    product with 2**k rounds the same exact value once, and 2**k is itself
-    a double for k in [-1074, 1023]."""
-    if -1074 <= k <= 1023:
-        return np.multiply(values, np.ldexp(1.0, k), out=out)
-    return np.ldexp(values, k, out=out)
-
-
 def _peak_shift(values: np.ndarray) -> int:
     """Exponent e with max|values| in [2**(e-1), 2**e) (0 if all are zero);
     dividing by 2**e is exact and leaves every value in (-1, 1)."""
@@ -120,7 +111,7 @@ def _rms_shift(values: np.ndarray) -> int:
     exact division by 2**_peak_shift(values), so they neither overflow nor
     underflow at any finite gain."""
     e = _peak_shift(values)
-    scaled = _ldexp(values, -e)
+    scaled = np.ldexp(values, -e)
     mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 

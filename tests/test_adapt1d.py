@@ -512,9 +512,10 @@ class TestKurtosisSurface:
         i, j = np.unravel_index(np.nanargmax(direct), direct.shape)
         assert kurtosis_surface(Signal1D(x), grid, grid).argmax == (grid[i], grid[j])
 
-    def test_memory_is_one_six_row_buffer(self):
+    def test_memory_is_four_rows_of_samples(self):
         # every O(N) array of the factorization and the fourth moments lives
-        # in one (6, N) float64 buffer; 64 KiB covers the per-cell arrays
+        # in Q (3 rows of N) or in one scratch array of N samples; 64 KiB
+        # covers the small arrays
         n = 100_000
         x = Signal1D(laplace_signal(40, n))
         grid = np.linspace(-1.0, 1.0, 41)
@@ -524,7 +525,7 @@ class TestKurtosisSurface:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * n + 64 * 1024
+        assert peak <= 4 * 8 * n + 64 * 1024
 
     @pytest.mark.parametrize("k", [-540, 540])
     def test_power_of_two_gain_leaves_surface(self, k):

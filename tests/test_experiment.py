@@ -89,6 +89,14 @@ class TestSourceSpec:
         want = rng.uniform(-1.0, 1.0, (32, 32)) / np.sqrt(32 * 32)
         assert np.allclose(d, want, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(40, 127), (40, 128), (300, 3)])
+    def test_integrated_image_is_double_cumsum(self, shape):
+        # bit for bit on either side of the width where the column sums switch
+        spec = SourceSpec(kind="integrated_laplace", seed=9, height=shape[0], width=shape[1])
+        noise = np.random.default_rng(9).laplace(0.0, 1.0 / np.sqrt(2.0), shape)
+        want = np.cumsum(np.cumsum(noise, axis=0), axis=1) / np.sqrt(shape[0] * shape[1])
+        assert np.array_equal(make_source(spec).pixels, want)
+
     def test_seeded_determinism(self):
         a = make_source(SourceSpec(kind="gaussian", seed=3, length=100))
         b = make_source(SourceSpec(kind="gaussian", seed=3, length=100))
