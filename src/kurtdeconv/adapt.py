@@ -34,7 +34,7 @@ import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _rms_shift, _walk
+from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _rms_shift, _unit, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -76,7 +76,7 @@ class AdaptConfig:
 
     def identity(self) -> FilterTaps1D:
         """The starting filter: tap 0 is 1, so its output is the input."""
-        return FilterTaps1D(np.eye(1, self.taps)[0])
+        return FilterTaps1D(_unit(self.taps))
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ class Adapt2dConfig:
 
     def identity(self) -> Kernel2D:
         """The starting filter: the center weight is 1, so its output is the input."""
-        M, N = self.rows, self.cols
-        return Kernel2D(np.eye(1, M * N, M * N // 2).reshape(M, N))
+        return Kernel2D(_unit((self.rows, self.cols)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,39 +176,32 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     per pixel. An input of another type is a ContractViolationError. Both
     walk one zero-padded copy of x1 (signals._walk), divided by the power
     of two nearest its RMS, which changes no coefficient but makes the
-    moment guard relative to the input power; only the padding and the tap
-    order differ. The first cfg.warmup rows only seed the moment estimates
-    under cfg.identity(), whose output is the input itself; every pass
-    then updates over the remaining rows, filter and moments carried
-    across passes. A DivergenceError, raised here, names the sample (the
-    pixel by its raster index). x1 is not filtered here; the result's
-    output and its kurtosis fields are computed on first read.
+    moment guard relative to the input power. The first cfg.warmup rows
+    only seed the moment estimates under cfg.identity(), whose output is
+    the input itself; every pass then updates over the remaining rows,
+    filter and moments carried across passes. A DivergenceError, raised
+    here, names the sample (the pixel by its raster index). x1 is not
+    filtered here; the result's output and its kurtosis fields are
+    computed on first read.
     """
-    kind = Image2D if isinstance(cfg, Adapt2dConfig) else Signal1D
+    start = cfg.identity()
+    kind = _FILTERS[type(start)]
     if not isinstance(x1, kind):
         raise ContractViolationError(f"{type(cfg).__name__} adapts over {kind.__name__}, not {type(x1).__name__}")
+    values, h0 = _array(x1), _array(start)
     if kind is Image2D:
-        H, W = x1.height, x1.width
-        M, N = cfg.rows, cfg.cols
+        (H, W), (M, N) = values.shape, h0.shape
         # >= rather than > so a 1xN image with a 1x1 kernel stays legal (the
         # degenerate case the 1-D equivalence property relies on).
         if H < M or W < N:
             raise DegenerateInputError(f"image {H}x{W} is smaller than the kernel {M}x{N}")
         if cfg.warmup >= H * W:
             raise DegenerateInputError(f"warmup {cfg.warmup} consumes the whole {H}x{W} image")
-        # centred neighborhoods, taps in raster order
-        shape, before, order = (M, N), (M // 2, N // 2), 1
-    else:
-        if len(x1) <= cfg.warmup + cfg.taps:
-            raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
-        # tap k reads sample n - k
-        shape, before, order = (1, cfg.taps), (0, cfg.taps - 1), -1
-    values = _array(x1)
+    elif len(x1) <= cfg.warmup + cfg.taps:
+        raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
     shift = _rms_shift(values)
-    start = cfg.identity()
-    h0 = _array(start)
     y0 = np.ldexp(values.ravel()[: cfg.warmup], -shift)
-    pass_filters = _adapt(_walk(values, shape, before, order, shift), h0.flatten(), y0, cfg)
+    pass_filters = _adapt(_walk(values, h0.shape, shift), h0.flatten(), y0, cfg)
     return AdaptResult(x1, tuple(type(start)(h.reshape(h0.shape)) for h in pass_filters))
 
 

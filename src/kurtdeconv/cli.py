@@ -26,7 +26,7 @@ from .errors import ContractViolationError, DivergenceError, FormatError, Kurtde
 from .experiment import SourceSpec, _build, load_config, make_source, run_experiment, write_report_csv
 from .fileio import is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
 from .metrics import _flat, aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
-from .signals import Image2D, Signal1D, _apply, _array
+from .signals import Image2D, Kernel2D, Signal1D, _apply, _array
 from .stats import kurtosis_excess
 from .whitening import WHITEN_KINDS, WhitenSpec, whiten
 
@@ -86,9 +86,8 @@ def _cmd_whiten(args) -> int:
 
 
 def _cmd_deconv(args) -> int:
-    image = is_image_path(args.input)
     options = _given(args, "taps", "rows", "cols", "mu", "beta", "warmup", "passes")
-    cfg = _build(Adapt2dConfig if image else AdaptConfig, options, "--{}".format)
+    cfg = _build(Adapt2dConfig if is_image_path(args.input) else AdaptConfig, options, "--{}".format)
     spec = WhitenSpec(**_given(args, "kind", "order"))
     print(f"deconv: input={args.input} {cfg} whiten={spec}")
     data = read_any(args.input)
@@ -97,7 +96,7 @@ def _cmd_deconv(args) -> int:
     # (largest tap -> +1) before restoring so the output amplitude stays
     # comparable to the input.
     result = run_adapt(work, cfg)
-    estimate = (normalize_kernel if image else normalize_taps)(result.filter)
+    estimate = (normalize_kernel if isinstance(result.filter, Kernel2D) else normalize_taps)(result.filter)
     restored = _apply(data, estimate)
     # one line per tap, or per kernel row
     coeffs = _array(estimate)

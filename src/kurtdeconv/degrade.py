@@ -12,7 +12,7 @@ import numpy as np
 
 from ._native import allpole, image_allpole
 from .errors import ContractViolationError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _fir, _origin
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _fir, _origin, _unit
 
 # Where each kind's identified parameters sit in its analytic inverse,
 # {name: (position, sign)}: the parameter is sign times the coefficient at
@@ -124,17 +124,15 @@ def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | K
     if spec.kind.startswith("image_"):
         if taps is not None:
             raise ContractViolationError(f"{spec.kind} has a 3x3 inverse kernel, not {taps} taps")
-        h = np.zeros((3, 3))
+        h = _unit((3, 3))
     else:
         need = 1 + max(pos for pos, _ in slots.values())
         taps = need if taps is None else taps
         if taps < need:
             raise ContractViolationError(f"{spec.kind} inverse needs at least {need} taps, got {taps}")
-        h = np.zeros(taps)
-    origin = _origin(h)
-    h[origin] = 1.0
+        h = _unit(taps)
     if spec.kind == "fir2":
         return FilterTaps1D(allpole(h, (2, 1), (-(spec.a1 * spec.a2), -(spec.a1 + spec.a2))))
     for name, (pos, sign) in slots.items():
-        h[tuple(np.add(origin, pos))] = sign * getattr(spec, name)
+        h[tuple(np.add(_origin(h), pos))] = sign * getattr(spec, name)
     return Kernel2D(h) if h.ndim == 2 else FilterTaps1D(h)

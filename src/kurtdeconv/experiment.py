@@ -318,13 +318,13 @@ def write_report_csv(path, reports) -> None:
 
 # --- config file parsing ---------------------------------------------------
 
-_INT_KEYS = {
-    "source.seed", "source.length", "source.height", "source.width",
-    "whiten.order", "adapt.taps", "adapt.rows", "adapt.cols",
-    "adapt.warmup", "adapt.passes", "degrade.delay",
+_KEYS = {
+    "experiment.id": str, "report.path": str,
+    "source.kind": str, "source.path": str, "source.seed": int, "source.length": int, "source.height": int, "source.width": int,
+    "degrade.kind": str, "degrade.a1": float, "degrade.a2": float, "degrade.a3": float, "degrade.delay": int,
+    "whiten.kind": str, "whiten.order": int,
+    "adapt.taps": int, "adapt.rows": int, "adapt.cols": int, "adapt.mu": float, "adapt.beta": float, "adapt.warmup": int, "adapt.passes": int,
 }
-_FLOAT_KEYS = {"degrade.a1", "degrade.a2", "degrade.a3", "adapt.mu", "adapt.beta"}
-_STR_KEYS = {"experiment.id", "source.kind", "source.path", "degrade.kind", "whiten.kind", "report.path"}
 
 
 def _build(cls, given: dict, name):
@@ -353,13 +353,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise FormatError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
+        if key not in _KEYS:
             raise FormatError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
+            value = _KEYS[key](value)
         except ValueError:
             raise FormatError(f"config key {key}: invalid number {value!r}") from None
         section, _, name = key.partition(".")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .degrade import DegradeSpec, _slots, true_inverse
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _origin, _peak_shift
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _coeffs, _origin, _peak_shift
 
 
 def _flat(values) -> np.ndarray:
@@ -63,25 +63,20 @@ def aligned_correlation(a: Signal1D, b: Signal1D, max_lag: int) -> AlignedCorrel
 
     Positive lag means b is delayed relative to a (b(n) lines up with
     a(n - lag)). Returns the signed correlation at the lag maximizing
-    |rho|, together with that lag and the sign of rho.
+    |rho|, together with that lag and the sign of rho, by
+    normalized_correlation of each overlap (one of zero variance is
+    skipped). max_lag may be at most half the length.
     """
-    if max_lag < 0:
-        raise ContractViolationError(f"max_lag must be >= 0, got {max_lag}")
     av, bv = _pair(a, b)
+    if not 0 <= 2 * max_lag <= av.size:
+        raise ContractViolationError(f"max_lag must lie in [0, {av.size // 2}], half the length, got {max_lag}")
     best = None
     for lag in range(-max_lag, max_lag + 1):
-        if lag >= 0:
-            aa, bb = av[: av.size - lag], bv[lag:]
-        else:
-            aa, bb = av[-lag:], bv[: bv.size + lag]
-        if aa.size < 2:
+        overlap = (av[: av.size - lag], bv[lag:]) if lag >= 0 else (av[-lag:], bv[: bv.size + lag])
+        try:
+            rho = normalized_correlation(*overlap)
+        except DegenerateInputError:
             continue
-        aa = aa - aa.mean()
-        bb = bb - bb.mean()
-        den = np.sqrt((aa @ aa) * (bb @ bb))
-        if den <= 0.0:
-            continue
-        rho = float(np.clip(aa @ bb / den, -1.0, 1.0))
         if best is None or abs(rho) > abs(best[0]):
             best = (rho, lag)
     if best is None:
@@ -92,7 +87,7 @@ def aligned_correlation(a: Signal1D, b: Signal1D, max_lag: int) -> AlignedCorrel
 
 def normalize_taps(taps: FilterTaps1D) -> FilterTaps1D:
     """Scale so the largest-magnitude tap becomes exactly +1."""
-    t = taps.taps
+    t = _coeffs(taps, FilterTaps1D)
     peak = t[np.argmax(np.abs(t))]
     if peak == 0.0:
         raise DegenerateInputError("all-zero filter cannot be normalized")
@@ -101,7 +96,7 @@ def normalize_taps(taps: FilterTaps1D) -> FilterTaps1D:
 
 def normalize_kernel(kernel: Kernel2D) -> Kernel2D:
     """Scale the largest-|w| weight to +1 and roll it to the center."""
-    w = kernel.weights
+    w = _coeffs(kernel, Kernel2D)
     r, c = np.unravel_index(np.argmax(np.abs(w)), w.shape)
     peak = w[r, c]
     if peak == 0.0:

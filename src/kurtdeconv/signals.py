@@ -11,7 +11,7 @@ row is copied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,28 +116,29 @@ def _rms_shift(values: np.ndarray) -> int:
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
 
-def _walk(values: np.ndarray, shape: tuple[int, int], before: tuple[int, int], order: int, shift: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    """The regressor rows of the adaptation as (P, off, width, stride, n):
-    a walk over one zero-padded copy of values, nothing copied per row.
+def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """The regressor rows of a filter of coefficient shape `shape` over
+    values, as (P, off, width, stride, n): a walk over one zero-padded
+    copy of values, nothing copied per row.
 
-    values is one line of samples (1-D) or lines of pixels (2-D), each
-    width long. P is a flat read-only copy of them divided by 2**shift,
-    with before[0] zero lines above and before[1] zero elements in front
-    of each line, and zeros after, enough for a shape[0] x shape[1] window
-    at every position; a padded line is stride = width + shape[1] - 1
-    long. Row r of the walk starts at base(r) = (r // width) * stride +
-    r % width, the window's top left for the r-th value in raster order,
-    and its element j is P[base(r) + off[j]]: off lists the window's
-    positions in raster order (order 1) or reversed (order -1). n counts
-    the rows, one per value.
+    The one anchoring rule: K taps, shape (K,), over a line of samples
+    read sample n - k at tap k (K - 1 zeros in front, offsets reversed);
+    an M x N kernel over lines of pixels reads the centred neighborhood in
+    raster order. P is a flat read-only copy of the width-long lines
+    divided by 2**shift, zero-padded to lines of stride = width + N - 1.
+    Row r of the walk starts at base(r) = (r // width) * stride + r %
+    width, and its element j, the one coefficient j multiplies, is
+    P[base(r) + off[j]]. n counts the rows, one per value.
     """
     lines = values.reshape(-1, values.shape[-1])
     H, W = lines.shape
-    M, N = shape
+    M, N = shape if len(shape) == 2 else (1, *shape)
+    top, left, order = (M // 2, N // 2, 1) if len(shape) == 2 else (0, N - 1, -1)
     stride = W + N - 1
     P = np.zeros((H + M - 1, stride))
-    P[before[0] : before[0] + H, before[1] : before[1] + W] = lines
-    np.ldexp(P, -shift, out=P)
+    P[top : top + H, left : left + W] = lines
+    if shift:
+        np.ldexp(P, -shift, out=P)
     P.setflags(write=False)
     off = (np.arange(M)[:, None] * stride + np.arange(N)).ravel()[::order].copy()
     return P.ravel(), off, W, stride, H * W
@@ -151,7 +152,7 @@ def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def apply_taps(x: Signal1D, taps: FilterTaps1D) -> Signal1D:
     """Causal FIR filtering y(n) = sum_k h(k) x(n-k), zero initial state."""
-    return Signal1D(_fir(taps.taps, x.samples), sample_rate=x.sample_rate)
+    return Signal1D(_fir(_coeffs(taps, FilterTaps1D, x), x.samples), sample_rate=x.sample_rate)
 
 
 def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
@@ -161,32 +162,48 @@ def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
     zero-padded rows x cols neighborhood centered at (n, m), summed over
     the kernel in raster order.
     """
+    w = _coeffs(kernel, Kernel2D, img)
     H, W = img.height, img.width
-    padded = np.pad(img.pixels, ((kernel.rows // 2,) * 2, (kernel.cols // 2,) * 2))
+    padded = _walk(img.pixels, w.shape)[0].reshape(H + kernel.rows - 1, -1)
     out = np.zeros((H, W))
     term = np.empty((H, W))
-    for (i, j), w in np.ndenumerate(kernel.weights):
-        np.multiply(padded[i : i + H, j : j + W], w, out=term)
+    for (i, j), wij in np.ndenumerate(w):
+        np.multiply(padded[i : i + H, j : j + W], wij, out=term)
         out += term
     return Image2D(out)
 
 
+#: The pairing rule: a FilterTaps1D filters a Signal1D, a Kernel2D an Image2D.
+_FILTERS = {FilterTaps1D: Signal1D, Kernel2D: Image2D}
+
+
+def _coeffs(f, kind: type, x=None) -> np.ndarray:
+    """f's coefficients. The pairing rule: f must be a kind and x, if given,
+    what a kind filters; anything else is a ContractViolationError."""
+    if not isinstance(f, kind):
+        raise ContractViolationError(f"expected a {kind.__name__}, not {type(f).__name__}")
+    if x is not None and not isinstance(x, _FILTERS[kind]):
+        raise ContractViolationError(f"a {kind.__name__} filters a {_FILTERS[kind].__name__}, not {type(x).__name__}")
+    return _array(f)
+
+
 def _array(container) -> np.ndarray:
     """The samples, pixels, taps or weights of a Signal1D, Image2D,
-    FilterTaps1D or Kernel2D."""
-    if isinstance(container, Signal1D):
-        return container.samples
-    if isinstance(container, Image2D):
-        return container.pixels
-    if isinstance(container, FilterTaps1D):
-        return container.taps
-    return container.weights
+    FilterTaps1D or Kernel2D: the first field of each."""
+    return getattr(container, fields(container)[0].name)
 
 
 def _origin(coeffs: np.ndarray) -> tuple[int, ...]:
     """Where a filter's unit coefficient sits: tap 0 of taps, the center
     of a kernel's (odd-sized) weights."""
     return (0,) if coeffs.ndim == 1 else tuple(n // 2 for n in coeffs.shape)
+
+
+def _unit(shape) -> np.ndarray:
+    """The identity filter's coefficients: 1 at the origin, 0 elsewhere."""
+    h = np.zeros(shape)
+    h[_origin(h)] = 1.0
+    return h
 
 
 def _apply(x, f):

@@ -74,6 +74,14 @@ def test_metrics_command(tmp_path, source_wav, capsys):
     assert "rho (zero lag)  1.000000" in out
 
 
+def test_metrics_lag_above_half_the_length(tmp_path, capsys):
+    path = tmp_path / "a.wav"
+    write_wav(path, Signal1D(0.1 * laplace_signal(3, 64)))
+    assert main(["metrics", str(path), str(path), "--max-lag", "32"]) == 0
+    assert "rho (aligned)   1.000000 at lag 0 sign +1" in capsys.readouterr().out
+    assert main(["metrics", str(path), str(path), "--max-lag", "100"]) == 1
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     report = tmp_path / "report.csv"

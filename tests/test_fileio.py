@@ -205,7 +205,7 @@ class TestCorruptFiles:
 
     @staticmethod
     def read_or_format_error(read, data, tmp_path_factory, name):
-        path = tmp_path_factory.getbasetemp() / name
+        path = tmp_path_factory.mktemp("corrupt") / name
         path.write_bytes(data)
         try:
             read(path)
@@ -229,7 +229,7 @@ class TestRoundTrip:
         rate=st.integers(1, 0x7FFFFFFF),
     )
     def test_wav(self, samples, rate, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "round.wav"
+        path = tmp_path_factory.mktemp("round") / "round.wav"
         s = Signal1D(samples, sample_rate=rate)
         assert write_wav(path, s) == 0
         back = read_wav(path)
@@ -239,7 +239,7 @@ class TestRoundTrip:
 
     @given(height=st.integers(1, 16), width=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
     def test_pgm(self, height, width, seed, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "round.pgm"
+        path = tmp_path_factory.mktemp("round") / "round.pgm"
         img = Image2D(np.random.default_rng(seed).random((height, width)))
         write_image(path, img)
         back = read_image(path)

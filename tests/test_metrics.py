@@ -94,6 +94,13 @@ class TestAlignedCorrelation:
         b = Signal1D(np.roll(a.samples, 2) + 0.1 * rng.standard_normal(400))
         assert abs(aligned_correlation(a, b, 5).rho) >= abs(normalized_correlation(a, b)) - 1e-12
 
+    def test_lag_above_half_the_length_rejected(self, rng):
+        s = Signal1D(rng.laplace(size=64))
+        assert aligned_correlation(s, s, 32) == (pytest.approx(1.0), 0, 1)
+        for max_lag in (-1, 33, 62, 100, 10**6):
+            with pytest.raises(ContractViolationError):
+                aligned_correlation(s, s, max_lag)
+
 
 @settings(max_examples=200)
 @given(st.integers(8, 300), st.integers(0, 2**32 - 1), st.integers(-540, 540), st.booleans())

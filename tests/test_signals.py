@@ -13,6 +13,8 @@ from kurtdeconv import (
     Signal1D,
     apply_kernel,
     apply_taps,
+    normalize_kernel,
+    normalize_taps,
 )
 from kurtdeconv.signals import _rms_shift, _walk
 from conftest import patch, window
@@ -62,13 +64,13 @@ def walk_rows(walk):
 def tap_walk(x1, L, shift):
     """The walk of run_adapt over a Signal1D: L - 1 zeros in front, taps
     reversed, so element k of row n reads sample n - k."""
-    return _walk(x1.samples, (1, L), (0, L - 1), -1, shift)
+    return _walk(x1.samples, (L,), shift)
 
 
 def patch_walk(img, M, N, shift):
     """The walk of run_adapt over an Image2D: centred M x N neighborhoods,
     taps in raster order."""
-    return _walk(img.pixels, (M, N), (M // 2, N // 2), 1, shift)
+    return _walk(img.pixels, (M, N), shift)
 
 
 class TestWindowAt:
@@ -210,3 +212,23 @@ class TestApply:
         weights[rng.random(weights.shape) < zeros] = 0.0
         want = correlate(img.pixels, weights, mode="constant", cval=0.0)
         assert np.array_equal(apply_kernel(img, Kernel2D(weights)).pixels, want)
+
+
+_SIGNAL = Signal1D(np.arange(1.0, 10.0))
+_IMAGE = Image2D(np.arange(9.0).reshape(3, 3))
+_TAPS = FilterTaps1D([1.0, 0.5])
+_KERNEL = Kernel2D(np.eye(3))
+MISMATCHED = {
+    "taps_on_image": lambda: apply_taps(_IMAGE, _TAPS),
+    "kernel_on_signal": lambda: apply_kernel(_SIGNAL, _KERNEL),
+    "kernel_as_taps": lambda: apply_taps(_SIGNAL, _KERNEL),
+    "kernel_normalized_as_taps": lambda: normalize_taps(_KERNEL),
+    "taps_normalized_as_kernel": lambda: normalize_kernel(_TAPS),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED)
+def test_pairing_rule(call):
+    # a FilterTaps1D filters a Signal1D, a Kernel2D an Image2D
+    with pytest.raises(ContractViolationError):
+        MISMATCHED[call]()
