@@ -19,8 +19,11 @@ from .adapt import (
 from .degrade import (
     DegradeSpec,
     apply_degradation,
+    extract_parameters,
+    parameter_error,
     stability_check,
     true_inverse,
+    true_parameters,
 )
 from .errors import (
     ContractViolationError,
@@ -40,16 +43,6 @@ from .experiment import (
     write_report_csv,
 )
 from .fileio import read_image, read_wav, rescale_unit, write_image, write_wav
-from .metrics import (
-    AlignedCorrelation,
-    aligned_correlation,
-    extract_parameters,
-    normalize_kernel,
-    normalize_taps,
-    normalized_correlation,
-    parameter_error,
-    true_parameters,
-)
 from .signals import (
     FilterTaps1D,
     Image2D,
@@ -57,11 +50,16 @@ from .signals import (
     Signal1D,
     apply_kernel,
     apply_taps,
+    normalize_kernel,
+    normalize_taps,
 )
 from .stats import (
     M2_GUARD,
+    AlignedCorrelation,
+    aligned_correlation,
     init_moments,
     kurtosis_excess,
+    normalized_correlation,
 )
 from .whitening import LpcModel, WhitenSpec, fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten, whiten
 

@@ -131,11 +131,11 @@ class AdaptResult:
 
     @cached_property
     def final_kurtosis(self) -> float:
-        return kurtosis_excess(_array(self.output))
+        return kurtosis_excess(self.output)
 
     @cached_property
     def kurtosis_trace(self) -> tuple[float, ...]:
-        earlier = tuple(kurtosis_excess(_array(_apply(self.input, f))) for f in self.pass_filters[:-1])
+        earlier = tuple(kurtosis_excess(_apply(self.input, f)) for f in self.pass_filters[:-1])
         return earlier + (self.final_kurtosis,)
 
 

@@ -25,9 +25,8 @@ from .degrade import KINDS, DegradeSpec, apply_degradation
 from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
 from .experiment import SourceSpec, _build, load_config, make_source, run_experiment, write_report_csv
 from .fileio import is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
-from .metrics import _flat, aligned_correlation, normalize_kernel, normalize_taps, normalized_correlation
-from .signals import Image2D, Kernel2D, Signal1D, _apply, _array
-from .stats import kurtosis_excess
+from .signals import Image2D, Kernel2D, Signal1D, _apply, _array, normalize_kernel, normalize_taps
+from .stats import aligned_correlation, kurtosis_excess, normalized_correlation
 from .whitening import WHITEN_KINDS, WhitenSpec, whiten
 
 
@@ -158,10 +157,10 @@ def _cmd_metrics(args) -> int:
     b = read_any(args.file_b)
     rho = normalized_correlation(a, b)
     print(f"rho (zero lag)  {rho:.6f}")
-    if not is_image_path(args.file_a) and args.max_lag > 0:
+    if args.max_lag:
         al = aligned_correlation(a, b, args.max_lag)
         print(f"rho (aligned)   {al.rho:.6f} at lag {al.lag} sign {al.sign:+d}")
-    ka, kb = (kurtosis_excess(_flat(v)) for v in (a, b))
+    ka, kb = map(kurtosis_excess, (a, b))
     print(f"kurtosis        {ka:.6f} vs {kb:.6f}")
     return 0
 

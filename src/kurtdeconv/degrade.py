@@ -1,4 +1,5 @@
-"""Synthetic degradation systems and their analytic inverses.
+"""Synthetic degradation systems, their analytic inverses, and the
+parameter readout of an estimated inverse.
 
 Every engine runs with zero initial/boundary state, which makes each
 degrade/inverse pair an exact identity on finite data and gives the
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._native import allpole, image_allpole
-from .errors import ContractViolationError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _fir, _origin, _unit
+from .errors import ContractViolationError, DegenerateInputError, DivergenceError
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _fir, _origin, _unit
 
 # Where each kind's identified parameters sit in its analytic inverse,
 # {name: (position, sign)}: the parameter is sign times the coefficient at
@@ -136,3 +137,35 @@ def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | K
     for name, (pos, sign) in slots.items():
         h[tuple(np.add(_origin(h), pos))] = sign * getattr(spec, name)
     return Kernel2D(h) if h.ndim == 2 else FilterTaps1D(h)
+
+
+def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
+    """Read identified parameters off an estimated filter: sign times the
+    coefficient at each parameter slot of the analytic inverse, divided by
+    the unit coefficient, tap 0 of taps or the center of a kernel."""
+    if not isinstance(estimated, (FilterTaps1D, Kernel2D)):
+        raise ContractViolationError(f"unsupported estimate type {type(estimated).__name__}")
+    coeffs = _array(estimated)
+    origin = _origin(coeffs)
+    unit = coeffs[origin]
+    if unit == 0.0:
+        raise DegenerateInputError("a filter whose unit coefficient is 0 cannot be scaled")
+    out = {}
+    for name, (pos, sign) in _slots(spec).items():
+        index = np.add(origin, pos)
+        if np.size(pos) != coeffs.ndim or not np.all((index >= 0) & (index < coeffs.shape)):
+            raise ContractViolationError(f"a {coeffs.shape} filter has no {spec.kind} slot at {pos}")
+        out[name] = sign * coeffs[tuple(index)] / unit
+    return out
+
+
+def true_parameters(spec: DegradeSpec) -> dict[str, float]:
+    """Identification targets: the parameter slots of the analytic inverse."""
+    return extract_parameters(spec, true_inverse(spec))
+
+
+def parameter_error(spec: DegradeSpec, estimated) -> dict[str, float]:
+    """Per-coefficient absolute error |est - true| after normalization."""
+    true = true_parameters(spec)
+    est = extract_parameters(spec, estimated)
+    return {name: abs(est[name] - true[name]) for name in true}

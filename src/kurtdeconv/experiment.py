@@ -16,12 +16,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adapt import Adapt2dConfig, AdaptConfig, run_adapt
-from .degrade import DegradeSpec, apply_degradation
+from .degrade import DegradeSpec, apply_degradation, extract_parameters, true_parameters
 from .errors import ContractViolationError, FormatError
 from .fileio import is_image_path, read_any, rescale_unit
-from .metrics import extract_parameters, normalized_correlation, true_parameters
 from .signals import Image2D, Signal1D, _apply, _array
-from .stats import kurtosis_excess
+from .stats import kurtosis_excess, normalized_correlation
 from .whitening import WhitenSpec, whiten
 
 SYNTHETIC_KINDS = ("laplace", "uniform", "gaussian", "integrated_laplace", "integrated_uniform")
@@ -87,14 +86,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.experiment_id:
             raise ContractViolationError("experiment id must be nonempty")
-        want_2d = isinstance(self.adapt, Adapt2dConfig)
-        if self.source.is_image != want_2d:
+        if self.source.is_image != isinstance(self.adapt, Adapt2dConfig):
             raise ContractViolationError("source dimensionality does not match the adapt configuration")
         if self.degrade is not None:
-            image_kind = self.degrade.kind.startswith("image_")
-            if image_kind != want_2d:
-                raise ContractViolationError(f"degradation {self.degrade.kind} does not match the adapt configuration")
-            # a filter with no slot for a parameter fails here, not after adapting
+            # a filter with no slot for a parameter, the other dimension's
+            # included, fails here, not after adapting
             extract_parameters(self.degrade, self.adapt.identity())
 
 
@@ -268,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     result = run_adapt(x1, cfg.adapt)
     estimate = result.filter
     s_est = _apply(x, estimate)
-    kurt_source, kurt_degraded, kurt_restored = (kurtosis_excess(_array(v)) for v in (s, x, s_est))
+    kurt_source, kurt_degraded, kurt_restored = map(kurtosis_excess, (s, x, s_est))
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
         mode=f"{_array(s).ndim}d",

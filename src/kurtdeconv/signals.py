@@ -1,5 +1,5 @@
-"""Sample-sequence and image containers, FIR/kernel filtering, and the
-regressor walk the adaptation core reads.
+"""Sample-sequence and image containers, FIR/kernel filtering, filter
+normalization, and the regressor walk the adaptation core reads.
 
 All containers are immutable value objects: construction copies the data
 into a read-only float64 array, so instances can be shared freely between
@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DegenerateInputError
 
 
 def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
@@ -197,6 +197,26 @@ def _origin(coeffs: np.ndarray) -> tuple[int, ...]:
     """Where a filter's unit coefficient sits: tap 0 of taps, the center
     of a kernel's (odd-sized) weights."""
     return (0,) if coeffs.ndim == 1 else tuple(n // 2 for n in coeffs.shape)
+
+
+def normalize_taps(taps: FilterTaps1D) -> FilterTaps1D:
+    """Scale so the largest-magnitude tap becomes exactly +1."""
+    t = _coeffs(taps, FilterTaps1D)
+    peak = t[np.argmax(np.abs(t))]
+    if peak == 0.0:
+        raise DegenerateInputError("all-zero filter cannot be normalized")
+    return FilterTaps1D(t / peak)
+
+
+def normalize_kernel(kernel: Kernel2D) -> Kernel2D:
+    """Scale the largest-|w| weight to +1 and roll it to the center."""
+    w = _coeffs(kernel, Kernel2D)
+    r, c = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+    peak = w[r, c]
+    if peak == 0.0:
+        raise DegenerateInputError("all-zero kernel cannot be normalized")
+    centered = np.roll(w / peak, tuple(np.subtract(_origin(w), (r, c))), axis=(0, 1))
+    return Kernel2D(centered)
 
 
 def _unit(shape) -> np.ndarray:

@@ -28,6 +28,8 @@ class WhitenSpec:
             raise ContractViolationError(f"unknown whitening kind {self.kind!r}")
         if self.kind == "lpc" and self.order < 1:
             raise ContractViolationError(f"lpc order must be >= 1, got {self.order}")
+        if self.kind != "lpc" and self.order != 5:
+            raise ContractViolationError(f"order is only meaningful for lpc whitening, got {self.order}")
 
 
 @dataclass(frozen=True, eq=False)

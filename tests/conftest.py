@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, FilterTaps1D, _native, kurtosis_excess
 from kurtdeconv.adapt import TAP_LIMIT
+from kurtdeconv.signals import _rms_shift
 
 # The same examples on every run: no random seed, no replay of examples
 # saved by earlier runs, and no timing-dependent deadline failures.
@@ -59,6 +60,19 @@ def batch_kurtosis(samples) -> float:
     if m2 <= 0.0:
         raise DegenerateInputError("zero-energy input")
     return float((y2 * y2).mean() / (m2 * m2) - 3.0)
+
+
+def rms_scaled_kurtosis(samples) -> float:
+    """Excess kurtosis, mean removed, of the samples divided first by the
+    power of two nearest their RMS: the reference kurtosis_excess, which
+    divides by the power of two above the peak instead, must equal bit for
+    bit."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = np.ldexp(x, -_rms_shift(x))
+    x -= x.mean()
+    x2 = x * x
+    m2 = x2.mean()
+    return float((x2 * x2).mean() / (m2 * m2) - 3.0)
 
 
 def batch_gradient(y, windows) -> np.ndarray:

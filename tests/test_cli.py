@@ -80,6 +80,28 @@ def test_metrics_lag_above_half_the_length(tmp_path, capsys):
     assert main(["metrics", str(path), str(path), "--max-lag", "32"]) == 0
     assert "rho (aligned)   1.000000 at lag 0 sign +1" in capsys.readouterr().out
     assert main(["metrics", str(path), str(path), "--max-lag", "100"]) == 1
+    assert main(["metrics", str(path), str(path), "--max-lag", "-3"]) == 1
+
+
+def test_metrics_lag_on_images_rejected(tmp_path, capsys):
+    pgm = tmp_path / "a.pgm"
+    write_image(pgm, Image2D(np.random.default_rng(56).random((8, 8))))
+    assert main(["metrics", str(pgm), str(pgm)]) == 0
+    assert "rho (zero lag)  1.000000" in capsys.readouterr().out
+    for lag in ("1", "1000"):
+        assert main(["metrics", str(pgm), str(pgm), "--max-lag", lag]) == 1
+
+
+def test_order_without_lpc_rejected(tmp_path, source_wav):
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (
+        ["whiten", str(source_wav), str(out / "w.wav"), "--order", "7"],
+        ["whiten", str(source_wav), str(out / "w.wav"), "--kind", "highpass", "--order", "3"],
+        ["deconv", str(source_wav), str(out / "r.wav"), "--filter-out", str(out / "f.txt"), "--order", "7"],
+    ):
+        assert main(argv) == 1
+        assert not any(out.iterdir())
 
 
 def test_experiment_command(tmp_path, capsys):

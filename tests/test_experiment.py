@@ -184,6 +184,20 @@ class TestParseConfig:
             SourceSpec(kind="file", path="x.txt")
         assert parse_config("source.kind = file\nsource.path = x.PGM\n").source.is_image
 
+    def test_whiten_order_without_lpc_rejected(self):
+        with pytest.raises(ContractViolationError, match="order"):
+            parse_config("source.seed = 1\nsource.length = 1000\nwhiten.kind = highpass\nwhiten.order = 9\n")
+
+    @pytest.mark.parametrize("kind", ["ar2_iir", "echo_iir", "fir2", "image_iir2", "image_iir3"])
+    def test_degradation_of_the_other_dimension_rejected(self, kind):
+        # a signal config with an image kind, or an image config with a 1-D kind
+        if kind.startswith("image_"):
+            source, adapt = SourceSpec(kind="laplace", seed=1, length=100), AdaptConfig()
+        else:
+            source, adapt = SourceSpec(kind="laplace", seed=1, height=8, width=8), Adapt2dConfig()
+        with pytest.raises(ContractViolationError, match=f"no {kind} slot"):
+            ExperimentConfig("x", source, adapt, DegradeSpec(kind=kind, a1=0.5, a2=0.3))
+
     def test_dimensionality_mismatch(self):
         with pytest.raises(ContractViolationError):
             ExperimentConfig(

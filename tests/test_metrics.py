@@ -94,6 +94,21 @@ class TestAlignedCorrelation:
         b = Signal1D(np.roll(a.samples, 2) + 0.1 * rng.standard_normal(400))
         assert abs(aligned_correlation(a, b, 5).rho) >= abs(normalized_correlation(a, b)) - 1e-12
 
+    def test_image_rejected(self, rng):
+        # a lag along an image's raster order has no meaning, at any max_lag
+        img = Image2D(rng.random((8, 8)))
+        for max_lag in (0, 1, 1000):
+            with pytest.raises(ContractViolationError, match="Image2D"):
+                aligned_correlation(img, img, max_lag)
+
+    def test_overlap_without_the_peak_keeps_its_bits(self, rng):
+        # the lag that lines the two up drops the only large value of each,
+        # 2**340 above the rest
+        s = rng.laplace(size=200)
+        a, b = s.copy(), np.roll(s, 3)
+        a[-1], b[0] = 2.0**340, -(2.0**340)
+        assert aligned_correlation(a, b, 5) == (normalized_correlation(a[:-3], b[3:]), 3, 1)
+
     def test_lag_above_half_the_length_rejected(self, rng):
         s = Signal1D(rng.laplace(size=64))
         assert aligned_correlation(s, s, 32) == (pytest.approx(1.0), 0, 1)

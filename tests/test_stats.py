@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 
-from kurtdeconv import DegenerateInputError, init_moments, kurtosis_excess
-from conftest import MomentState, NearSingularMomentError, batch_gradient, batch_kurtosis, feedback, laplace_signal, update_moments
+from kurtdeconv import DegenerateInputError, Image2D, Signal1D, init_moments, kurtosis_excess
+from conftest import (
+    MomentState,
+    NearSingularMomentError,
+    batch_gradient,
+    batch_kurtosis,
+    feedback,
+    laplace_signal,
+    rms_scaled_kurtosis,
+    update_moments,
+)
 
 
 class TestKurtosisExcess:
@@ -43,6 +52,27 @@ class TestKurtosisExcess:
     def test_shift_invariance(self, c):
         x = laplace_signal(6, 300)
         assert kurtosis_excess(x + c) == pytest.approx(kurtosis_excess(x), abs=1e-6)
+
+    def test_containers_and_arrays_agree(self):
+        x = laplace_signal(10, 600)
+        assert kurtosis_excess(Signal1D(x)) == kurtosis_excess(Image2D(x.reshape(20, 30))) == kurtosis_excess(x)
+
+
+_SOURCES = {
+    "laplace": lambda rng, n: rng.laplace(size=n),
+    "cauchy": lambda rng, n: rng.standard_cauchy(n),
+    "sparse": lambda rng, n: np.where(np.arange(n) % 20 == 0, rng.laplace(size=n), 0.0),
+    "near_constant": lambda rng, n: 1.0 + 1e-9 * rng.standard_normal(n),
+}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(_SOURCES)), st.integers(3, 1000), st.integers(0, 2**32 - 1), st.integers(-540, 540))
+@example("laplace", 1000, 0, 540)
+@example("cauchy", 1000, 0, -540)
+def test_kurtosis_equals_rms_scaled_form_at_any_power_of_two_gain(source, n, seed, k):
+    x = np.ldexp(_SOURCES[source](np.random.default_rng(seed), n), k)
+    assert kurtosis_excess(x) == rms_scaled_kurtosis(x)
 
 
 class TestMoments:

@@ -8,6 +8,7 @@ from kurtdeconv import (
     Image2D,
     LpcModel,
     Signal1D,
+    WhitenSpec,
     apply_degradation,
     fit_lpc,
     highpass_whiten,
@@ -148,3 +149,11 @@ def test_commutation_with_lti_degradation(rng):
     a = highpass_whiten(apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), s)).samples
     b = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), highpass_whiten(s)).samples
     assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_order_applies_to_lpc_only():
+    assert WhitenSpec("lpc", order=3).order == 3
+    assert WhitenSpec("highpass", order=5) == WhitenSpec("highpass")
+    for kind, order in (("highpass", 3), ("none", 0), ("none", 9)):
+        with pytest.raises(ContractViolationError, match="order"):
+            WhitenSpec(kind, order=order)
