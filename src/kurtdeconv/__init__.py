@@ -61,6 +61,6 @@ from .stats import (
     kurtosis_excess,
     normalized_correlation,
 )
-from .whitening import LpcModel, WhitenSpec, fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten, whiten
+from .whitening import WhitenSpec, fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten, whiten
 
 __version__ = "0.1.0"

@@ -139,35 +139,6 @@ class AdaptResult:
         return earlier + (self.final_kurtosis,)
 
 
-def _adapt(walk: tuple, h: np.ndarray, y0: np.ndarray, cfg) -> list[np.ndarray]:
-    """The adaptation recursion over the regressor walk of either dimension.
-
-    walk is the (P, off, width, stride, n) of signals._walk, whose row r
-    is the regressor the filter sees at step r. The first cfg.warmup rows
-    only seed the moment estimates with y0, the output of the starting
-    filter h over them; every pass then updates the contiguous float64 h
-    in place over the remaining rows, moments carried across passes.
-    Returns a copy of h at the end of each pass; nothing is filtered here.
-    A warm-up block whose second moment is at or below M2_GUARD (silence,
-    since the rows are RMS-scaled) is a DegenerateInputError: its zero
-    moments would make the first updates divide by a vanishing m2^3.
-    """
-    m = init_moments(y0)
-    if cfg.warmup > 0 and m[0] <= M2_GUARD:
-        raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
-    pass_filters = []
-    for pass_index in range(cfg.passes):
-        n = adapt_pass(*walk, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
-        if n >= 0:
-            raise DivergenceError(
-                f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",
-                pass_index=pass_index,
-                sample_index=n,
-            )
-        pass_filters.append(h.copy())
-    return pass_filters
-
-
 def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> AdaptResult:
     """Adapt a filter over a (whitened) signal or image.
 
@@ -179,9 +150,12 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     moment guard relative to the input power. The first cfg.warmup rows
     only seed the moment estimates under cfg.identity(), whose output is
     the input itself; every pass then updates over the remaining rows,
-    filter and moments carried across passes. A DivergenceError, raised
-    here, names the sample (the pixel by its raster index). x1 is not
-    filtered here; the result's output and its kurtosis fields are
+    filter and moments carried across passes. A warm-up whose second
+    moment is at or below M2_GUARD (silence, since the rows are RMS-scaled)
+    is a DegenerateInputError: its zero moments would make the first
+    updates divide by a vanishing m2^3. A DivergenceError, raised here,
+    names the pass and the sample (the pixel by its raster index). x1 is
+    not filtered here; the result's output and its kurtosis fields are
     computed on first read.
     """
     start = cfg.identity()
@@ -200,9 +174,21 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     elif len(x1) <= cfg.warmup + cfg.taps:
         raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
     shift = _rms_shift(values)
-    y0 = np.ldexp(values.ravel()[: cfg.warmup], -shift)
-    pass_filters = _adapt(_walk(values, h0.shape, shift), h0.flatten(), y0, cfg)
-    return AdaptResult(x1, tuple(type(start)(h.reshape(h0.shape)) for h in pass_filters))
+    m = init_moments(np.ldexp(values.ravel()[: cfg.warmup], -shift))
+    if cfg.warmup > 0 and m[0] <= M2_GUARD:
+        raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
+    walk, h = _walk(values, h0.shape, shift), h0.flatten()
+    pass_filters = []
+    for pass_index in range(cfg.passes):
+        n = adapt_pass(*walk, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
+        if n >= 0:
+            raise DivergenceError(
+                f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",
+                pass_index=pass_index,
+                sample_index=n,
+            )
+        pass_filters.append(type(start)(h.reshape(h0.shape)))
+    return AdaptResult(x1, tuple(pass_filters))
 
 
 # kept while perfbench's execute_traced calls it; goes with it (ROADMAP item 2)

@@ -155,12 +155,13 @@ def _cmd_experiment(args) -> int:
 def _cmd_metrics(args) -> int:
     a = read_any(args.file_a)
     b = read_any(args.file_b)
+    # every value first, so a failed command prints nothing
     rho = normalized_correlation(a, b)
+    al = aligned_correlation(a, b, args.max_lag) if args.max_lag else None
+    ka, kb = map(kurtosis_excess, (a, b))
     print(f"rho (zero lag)  {rho:.6f}")
     if args.max_lag:
-        al = aligned_correlation(a, b, args.max_lag)
         print(f"rho (aligned)   {al.rho:.6f} at lag {al.lag} sign {al.sign:+d}")
-    ka, kb = map(kurtosis_excess, (a, b))
     print(f"kurtosis        {ka:.6f} vs {kb:.6f}")
     return 0
 

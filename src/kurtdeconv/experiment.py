@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adapt import Adapt2dConfig, AdaptConfig, run_adapt
-from .degrade import DegradeSpec, apply_degradation, extract_parameters, true_parameters
+from .degrade import DegradeSpec, apply_degradation, extract_parameters, parameter_error, true_parameters
 from .errors import ContractViolationError, FormatError
 from .fileio import is_image_path, read_any, rescale_unit
 from .signals import Image2D, Signal1D, _apply, _array
@@ -292,8 +292,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _parameter_rows(spec: DegradeSpec | None, estimated) -> tuple[ParameterRow, ...]:
     if spec is None:
         return ()
-    true, est = true_parameters(spec), extract_parameters(spec, estimated)
-    return tuple(ParameterRow(k, float(true[k]), float(est[k]), float(abs(est[k] - true[k]))) for k in true)
+    true, est, err = true_parameters(spec), extract_parameters(spec, estimated), parameter_error(spec, estimated)
+    return tuple(ParameterRow(k, float(true[k]), float(est[k]), float(err[k])) for k in true)
 
 
 def write_report_csv(path, reports) -> None:

@@ -8,12 +8,12 @@ a WhitenSpec to a signal or an image.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import Image2D, Signal1D, _fir
+from .signals import _FILTERS, FilterTaps1D, Image2D, Signal1D, _array, apply_taps
 
 WHITEN_KINDS = ("none", "highpass", "lpc")
 
@@ -32,42 +32,32 @@ class WhitenSpec:
             raise ContractViolationError(f"order is only meaningful for lpc whitening, got {self.order}")
 
 
-@dataclass(frozen=True, eq=False)
-class LpcModel:
-    """Linear predictor x_hat(n) = sum_k coeffs[k-1] * x(n-k)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ContractViolationError("coeffs must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ContractViolationError("coeffs contain non-finite values")
-        roots = np.roots(np.concatenate(([1.0], -arr)))
-        if roots.size and np.max(np.abs(roots)) >= 1.0:
-            raise ContractViolationError("synthesis filter is unstable (root on or outside unit circle)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size
+def highpass_whiten(x: Signal1D | Image2D) -> Signal1D | Image2D:
+    """First difference along every axis of a Signal1D or an Image2D, zero
+    before the first sample, row and column: y(n) = x(n) - x(n-1), or
+    d(x, y) = g(x, y) - g(x-1, y) - g(x, y-1) + g(x-1, y-1). One body reads
+    the values as rows, a signal as one column, whose corner term is empty.
+    The output keeps x's type; any other x is a ContractViolationError."""
+    if type(x) not in _FILTERS.values():
+        raise ContractViolationError(f"highpass whitening takes a Signal1D or an Image2D, not {type(x).__name__}")
+    v = _array(x)
+    if min(v.shape) < 2:
+        raise DegenerateInputError(f"need at least 2 values along each axis, got shape {v.shape}")
+    g = v.reshape(v.shape[0], -1)
+    d = np.empty_like(g)
+    d[0] = g[0]
+    np.subtract(g[1:], g[:-1], out=d[1:])
+    d[:, 1:] -= g[:, :-1]
+    d[1:, 1:] += g[:-1, :-1]
+    return replace(x, **{fields(x)[0].name: d.reshape(v.shape)})
 
 
-def highpass_whiten(x: Signal1D) -> Signal1D:
-    """First difference y(n) = x(n) - x(n-1) with y(0) = x(0)."""
-    if len(x) < 2:
-        raise DegenerateInputError(f"need at least 2 samples, got {len(x)}")
-    s = x.samples
-    y = np.empty_like(s)
-    y[0] = s[0]
-    np.subtract(s[1:], s[:-1], out=y[1:])
-    return Signal1D(y, sample_rate=x.sample_rate)
+highpass_whiten_2d = highpass_whiten  # the name perfbench and the tests call for images
 
 
-def fit_lpc(x: Signal1D, order: int) -> LpcModel:
-    """Fit an order-p linear predictor by Levinson-Durbin.
+def fit_lpc(x: Signal1D, order: int) -> np.ndarray:
+    """The read-only coefficients a of the order-p linear predictor
+    x_hat(n) = sum_k a[k-1] x(n-k), fitted by Levinson-Durbin.
 
     Uses the biased autocorrelation estimate (divide by the full length),
     which keeps the Toeplitz system positive semidefinite and the
@@ -94,43 +84,24 @@ def fit_lpc(x: Signal1D, order: int) -> LpcModel:
         a[: i - 1] -= k * a[: i - 1][::-1]
         a[i - 1] = k
         e *= 1.0 - k * k
-    return LpcModel(a)
+    a.setflags(write=False)
+    return a
 
 
-def lpc_whiten(x: Signal1D, model: LpcModel) -> Signal1D:
-    """Prediction residual e(n) = x(n) - sum_k a_k x(n-k), zero prefix."""
-    analysis = np.concatenate(([1.0], -model.coeffs))
-    return Signal1D(_fir(analysis, x.samples), sample_rate=x.sample_rate)
-
-
-def highpass_whiten_2d(img: Image2D) -> Image2D:
-    """Separable first difference along both axes.
-
-    d(x, y) = g(x, y) - g(x-1, y) - g(x, y-1) + g(x-1, y-1) with zero
-    padding before the first row and column; output keeps the input shape.
-    """
-    if img.height < 2 or img.width < 2:
-        raise DegenerateInputError(f"need at least 2x2 pixels, got {img.height}x{img.width}")
-    g = img.pixels
-    d = g.copy()
-    d[1:, :] -= g[:-1, :]
-    d[:, 1:] -= g[:, :-1]
-    d[1:, 1:] += g[:-1, :-1]
-    return Image2D(d)
+def lpc_whiten(x: Signal1D, coeffs) -> Signal1D:
+    """Prediction residual e(n) = x(n) - sum_k coeffs[k-1] x(n-k), zero
+    prefix: x filtered by the taps [1, -coeffs]. coeffs must be a
+    nonempty, finite 1-D sequence."""
+    return apply_taps(x, FilterTaps1D(np.concatenate(([1.0], -FilterTaps1D(coeffs).taps))))
 
 
 def whiten(data, spec: WhitenSpec):
-    """Whiten a Signal1D or Image2D as spec describes.
-
-    Images support only highpass whitening; asking for lpc on an image
-    raises ContractViolationError.
-    """
+    """Whiten a Signal1D or Image2D as spec describes; lpc whitening takes
+    only a Signal1D (anything else is a ContractViolationError)."""
     if spec.kind == "none":
         return data
-    if isinstance(data, Image2D):
-        if spec.kind == "lpc":
-            raise ContractViolationError("lpc whitening is not defined for images")
-        return highpass_whiten_2d(data)
     if spec.kind == "highpass":
         return highpass_whiten(data)
+    if not isinstance(data, Signal1D):
+        raise ContractViolationError(f"lpc whitening takes a Signal1D, not {type(data).__name__}")
     return lpc_whiten(data, fit_lpc(data, spec.order))

@@ -92,6 +92,15 @@ def test_metrics_lag_on_images_rejected(tmp_path, capsys):
         assert main(["metrics", str(pgm), str(pgm), "--max-lag", lag]) == 1
 
 
+def test_failed_metrics_prints_nothing(tmp_path, capsys):
+    pgm = tmp_path / "a.pgm"
+    write_image(pgm, Image2D(np.random.default_rng(56).random((8, 8))))
+    assert main(["metrics", str(pgm), str(pgm), "--max-lag", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "lag" in err
+
+
 def test_order_without_lpc_rejected(tmp_path, source_wav):
     out = tmp_path / "out"
     out.mkdir()
@@ -117,6 +126,15 @@ def test_experiment_command(tmp_path, capsys):
     lines = report.read_text().splitlines()
     assert lines[0].startswith("id,mode,source")
     assert lines[1].startswith("cli-demo,1d,laplace,5,20000")
+
+
+def test_experiment_with_invalid_value_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("source.seed = 1\nsource.length = 1000\nadapt.beta = 1.5\n")
+    assert main(["experiment", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "beta must lie in (0, 1)" in err
 
 
 def test_exit_codes(tmp_path):

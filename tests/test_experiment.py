@@ -198,6 +198,30 @@ class TestParseConfig:
         with pytest.raises(ContractViolationError, match=f"no {kind} slot"):
             ExperimentConfig("x", source, adapt, DegradeSpec(kind=kind, a1=0.5, a2=0.3))
 
+    @pytest.mark.parametrize("text, message", [
+        ("source.length = 1000\nadapt.mu = nan\n", "mu must be finite"),
+        ("source.length = 1000\nadapt.mu = inf\n", "mu must be finite"),
+        ("source.length = 1000\nadapt.beta = 0\n", "beta must lie in"),
+        ("source.length = 1000\nadapt.beta = 1\n", "beta must lie in"),
+        ("source.length = 1000\nadapt.warmup = -1\n", "warmup must be >= 0"),
+        ("source.length = 1000\nadapt.passes = 0\n", "passes must be >= 1"),
+        ("source.height = 8\nsource.width = 8\nadapt.passes = 0\n", "passes must be >= 1"),
+        ("source.length = 1000\nadapt.taps = 0\n", "taps must be >= 1"),
+        ("source.length = 1000\ndegrade.kind = ar2_iir\ndegrade.a1 = nan\n", "a1 must be finite"),
+        ("source.length = 1000\ndegrade.kind = echo_iir\ndegrade.a1 = 0.5\ndegrade.delay = 0\n", "delay must be >= 1"),
+        ("source.kind = pink\nsource.length = 1000\n", "unknown source kind"),
+        ("source.length = 0\n", "positive length"),
+        ("source.length = -5\n", "positive length"),
+        ("source.height = 0\nsource.width = 8\n", "positive height and width"),
+        ("source.height = 8\nsource.width = -8\n", "positive height and width"),
+        ("source.length = 1000\nwhiten.kind = pink\n", "unknown whitening kind"),
+        ("source.length = 1000\nwhiten.kind = lpc\nwhiten.order = 0\n", "lpc order must be >= 1"),
+        ("source.length = 1000\nexperiment.id =\n", "experiment id must be nonempty"),
+    ])
+    def test_invalid_value_rejected(self, text, message):
+        with pytest.raises(ContractViolationError, match=message):
+            parse_config("source.seed = 1\n" + text)
+
     def test_dimensionality_mismatch(self):
         with pytest.raises(ContractViolationError):
             ExperimentConfig(
