@@ -34,7 +34,7 @@ import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
-from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _rms_shift, _unit, _walk
+from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _pow2, _rms_shift, _unit, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -174,7 +174,7 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     elif len(x1) <= cfg.warmup + cfg.taps:
         raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
     shift = _rms_shift(values)
-    m = init_moments(np.ldexp(values.ravel()[: cfg.warmup], -shift))
+    m = init_moments(_pow2(values.ravel()[: cfg.warmup], -shift))
     if cfg.warmup > 0 and m[0] <= M2_GUARD:
         raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
     walk, h = _walk(values, h0.shape, shift), h0.flatten()
@@ -261,7 +261,7 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     n = x.size
     Q = np.empty((3, n))
     P = np.empty((6, -(-n // 6)))
-    np.ldexp(x, -_peak_shift(x), out=Q[0])
+    _pow2(x, -_peak_shift(x), out=Q[0])
     for k in (1, 2):
         Q[k, 0] = Q[k - 1, 0]
         np.subtract(Q[k - 1, 1:], Q[k - 1, :-1], out=Q[k, 1:])

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._native import allpole, image_allpole
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _fir, _origin, _unit
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _fir, _origin, _Owned, _unit
 
 # Where each kind's identified parameters sit in its analytic inverse,
 # {name: (position, sign)}: the parameter is sign times the coefficient at
@@ -85,22 +85,24 @@ def apply_degradation(spec: DegradeSpec, source):
 
     |a1|+|a2|+|a3| < 1 is a conservative sufficient bound for a bounded
     image recursion, but some sets outside it are bounded in practice:
-    every set runs, and an output that overflows or peaks above 1e9 raises
-    DivergenceError.
+    every set runs, and an image output that peaks above 1e9 raises
+    DivergenceError. So does any output that overflows, of any kind.
     """
     image = spec.kind.startswith("image_")
     if not isinstance(source, Image2D if image else Signal1D):
         raise ContractViolationError(f"{spec.kind} degrades {'an Image2D' if image else 'a Signal1D'}, got {type(source).__name__}")
-    if spec.kind == "fir2":
-        return Signal1D(_fir(np.array([1.0, spec.a1 + spec.a2, spec.a1 * spec.a2]), source.samples), sample_rate=source.sample_rate)
-    if not image:
-        return Signal1D(allpole(source.samples, (2 * spec.delay, spec.delay), (spec.a2, spec.a1)), sample_rate=source.sample_rate)
-    g = image_allpole(source.pixels, spec.a1, spec.a2, spec.a3)
-    peak = float(np.max(np.abs(g)))
-    # negated form so NaN output also trips the guard
-    if not peak <= 1e9:
-        raise DivergenceError(f"degraded image peak {peak:g} indicates an unstable 2-D recursion")
-    return Image2D(g)
+    if image:
+        y = image_allpole(source.pixels, spec.a1, spec.a2, spec.a3)
+    elif spec.kind == "fir2":
+        y = _fir(np.array([1.0, spec.a1 + spec.a2, spec.a1 * spec.a2]), source.samples)
+    else:
+        y = allpole(source.samples, (2 * spec.delay, spec.delay), (spec.a2, spec.a1))
+    # the one guard: an image recursion may be unstable, and any kind may
+    # overflow on finite data; the negated form also trips on NaN output
+    peak = float(max(y.max(), -y.min()))
+    if not peak <= (1e9 if image else np.finfo(np.float64).max):
+        raise DivergenceError(f"degraded peak {peak:g} indicates an unstable or overflowing recursion")
+    return Image2D(_Owned(y)) if image else Signal1D(_Owned(y), sample_rate=source.sample_rate)
 
 
 def _slots(spec: DegradeSpec) -> dict[str, tuple]:

@@ -19,8 +19,8 @@ from .adapt import Adapt2dConfig, AdaptConfig, run_adapt
 from .degrade import DegradeSpec, apply_degradation, extract_parameters, parameter_error, true_parameters
 from .errors import ContractViolationError, FormatError
 from .fileio import is_image_path, read_any, rescale_unit
-from .signals import Image2D, Signal1D, _apply, _array
-from .stats import kurtosis_excess, normalized_correlation
+from .signals import Image2D, Signal1D, _apply, _array, _Owned
+from .stats import _scores
 from .whitening import WhitenSpec, whiten
 
 SYNTHETIC_KINDS = ("laplace", "uniform", "gaussian", "integrated_laplace", "integrated_uniform")
@@ -102,21 +102,24 @@ def make_source(spec: SourceSpec):
     if not spec.is_image:
         n = spec.length
         if spec.kind == "laplace":
-            return Signal1D(rng.laplace(0.0, 1.0 / np.sqrt(2.0), n))
+            return Signal1D(_Owned(rng.laplace(0.0, 1.0 / np.sqrt(2.0), n)))
         if spec.kind == "uniform":
-            return Signal1D(rng.uniform(-1.0, 1.0, n))
+            return Signal1D(_Owned(rng.uniform(-1.0, 1.0, n)))
         if spec.kind == "gaussian":
-            return Signal1D(rng.standard_normal(n))
+            return Signal1D(_Owned(rng.standard_normal(n)))
         # integrated kinds: random walks whose first difference is exactly
         # the i.i.d. draw, i.e. correlated speech/texture stand-ins. Pure
         # scaling only; an offset would plant an outlier at the whitened
         # boundary.
         if spec.kind == "integrated_laplace":
-            return Signal1D(np.cumsum(rng.laplace(0.0, 1.0 / np.sqrt(2.0), n)) / np.sqrt(n))
-        return Signal1D(np.cumsum(rng.uniform(-1.0, 1.0, n)) / np.sqrt(n))
+            walk = np.cumsum(rng.laplace(0.0, 1.0 / np.sqrt(2.0), n))
+        else:
+            walk = np.cumsum(rng.uniform(-1.0, 1.0, n))
+        walk /= np.sqrt(n)
+        return Signal1D(_Owned(walk))
     shape = (spec.height, spec.width)
     if spec.kind == "uniform":
-        return Image2D(rng.random(shape))
+        return Image2D(_Owned(rng.random(shape)))
     if spec.kind == "gaussian":
         return rescale_unit(Image2D(rng.standard_normal(shape)))
     if spec.kind == "laplace":
@@ -135,7 +138,8 @@ def make_source(spec: SourceSpec):
     else:
         noise = np.cumsum(noise, axis=0)
     field2d = np.cumsum(noise, axis=1)
-    return Image2D(field2d / np.sqrt(shape[0] * shape[1]))
+    field2d /= np.sqrt(shape[0] * shape[1])
+    return Image2D(_Owned(field2d))
 
 
 @dataclass(frozen=True)
@@ -257,14 +261,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     s = make_source(cfg.source)
     x = apply_degradation(cfg.degrade, s) if cfg.degrade is not None else s
-    x1 = whiten(x, cfg.whiten)
     # The inverse is identified on the whitened domain but, because the
     # whitener and the degradation are both LTI, it restores the raw
-    # observation directly.
-    result = run_adapt(x1, cfg.adapt)
-    estimate = result.filter
-    s_est = _apply(x, estimate)
-    kurt_source, kurt_degraded, kurt_restored = map(kurtosis_excess, (s, x, s_est))
+    # observation directly. The whitened input and the result are gone
+    # before the restore, so they add nothing to the peak.
+    estimate = run_adapt(whiten(x, cfg.whiten), cfg.adapt).filter
+    kurt_source, kurt_degraded, kurt_restored, rho_sx, rho_restored = _scores(s, x, _apply(x, estimate))
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
         mode=f"{_array(s).ndim}d",
@@ -282,8 +284,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         kurt_source=kurt_source,
         kurt_degraded=kurt_degraded,
         kurt_restored=kurt_restored,
-        rho_sx=normalized_correlation(s, x),
-        rho_restored=normalized_correlation(s, s_est),
+        rho_sx=rho_sx,
+        rho_restored=rho_restored,
         wall_time_s=time.perf_counter() - t0,
         estimate=_array(estimate),
     )

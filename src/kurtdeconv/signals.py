@@ -1,13 +1,14 @@
 """Sample-sequence and image containers, FIR/kernel filtering, filter
 normalization, and the regressor walk the adaptation core reads.
 
-All containers are immutable value objects: construction copies the data
-into a read-only float64 array, so instances can be shared freely between
-threads. The walk reads every regressor (the tap window of a sample, the
-neighborhood of a pixel) from one zero-padded copy of the data, divided by
-a power of two, through a table of tap offsets: indices outside the data
-read as zero, so the recursion stays well defined from sample 0, and no
-row is copied.
+All containers are immutable value objects holding a read-only float64
+array, so instances can be shared freely between threads. A caller's data
+is copied; the package's own stages hand over the fresh arrays they build
+(``_Owned``), which are checked and frozen in place instead. The walk
+reads every regressor (the tap window of a sample, the neighborhood of a
+pixel) from one zero-padded copy of the data, divided by a power of two,
+through a table of tap offsets: indices outside the data read as zero, so
+the recursion stays well defined from sample 0, and no row is copied.
 """
 from __future__ import annotations
 
@@ -18,8 +19,18 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateInputError
 
 
+@dataclass(frozen=True)
+class _Owned:
+    """A fresh array a stage has just built and keeps no reference to: the
+    container it is handed to adopts it, frozen in place, uncopied."""
+
+    array: np.ndarray
+
+
 def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    """A read-only float64 copy of values, or the array of an _Owned itself;
+    the wrong ndim, no values, or a non-finite one is a ContractViolationError."""
+    arr = np.asarray(values.array, dtype=np.float64) if isinstance(values, _Owned) else np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ContractViolationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -99,6 +110,16 @@ class Kernel2D:
         return self.weights.shape[1]
 
 
+def _pow2(values: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """values * 2**k into out (by default a new array), bit for bit
+    np.ldexp(values, k): a product with the double 2.0**k, which is exact
+    for k in [-1074, 1023] and several times faster, and np.ldexp outside
+    that range."""
+    if -1074 <= k <= 1023:
+        return np.multiply(values, 2.0**k, out=out)
+    return np.ldexp(values, k, out=out)
+
+
 def _peak_shift(values: np.ndarray) -> int:
     """Exponent e with max|values| in [2**(e-1), 2**e) (0 if all are zero);
     dividing by 2**e is exact and leaves every value in (-1, 1)."""
@@ -111,7 +132,7 @@ def _rms_shift(values: np.ndarray) -> int:
     exact division by 2**_peak_shift(values), so they neither overflow nor
     underflow at any finite gain."""
     e = _peak_shift(values)
-    scaled = np.ldexp(values, -e)
+    scaled = _pow2(values, -e)
     mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
@@ -135,10 +156,10 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
     M, N = shape if len(shape) == 2 else (1, *shape)
     top, left, order = (M // 2, N // 2, 1) if len(shape) == 2 else (0, N - 1, -1)
     stride = W + N - 1
-    P = np.zeros((H + M - 1, stride))
-    P[top : top + H, left : left + W] = lines
-    if shift:
-        np.ldexp(P, -shift, out=P)
+    P = np.empty((H + M - 1, stride))
+    # zeros in the pad only; the lines are written scaled in one pass
+    P[:top] = P[top + H :] = P[:, :left] = P[:, left + W :] = 0.0
+    _pow2(lines, -shift, out=P[top : top + H, left : left + W])
     P.setflags(write=False)
     off = (np.arange(M)[:, None] * stride + np.arange(N)).ravel()[::order].copy()
     return P.ravel(), off, W, stride, H * W
@@ -152,7 +173,7 @@ def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def apply_taps(x: Signal1D, taps: FilterTaps1D) -> Signal1D:
     """Causal FIR filtering y(n) = sum_k h(k) x(n-k), zero initial state."""
-    return Signal1D(_fir(_coeffs(taps, FilterTaps1D, x), x.samples), sample_rate=x.sample_rate)
+    return Signal1D(_Owned(_fir(_coeffs(taps, FilterTaps1D, x), x.samples)), sample_rate=x.sample_rate)
 
 
 def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
@@ -170,7 +191,7 @@ def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
     for (i, j), wij in np.ndenumerate(w):
         np.multiply(padded[i : i + H, j : j + W], wij, out=term)
         out += term
-    return Image2D(out)
+    return Image2D(_Owned(out))
 
 
 #: The pairing rule: a FilterTaps1D filters a Signal1D, a Kernel2D an Image2D.

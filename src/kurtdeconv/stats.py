@@ -12,7 +12,7 @@ live in the tests, as the oracle for the direction of the online update.
 
 Restorations are also scored by Pearson correlation, which is blind to the
 gain, sign and offset that blind deconvolution cannot recover. Each score
-first divides its values by a power of two (``_scaled``), exactly, so it
+first divides its values by a power of two (``_centred``), exactly, so it
 keeps every bit at any power-of-two gain and no sum overflows.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import Image2D, Signal1D, _array, _peak_shift
+from .signals import Image2D, Signal1D, _array, _peak_shift, _pow2
 
 #: Guard threshold on the running second moment, below which the m2^3
 #: denominator of the update is taken as singular and the update skipped.
@@ -32,40 +32,56 @@ from .signals import Image2D, Signal1D, _array, _peak_shift
 M2_GUARD = 1e-8
 
 
-def _scaled(values, out=None) -> np.ndarray:
-    """The values of a Signal1D, an Image2D or an array, flattened and
-    divided by 2**_peak_shift into out (by default a new array), so that
-    every value lies in (-1, 1); at shift 0 this is a plain copy."""
-    v = np.asarray(_array(values) if isinstance(values, (Signal1D, Image2D)) else values, dtype=np.float64).ravel()
-    out = np.empty(v.size) if out is None else out
-    shift = _peak_shift(v) if v.size else 0
-    if shift:
-        return np.ldexp(v, -shift, out=out)
-    out[...] = v
-    return out
+def _values(values) -> np.ndarray:
+    """The flattened float64 values of a Signal1D, an Image2D or an array. A
+    container was checked when it was built; a non-finite value in an array
+    is a ContractViolationError."""
+    if isinstance(values, (Signal1D, Image2D)):
+        return _array(values).ravel()
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(v)):
+        raise ContractViolationError("values contain non-finite values")
+    return v
 
 
-def kurtosis_excess(samples) -> float:
-    """Excess kurtosis of the flattened values, mean removed first."""
-    x = _scaled(samples)
-    if x.size < 2:
-        raise DegenerateInputError(f"need at least 2 samples, got {x.size}")
-    x -= x.mean()
-    np.square(x, out=x)
-    m2 = x.mean()
+def _centred(v: np.ndarray, out=None) -> np.ndarray:
+    """The values v divided by 2**_peak_shift, so that every one lies in
+    (-1, 1), with their mean removed, in out (by default a new array)."""
+    c = _pow2(v, -_peak_shift(v) if v.size else 0, out)
+    if c.size:
+        c -= c.mean()
+    return c
+
+
+def _kurtosis(c: np.ndarray, out=None) -> float:
+    """Excess kurtosis of the centred values c, squared into out (by
+    default into c itself)."""
+    if c.size < 2:
+        raise DegenerateInputError(f"need at least 2 samples, got {c.size}")
+    q = np.square(c, out=c if out is None else out)
+    m2 = q.mean()
     if m2 <= 0.0:
         raise DegenerateInputError("zero-variance input")
-    np.square(x, out=x)
-    m4 = x.mean()
+    np.square(q, out=q)
+    m4 = q.mean()
     return float(m4 / (m2 * m2) - 3.0)
 
 
+def _rho(a: np.ndarray, b: np.ndarray, aa: float | None = None) -> float:
+    """Pearson correlation of the centred values a and b, clipped to
+    [-1, 1]; aa is a @ a, if already known."""
+    den = np.sqrt((a @ a if aa is None else aa) * (b @ b))
+    if den <= 0.0:
+        raise DegenerateInputError("zero-variance input")
+    return float(np.clip(a @ b / den, -1.0, 1.0))
+
+
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """a and b scaled; a signal paired with an image, or values of
+    """The values of a and b; a signal paired with an image, or values of
     different sizes, are a ContractViolationError."""
     if len({type(v) for v in (a, b) if isinstance(v, (Signal1D, Image2D))}) > 1:
         raise ContractViolationError("cannot correlate a Signal1D with an Image2D")
-    av, bv = _scaled(a), _scaled(b)
+    av, bv = _values(a), _values(b)
     if av.size != bv.size:
         raise ContractViolationError(f"size mismatch: {av.size} vs {bv.size}")
     if av.size == 0:
@@ -73,20 +89,29 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return av, bv
 
 
-def _rho(av: np.ndarray, bv: np.ndarray) -> float:
-    """Pearson correlation of two scaled arrays, which it centres in place,
-    clipped to [-1, 1]."""
-    av -= av.mean()
-    bv -= bv.mean()
-    den = np.sqrt((av @ av) * (bv @ bv))
-    if den <= 0.0:
-        raise DegenerateInputError("zero-variance input")
-    return float(np.clip(av @ bv / den, -1.0, 1.0))
+def kurtosis_excess(samples) -> float:
+    """Excess kurtosis of the flattened values, mean removed first."""
+    return _kurtosis(_centred(_values(samples)))
 
 
 def normalized_correlation(a, b) -> float:
     """Zero-lag Pearson correlation of mean-removed flattened values."""
-    return _rho(*_pair(a, b))
+    return _rho(*map(_centred, _pair(a, b)))
+
+
+def _scores(s, x, s_est) -> tuple[float, float, float, float, float]:
+    """The excess kurtoses of s, x and s_est and the correlations of x and
+    s_est with s, as kurtosis_excess and normalized_correlation give them,
+    from s centred once and one scratch array that x and then s_est are
+    centred and squared in."""
+    cs = _centred(_values(s))
+    scratch = np.empty_like(cs)
+    kurt = [_kurtosis(cs, out=scratch)]
+    ss, rho = cs @ cs, []
+    for v in (x, s_est):
+        rho.append(_rho(cs, _centred(_values(v), out=scratch), ss))
+        kurt.append(_kurtosis(scratch))
+    return (*kurt, *rho)
 
 
 class AlignedCorrelation(NamedTuple):
@@ -107,7 +132,7 @@ def aligned_correlation(a, b, max_lag: int) -> AlignedCorrelation:
     """
     if any(isinstance(v, Image2D) for v in (a, b)):
         raise ContractViolationError("aligned correlation lags samples; an Image2D has none")
-    av, bv = _pair(a, b)
+    av, bv = (_pow2(v, -_peak_shift(v)) for v in _pair(a, b))
     if not 0 <= 2 * max_lag <= av.size:
         raise ContractViolationError(f"max_lag must lie in [0, {av.size // 2}], half the length, got {max_lag}")
     # each overlap is scaled again into a scratch array and centred there:
@@ -117,7 +142,7 @@ def aligned_correlation(a, b, max_lag: int) -> AlignedCorrelation:
     for lag in range(-max_lag, max_lag + 1):
         overlap = (av[: av.size - lag], bv[lag:]) if lag >= 0 else (av[-lag:], bv[: bv.size + lag])
         try:
-            rho = _rho(*(_scaled(v, out[: v.size]) for v, out in zip(overlap, scratch)))
+            rho = _rho(*(_centred(v, out[: v.size]) for v, out in zip(overlap, scratch)))
         except DegenerateInputError:
             continue
         if best is None or abs(rho) > abs(best[0]):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import _FILTERS, FilterTaps1D, Image2D, Signal1D, _array, apply_taps
+from .signals import _FILTERS, FilterTaps1D, Image2D, Signal1D, _array, _Owned, apply_taps
 
 WHITEN_KINDS = ("none", "highpass", "lpc")
 
@@ -49,7 +49,7 @@ def highpass_whiten(x: Signal1D | Image2D) -> Signal1D | Image2D:
     np.subtract(g[1:], g[:-1], out=d[1:])
     d[:, 1:] -= g[:, :-1]
     d[1:, 1:] += g[:-1, :-1]
-    return replace(x, **{fields(x)[0].name: d.reshape(v.shape)})
+    return replace(x, **{fields(x)[0].name: _Owned(d.reshape(v.shape))})
 
 
 highpass_whiten_2d = highpass_whiten  # the name perfbench and the tests call for images

@@ -192,6 +192,21 @@ class TestImageIir:
                 apply_degradation(spec, img)
 
 
+
+@pytest.mark.parametrize("engine", ["compiled", "python"])
+@pytest.mark.parametrize("spec", [
+    DegradeSpec("ar2_iir", 0.6, 0.3), DegradeSpec("echo_iir", 0.6, 0.3, delay=3), DegradeSpec("fir2", 0.6, 0.3),
+])
+def test_overflowing_signal_degradation_raises_divergence(spec, engine, monkeypatch):
+    # the samples are finite; the degraded output is not, and that is the
+    # recursion's failure, not the caller's
+    if engine == "python":
+        monkeypatch.setattr(_native, "_LIBRARY", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            apply_degradation(spec, Signal1D(np.full(100, 1e308)))
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_source_of_the_other_dimension_rejected(kind):
     spec = DegradeSpec(kind, 0.1, 0.1)

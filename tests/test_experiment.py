@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +17,19 @@ from kurtdeconv import (
     Kernel2D,
     SourceSpec,
     WhitenSpec,
+    apply_degradation,
     apply_kernel,
     apply_taps,
     kurtosis_excess,
     make_source,
     normalized_correlation,
     parse_config,
+    run_adapt,
     run_experiment,
+    whiten,
     write_report_csv,
 )
+from kurtdeconv.signals import _apply
 
 CONFIG_TEXT = """\
 # AR(2) recovery at desk scale
@@ -372,3 +377,52 @@ class TestRunExperiment:
         a = highpass_whiten(apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), s)).samples
         b = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), highpass_whiten(s)).samples
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+_AUDIO = SourceSpec(kind="integrated_laplace", seed=4, length=6_000)
+_AUDIO_ADAPT = AdaptConfig(taps=3, mu=3e-6, beta=0.999, warmup=500, passes=1)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ExperimentConfig("hp", _AUDIO, _AUDIO_ADAPT, DegradeSpec("ar2_iir", 0.6, 0.3), WhitenSpec("highpass")), id="1-D-highpass"),
+    pytest.param(ExperimentConfig("raw", SourceSpec(kind="laplace", seed=4, length=6_000), _AUDIO_ADAPT, DegradeSpec("fir2", 0.5, 0.2)), id="1-D-none"),
+    pytest.param(ExperimentConfig("lpc", _AUDIO, _AUDIO_ADAPT, DegradeSpec("ar2_iir", 0.5, 0.3), WhitenSpec("lpc", 4)), id="1-D-lpc"),
+    pytest.param(ExperimentConfig(
+        "img", SourceSpec(kind="integrated_uniform", seed=4, height=30, width=40),
+        Adapt2dConfig(rows=3, cols=3, mu=-1e-5, beta=0.999, warmup=200), DegradeSpec("image_iir2", 0.5, 0.4), WhitenSpec("highpass"),
+    ), id="2-D-highpass"),
+])
+def test_report_scores_are_the_public_scores_of_the_stage_outputs(cfg):
+    report = run_experiment(cfg)
+    s = make_source(cfg.source)
+    x = apply_degradation(cfg.degrade, s)
+    restored = _apply(x, run_adapt(whiten(x, cfg.whiten), cfg.adapt).filter)
+    got = (report.kurt_source, report.kurt_degraded, report.kurt_restored, report.rho_sx, report.rho_restored)
+    assert got == (*map(kurtosis_excess, (s, x, restored)), normalized_correlation(s, x), normalized_correlation(s, restored))
+
+
+@pytest.mark.parametrize("cfg, arrays", [
+    # audio_ar2's shape: the source, the observation, the restoration and
+    # the score's centred source and scratch array
+    pytest.param(ExperimentConfig(
+        "audio", SourceSpec(kind="integrated_laplace", seed=105, length=100_000),
+        AdaptConfig(taps=3, mu=1.5e-6, beta=0.999, warmup=2000), DegradeSpec("ar2_iir", 0.6, 0.3), WhitenSpec("highpass"),
+    ), 5.0, id="audio_ar2"),
+    # image_iir's shape: apply_kernel's padded image, sum and term beside
+    # the source and the observation
+    pytest.param(ExperimentConfig(
+        "image", SourceSpec(kind="integrated_uniform", seed=108, height=256, width=256),
+        Adapt2dConfig(rows=3, cols=3, mu=-1.5e-5, beta=0.999, warmup=2000), DegradeSpec("image_iir2", 0.5, 0.4), WhitenSpec("highpass"),
+    ), 5.5, id="image_iir"),
+])
+def test_memory_peak_in_full_length_arrays(cfg, arrays):
+    # every stage hands over the one array it builds, and the whitened input
+    # is gone before the restoration; 64 KiB covers the small arrays
+    n = cfg.source.length or cfg.source.height * cfg.source.width
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n + 64 * 1024

@@ -68,6 +68,11 @@ class TestNormalizedCorrelation:
         with pytest.raises(ContractViolationError):
             normalized_correlation(np.ones(10), np.ones(11))
 
+    @pytest.mark.parametrize("a, b", [([np.inf, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0])])
+    def test_non_finite_array_rejected(self, a, b):
+        with pytest.raises(ContractViolationError):
+            normalized_correlation(a, b)
+
 
 class TestAlignedCorrelation:
     def test_pure_shift(self, rng):
@@ -108,6 +113,12 @@ class TestAlignedCorrelation:
         a, b = s.copy(), np.roll(s, 3)
         a[-1], b[0] = 2.0**340, -(2.0**340)
         assert aligned_correlation(a, b, 5) == (normalized_correlation(a[:-3], b[3:]), 3, 1)
+
+    @pytest.mark.parametrize("a, b", [([np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]), ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, -np.inf])])
+    def test_non_finite_array_rejected(self, a, b):
+        # a NaN once read as a perfect correlation at lag -1
+        with pytest.raises(ContractViolationError):
+            aligned_correlation(a, b, 1)
 
     def test_lag_above_half_the_length_rejected(self, rng):
         s = Signal1D(rng.laplace(size=64))

@@ -1,6 +1,9 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.ndimage import correlate
 from scipy.signal import lfilter
 
@@ -16,7 +19,7 @@ from kurtdeconv import (
     normalize_kernel,
     normalize_taps,
 )
-from kurtdeconv.signals import _rms_shift, _walk
+from kurtdeconv.signals import _Owned, _pow2, _rms_shift, _walk
 from conftest import patch, window
 
 
@@ -52,6 +55,38 @@ class TestContainers:
 
     def test_taps_len(self):
         assert len(FilterTaps1D([1.0, 0.0])) == 2
+
+    def test_caller_data_is_copied(self):
+        values = np.array([1.0, 2.0, 3.0])
+        s = Signal1D(values)
+        values[0] = 9.0
+        assert s.samples.tolist() == [1.0, 2.0, 3.0] and not np.shares_memory(s.samples, values)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: Signal1D(_Owned(a)),
+        lambda a: Image2D(_Owned(a.reshape(2, 2))),
+        lambda a: apply_taps(Signal1D(a), FilterTaps1D([1.0, 0.5])),
+        lambda a: apply_kernel(Image2D(a.reshape(2, 2)), Kernel2D(np.eye(3))),
+    ])
+    def test_adopted_arrays_are_read_only(self, make):
+        out = make(np.arange(1.0, 5.0))
+        values = out.samples if isinstance(out, Signal1D) else out.pixels
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_adopted_array_is_not_copied(self):
+        values = np.arange(1.0, 5.0)
+        assert Signal1D(_Owned(values)).samples is values
+
+    @pytest.mark.parametrize("values, ndim", [
+        (np.array([1.0, np.nan]), 1),
+        (np.array([[np.inf, 1.0]]), 2),
+        (np.empty(0), 1),
+        (np.ones((2, 2)), 1),
+    ])
+    def test_adopted_array_still_checked(self, values, ndim):
+        with pytest.raises(ContractViolationError):
+            (Signal1D if ndim == 1 else Image2D)(_Owned(values))
 
 
 def walk_rows(walk):
@@ -232,3 +267,44 @@ def test_pairing_rule(call):
     # a FilterTaps1D filters a Signal1D, a Kernel2D an Image2D
     with pytest.raises(ContractViolationError):
         MISMATCHED[call]()
+
+
+# values whose products with 2**k, |k| <= 1100, cover overflow, underflow,
+# subnormal results and both zeros
+_pow2_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, 1.5, -0.75]),
+)
+
+
+@given(st.lists(_pow2_values, min_size=1, max_size=8), st.integers(-1100, 1100))
+@example([1.5, -3.0, 5e-324, 1.7976931348623157e308, -0.0], -1074)
+@example([1.5, -3.0, 5e-324, 1.7976931348623157e308, -0.0], -1075)
+@example([1.5, -3.0, 5e-324, 1.7976931348623157e308, -0.0], 1023)
+@example([1.5, -3.0, 5e-324, 1.7976931348623157e308, -0.0], 1024)
+def test_pow2_is_ldexp_bit_for_bit(values, k):
+    v = np.array(values)
+    out = np.empty_like(v)
+    with np.errstate(over="ignore"):
+        want = np.ldexp(v, k)
+        assert _pow2(v, k).tobytes() == want.tobytes()
+        assert _pow2(v, k, out=out) is out and out.tobytes() == want.tobytes()
+
+
+def _ldexp_calls(tree: ast.AST):
+    """(enclosing function, first argument) of every use of an ldexp in tree."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == "ldexp":
+                yield inner, ast.unparse(child.args[0]) if child.args else None
+            yield from visit(child, inner)
+    yield from visit(tree, None)
+
+
+def test_scalar_ldexp_only_in_pow2():
+    # every power-of-two scaling by one exponent goes through _pow2; the
+    # one other call scales each grid cell of kurtosis_surface by its own
+    src = Path(__file__).resolve().parent.parent / "src" / "kurtdeconv"
+    calls = {(path.name, *call) for path in src.glob("*.py") for call in _ldexp_calls(ast.parse(path.read_text(encoding="utf-8")))}
+    assert calls == {("signals.py", "_pow2", "values"), ("adapt.py", "kurtosis_surface", "W")}

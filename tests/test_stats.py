@@ -3,7 +3,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 
-from kurtdeconv import DegenerateInputError, Image2D, Signal1D, init_moments, kurtosis_excess
+from kurtdeconv import (
+    ContractViolationError,
+    DegenerateInputError,
+    Image2D,
+    Signal1D,
+    init_moments,
+    kurtosis_excess,
+    normalized_correlation,
+)
+from kurtdeconv.stats import _scores
 from conftest import (
     MomentState,
     NearSingularMomentError,
@@ -43,6 +52,11 @@ class TestKurtosisExcess:
         with pytest.raises(DegenerateInputError):
             kurtosis_excess([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, bad):
+        with pytest.raises(ContractViolationError):
+            kurtosis_excess(np.array([bad, 1.0, 2.0]))
+
     @given(st.floats(min_value=-100.0, max_value=100.0).filter(lambda c: abs(c) > 1e-3))
     def test_scale_invariance(self, c):
         x = laplace_signal(5, 300)
@@ -73,6 +87,63 @@ _SOURCES = {
 def test_kurtosis_equals_rms_scaled_form_at_any_power_of_two_gain(source, n, seed, k):
     x = np.ldexp(_SOURCES[source](np.random.default_rng(seed), n), k)
     assert kurtosis_excess(x) == rms_scaled_kurtosis(x)
+
+
+def _old_scaled(values) -> np.ndarray:
+    """The score input as kurtosis_excess and normalized_correlation scaled
+    it before they shared one core: flattened, copied, and divided by the
+    power of two above the peak through np.ldexp."""
+    v = np.asarray(values.samples if isinstance(values, Signal1D) else values.pixels, dtype=np.float64).ravel()
+    shift = int(np.frexp(max(v.max(), -v.min()))[1])
+    return np.ldexp(v, -shift) if shift else v.copy()
+
+
+def _old_kurtosis(values) -> float:
+    x = _old_scaled(values)
+    x -= x.mean()
+    np.square(x, out=x)
+    m2 = x.mean()
+    if m2 <= 0.0:
+        raise DegenerateInputError("zero-variance input")
+    np.square(x, out=x)
+    return float(x.mean() / (m2 * m2) - 3.0)
+
+
+def _old_correlation(a, b) -> float:
+    av, bv = _old_scaled(a), _old_scaled(b)
+    av -= av.mean()
+    bv -= bv.mean()
+    den = np.sqrt((av @ av) * (bv @ bv))
+    if den <= 0.0:
+        raise DegenerateInputError("zero-variance input")
+    return float(np.clip(av @ bv / den, -1.0, 1.0))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except DegenerateInputError as e:
+        return type(e)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(2, 400), st.booleans(), st.integers(0, 2**32 - 1),
+    st.lists(st.integers(-1000, 1000), min_size=3, max_size=3), st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+)
+def test_score_core_keeps_the_bits_of_the_separate_scores(n, image, seed, ks, offsets):
+    # three related value sets (a source, a degraded and a restored one),
+    # each at its own power-of-two gain and DC offset
+    rng = np.random.default_rng(seed)
+    s = rng.laplace(size=n)
+    sets = [np.ldexp(v + c, k) for v, c, k in zip((s, s + rng.laplace(size=n), s + 0.1 * rng.standard_normal(n)), offsets, ks)]
+    width = next(w for w in (20, 10, 5, 4, 3, 2, 1) if n % w == 0)
+    s, x, s_est = (Image2D(v.reshape(-1, width)) if image else Signal1D(v) for v in sets)
+    want = [_outcome(_old_kurtosis, v) for v in (s, x, s_est)] + [_outcome(_old_correlation, s, v) for v in (x, s_est)]
+    assert [_outcome(kurtosis_excess, v) for v in (s, x, s_est)] + [_outcome(normalized_correlation, s, v) for v in (x, s_est)] == want
+    if DegenerateInputError not in want:
+        assert list(_scores(s, x, s_est)) == want
 
 
 class TestMoments:
