@@ -93,21 +93,44 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
     return failed;
 }
 
+/* The running sums of kurtdeconv._native.integrate over the h x w row-major
+ * field f: down the columns, in place in f (row x becomes f(x) + f(x-1),
+ * in order of x), then along each row into g, as
+ * np.cumsum(np.cumsum(f, axis=0), axis=1) makes them. Each row is summed
+ * down just before it is summed along, and the row sum stays in a register.
+ */
+void kd_integrate(double *restrict f, double *restrict g, ptrdiff_t h, ptrdiff_t w)
+{
+    for (ptrdiff_t x = 0; x < h; x++) {
+        double *row = f + x * w, *out = g + x * w;
+        if (x > 0)
+            for (ptrdiff_t y = 0; y < w; y++)
+                row[y] += row[y - w];
+        double s = row[0];
+        out[0] = s;
+        for (ptrdiff_t y = 1; y < w; y++)
+            out[y] = s += row[y];
+    }
+}
+
 /* The sparse all-pole recursion of kurtdeconv._native.allpole:
  *
  *     y(i) = x(i) + sum_j c[j] * y(i - lags[j]),   j = 0..k-1,
  *
  * over n samples with zero initial state (terms before sample 0 are left
- * out), the sum taken in the order of lags and x(i) added last.
+ * out), the sum taken in the order of lags and x(i) added last. y(i - 1)
+ * is read from a register, not back from y.
  */
-void kd_allpole(const double *x, double *y, ptrdiff_t n, const ptrdiff_t *lags, const double *c, ptrdiff_t k)
+void kd_allpole(const double *restrict x, double *restrict y, ptrdiff_t n, const ptrdiff_t *restrict lags,
+                const double *restrict c, ptrdiff_t k)
 {
+    double last = 0.0;
     for (ptrdiff_t i = 0; i < n; i++) {
         double acc = 0.0;
         for (ptrdiff_t j = 0; j < k; j++)
             if (i >= lags[j])
-                acc += c[j] * y[i - lags[j]];
-        y[i] = x[i] + acc;
+                acc += c[j] * (lags[j] == 1 ? last : y[i - lags[j]]);
+        y[i] = last = x[i] + acc;
     }
 }
 
@@ -117,22 +140,58 @@ void kd_allpole(const double *x, double *y, ptrdiff_t n, const ptrdiff_t *lags, 
  *     g(x, y) = ((f(x, y) + a1 g(x-1, y)) + a3 g(x-1, y-1)) + (0.0 + a2 g(x, y-1)),
  *
  * row x - 1 read as zeros in row 0; column 0 leaves out the a3 term and
- * adds only the 0.0 of the last one.
+ * adds only the 0.0 of the last one. g(x, y-1) is read from a register.
  */
-void kd_image_allpole(const double *f, double *g, ptrdiff_t h, ptrdiff_t w, double a1, double a2, double a3)
+void kd_image_allpole(const double *restrict f, double *restrict g, ptrdiff_t h, ptrdiff_t w, double a1, double a2,
+                      double a3)
 {
     for (ptrdiff_t x = 0; x < h; x++) {
         const double *in = f + x * w;
         double *out = g + x * w;
         const double *up = x > 0 ? out - w : NULL;
+        double left = 0.0;
         for (ptrdiff_t y = 0; y < w; y++) {
             double c = in[y] + a1 * (x > 0 ? up[y] : 0.0);
             double acc = 0.0;
             if (y > 0) {
                 c += a3 * (x > 0 ? up[y - 1] : 0.0);
-                acc += a2 * out[y - 1];
+                acc += a2 * left;
             }
-            out[y] = c + acc;
+            out[y] = left = c + acc;
+        }
+    }
+}
+
+/* The filter of kurtdeconv._native.filter_walk: out[r] is the sum, from 0.0
+ * and in tap order, of h[j] * P[base(r) + off[j]] over the k taps, for the
+ * n rows of the regressor walk of kd_adapt_pass, n a multiple of width.
+ * Four neighbouring rows of a line share each tap's loads; each of their
+ * sums still runs over the taps in order.
+ */
+void kd_filter_walk(const double *restrict P, const ptrdiff_t *restrict off, ptrdiff_t width, ptrdiff_t stride,
+                    ptrdiff_t n, const double *restrict h, ptrdiff_t k, double *restrict out)
+{
+    for (ptrdiff_t r = 0, line = 0; r < n; r += width, line += stride) {
+        ptrdiff_t c = 0;
+        for (; c + 4 <= width; c += 4) {
+            double y0 = 0.0, y1 = 0.0, y2 = 0.0, y3 = 0.0;
+            for (ptrdiff_t j = 0; j < k; j++) {
+                const double *w = P + line + c + off[j];
+                y0 += h[j] * w[0];
+                y1 += h[j] * w[1];
+                y2 += h[j] * w[2];
+                y3 += h[j] * w[3];
+            }
+            out[r + c] = y0;
+            out[r + c + 1] = y1;
+            out[r + c + 2] = y2;
+            out[r + c + 3] = y3;
+        }
+        for (; c < width; c++) {
+            double y = 0.0;
+            for (ptrdiff_t j = 0; j < k; j++)
+                y += h[j] * P[line + c + off[j]];
+            out[r + c] = y;
         }
     }
 }

@@ -1,7 +1,8 @@
-"""The recursions of kurtdeconv, adapt_pass (one pass of adapt.run_adapt),
-allpole (the 1-D all-pole filters of degrade) and image_allpole (its image
-recursion): each runs its kernel from _adapt.c, or its Python twin of the
-same operations in the same order.
+"""The serial loops of kurtdeconv, adapt_pass (one pass of adapt.run_adapt),
+integrate (the running sums of experiment's integrated sources), allpole
+(the 1-D all-pole filters of degrade), image_allpole (its image recursion)
+and filter_walk (signals.apply_kernel): each runs its kernel from _adapt.c,
+or its Python twin of the same operations in the same order.
 
 The cc on PATH compiles _adapt.c on first use into __pycache__, under a
 name hashing source and flags, and ctypes loads it; without a compiler,
@@ -50,10 +51,14 @@ def _load_library():
     index, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
     lib.kd_adapt_pass.restype = index
     lib.kd_adapt_pass.argtypes = (pointer, pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
+    lib.kd_integrate.restype = None
+    lib.kd_integrate.argtypes = (pointer, pointer, index, index)
     lib.kd_allpole.restype = None
     lib.kd_allpole.argtypes = (pointer, pointer, index, pointer, pointer, index)
     lib.kd_image_allpole.restype = None
     lib.kd_image_allpole.argtypes = (pointer, pointer, index, index, double, double, double)
+    lib.kd_filter_walk.restype = None
+    lib.kd_filter_walk.argtypes = (pointer, pointer, index, index, index, pointer, index, pointer)
     return lib
 
 
@@ -75,6 +80,20 @@ def library():
     return _LIBRARY
 
 
+def _walk_inside(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray) -> bool:
+    """Whether (P, off, width, stride, n) is a contiguous float64 walk with
+    one intp offset per contiguous float64 coefficient of h, whose every
+    read falls inside P. With 1 <= width <= stride the row bases never
+    decrease, so the last row bounds every read."""
+    return (
+        P.dtype == h.dtype == np.float64 and off.dtype == np.intp
+        and P.ndim == h.ndim == 1 and off.shape == h.shape and h.size > 0
+        and all(a.flags.c_contiguous for a in (P, off, h))
+        and 1 <= width <= stride and off.min() >= 0
+        and (n - 1) // width * stride + (n - 1) % width + off.max() < P.size
+    )
+
+
 def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray, m: np.ndarray, mu: float, beta: float, warmup: int, guard: float, limit: float) -> int:
     """One pass of the kurtosis-gradient recursion over rows warmup..n-1
     of the walk (P, off, width, stride, n) that signals._walk builds:
@@ -85,15 +104,11 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
     pass stops there), or -1.
 
     A walk that would read outside P is a ContractViolationError, raised
-    before any read. With 1 <= width <= stride the row bases never
-    decrease, so the last row bounds every read.
+    before any read.
     """
     if not (
-        P.dtype == h.dtype == m.dtype == np.float64 and off.dtype == np.intp
-        and P.ndim == h.ndim == m.ndim == 1 and off.shape == h.shape and h.size > 0 and m.size == 2
-        and all(a.flags.c_contiguous for a in (P, off, h, m)) and h.flags.writeable and m.flags.writeable
-        and 0 <= warmup and 1 <= width <= stride and off.min() >= 0
-        and (n - 1) // width * stride + (n - 1) % width + off.max() < P.size
+        _walk_inside(P, off, width, stride, n, h) and 0 <= warmup
+        and m.dtype == np.float64 and m.shape == (2,) and m.flags.c_contiguous and h.flags.writeable and m.flags.writeable
     ):
         raise ContractViolationError("the adaptation pass needs a float64 walk inside P, one intp offset per tap, and writable contiguous taps and moments")
     lib = library()
@@ -125,6 +140,29 @@ def _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit)
                     break
     m[:] = m2, m4
     return failed
+
+
+def integrate(f: np.ndarray) -> np.ndarray:
+    """The running sums of the row-major field f (a signal is one row): down
+    the columns, then along each row, bit for bit
+    np.cumsum(np.cumsum(f, axis=0), axis=1). f must be a writable contiguous
+    float64 array, 1-D or 2-D; its draw is used up, as the compiled kernel
+    keeps the column sums in it. Runs kd_integrate when the compiled library
+    is there."""
+    if not (f.dtype == np.float64 and f.ndim in (1, 2) and f.size > 0 and f.flags.c_contiguous and f.flags.writeable):
+        raise ContractViolationError("the running sums need a nonempty writable contiguous float64 signal or image")
+    lib = library()
+    if lib is None:
+        return _python_integrate(f)
+    g = np.empty_like(f)
+    lib.kd_integrate(f.ctypes.data, g.ctypes.data, f.size // f.shape[-1], f.shape[-1])
+    return g
+
+
+def _python_integrate(f: np.ndarray) -> np.ndarray:
+    """integrate in numpy."""
+    lines = f.reshape(-1, f.shape[-1])
+    return np.cumsum(np.cumsum(lines, axis=0), axis=1).reshape(f.shape)
 
 
 def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
@@ -189,3 +227,34 @@ def _python_image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.
             c[1:] += a3 * prev[:-1]
             g[x] = prev = _python_allpole(c, (1,), (a2,))
     return g
+
+
+def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray) -> np.ndarray:
+    """The filter h over the walk (P, off, width, stride, n) that
+    signals._walk builds: element r of the result is the sum, from 0.0 and
+    in the order of the taps, of h[j] * P[(r // width) * stride + r % width
+    + off[j]]. The walk must cover whole lines (n a multiple of width) and
+    stay inside P; anything else is a ContractViolationError, raised before
+    any read. Runs kd_filter_walk when the compiled library is there."""
+    if not (_walk_inside(P, off, width, stride, n, h) and n % width == 0):
+        raise ContractViolationError("the walk filter needs a float64 walk of whole lines inside P and one intp offset per float64 tap")
+    lib = library()
+    if lib is None:
+        return _python_filter_walk(P, off, width, stride, n, h)
+    out = np.empty(n)
+    lib.kd_filter_walk(P.ctypes.data, off.ctypes.data, width, stride, n, h.ctypes.data, h.size, out.ctypes.data)
+    return out
+
+
+def _python_filter_walk(P, off, width, stride, n, h) -> np.ndarray:
+    """filter_walk as one numpy slice sum per tap: tap j's terms are the
+    n // width lines of width elements that start at P[off[j]], stride
+    elements apart."""
+    lines = n // width
+    out = np.zeros((lines, width))
+    term = np.empty((lines, width))
+    for o, hj in zip(off.tolist(), h.tolist()):
+        rows = np.lib.stride_tricks.as_strided(P[o:], (lines, width), (stride * P.itemsize, P.itemsize), writeable=False)
+        np.multiply(rows, hj, out=term)
+        out += term
+    return out.ravel()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._native import integrate
 from .adapt import Adapt2dConfig, AdaptConfig, run_adapt
 from .degrade import DegradeSpec, apply_degradation, extract_parameters, parameter_error, true_parameters
 from .errors import ContractViolationError, FormatError
@@ -99,47 +100,31 @@ def make_source(spec: SourceSpec):
     if spec.kind == "file":
         return read_any(spec.path)
     rng = np.random.default_rng(spec.seed)
+    if spec.kind.startswith("integrated_"):
+        # random walks (a signal is one row) whose first difference is
+        # exactly the i.i.d. draw, i.e. correlated speech/texture stand-ins.
+        # Pure scaling only; an offset would plant an outlier at the
+        # whitened boundary.
+        shape = (spec.height, spec.width) if spec.is_image else spec.length
+        if spec.kind == "integrated_laplace":
+            walk = integrate(rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape))
+        else:
+            walk = integrate(rng.uniform(-1.0, 1.0, shape))
+        walk /= np.sqrt(walk.size)
+        return Image2D(_Owned(walk)) if spec.is_image else Signal1D(_Owned(walk))
     if not spec.is_image:
         n = spec.length
         if spec.kind == "laplace":
             return Signal1D(_Owned(rng.laplace(0.0, 1.0 / np.sqrt(2.0), n)))
         if spec.kind == "uniform":
             return Signal1D(_Owned(rng.uniform(-1.0, 1.0, n)))
-        if spec.kind == "gaussian":
-            return Signal1D(_Owned(rng.standard_normal(n)))
-        # integrated kinds: random walks whose first difference is exactly
-        # the i.i.d. draw, i.e. correlated speech/texture stand-ins. Pure
-        # scaling only; an offset would plant an outlier at the whitened
-        # boundary.
-        if spec.kind == "integrated_laplace":
-            walk = np.cumsum(rng.laplace(0.0, 1.0 / np.sqrt(2.0), n))
-        else:
-            walk = np.cumsum(rng.uniform(-1.0, 1.0, n))
-        walk /= np.sqrt(n)
-        return Signal1D(_Owned(walk))
+        return Signal1D(_Owned(rng.standard_normal(n)))
     shape = (spec.height, spec.width)
     if spec.kind == "uniform":
         return Image2D(_Owned(rng.random(shape)))
     if spec.kind == "gaussian":
         return rescale_unit(Image2D(rng.standard_normal(shape)))
-    if spec.kind == "laplace":
-        return rescale_unit(Image2D(rng.laplace(0.0, 1.0, shape)))
-    if spec.kind == "integrated_laplace":
-        noise = rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape)
-    else:
-        noise = rng.uniform(-1.0, 1.0, shape)
-    # the running sum down the columns. Row by row it makes np.cumsum(axis=0)'s
-    # additions in its order, several times faster on C-order rows of 128 or
-    # more pixels; on narrower rows the per-row overhead costs more than it
-    # saves (38x slower at 100000 x 4)
-    if shape[1] >= 128:
-        for i in range(1, shape[0]):
-            noise[i] += noise[i - 1]
-    else:
-        noise = np.cumsum(noise, axis=0)
-    field2d = np.cumsum(noise, axis=1)
-    field2d /= np.sqrt(shape[0] * shape[1])
-    return Image2D(_Owned(field2d))
+    return rescale_unit(Image2D(rng.laplace(0.0, 1.0, shape)))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._native import filter_walk
 from .errors import ContractViolationError, DegenerateInputError
 
 
@@ -180,18 +181,13 @@ def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
     """Center-anchored 2-D correlation with zero padding at the borders.
 
     Output pixel (n, m) is the inner product of the kernel with the
-    zero-padded rows x cols neighborhood centered at (n, m), summed over
-    the kernel in raster order.
+    zero-padded rows x cols neighborhood centered at (n, m), summed from
+    0.0 over the kernel in raster order: the walk filter of _native over
+    the regressor walk the adaptation reads.
     """
     w = _coeffs(kernel, Kernel2D, img)
-    H, W = img.height, img.width
-    padded = _walk(img.pixels, w.shape)[0].reshape(H + kernel.rows - 1, -1)
-    out = np.zeros((H, W))
-    term = np.empty((H, W))
-    for (i, j), wij in np.ndenumerate(w):
-        np.multiply(padded[i : i + H, j : j + W], wij, out=term)
-        out += term
-    return Image2D(_Owned(out))
+    out = filter_walk(*_walk(img.pixels, w.shape), w.ravel())
+    return Image2D(_Owned(out.reshape(img.pixels.shape)))
 
 
 #: The pairing rule: a FilterTaps1D filters a Signal1D, a Kernel2D an Image2D.

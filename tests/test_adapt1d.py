@@ -1,4 +1,6 @@
+import ctypes
 import functools
+import re
 import shutil
 import subprocess
 import tracemalloc
@@ -17,9 +19,11 @@ from kurtdeconv import (
     DivergenceError,
     FilterTaps1D,
     Image2D,
+    Kernel2D,
     Signal1D,
     SourceSpec,
     apply_degradation,
+    apply_kernel,
     kurtosis_excess,
     kurtosis_surface,
     make_source,
@@ -375,8 +379,47 @@ class TestWalkGuard:
             self.run(w)
         assert np.array_equal(w["h"], h) and np.array_equal(w["m"], m)
 
+    @staticmethod
+    def filter(w):
+        return _native.filter_walk(w["P"], w["off"], w["width"], w["stride"], w["n"], w["h"])
+
+    def test_filter_over_walk_inside_P(self, core):
+        w = dict(self.walk(), h=np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(self.filter(w), [14.0, 32.0, 50.0, 68.0])
+
+    @pytest.mark.parametrize("case", [*(c for c in BAD_WALKS if c != "m-short"), "part-line"])
+    def test_filter_over_walk_outside_P_or_mistyped_is_rejected(self, core, case):
+        # the filter also needs whole lines
+        w = dict(self.walk(), width=3) if case == "part-line" else BAD_WALKS[case](self.walk())
+        with pytest.raises(ContractViolationError):
+            self.filter(w)
+
+
+def library_outputs():
+    """make_source of both integrated kinds in both dimensions, and
+    apply_kernel, as the library in use (or its absence) computes them."""
+    outputs = []
+    for kind in ("integrated_laplace", "integrated_uniform"):
+        for size in (dict(length=300), dict(height=9, width=11)):
+            source = make_source(SourceSpec(kind=kind, seed=64, **size))
+            outputs.append(source.pixels if isinstance(source, Image2D) else source.samples)
+    # source is the last one made, a 9 x 11 image
+    kernel = Kernel2D(np.random.default_rng(65).standard_normal((3, 5)))
+    outputs.append(apply_kernel(source, kernel).pixels)
+    return outputs
+
+
+#: The ctypes type of each scalar C type in the kernels' signatures.
+C_SCALARS = {"double": ctypes.c_double, "ptrdiff_t": ctypes.c_ssize_t}
+
 
 class TestKernelBuild:
+    @pytest.fixture
+    def compiled(self):
+        """library_outputs of the library loaded before the source is
+        swapped; request it before source."""
+        return library_outputs()
+
     @pytest.fixture
     def source(self, tmp_path, monkeypatch):
         """A copy of the kernel source, so builds land in tmp_path."""
@@ -403,16 +446,40 @@ class TestKernelBuild:
         build = subprocess.run(["cc", *flags, "-o", str(source.with_suffix(".so")), str(source)], capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
 
-    def test_no_compiler_falls_back(self, source, monkeypatch):
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_every_kernel_has_its_ctypes_signature(self):
+        # ctypes passes the arguments of a function without one as ints,
+        # doubles included, and raises nothing
+        kernels = re.findall(r"^(?!static\b)(\w+)\s+(kd_\w+)\(([^)]*)\)\s*\{", _native._SOURCE.read_text(), re.M)
+        assert {name for _, name, _ in kernels} >= {"kd_adapt_pass", "kd_integrate", "kd_allpole", "kd_image_allpole", "kd_filter_walk"}
+        lib = _native.library()
+        for restype, name, params in kernels:
+            argtypes = tuple(ctypes.c_void_p if "*" in p else C_SCALARS[p.split()[-2]] for p in params.split(","))
+            assert getattr(lib, name).argtypes == argtypes, name
+            assert getattr(lib, name).restype is (None if restype == "void" else C_SCALARS[restype]), name
+
+    @staticmethod
+    def assert_falls_back(compiled, monkeypatch):
+        """The next library() is None, and the Python twins give the
+        compiled outputs."""
+        monkeypatch.setattr(_native, "_LIBRARY", _native._UNLOADED)
+        got = library_outputs()
+        assert _native._LIBRARY is None
+        for g, want in zip(got, compiled, strict=True):
+            assert np.array_equal(g, want)
+
+    def test_no_compiler_falls_back(self, compiled, source, monkeypatch):
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native._load_library() is None
         assert not (source.parent / "__pycache__").exists()
+        self.assert_falls_back(compiled, monkeypatch)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-    def test_failed_build_falls_back(self, source):
+    def test_failed_build_falls_back(self, compiled, source, monkeypatch):
         source.write_text("not C\n")
         assert _native._load_library() is None
         assert list((source.parent / "__pycache__").iterdir()) == []
+        self.assert_falls_back(compiled, monkeypatch)
 
 
 class TestKurtosisSurface:

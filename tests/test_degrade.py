@@ -343,6 +343,21 @@ class TestFilterEngines:
         for c, p, want in zip(compiled, python, lfilter_outputs(spec, source), strict=True):
             assert np.array_equal(c, want) and np.array_equal(p, want)
 
+    @pytest.mark.parametrize("lags", [(1,), (1, 2), (2, 1), (3, 1, 2), (5,)])
+    @given(st.integers(1, 300), st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+    def test_compiled_allpole_is_its_twin(self, lags, n, draws, seed):
+        # lag 1, read from a register by the kernel, first, last and absent;
+        # with lags from the deepest in, both are lfilter as well
+        coeffs = tuple(draws[: len(lags)])
+        x = laplace_signal(seed, n)
+        want = _native._python_allpole(x, lags, coeffs)
+        assert np.array_equal(allpole(x, lags, coeffs), want)
+        if list(lags) == sorted(lags, reverse=True):
+            a = np.zeros(lags[0] + 1)
+            a[0] = 1.0
+            a[list(lags)] = np.negative(coeffs)
+            assert np.array_equal(lfilter([1.0], a, x), want)
+
     @pytest.mark.parametrize("x, lags, coeffs", [
         (np.zeros(4), (0,), (0.5,)),
         (np.zeros(4), (-1,), (0.5,)),

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kurtdeconv import (
     Adapt2dConfig,
@@ -29,6 +30,7 @@ from kurtdeconv import (
     whiten,
     write_report_csv,
 )
+from kurtdeconv import _native
 from kurtdeconv.signals import _apply
 
 CONFIG_TEXT = """\
@@ -94,13 +96,25 @@ class TestSourceSpec:
         want = rng.uniform(-1.0, 1.0, (32, 32)) / np.sqrt(32 * 32)
         assert np.allclose(d, want, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(40, 127), (40, 128), (300, 3)])
+    @pytest.mark.parametrize("shape", [(40, 127), (40, 128), (300, 3), (40, 1), (40, 129), (1, 300)])
     def test_integrated_image_is_double_cumsum(self, shape):
-        # bit for bit on either side of the width where the column sums switch
+        # bit for bit at any width, one row and one column included
         spec = SourceSpec(kind="integrated_laplace", seed=9, height=shape[0], width=shape[1])
         noise = np.random.default_rng(9).laplace(0.0, 1.0 / np.sqrt(2.0), shape)
         want = np.cumsum(np.cumsum(noise, axis=0), axis=1) / np.sqrt(shape[0] * shape[1])
         assert np.array_equal(make_source(spec).pixels, want)
+
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+    @example(3, 127, 0, 1)
+    @example(3, 128, 0, 1)
+    @example(3, 129, 0, 1)
+    def test_running_sums_are_double_cumsum(self, height, width, k, seed):
+        # compiled, twin and numpy agree bit for bit under any power-of-two
+        # gain; a signal is the one-row case
+        noise = np.ldexp(np.random.default_rng(seed).laplace(size=(height, width)), k)
+        for f, want in ((noise, np.cumsum(np.cumsum(noise, axis=0), axis=1)), (noise[0], np.cumsum(noise[0]))):
+            assert np.array_equal(_native.integrate(f.copy()), want)
+            assert np.array_equal(_native._python_integrate(f.copy()), want)
 
     def test_seeded_determinism(self):
         a = make_source(SourceSpec(kind="gaussian", seed=3, length=100))
