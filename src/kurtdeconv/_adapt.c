@@ -94,12 +94,13 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
 }
 
 /* The running sums of kurtdeconv._native.integrate over the h x w row-major
- * field f: down the columns, in place in f (row x becomes f(x) + f(x-1),
- * in order of x), then along each row into g, as
- * np.cumsum(np.cumsum(f, axis=0), axis=1) makes them. Each row is summed
- * down just before it is summed along, and the row sum stays in a register.
+ * field f, each divided by d: down the columns, in place in f (row x
+ * becomes f(x) + f(x-1), in order of x), then along each row into g, as
+ * np.cumsum(np.cumsum(f, axis=0), axis=1) / d makes them. Each row is
+ * summed down just before it is summed along, and the unscaled row sum
+ * stays in a register.
  */
-void kd_integrate(double *restrict f, double *restrict g, ptrdiff_t h, ptrdiff_t w)
+void kd_integrate(double *restrict f, double *restrict g, ptrdiff_t h, ptrdiff_t w, double d)
 {
     for (ptrdiff_t x = 0; x < h; x++) {
         double *row = f + x * w, *out = g + x * w;
@@ -107,9 +108,11 @@ void kd_integrate(double *restrict f, double *restrict g, ptrdiff_t h, ptrdiff_t
             for (ptrdiff_t y = 0; y < w; y++)
                 row[y] += row[y - w];
         double s = row[0];
-        out[0] = s;
-        for (ptrdiff_t y = 1; y < w; y++)
-            out[y] = s += row[y];
+        out[0] = s / d;
+        for (ptrdiff_t y = 1; y < w; y++) {
+            s += row[y];
+            out[y] = s / d;
+        }
     }
 }
 

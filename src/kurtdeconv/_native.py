@@ -52,7 +52,7 @@ def _load_library():
     lib.kd_adapt_pass.restype = index
     lib.kd_adapt_pass.argtypes = (pointer, pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
     lib.kd_integrate.restype = None
-    lib.kd_integrate.argtypes = (pointer, pointer, index, index)
+    lib.kd_integrate.argtypes = (pointer, pointer, index, index, double)
     lib.kd_allpole.restype = None
     lib.kd_allpole.argtypes = (pointer, pointer, index, pointer, pointer, index)
     lib.kd_image_allpole.restype = None
@@ -142,27 +142,32 @@ def _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit)
     return failed
 
 
-def integrate(f: np.ndarray) -> np.ndarray:
+def integrate(f: np.ndarray, d: float) -> np.ndarray:
     """The running sums of the row-major field f (a signal is one row): down
-    the columns, then along each row, bit for bit
-    np.cumsum(np.cumsum(f, axis=0), axis=1). f must be a writable contiguous
-    float64 array, 1-D or 2-D; its draw is used up, as the compiled kernel
-    keeps the column sums in it. Runs kd_integrate when the compiled library
-    is there."""
+    the columns, then along each row, each divided by d, bit for bit
+    np.cumsum(np.cumsum(f, axis=0), axis=1) / d; the sums themselves are
+    not divided. f must be a writable contiguous float64 array, 1-D or 2-D;
+    its draw is used up, as the compiled kernel keeps the column sums in it.
+    Runs kd_integrate when the compiled library is there. The sums go to a
+    new array: written over f, they left a 256 x 256 pipeline one array
+    smaller, and glibc then trimmed the heap top after every run (about 256
+    minor faults each, against none)."""
     if not (f.dtype == np.float64 and f.ndim in (1, 2) and f.size > 0 and f.flags.c_contiguous and f.flags.writeable):
         raise ContractViolationError("the running sums need a nonempty writable contiguous float64 signal or image")
     lib = library()
     if lib is None:
-        return _python_integrate(f)
+        return _python_integrate(f, d)
     g = np.empty_like(f)
-    lib.kd_integrate(f.ctypes.data, g.ctypes.data, f.size // f.shape[-1], f.shape[-1])
+    lib.kd_integrate(f.ctypes.data, g.ctypes.data, f.size // f.shape[-1], f.shape[-1], d)
     return g
 
 
-def _python_integrate(f: np.ndarray) -> np.ndarray:
+def _python_integrate(f: np.ndarray, d: float) -> np.ndarray:
     """integrate in numpy."""
     lines = f.reshape(-1, f.shape[-1])
-    return np.cumsum(np.cumsum(lines, axis=0), axis=1).reshape(f.shape)
+    g = np.cumsum(np.cumsum(lines, axis=0), axis=1)
+    g /= d
+    return g.reshape(f.shape)
 
 
 def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:

@@ -107,10 +107,10 @@ def make_source(spec: SourceSpec):
         # whitened boundary.
         shape = (spec.height, spec.width) if spec.is_image else spec.length
         if spec.kind == "integrated_laplace":
-            walk = integrate(rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape))
+            draw = rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape)
         else:
-            walk = integrate(rng.uniform(-1.0, 1.0, shape))
-        walk /= np.sqrt(walk.size)
+            draw = rng.uniform(-1.0, 1.0, shape)
+        walk = integrate(draw, np.sqrt(draw.size))
         return Image2D(_Owned(walk)) if spec.is_image else Signal1D(_Owned(walk))
     if not spec.is_image:
         n = spec.length
@@ -123,8 +123,8 @@ def make_source(spec: SourceSpec):
     if spec.kind == "uniform":
         return Image2D(_Owned(rng.random(shape)))
     if spec.kind == "gaussian":
-        return rescale_unit(Image2D(rng.standard_normal(shape)))
-    return rescale_unit(Image2D(rng.laplace(0.0, 1.0, shape)))
+        return rescale_unit(Image2D(_Owned(rng.standard_normal(shape))))
+    return rescale_unit(Image2D(_Owned(rng.laplace(0.0, 1.0, shape))))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 
 from .errors import ContractViolationError, FormatError
-from .signals import Image2D, Signal1D
+from .signals import Image2D, Signal1D, _Owned
 
 
 #: Largest sample rate a WAV header holds: its byte rate, 2 * rate for
@@ -168,5 +168,5 @@ def rescale_unit(img: Image2D) -> Image2D:
     p = img.pixels
     lo, hi = float(p.min()), float(p.max())
     if hi <= lo:
-        return Image2D(np.zeros_like(p))
-    return Image2D((p - lo) / (hi - lo))
+        return Image2D(_Owned(np.zeros_like(p)))
+    return Image2D(_Owned((p - lo) / (hi - lo)))

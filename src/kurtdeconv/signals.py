@@ -9,9 +9,23 @@ reads every regressor (the tap window of a sample, the neighborhood of a
 pixel) from one zero-padded copy of the data, divided by a power of two,
 through a table of tap offsets: indices outside the data read as zero, so
 the recursion stays well defined from sample 0, and no row is copied.
+
+The full-length arrays a call only works in live in a scratch of two
+flat float64 slots per thread (``_scratch``), kept between calls, so a
+steady-state run of the same shape touches no new memory. Slot 0 holds,
+in turn, the scaled copy the RMS is summed over, the walk of run_adapt
+or of apply_kernel, and the scores' centred source; slot 1 the scores'
+other centred values. A slot is remade only when a request is larger
+than it, or less than half of it, so a thread holds about two arrays of
+its latest input. The rule that makes this safe for every caller: a
+scratch array never outlives the call that fills it, so nothing a public
+function returns is a view of one, and no holder of a slot calls code
+that takes the same slot.
 """
 from __future__ import annotations
 
+import ctypes
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -127,18 +141,46 @@ def _peak_shift(values: np.ndarray) -> int:
     return int(np.frexp(max(values.max(), -values.min()))[1])
 
 
-def _rms_shift(values: np.ndarray) -> int:
+class _Scratch(threading.local):
+    """The calling thread's two scratch slots; each thread starts empty."""
+
+    def __init__(self):
+        self.slots = [np.empty(0), np.empty(0)]
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch(slot: int, n: int) -> np.ndarray:
+    """n float64 values of the calling thread's scratch slot 0 or 1, flat,
+    contents undefined: the slot itself while it holds from n to 2n values,
+    else a new slot of n, made after the old one is freed."""
+    slots = _SCRATCH.slots
+    if not n <= slots[slot].size <= 2 * n:
+        slots[slot] = None
+        slots[slot] = np.empty(n)
+    return slots[slot][:n]
+
+
+def _rms_shift(values: np.ndarray, out: np.ndarray | None = None) -> int:
     """Exponent k of the power of two nearest the RMS of values (0 if all
     are zero); dividing by 2**k is exact. The squares are summed after an
     exact division by 2**_peak_shift(values), so they neither overflow nor
-    underflow at any finite gain."""
+    underflow at any finite gain; that scaled copy is made in the first
+    values.size elements of the flat out, if given."""
     e = _peak_shift(values)
-    scaled = _pow2(values, -e)
+    scaled = _pow2(values, -e, None if out is None else out[: values.size].reshape(values.shape))
     mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
 
-def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+def _walk_size(values: np.ndarray, shape: tuple[int, ...]) -> int:
+    """How many values the P of _walk(values, shape) holds."""
+    M, N = shape if len(shape) == 2 else (1, *shape)
+    return (values.size // values.shape[-1] + M - 1) * (values.shape[-1] + N - 1)
+
+
+def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """The regressor rows of a filter of coefficient shape `shape` over
     values, as (P, off, width, stride, n): a walk over one zero-padded
     copy of values, nothing copied per row.
@@ -150,14 +192,17 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
     divided by 2**shift, zero-padded to lines of stride = width + N - 1.
     Row r of the walk starts at base(r) = (r // width) * stride + r %
     width, and its element j, the one coefficient j multiplies, is
-    P[base(r) + off[j]]. n counts the rows, one per value.
+    P[base(r) + off[j]]. n counts the rows, one per value. P is built in
+    the first _walk_size(values, shape) elements of the flat out, if
+    given, else in a new array.
     """
     lines = values.reshape(-1, values.shape[-1])
     H, W = lines.shape
     M, N = shape if len(shape) == 2 else (1, *shape)
     top, left, order = (M // 2, N // 2, 1) if len(shape) == 2 else (0, N - 1, -1)
     stride = W + N - 1
-    P = np.empty((H + M - 1, stride))
+    size = (H + M - 1) * stride
+    P = (np.empty(size) if out is None else out[:size]).reshape(H + M - 1, stride)
     # zeros in the pad only; the lines are written scaled in one pass
     P[:top] = P[top + H :] = P[:, :left] = P[:, left + W :] = 0.0
     _pow2(lines, -shift, out=P[top : top + H, left : left + W])
@@ -168,8 +213,15 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
 
 def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Causal FIR filtering y(n) = sum_k h(k) x(n-k) of the sample array x,
-    zero initial state, as many outputs as inputs."""
-    return np.convolve(h, x)[: x.size]
+    zero initial state, as many outputs as inputs. np.convolve copies an
+    input it cannot write, so a read-only float64 x (a container's) is
+    passed as a writable alias of its own memory, which np.convolve only
+    reads; x itself stays referenced, and so alive, until the alias is
+    gone."""
+    alias = x
+    if not x.flags.writeable and x.flags.c_contiguous and x.dtype == np.float64:
+        alias = np.frombuffer((ctypes.c_double * x.size).from_address(x.ctypes.data))
+    return np.convolve(h, alias)[: x.size]
 
 
 def apply_taps(x: Signal1D, taps: FilterTaps1D) -> Signal1D:
@@ -186,7 +238,8 @@ def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
     the regressor walk the adaptation reads.
     """
     w = _coeffs(kernel, Kernel2D, img)
-    out = filter_walk(*_walk(img.pixels, w.shape), w.ravel())
+    walk = _walk(img.pixels, w.shape, out=_scratch(0, _walk_size(img.pixels, w.shape)))
+    out = filter_walk(*walk, w.ravel())
     return Image2D(_Owned(out.reshape(img.pixels.shape)))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError
-from .signals import Image2D, Signal1D, _array, _peak_shift, _pow2
+from .signals import Image2D, Signal1D, _array, _peak_shift, _pow2, _scratch
 
 #: Guard threshold on the running second moment, below which the m2^3
 #: denominator of the update is taken as singular and the update skipped.
@@ -102,10 +102,11 @@ def normalized_correlation(a, b) -> float:
 def _scores(s, x, s_est) -> tuple[float, float, float, float, float]:
     """The excess kurtoses of s, x and s_est and the correlations of x and
     s_est with s, as kurtosis_excess and normalized_correlation give them,
-    from s centred once and one scratch array that x and then s_est are
-    centred and squared in."""
-    cs = _centred(_values(s))
-    scratch = np.empty_like(cs)
+    from s centred once, in scratch slot 0, and slot 1, where x and then
+    s_est are centred and squared."""
+    v = _values(s)
+    cs = _centred(v, out=_scratch(0, v.size))
+    scratch = _scratch(1, v.size)
     kurt = [_kurtosis(cs, out=scratch)]
     ss, rho = cs @ cs, []
     for v in (x, s_est):

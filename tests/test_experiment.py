@@ -1,6 +1,12 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +21,9 @@ from kurtdeconv import (
     ExperimentReport,
     FilterTaps1D,
     FormatError,
+    Image2D,
     Kernel2D,
+    Signal1D,
     SourceSpec,
     WhitenSpec,
     apply_degradation,
@@ -110,11 +118,14 @@ class TestSourceSpec:
     @example(3, 129, 0, 1)
     def test_running_sums_are_double_cumsum(self, height, width, k, seed):
         # compiled, twin and numpy agree bit for bit under any power-of-two
-        # gain; a signal is the one-row case
+        # gain; a signal is the one-row case. Divided by 1.0, which is
+        # exact, the sums are the double cumsum itself; divided by the
+        # square root of the size, they are make_source's walk
         noise = np.ldexp(np.random.default_rng(seed).laplace(size=(height, width)), k)
         for f, want in ((noise, np.cumsum(np.cumsum(noise, axis=0), axis=1)), (noise[0], np.cumsum(noise[0]))):
-            assert np.array_equal(_native.integrate(f.copy()), want)
-            assert np.array_equal(_native._python_integrate(f.copy()), want)
+            for d in (1.0, np.sqrt(f.size)):
+                assert np.array_equal(_native.integrate(f.copy(), d), want / d)
+                assert np.array_equal(_native._python_integrate(f.copy(), d), want / d)
 
     def test_seeded_determinism(self):
         a = make_source(SourceSpec(kind="gaussian", seed=3, length=100))
@@ -415,28 +426,140 @@ def test_report_scores_are_the_public_scores_of_the_stage_outputs(cfg):
     assert got == (*map(kurtosis_excess, (s, x, restored)), normalized_correlation(s, x), normalized_correlation(s, restored))
 
 
+def peaks_in_a_new_thread(call, runs: int = 1) -> list[int]:
+    """The tracemalloc peak of each of `runs` calls of call, made one after
+    another in a new thread, whose scratch starts empty however the suite
+    left this thread's."""
+    # numpy.random is imported by the first Generator of a process, which
+    # would otherwise be traced
+    np.random.default_rng(0)
+    peaks = []
+
+    def work():
+        for _ in range(runs):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(peaks) == runs
+    return peaks
+
+
+_AUDIO_AR2 = ExperimentConfig(
+    "audio", SourceSpec(kind="integrated_laplace", seed=105, length=100_000),
+    AdaptConfig(taps=3, mu=1.5e-6, beta=0.999, warmup=2000), DegradeSpec("ar2_iir", 0.6, 0.3), WhitenSpec("highpass"),
+)
+_IMAGE_IIR = ExperimentConfig(
+    "image", SourceSpec(kind="integrated_uniform", seed=108, height=256, width=256),
+    Adapt2dConfig(rows=3, cols=3, mu=-1.5e-5, beta=0.999, warmup=2000), DegradeSpec("image_iir2", 0.5, 0.4), WhitenSpec("highpass"),
+)
+
+
 @pytest.mark.parametrize("cfg, arrays", [
     # audio_ar2's shape: the source, the observation, the restoration and
     # the score's centred source and scratch array
-    pytest.param(ExperimentConfig(
-        "audio", SourceSpec(kind="integrated_laplace", seed=105, length=100_000),
-        AdaptConfig(taps=3, mu=1.5e-6, beta=0.999, warmup=2000), DegradeSpec("ar2_iir", 0.6, 0.3), WhitenSpec("highpass"),
-    ), 5.0, id="audio_ar2"),
-    # image_iir's shape: apply_kernel's padded image, sum and term beside
-    # the source and the observation
-    pytest.param(ExperimentConfig(
-        "image", SourceSpec(kind="integrated_uniform", seed=108, height=256, width=256),
-        Adapt2dConfig(rows=3, cols=3, mu=-1.5e-5, beta=0.999, warmup=2000), DegradeSpec("image_iir2", 0.5, 0.4), WhitenSpec("highpass"),
-    ), 5.5, id="image_iir"),
+    pytest.param(_AUDIO_AR2, 5.0, id="audio_ar2"),
+    # image_iir's shape: the same five, the first scratch slot the size of
+    # the walk, a padded image
+    pytest.param(_IMAGE_IIR, 5.5, id="image_iir"),
 ])
 def test_memory_peak_in_full_length_arrays(cfg, arrays):
     # every stage hands over the one array it builds, and the whitened input
-    # is gone before the restoration; 64 KiB covers the small arrays
+    # is gone before the restoration; 64 KiB covers the small arrays. The
+    # first run of a thread also makes its scratch.
     n = cfg.source.length or cfg.source.height * cfg.source.width
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (peak,) = peaks_in_a_new_thread(lambda: run_experiment(cfg))
     assert peak <= arrays * 8 * n + 64 * 1024
+
+
+@pytest.mark.parametrize("cfg", [_AUDIO_AR2, _IMAGE_IIR], ids=["audio_ar2", "image_iir"])
+def test_second_run_of_a_shape_reuses_the_scratch(cfg):
+    # the walk, the RMS copy and the scores' arrays stay in the thread's
+    # scratch, so the second run makes at least one full-length array fewer
+    n = cfg.source.length or cfg.source.height * cfg.source.width
+    first, second = peaks_in_a_new_thread(lambda: run_experiment(cfg), runs=2)
+    assert second <= first - 8 * n
+
+
+def test_results_outlive_the_scratch():
+    # nothing a public call returns is a view of the scratch: a second call
+    # of the same shape, on other data, leaves the first results as they were
+    rng = np.random.default_rng(12)
+    signals = [Signal1D(rng.standard_normal(3_000)) for _ in range(2)]
+    images = [Image2D(rng.standard_normal((40, 50))) for _ in range(2)]
+    taps, kernel = FilterTaps1D([1.0, -0.6, -0.3]), Kernel2D(rng.standard_normal((3, 3)))
+    cfg = ExperimentConfig("scratch", SourceSpec(kind="laplace", seed=1, length=3_000), AdaptConfig(taps=3, warmup=200))
+
+    def results(i):
+        return [
+            apply_taps(signals[i], taps).samples,
+            apply_kernel(images[i], kernel).pixels,
+            run_adapt(signals[i], AdaptConfig(taps=5, mu=1e-4, warmup=200)).output.samples,
+            run_adapt(images[i], Adapt2dConfig(mu=-1e-4, warmup=200)).output.pixels,
+            run_experiment(replace(cfg, source=replace(cfg.source, seed=i + 1))).estimate,
+        ]
+
+    first = results(0)
+    kept = [a.copy() for a in first]
+    second = results(1)
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+    assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_threads_match_serial_runs():
+    # each thread has its own scratch: four threads on two same-shape
+    # configs, the interpreter switching threads as often as it can, give
+    # the bytes of serial runs
+    cfgs = [
+        ExperimentConfig(f"t{seed}", SourceSpec(kind="integrated_uniform", seed=seed, height=48, width=64),
+                         Adapt2dConfig(mu=-1e-5, beta=0.999, warmup=200), DegradeSpec("image_iir2", 0.5, 0.4), WhitenSpec("highpass"))
+        for seed in (1, 2)
+    ]
+    serial = [run_experiment(cfg).csv_row() for cfg in cfgs]
+    rows = [[] for _ in range(4)]
+
+    def work(i):
+        for _ in range(20):
+            rows[i].append(run_experiment(cfgs[i % 2]).csv_row())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert rows == [[serial[i % 2]] * 20 for i in range(4)]
+
+
+#: The tests that bound a tracemalloc peak. Each also runs alone in a fresh
+#: interpreter, where whatever the traced call is first to import or build
+#: counts against its bound.
+TRACED = [
+    "tests/test_experiment.py::test_memory_peak_in_full_length_arrays[audio_ar2]",
+    "tests/test_experiment.py::test_memory_peak_in_full_length_arrays[image_iir]",
+    "tests/test_adapt2d.py::TestRunAdapt2d::test_memory_is_one_padded_copy",
+    "tests/test_adapt1d.py::TestKurtosisSurface::test_memory_is_four_rows_of_samples",
+    "tests/test_signals.py::TestApply::test_apply_taps_memory_is_its_output",
+]
+
+
+@pytest.mark.parametrize("node", TRACED)
+def test_traced_memory_alone(node):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,20 @@ class TestApply:
         rng = np.random.default_rng(seed)
         x, taps = Signal1D(rng.standard_normal(N)), FilterTaps1D(rng.standard_normal(K))
         assert np.array_equal(apply_taps(x, taps).samples, lfilter(taps.taps, [1.0], x.samples))
+
+    def test_apply_taps_memory_is_its_output(self):
+        # np.convolve copies an input it cannot write, as a container's
+        # samples are; apply_taps reads them in place, so the peak is the
+        # output and the one byte per sample of its finiteness check
+        x = Signal1D(np.random.default_rng(3).standard_normal(100_000))
+        taps = FilterTaps1D([1.0, -0.6, -0.3])
+        tracemalloc.start()
+        try:
+            apply_taps(x, taps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * x.samples.nbytes
 
     @given(
         st.integers(0, 3), st.integers(0, 3), st.integers(1, 40), st.integers(1, 40),
