@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from ._native import adapt_pass
-from .errors import ContractViolationError, DegenerateInputError, DivergenceError
+from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count
 from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _pow2, _rms_shift, _scratch, _unit, _walk, _walk_size
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
@@ -47,9 +47,9 @@ def _check_schedule(cfg) -> None:
         raise ContractViolationError("mu must be finite")
     if not 0.0 < cfg.beta < 1.0:
         raise ContractViolationError(f"beta must lie in (0, 1), got {cfg.beta}")
-    if cfg.warmup < 0:
+    if _count(cfg.warmup, "warmup") < 0:
         raise ContractViolationError(f"warmup must be >= 0, got {cfg.warmup}")
-    if cfg.passes < 1:
+    if _count(cfg.passes, "passes") < 1:
         raise ContractViolationError(f"passes must be >= 1, got {cfg.passes}")
 
 
@@ -70,7 +70,7 @@ class AdaptConfig:
     passes: int = 1
 
     def __post_init__(self):
-        if self.taps < 1:
+        if _count(self.taps, "taps") < 1:
             raise ContractViolationError(f"taps must be >= 1, got {self.taps}")
         _check_schedule(self)
 
@@ -93,7 +93,7 @@ class Adapt2dConfig:
     passes: int = 1
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1 or self.rows % 2 == 0 or self.cols % 2 == 0:
+        if _count(self.rows, "rows") < 1 or _count(self.cols, "cols") < 1 or self.rows % 2 == 0 or self.cols % 2 == 0:
             raise ContractViolationError(f"kernel dimensions must be odd and positive, got {self.rows}x{self.cols}")
         _check_schedule(self)
 
@@ -122,7 +122,7 @@ class AdaptResult:
     def filter(self) -> FilterTaps1D | Kernel2D:
         return self.pass_filters[-1]
 
-    # kept while perfbench's execute_traced reads it; goes with it (ROADMAP item 2)
+    # kept while perfbench's execute_traced reads it; goes with it (ROADMAP item 1)
     kernel = filter
 
     @cached_property
@@ -193,7 +193,7 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     return AdaptResult(x1, tuple(pass_filters))
 
 
-# kept while perfbench's execute_traced calls it; goes with it (ROADMAP item 2)
+# kept while perfbench's execute_traced calls it; goes with it (ROADMAP item 1)
 run_adapt2d = run_adapt
 
 

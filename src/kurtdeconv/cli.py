@@ -23,8 +23,8 @@ import numpy as np
 from .adapt import Adapt2dConfig, AdaptConfig, kurtosis_surface, run_adapt
 from .degrade import KINDS, DegradeSpec, apply_degradation
 from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
-from .experiment import SourceSpec, _build, load_config, make_source, run_experiment, write_report_csv
-from .fileio import is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
+from .experiment import SourceSpec, _build, _cell, load_config, make_source, run_experiment, write_report_csv
+from .fileio import _write_file, is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
 from .signals import Image2D, Kernel2D, Signal1D, _apply, _array, normalize_kernel, normalize_taps
 from .stats import aligned_correlation, kurtosis_excess, normalized_correlation
 from .whitening import WHITEN_KINDS, WhitenSpec, whiten
@@ -104,8 +104,7 @@ def _cmd_deconv(args) -> int:
     # of that filtering comes before a file is written
     print(f"final kurtosis {result.final_kurtosis:.4f}; trace {[round(k, 4) for k in result.kurtosis_trace]}")
     _write_any(args.output, restored)
-    with open(args.filter_out, "w", encoding="ascii") as fh:
-        fh.write(dump + "\n")
+    _write_file(args.filter_out, dump + "\n")
     print(f"filter written to {args.filter_out}")
     return 0
 
@@ -123,12 +122,10 @@ def _cmd_sweep(args) -> int:
           f"a2 grid {grid_a2[0]:g}..{grid_a2[-1]:g} ({grid_a2.size})")
     signal = read_wav(args.input)
     result = kurtosis_surface(signal, grid_a1, grid_a2)
-    with open(args.output, "w", encoding="ascii", newline="") as fh:
-        fh.write("a1,a2,abs_kurtosis\n")
-        for i, a1 in enumerate(grid_a1):
-            for j, a2 in enumerate(grid_a2):
-                v = result.surface[i, j]
-                fh.write(f"{float(a1)!r},{float(a2)!r},{'' if np.isnan(v) else repr(float(v))}\n")
+    lines = ["a1,a2,abs_kurtosis"] + [
+        ",".join(map(_cell, (a1, a2, result.surface[i, j]))) for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2)
+    ]
+    _write_file(args.output, "\n".join(lines) + "\n")
     print(f"argmax a1={result.argmax[0]:g} a2={result.argmax[1]:g}; surface written to {args.output}")
     return 0
 

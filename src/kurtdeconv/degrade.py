@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._native import allpole, image_allpole
-from .errors import ContractViolationError, DegenerateInputError, DivergenceError
+from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count
 from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _fir, _origin, _Owned, _unit
 
 # Where each kind's identified parameters sit in its analytic inverse,
@@ -64,7 +64,7 @@ class DegradeSpec:
             raise ContractViolationError(f"({self.a1}, {self.a2}) lies outside the stability triangle")
         if self.kind == "fir2" and not (abs(self.a1) < 1.0 and abs(self.a2) < 1.0):
             raise ContractViolationError("fir2 requires |a1| < 1 and |a2| < 1 for an invertible system")
-        if self.kind == "echo_iir" and self.delay < 1:
+        if _count(self.delay, "delay") < 1 and self.kind == "echo_iir":
             raise ContractViolationError(f"delay must be >= 1, got {self.delay}")
         if self.kind != "echo_iir" and self.delay != 1:
             raise ContractViolationError(f"delay is only meaningful for echo_iir, got {self.delay}")
@@ -130,7 +130,7 @@ def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | K
         h = _unit((3, 3))
     else:
         need = 1 + max(pos for pos, _ in slots.values())
-        taps = need if taps is None else taps
+        taps = need if taps is None else _count(taps, "taps")
         if taps < need:
             raise ContractViolationError(f"{spec.kind} inverse needs at least {need} taps, got {taps}")
         h = _unit(taps)

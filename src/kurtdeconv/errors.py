@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for a count."""
+import operator
 
 
 class KurtdeconvError(Exception):
@@ -24,3 +25,13 @@ class DivergenceError(KurtdeconvError, RuntimeError):
 
 class FormatError(KurtdeconvError, ValueError):
     """A file does not conform to the supported WAV/PGM/config format."""
+
+
+def _count(value, name: str) -> int:
+    """The rule every count a spec or a function takes is read through
+    before its lower bound: value as an int by operator.index (an int or a
+    numpy int, not a float such as 2.0), else a ContractViolationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractViolationError(f"{name} must be a whole number, got {value!r}") from None

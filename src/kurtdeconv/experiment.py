@@ -7,19 +7,17 @@ config must be byte-identical.
 """
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from ._native import integrate
 from .adapt import Adapt2dConfig, AdaptConfig, run_adapt
-from .degrade import DegradeSpec, apply_degradation, extract_parameters, parameter_error, true_parameters
-from .errors import ContractViolationError, FormatError
-from .fileio import is_image_path, read_any, rescale_unit
+from .degrade import DegradeSpec, apply_degradation, extract_parameters, true_parameters
+from .errors import ContractViolationError, FormatError, _count
+from .fileio import _write_file, is_image_path, read_any, rescale_unit
 from .signals import Image2D, Signal1D, _apply, _array, _Owned
 from .stats import _scores
 from .whitening import WhitenSpec, whiten
@@ -52,15 +50,15 @@ class SourceSpec:
             return
         if self.kind not in SYNTHETIC_KINDS:
             raise ContractViolationError(f"unknown source kind {self.kind!r}")
-        if self.seed is None or self.seed < 0:
+        if self.seed is None or _count(self.seed, "seed") < 0:
             raise ContractViolationError(f"synthetic sources require a nonnegative seed, got {self.seed}")
         if self.is_image:
             self._reject_unused("a 2-D synthetic", "path", "length")
-            if not (self.height and self.width and self.height > 0 and self.width > 0):
+            if self.height is None or self.width is None or min(_count(self.height, "height"), _count(self.width, "width")) < 1:
                 raise ContractViolationError("2-D synthetic sources need positive height and width")
             return
         self._reject_unused("a 1-D synthetic", "path")
-        if not (self.length and self.length > 0):
+        if self.length is None or _count(self.length, "length") < 1:
             raise ContractViolationError("1-D synthetic sources need a positive length")
 
     def _reject_unused(self, what: str, *names: str) -> None:
@@ -89,6 +87,8 @@ class ExperimentConfig:
             raise ContractViolationError("experiment id must be nonempty")
         if self.source.is_image != isinstance(self.adapt, Adapt2dConfig):
             raise ContractViolationError("source dimensionality does not match the adapt configuration")
+        if self.source.is_image and self.whiten.kind == "lpc":
+            raise ContractViolationError("lpc whitening takes a 1-D source, not an image")
         if self.degrade is not None:
             # a filter with no slot for a parameter, the other dimension's
             # included, fails here, not after adapting
@@ -166,34 +166,20 @@ class ExperimentReport:
     )
 
     def csv_row(self) -> str:
-        cells = [
-            self.experiment_id,
-            self.mode,
-            self.source_desc,
-            "" if self.seed is None else str(self.seed),
-            self.size_desc,
-            self.degrade_desc,
-            self.whiten_desc,
-            self.filter_desc,
-            _fmt(self.mu),
-            _fmt(self.beta),
-            str(self.warmup),
-            str(self.passes),
-        ]
-        rows = list(self.parameters) + [None] * (3 - len(self.parameters))
-        for row in rows[:3]:
-            if row is None:
-                cells += ["", "", "", ""]
+        """The fields in declaration order up to rho_restored, one _cell each,
+        but four per parameter row (name, true, est, err), padded to three
+        rows; wall_time_s, estimate and any later field are never written."""
+        names = [f.name for f in fields(self)]
+        cells = []
+        for name in names[: names.index("rho_restored") + 1]:
+            value = getattr(self, name)
+            if name == "parameters":
+                for row in value:
+                    cells += astuple(row)
+                cells += [None] * 4 * (3 - len(value))
             else:
-                cells += [row.name, _fmt(row.true), _fmt(row.est), _fmt(row.err)]
-        cells += [
-            _fmt(self.kurt_source),
-            _fmt(self.kurt_degraded),
-            _fmt(self.kurt_restored),
-            _fmt(self.rho_sx),
-            _fmt(self.rho_restored),
-        ]
-        return ",".join(map(_csv_cell, cells))
+                cells.append(value)
+        return ",".join(_csv_cell(_cell(v)) for v in cells)
 
     def text(self) -> str:
         lines = [
@@ -224,10 +210,14 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _fmt(v: float) -> str:
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
-        return ""
-    return repr(float(v))
+def _cell(v) -> str:
+    """The one CSV cell rule: text as it is, an int in decimal, a finite float
+    as repr(float(v)), and an empty cell for None or a non-finite value."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return repr(float(v)) if v is not None and np.isfinite(v) else ""
 
 
 def _degrade_desc(spec: DegradeSpec | None) -> str:
@@ -279,24 +269,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _parameter_rows(spec: DegradeSpec | None, estimated) -> tuple[ParameterRow, ...]:
     if spec is None:
         return ()
-    true, est, err = true_parameters(spec), extract_parameters(spec, estimated), parameter_error(spec, estimated)
-    return tuple(ParameterRow(k, float(true[k]), float(est[k]), float(err[k])) for k in true)
+    true, est = true_parameters(spec), extract_parameters(spec, estimated)
+    return tuple(ParameterRow(k, float(true[k]), float(est[k]), float(abs(est[k] - true[k]))) for k in true)
 
 
 def write_report_csv(path, reports) -> None:
-    """Write reports as one fixed-header UTF-8 CSV (LF endings, atomic
-    replace; the temporary file is removed if the write fails)."""
+    """Write reports as one fixed-header UTF-8 CSV with LF endings, by
+    fileio's atomic replace."""
     lines = [ExperimentReport.CSV_HEADER] + [r.csv_row() for r in reports]
-    body = "\n".join(lines) + "\n"
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 # --- config file parsing ---------------------------------------------------

@@ -1,6 +1,8 @@
-"""Minimal WAV (16-bit PCM mono) and binary PGM readers/writers."""
+"""Minimal WAV (16-bit PCM mono) and binary PGM readers/writers over one file writer."""
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -23,6 +25,25 @@ def is_image_path(path) -> bool:
     if name.endswith(".wav"):
         return False
     raise FormatError(f"cannot tell WAV from PGM by extension: {str(path)!r}")
+
+
+def _write_file(path, data: bytes | str) -> None:
+    """The package's one file writer: data, bytes or text as UTF-8, goes to
+    path.tmp<pid>, which then replaces path (through a symlink), or is
+    removed if anything fails. An existing FIFO or device at path is a
+    ContractViolationError before anything is written."""
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        raise ContractViolationError(f"{path} is not a regular file, so it cannot be replaced")
+    target = os.path.realpath(path)
+    tmp = f"{target}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_any(path) -> Signal1D | Image2D:
@@ -89,21 +110,12 @@ def write_wav(path, s: Signal1D) -> int:
     if not (rate == int(rate) and 1 <= rate <= _MAX_RATE):
         raise ContractViolationError(f"sample rate {rate} does not fit a WAV header")
     rate = int(rate)
-    x = s.samples
-    pcm = np.rint(x * 32768.0)
+    pcm = np.rint(s.samples * 32768.0)
     clipped = int(np.count_nonzero((pcm < -32768.0) | (pcm > 32767.0)))
-    pcm = np.clip(pcm, -32768.0, 32767.0).astype("<i2")
-    raw = pcm.tobytes()
-    header = (
-        b"RIFF"
-        + struct.pack("<I", 36 + len(raw))
-        + b"WAVEfmt "
-        + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
-        + b"data"
-        + struct.pack("<I", len(raw))
-    )
-    with open(path, "wb") as fh:
-        fh.write(header + raw)
+    raw = np.clip(pcm, -32768.0, 32767.0).astype("<i2").tobytes()
+    # RIFF, then a 16-byte PCM fmt chunk (mono, 16-bit), then the data chunk
+    header = struct.pack("<4sI8sIHHIIHH4sI", b"RIFF", 36 + len(raw), b"WAVEfmt ", 16, 1, 1, rate, rate * 2, 2, 16, b"data", len(raw))
+    _write_file(path, header + raw)
     return clipped
 
 
@@ -159,8 +171,7 @@ def write_image(path, img: Image2D) -> None:
         raise ContractViolationError("pixel values outside [0, 1]; rescale before writing")
     raster = np.rint(p * 255.0).astype(np.uint8).tobytes()
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header + raster)
+    _write_file(path, header + raster)
 
 
 def rescale_unit(img: Image2D) -> Image2D:

@@ -65,8 +65,8 @@ class Signal1D:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_array(self.samples, "samples", 1))
-        if self.sample_rate is not None and int(self.sample_rate) < 1:
-            raise ContractViolationError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.sample_rate is not None and not 1 <= self.sample_rate < np.inf:
+            raise ContractViolationError(f"sample_rate must be finite and >= 1, got {self.sample_rate}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -115,14 +115,6 @@ class Kernel2D:
         rows, cols = self.weights.shape
         if rows % 2 == 0 or cols % 2 == 0:
             raise ContractViolationError(f"kernel dimensions must be odd, got {rows}x{cols}")
-
-    @property
-    def rows(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.weights.shape[1]
 
 
 def _pow2(values: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:

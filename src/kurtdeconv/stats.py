@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError, DegenerateInputError, _count
 from .signals import Image2D, Signal1D, _array, _peak_shift, _pow2, _scratch
 
 #: Guard threshold on the running second moment, below which the m2^3
@@ -134,7 +134,7 @@ def aligned_correlation(a, b, max_lag: int) -> AlignedCorrelation:
     if any(isinstance(v, Image2D) for v in (a, b)):
         raise ContractViolationError("aligned correlation lags samples; an Image2D has none")
     av, bv = (_pow2(v, -_peak_shift(v)) for v in _pair(a, b))
-    if not 0 <= 2 * max_lag <= av.size:
+    if not 0 <= 2 * _count(max_lag, "max_lag") <= av.size:
         raise ContractViolationError(f"max_lag must lie in [0, {av.size // 2}], half the length, got {max_lag}")
     # each overlap is scaled again into a scratch array and centred there:
     # a plain copy, unless the lag dropped every value of magnitude >= 0.5

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError, DegenerateInputError, _count
 from .signals import _FILTERS, FilterTaps1D, Image2D, Signal1D, _array, _Owned, apply_taps
 
 WHITEN_KINDS = ("none", "highpass", "lpc")
@@ -26,7 +26,7 @@ class WhitenSpec:
     def __post_init__(self):
         if self.kind not in WHITEN_KINDS:
             raise ContractViolationError(f"unknown whitening kind {self.kind!r}")
-        if self.kind == "lpc" and self.order < 1:
+        if _count(self.order, "order") < 1 and self.kind == "lpc":
             raise ContractViolationError(f"lpc order must be >= 1, got {self.order}")
         if self.kind != "lpc" and self.order != 5:
             raise ContractViolationError(f"order is only meaningful for lpc whitening, got {self.order}")
@@ -63,7 +63,7 @@ def fit_lpc(x: Signal1D, order: int) -> np.ndarray:
     which keeps the Toeplitz system positive semidefinite and the
     resulting predictor stable.
     """
-    if order < 1:
+    if _count(order, "order") < 1:
         raise ContractViolationError(f"order must be >= 1, got {order}")
     s = x.samples
     if s.size <= 10 * order:

@@ -280,6 +280,15 @@ def test_settings_of_other_dimension_exit_1(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_lpc_whitening_of_an_image_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("source.seed = 1\nsource.height = 8\nsource.width = 8\nwhiten.kind = lpc\n")
+    assert main(["experiment", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected with the config, before anything runs
+    assert "lpc whitening takes a 1-D source" in err
+
+
 def test_unused_source_settings_exit_1(tmp_path, capsys):
     out = tmp_path / "synthetic.pgm"
     rc = main(["degrade", "synthetic:uniform", str(out), "--kind", "image_iir2", "--a1", "0.5", "--a2", "0.4",

@@ -28,7 +28,9 @@ from kurtdeconv import (
     WhitenSpec,
     apply_degradation,
     apply_kernel,
+    aligned_correlation,
     apply_taps,
+    fit_lpc,
     kurtosis_excess,
     make_source,
     normalized_correlation,
@@ -39,6 +41,11 @@ from kurtdeconv import (
     write_report_csv,
 )
 from kurtdeconv import _native
+from kurtdeconv.adapt import kurtosis_surface
+from kurtdeconv.degrade import true_inverse
+from kurtdeconv.cli import main
+from kurtdeconv.experiment import _cell
+from kurtdeconv.fileio import read_wav, write_wav
 from kurtdeconv.signals import _apply
 
 CONFIG_TEXT = """\
@@ -251,6 +258,11 @@ class TestParseConfig:
     def test_invalid_value_rejected(self, text, message):
         with pytest.raises(ContractViolationError, match=message):
             parse_config("source.seed = 1\n" + text)
+
+    def test_lpc_whitening_of_an_image_rejected(self):
+        # at the config, as the slot check is, not after making the source
+        with pytest.raises(ContractViolationError, match="lpc whitening takes a 1-D source"):
+            parse_config("source.seed = 1\nsource.height = 8\nsource.width = 8\nwhiten.kind = lpc\n")
 
     def test_dimensionality_mismatch(self):
         with pytest.raises(ContractViolationError):
@@ -563,3 +575,95 @@ def test_traced_memory_alone(node):
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: AdaptConfig(taps=v), "taps"),
+    (lambda v: AdaptConfig(warmup=v), "warmup"),
+    (lambda v: AdaptConfig(passes=v), "passes"),
+    (lambda v: Adapt2dConfig(rows=v), "rows"),
+    (lambda v: Adapt2dConfig(cols=v), "cols"),
+    (lambda v: Adapt2dConfig(passes=v), "passes"),
+    (lambda v: DegradeSpec("echo_iir", 0.5, 0.2, delay=v), "delay"),
+    (lambda v: DegradeSpec("ar2_iir", 0.5, 0.2, delay=v), "delay"),
+    (lambda v: WhitenSpec("lpc", order=v), "order"),
+    (lambda v: SourceSpec("laplace", seed=v, length=10), "seed"),
+    (lambda v: SourceSpec("laplace", seed=1, length=v), "length"),
+    (lambda v: SourceSpec("uniform", seed=1, height=v, width=8), "height"),
+    (lambda v: SourceSpec("uniform", seed=1, height=8, width=v), "width"),
+], ids=["AdaptConfig.taps", "AdaptConfig.warmup", "AdaptConfig.passes", "Adapt2dConfig.rows", "Adapt2dConfig.cols",
+        "Adapt2dConfig.passes", "echo_iir.delay", "ar2_iir.delay", "WhitenSpec.order", "SourceSpec.seed",
+        "SourceSpec.length", "SourceSpec.height", "SourceSpec.width"])
+def test_counts_must_be_whole_numbers(build, name):
+    # a float count, even a whole one, used to fail later as a bare TypeError
+    for value in (2.5, 1.0, "1"):
+        with pytest.raises(ContractViolationError, match=f"{name} must be a whole number"):
+            build(value)
+    build(np.int64(1))  # numpy ints stay accepted
+    build(1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: fit_lpc(Signal1D(np.random.default_rng(1).standard_normal(100)), v), "order"),
+    (lambda v: true_inverse(DegradeSpec("ar2_iir", 0.5, 0.2), taps=v), "taps"),
+    (lambda v: aligned_correlation(Signal1D(np.arange(10.0) % 3), Signal1D(np.arange(10.0) % 4), v), "max_lag"),
+], ids=["fit_lpc", "true_inverse", "aligned_correlation"])
+def test_count_arguments_must_be_whole_numbers(call, name):
+    for value in (3.5, 3.0):
+        with pytest.raises(ContractViolationError, match=f"{name} must be a whole number"):
+            call(value)
+    call(np.int64(3))
+
+
+#: The report field each non-parameter CSV column holds, where the names differ.
+_FIELD_OF = {"id": "experiment_id", "source": "source_desc", "size": "size_desc",
+             "degrade": "degrade_desc", "whiten": "whiten_desc", "filter": "filter_desc"}
+
+
+def test_csv_row_holds_one_cell_per_column_read_off_the_fields(tmp_path):
+    wav = tmp_path / "src.wav"
+    write_wav(wav, make_source(SourceSpec(kind="laplace", seed=12, length=3000)))
+    cfg = ExperimentConfig("file, 1", SourceSpec(kind="file", path=str(wav)),
+                           AdaptConfig(mu=1e-4, warmup=200), DegradeSpec("ar2_iir", 0.5, 0.2))
+    report = replace(run_experiment(cfg), kurt_restored=float("nan"))
+    header = ExperimentReport.CSV_HEADER.split(",")
+    (row,) = csv.reader([report.csv_row()])
+    assert len(row) == len(header)
+    for column, cell in zip(header, row):
+        if re.fullmatch(r"p\d_[a-z]+", column):
+            i, attr = int(column[1]) - 1, column[3:]
+            value = getattr(report.parameters[i], attr) if i < len(report.parameters) else None
+        else:
+            value = getattr(report, _FIELD_OF.get(column, column))
+        if isinstance(value, str):
+            assert cell == value, column
+        elif value is None or not np.isfinite(value):
+            assert cell == "", column
+        else:
+            assert type(value)(cell) == value, column  # an int in decimal, a float exactly
+    assert row[0] == "file, 1" and row[3] == ""  # a file source has no seed
+    p3 = header.index("p3_name")
+    assert row[p3 : p3 + 4] == ["", "", "", ""]  # two parameters, then an empty row
+    assert row[header.index("kurt_restored")] == ""
+
+
+@pytest.mark.parametrize("value, cell", [
+    ("a, b", "a, b"), ("", ""), (7, "7"), (np.int64(7), "7"), (2**70, str(2**70)),
+    (0.1, "0.1"), (np.float64(-3e-6), "-3e-06"), (float("nan"), ""), (np.inf, ""), (-np.inf, ""), (None, ""),
+])
+def test_cell_rule(value, cell):
+    assert _cell(value) == cell
+
+
+def test_sweep_cells_follow_the_cell_rule(tmp_path, capsys):
+    wav = tmp_path / "x.wav"
+    source = make_source(SourceSpec(kind="laplace", seed=13, length=4000))
+    write_wav(wav, Signal1D(0.02 * apply_degradation(DegradeSpec("ar2_iir", 0.5, 0.3), source).samples))
+    out = tmp_path / "surface.csv"
+    assert main(["sweep", str(wav), str(out), "--a1-range", "-0.9", "0.9", "4", "--a2-range", "-0.5", "0.5", "3"]) == 0
+    grid_a1, grid_a2 = np.linspace(-0.9, 0.9, 4), np.linspace(-0.5, 0.5, 3)
+    surface = kurtosis_surface(read_wav(wav), grid_a1, grid_a2).surface
+    header, *rows = out.read_text().splitlines()
+    assert header == "a1,a2,abs_kurtosis"
+    assert rows == [",".join(map(repr, (float(a1), float(a2), float(surface[i, j]))))
+                    for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2)]

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -6,17 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kurtdeconv import (
+    AdaptConfig,
     ContractViolationError,
+    ExperimentConfig,
     FormatError,
     Image2D,
     Signal1D,
+    SourceSpec,
     read_image,
     read_wav,
     rescale_unit,
+    run_experiment,
     write_image,
+    write_report_csv,
     write_wav,
 )
+from kurtdeconv.cli import main
 from kurtdeconv.fileio import is_image_path, read_any
+from conftest import laplace_signal
 
 
 def wav_bytes(pcm, channels=1, bits=16, tag=1, rate=8000):
@@ -245,3 +253,79 @@ class TestRoundTrip:
         back = read_image(path)
         assert np.array_equal(back.pixels, np.rint(img.pixels * 255.0) / 255.0)
         assert np.max(np.abs(back.pixels - img.pixels)) <= 0.5 / 255.0
+
+
+def _report():
+    source = SourceSpec(kind="laplace", seed=1, length=2000)
+    return run_experiment(ExperimentConfig("atomic", source, AdaptConfig(warmup=100)))
+
+
+#: Every way the package writes a file: (target, the source WAV) -> None for
+#: the library writers, the exit status for the CLI ones.
+WRITERS = {
+    "write_wav": lambda target, src: write_wav(target, Signal1D([0.5, -0.25])),
+    "write_image": lambda target, src: write_image(target, Image2D([[0.0, 1.0]])),
+    "write_report_csv": lambda target, src: write_report_csv(target, [_report()]),
+    "sweep": lambda target, src: main(["sweep", str(src), str(target), "--a1-range", "-0.5", "0.5", "3",
+                                       "--a2-range", "-0.5", "0.5", "3"]),
+    "deconv --filter-out": lambda target, src: main(["deconv", str(src), str(target.parent / "out.wav"),
+                                                     "--filter-out", str(target), "--warmup", "100"]),
+}
+
+
+class TestAtomicWrite:
+    """Every writer replaces its target whole, or leaves it as it was."""
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        path = tmp_path / "src.wav"
+        write_wav(path, Signal1D(0.1 * laplace_signal(3, 2000)))
+        return path
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_replace_keeps_the_old_target(self, tmp_path, src, monkeypatch, writer):
+        target = tmp_path / "target"
+        target.write_bytes(b"old")
+        replace = os.replace
+
+        def failing_replace(tmp, dst):
+            if os.path.basename(dst) == "target":
+                raise OSError("replace failed")
+            replace(tmp, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        if writer in ("sweep", "deconv --filter-out"):
+            assert WRITERS[writer](target, src) == 1
+        else:
+            with pytest.raises(OSError, match="replace failed"):
+                WRITERS[writer](target, src)
+        assert target.read_bytes() == b"old"
+        assert not list(tmp_path.glob("*.tmp*"))
+        monkeypatch.undo()
+        assert WRITERS[writer](target, src) in (None, 0)
+        assert target.read_bytes() != b"old"
+        assert not list(tmp_path.glob("*.tmp*"))
+
+    def test_symlink_is_followed(self, tmp_path):
+        real = tmp_path / "real.wav"
+        real.write_bytes(b"old")
+        (tmp_path / "link.wav").symlink_to(real)
+        write_wav(tmp_path / "link.wav", Signal1D([0.5]))
+        assert (tmp_path / "link.wav").is_symlink()
+        assert read_wav(real).samples.tolist() == [0.5]
+
+    def test_fifo_is_not_replaced(self, tmp_path, src, capsys):
+        fifo = tmp_path / "out.wav"
+        os.mkfifo(fifo)
+        # a reader, so that a writer opening the FIFO fails this test
+        # instead of blocking it
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(ContractViolationError, match="not a regular file"):
+                write_wav(fifo, Signal1D([0.5]))
+            assert main(["whiten", str(src), str(fifo)]) == 1
+        finally:
+            os.close(reader)
+        assert "not a regular file" in capsys.readouterr().err
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.wav", "src.wav"]

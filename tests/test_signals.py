@@ -38,6 +38,12 @@ class TestContainers:
         with pytest.raises(ContractViolationError):
             Signal1D([1.0], sample_rate=0)
 
+    @pytest.mark.parametrize("rate", [0.5, -8000, np.nan, np.inf, -np.inf])
+    def test_signal_rate_must_be_finite_and_at_least_1(self, rate):
+        # nan and inf once escaped as ValueError and OverflowError
+        with pytest.raises(ContractViolationError, match="sample_rate must be finite and >= 1"):
+            Signal1D([1.0], sample_rate=rate)
+
     def test_samples_are_read_only(self):
         s = Signal1D([1.0, 2.0])
         with pytest.raises(ValueError):
