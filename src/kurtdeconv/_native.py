@@ -4,9 +4,9 @@ integrate (the running sums of experiment's integrated sources), allpole
 and filter_walk (signals.apply_kernel): each runs its kernel from _adapt.c,
 or its Python twin of the same operations in the same order.
 
-The cc on PATH compiles _adapt.c on first use into __pycache__, under a
-name hashing source and flags, and ctypes loads it; without a compiler,
-or where the cache cannot be written, library() is None.
+At import, ctypes loads _adapt.c as the cc on PATH built it into
+__pycache__, under a name hashing source and flags; without a compiler, or
+where the cache cannot be written, _LIBRARY is None and the twins run.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import hashlib
 import os
 import shutil
 import subprocess
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +26,9 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _load_library():
-    """ctypes handle of _adapt.c, built on first use into
-    __pycache__/_adapt-<hash of source and flags>.so; None when the source
-    is missing, no cc is on PATH, or the library cannot be built or loaded."""
+    """ctypes handle of _adapt.c, built if need be (by each process to its
+    own tmp<pid> file, then replaced) into __pycache__/_adapt-<hash>.so; None
+    when the source is missing, no cc is on PATH, or it cannot be built or loaded."""
     try:
         source = _SOURCE.read_bytes()
         tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
@@ -62,22 +61,8 @@ def _load_library():
     return lib
 
 
-_UNLOADED = object()
-#: The compiled library once library() has loaded it, or None to run the
-#: Python twins.
-_LIBRARY = _UNLOADED
-_LIBRARY_LOCK = threading.Lock()
-
-
-def library():
-    """The compiled library, loaded (and if need be built) on the first call."""
-    global _LIBRARY
-    if _LIBRARY is not _UNLOADED:
-        return _LIBRARY
-    with _LIBRARY_LOCK:
-        if _LIBRARY is _UNLOADED:
-            _LIBRARY = _load_library()
-    return _LIBRARY
+#: The compiled library, or None to run the Python twins.
+_LIBRARY = _load_library()
 
 
 def _walk_inside(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray) -> bool:
@@ -111,10 +96,9 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
         and m.dtype == np.float64 and m.shape == (2,) and m.flags.c_contiguous and h.flags.writeable and m.flags.writeable
     ):
         raise ContractViolationError("the adaptation pass needs a float64 walk inside P, one intp offset per tap, and writable contiguous taps and moments")
-    lib = library()
-    if lib is None:
+    if _LIBRARY is None:
         return _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit)
-    return lib.kd_adapt_pass(P.ctypes.data, off.ctypes.data, width, stride, warmup, n, h.size, h.ctypes.data, m.ctypes.data, mu, beta, guard, limit)
+    return _LIBRARY.kd_adapt_pass(P.ctypes.data, off.ctypes.data, width, stride, warmup, n, h.size, h.ctypes.data, m.ctypes.data, mu, beta, guard, limit)
 
 
 def _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit) -> int:
@@ -154,11 +138,10 @@ def integrate(f: np.ndarray, d: float) -> np.ndarray:
     minor faults each, against none)."""
     if not (f.dtype == np.float64 and f.ndim in (1, 2) and f.size > 0 and f.flags.c_contiguous and f.flags.writeable):
         raise ContractViolationError("the running sums need a nonempty writable contiguous float64 signal or image")
-    lib = library()
-    if lib is None:
+    if _LIBRARY is None:
         return _python_integrate(f, d)
     g = np.empty_like(f)
-    lib.kd_integrate(f.ctypes.data, g.ctypes.data, f.size // f.shape[-1], f.shape[-1], d)
+    _LIBRARY.kd_integrate(f.ctypes.data, g.ctypes.data, f.size // f.shape[-1], f.shape[-1], d)
     return g
 
 
@@ -180,13 +163,12 @@ def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> 
     """
     if x.ndim != 1 or len(lags) != len(coeffs) or min(lags) < 1:
         raise ContractViolationError("the all-pole recursion needs 1-D input and one positive lag per coefficient")
-    lib = library()
-    if lib is None:
+    if _LIBRARY is None:
         return _python_allpole(x, lags, coeffs)
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.empty_like(x)
     k = len(lags)
-    lib.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, (ctypes.c_ssize_t * k)(*lags), (ctypes.c_double * k)(*coeffs), k)
+    _LIBRARY.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, (ctypes.c_ssize_t * k)(*lags), (ctypes.c_double * k)(*coeffs), k)
     return y
 
 
@@ -211,12 +193,11 @@ def image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
     overflow; that is left to the caller."""
     if f.ndim != 2:
         raise ContractViolationError("the image recursion needs a 2-D input")
-    lib = library()
-    if lib is None:
+    if _LIBRARY is None:
         return _python_image_allpole(f, a1, a2, a3)
     f = np.ascontiguousarray(f, dtype=np.float64)
     g = np.empty_like(f)
-    lib.kd_image_allpole(f.ctypes.data, g.ctypes.data, f.shape[0], f.shape[1], a1, a2, a3)
+    _LIBRARY.kd_image_allpole(f.ctypes.data, g.ctypes.data, f.shape[0], f.shape[1], a1, a2, a3)
     return g
 
 
@@ -243,11 +224,10 @@ def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int,
     any read. Runs kd_filter_walk when the compiled library is there."""
     if not (_walk_inside(P, off, width, stride, n, h) and n % width == 0):
         raise ContractViolationError("the walk filter needs a float64 walk of whole lines inside P and one intp offset per float64 tap")
-    lib = library()
-    if lib is None:
+    if _LIBRARY is None:
         return _python_filter_walk(P, off, width, stride, n, h)
     out = np.empty(n)
-    lib.kd_filter_walk(P.ctypes.data, off.ctypes.data, width, stride, n, h.ctypes.data, h.size, out.ctypes.data)
+    _LIBRARY.kd_filter_walk(P.ctypes.data, off.ctypes.data, width, stride, n, h.ctypes.data, h.size, out.ctypes.data)
     return out
 
 

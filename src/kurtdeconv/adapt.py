@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from ._native import adapt_pass
-from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count
+from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
 from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _pow2, _rms_shift, _scratch, _unit, _walk, _walk_size
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
@@ -43,9 +43,9 @@ TAP_LIMIT = 1e6
 
 def _check_schedule(cfg) -> None:
     """Validate the mu/beta/warmup/passes fields shared by both configs."""
-    if not np.isfinite(cfg.mu):
+    if not np.isfinite(_real(cfg.mu, "mu")):
         raise ContractViolationError("mu must be finite")
-    if not 0.0 < cfg.beta < 1.0:
+    if not 0.0 < _real(cfg.beta, "beta") < 1.0:
         raise ContractViolationError(f"beta must lie in (0, 1), got {cfg.beta}")
     if _count(cfg.warmup, "warmup") < 0:
         raise ContractViolationError(f"warmup must be >= 0, got {cfg.warmup}")

@@ -24,7 +24,7 @@ from .adapt import Adapt2dConfig, AdaptConfig, kurtosis_surface, run_adapt
 from .degrade import KINDS, DegradeSpec, apply_degradation
 from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
 from .experiment import SourceSpec, _build, _cell, load_config, make_source, run_experiment, write_report_csv
-from .fileio import _write_file, is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
+from .fileio import _check_target, _write_file, is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
 from .signals import Image2D, Kernel2D, Signal1D, _apply, _array, normalize_kernel, normalize_taps
 from .stats import aligned_correlation, kurtosis_excess, normalized_correlation
 from .whitening import WHITEN_KINDS, WhitenSpec, whiten
@@ -54,14 +54,6 @@ def _write_any(path: str, data) -> None:
         clipped = write_wav(path, data)
         if clipped:
             print(f"clipped {clipped} samples to [-1, 1)")
-
-
-def _add_degrade_args(p):
-    p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--a1", type=float)
-    p.add_argument("--a2", type=float)
-    p.add_argument("--a3", type=float)
-    p.add_argument("--delay", type=int, help="echo spacing D (echo_iir only)")
 
 
 def _cmd_degrade(args) -> int:
@@ -101,8 +93,11 @@ def _cmd_deconv(args) -> int:
     coeffs = _array(estimate)
     dump = "\n".join(" ".join(map(repr, row)) for row in coeffs.reshape(len(coeffs), -1).tolist())
     # reading the trace filters the whitened input once per pass; any error
-    # of that filtering comes before a file is written
+    # of that filtering, or a target that cannot be replaced, comes before
+    # either file is written
     print(f"final kurtosis {result.final_kurtosis:.4f}; trace {[round(k, 4) for k in result.kurtosis_trace]}")
+    _check_target(args.output)
+    _check_target(args.filter_out)
     _write_any(args.output, restored)
     _write_file(args.filter_out, dump + "\n")
     print(f"filter written to {args.filter_out}")
@@ -170,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degrade", help="apply a parametric degradation", argument_default=argparse.SUPPRESS)
     p.add_argument("input", help="WAV/PGM path, or synthetic:<kind> with --length/--height/--width and --seed")
     p.add_argument("output")
-    _add_degrade_args(p)
+    p.add_argument("--kind", required=True, choices=KINDS)
+    p.add_argument("--a1", type=float)
+    p.add_argument("--a2", type=float)
+    p.add_argument("--a3", type=float)
+    p.add_argument("--delay", type=int, help="echo spacing D (echo_iir only)")
     p.add_argument("--seed", type=int, help="synthetic source seed")
     p.add_argument("--length", type=int, help="synthetic 1-D length")
     p.add_argument("--height", type=int, help="synthetic image height")

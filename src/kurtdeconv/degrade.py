@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._native import allpole, image_allpole
-from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count
+from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
 from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _fir, _origin, _Owned, _unit
 
 # Where each kind's identified parameters sit in its analytic inverse,
@@ -58,7 +58,7 @@ class DegradeSpec:
         if self.kind not in KINDS:
             raise ContractViolationError(f"unknown degradation kind {self.kind!r}, expected one of {KINDS}")
         for name in ("a1", "a2", "a3"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(_real(getattr(self, name), name)):
                 raise ContractViolationError(f"{name} must be finite")
         if self.kind in ("echo_iir", "ar2_iir") and not stability_check(self.a1, self.a2):
             raise ContractViolationError(f"({self.a1}, {self.a2}) lies outside the stability triangle")

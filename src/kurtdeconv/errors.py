@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one rule for a count."""
+"""Exception types shared across the package, and the rules for a count and a real."""
 import operator
+
+import numpy as np
 
 
 class KurtdeconvError(Exception):
@@ -35,3 +37,11 @@ def _count(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ContractViolationError(f"{name} must be a whole number, got {value!r}") from None
+
+
+def _real(value, name: str):
+    """The rule every real-valued spec field is read through before its bound:
+    value itself if an int, a float or a numpy real, else a ContractViolationError."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ContractViolationError(f"{name} must be a real number, got {value!r}")
+    return value

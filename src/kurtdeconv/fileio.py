@@ -27,13 +27,18 @@ def is_image_path(path) -> bool:
     raise FormatError(f"cannot tell WAV from PGM by extension: {str(path)!r}")
 
 
+def _check_target(path) -> None:
+    """An existing FIFO or device at path is a ContractViolationError."""
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        raise ContractViolationError(f"{path} is not a regular file, so it cannot be replaced")
+
+
 def _write_file(path, data: bytes | str) -> None:
     """The package's one file writer: data, bytes or text as UTF-8, goes to
     path.tmp<pid>, which then replaces path (through a symlink), or is
-    removed if anything fails. An existing FIFO or device at path is a
-    ContractViolationError before anything is written."""
-    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
-        raise ContractViolationError(f"{path} is not a regular file, so it cannot be replaced")
+    removed if anything fails. _check_target(path) runs before anything is
+    written."""
+    _check_target(path)
     target = os.path.realpath(path)
     tmp = f"{target}.tmp{os.getpid()}"
     try:

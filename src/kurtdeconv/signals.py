@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._native import filter_walk
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError, DegenerateInputError, _real
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class Signal1D:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_array(self.samples, "samples", 1))
-        if self.sample_rate is not None and not 1 <= self.sample_rate < np.inf:
+        if self.sample_rate is not None and not 1 <= _real(self.sample_rate, "sample_rate") < np.inf:
             raise ContractViolationError(f"sample_rate must be finite and >= 1, got {self.sample_rate}")
 
     def __len__(self) -> int:

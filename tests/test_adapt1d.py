@@ -1,8 +1,10 @@
 import ctypes
 import functools
+import os
 import re
 import shutil
 import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -234,7 +236,7 @@ class TestEngines:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_compiled_kernel_in_use(self):
         # a broken build must not fall back to the Python loop unnoticed
-        assert _native.library() is not None
+        assert _native._LIBRARY is not None
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     @given(
@@ -297,7 +299,7 @@ class TestEngines:
         """The row, taps and moments one compiled adapt_pass over the rows
         of X leaves from h and m, asserted equal to those of _python_pass
         (NaN equal to NaN). X is fed as a walk of width 1 and stride k."""
-        assert _native.library() is not None
+        assert _native._LIBRARY is not None
         walk = (X.ravel(), np.arange(X.shape[1]), 1, X.shape[1], X.shape[0])
         runs = []
         for run in (_native.adapt_pass, _native._python_pass):
@@ -452,19 +454,39 @@ class TestKernelBuild:
         # doubles included, and raises nothing
         kernels = re.findall(r"^(?!static\b)(\w+)\s+(kd_\w+)\(([^)]*)\)\s*\{", _native._SOURCE.read_text(), re.M)
         assert {name for _, name, _ in kernels} >= {"kd_adapt_pass", "kd_integrate", "kd_allpole", "kd_image_allpole", "kd_filter_walk"}
-        lib = _native.library()
+        lib = _native._LIBRARY
         for restype, name, params in kernels:
             argtypes = tuple(ctypes.c_void_p if "*" in p else C_SCALARS[p.split()[-2]] for p in params.split(","))
             assert getattr(lib, name).argtypes == argtypes, name
             assert getattr(lib, name).restype is (None if restype == "void" else C_SCALARS[restype]), name
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_cold_cache_built_once_at_import_by_two_processes(self, tmp_path):
+        package = tmp_path / "kurtdeconv"
+        package.mkdir()
+        for path in [*_native._SOURCE.parent.glob("*.py"), _native._SOURCE]:
+            shutil.copy(path, package)
+        # the library is a loaded CDLL before any kernel is called
+        script = ("from kurtdeconv import _native; import numpy as np; "
+                  "print(_native.__file__, type(_native._LIBRARY).__name__, "
+                  "_native.allpole(np.linspace(-1.0, 1.0, 50), (2, 1), (0.3, 0.5)).tolist(), sep='\\n')")
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        runs = [subprocess.Popen([sys.executable, "-c", script], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
+                for _ in range(2)]
+        printed = [run.communicate(timeout=120)[0].splitlines() for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        want = str(_native._python_allpole(np.linspace(-1.0, 1.0, 50), (2, 1), (0.3, 0.5)).tolist())
+        assert printed[0] == printed[1] == [str(package / "_native.py"), "CDLL", want]
+        cache = package / "__pycache__"
+        assert len(list(cache.glob("_adapt-*.so"))) == 1 and not list(cache.glob("*.tmp"))
+
     @staticmethod
     def assert_falls_back(compiled, monkeypatch):
-        """The next library() is None, and the Python twins give the
+        """A library loaded now is None, and the Python twins give the
         compiled outputs."""
-        monkeypatch.setattr(_native, "_LIBRARY", _native._UNLOADED)
-        got = library_outputs()
+        monkeypatch.setattr(_native, "_LIBRARY", _native._load_library())
         assert _native._LIBRARY is None
+        got = library_outputs()
         for g, want in zip(got, compiled, strict=True):
             assert np.array_equal(g, want)
 

@@ -153,7 +153,6 @@ class TestRunAdapt2d:
         # times the image; the walk reads one padded copy, (256 + 6)^2 values
         img = Image2D(rng.laplace(0.0, 1.0, (256, 256)))
         cfg = Adapt2dConfig(rows=7, cols=7, mu=-1e-6, warmup=256, passes=1)
-        _native.library()
         tracemalloc.start()
         try:
             run_adapt(img, cfg)

@@ -370,29 +370,30 @@ class TestFilterEngines:
 
     @pytest.fixture
     def unloaded(self, tmp_path, monkeypatch):
-        """An unloaded library built, on the next call, from a copy of the
-        source in tmp_path."""
+        """A copy of the kernel source in tmp_path, which the library is
+        loaded from again once a test has broken its build."""
         path = tmp_path / "_adapt.c"
         path.write_bytes(_native._SOURCE.read_bytes())
         monkeypatch.setattr(_native, "_SOURCE", path)
-        monkeypatch.setattr(_native, "_LIBRARY", _native._UNLOADED)
         return path
 
     def test_no_compiler_falls_back(self, unloaded, monkeypatch):
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        monkeypatch.setattr(_native, "_LIBRARY", _native._load_library())
+        assert _native._LIBRARY is None
         spec = DegradeSpec("echo_iir", -0.6, 0.3, delay=7)
         source = Signal1D(laplace_signal(61, 500))
         got = filter_outputs(spec, source)
-        assert _native._LIBRARY is None
         assert np.array_equal(got[0], lfilter_outputs(spec, source)[0])
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-    def test_failed_build_falls_back(self, unloaded):
+    def test_failed_build_falls_back(self, unloaded, monkeypatch):
         unloaded.write_text("not C\n")
+        monkeypatch.setattr(_native, "_LIBRARY", _native._load_library())
+        assert _native._LIBRARY is None
         spec = DegradeSpec("image_iir3", 0.3, 0.2, 0.1)
         source = Image2D(np.random.default_rng(62).random((9, 11)))
         got = filter_outputs(spec, source)
-        assert _native._LIBRARY is None
         assert np.array_equal(got[0], lfilter_outputs(spec, source)[0])
 
 

@@ -615,6 +615,27 @@ def test_count_arguments_must_be_whole_numbers(call, name):
     call(np.int64(3))
 
 
+@pytest.mark.parametrize("build, name, good", [
+    (lambda v: AdaptConfig(mu=v), "mu", (np.float64(1e-3), 0)),
+    (lambda v: AdaptConfig(beta=v), "beta", (np.float64(0.5), 0.5)),
+    (lambda v: Adapt2dConfig(mu=v), "mu", (np.float64(-1e-3), 0)),
+    (lambda v: Adapt2dConfig(beta=v), "beta", (np.float64(0.5), 0.5)),
+    (lambda v: DegradeSpec("ar2_iir", a1=v), "a1", (np.float64(0.5), 0)),
+    (lambda v: DegradeSpec("ar2_iir", a2=v), "a2", (np.float64(0.3), 0)),
+    (lambda v: DegradeSpec("image_iir3", a3=v), "a3", (np.float64(0.1), 0)),
+    (lambda v: Signal1D([1.0, 2.0], sample_rate=v), "sample_rate", (np.float64(8000.0), np.int64(8000), 8000)),
+], ids=["AdaptConfig.mu", "AdaptConfig.beta", "Adapt2dConfig.mu", "Adapt2dConfig.beta", "DegradeSpec.a1",
+        "DegradeSpec.a2", "DegradeSpec.a3", "Signal1D.sample_rate"])
+def test_real_fields_must_be_real_numbers(build, name, good):
+    # a string, None or a complex number used to fail as a bare TypeError,
+    # which no exit code maps
+    for value in ("0.5", [0.5], 0.5j, *([None] if name != "sample_rate" else [])):
+        with pytest.raises(ContractViolationError, match=f"{name} must be a real number"):
+            build(value)
+    for value in good:  # numpy reals and ints stay accepted, stored as given
+        assert getattr(build(value), name) is value
+
+
 #: The report field each non-parameter CSV column holds, where the names differ.
 _FIELD_OF = {"id": "experiment_id", "source": "source_desc", "size": "size_desc",
              "degrade": "degrade_desc", "whiten": "whiten_desc", "filter": "filter_desc"}

@@ -329,3 +329,19 @@ class TestAtomicWrite:
         assert "not a regular file" in capsys.readouterr().err
         assert fifo.is_fifo()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.wav", "src.wav"]
+
+    @pytest.mark.parametrize("fifo_at", ["output", "--filter-out"])
+    def test_deconv_writes_neither_file_beside_a_fifo(self, tmp_path, src, capsys, fifo_at):
+        output, dump = tmp_path / "out.wav", tmp_path / "filter.txt"
+        fifo = output if fifo_at == "output" else dump
+        os.mkfifo(fifo)
+        # a reader, so that a writer opening the FIFO fails this test
+        # instead of blocking it
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["deconv", str(src), str(output), "--filter-out", str(dump), "--warmup", "100"]) == 1
+        finally:
+            os.close(reader)
+        assert "not a regular file" in capsys.readouterr().err
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([fifo.name, "src.wav"])
