@@ -2,7 +2,9 @@
 integrate (the running sums of experiment's integrated sources), allpole
 (the 1-D all-pole filters of degrade), image_allpole (its image recursion)
 and filter_walk (signals.apply_kernel): each runs its kernel from _adapt.c,
-or its Python twin of the same operations in the same order.
+or its Python twin of the same operations in the same order. Neither
+converts an input: an array that is not C-contiguous float64 of the
+dimensions an entry point needs is a ContractViolationError.
 
 At import, ctypes loads _adapt.c as the cc on PATH built it into
 __pycache__, under a name hashing source and flags; without a compiler, or
@@ -48,16 +50,15 @@ def _load_library():
     except (OSError, subprocess.CalledProcessError):
         return None
     index, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
-    lib.kd_adapt_pass.restype = index
-    lib.kd_adapt_pass.argtypes = (pointer, pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)
-    lib.kd_integrate.restype = None
-    lib.kd_integrate.argtypes = (pointer, pointer, index, index, double)
-    lib.kd_allpole.restype = None
-    lib.kd_allpole.argtypes = (pointer, pointer, index, pointer, pointer, index)
-    lib.kd_image_allpole.restype = None
-    lib.kd_image_allpole.argtypes = (pointer, pointer, index, index, double, double, double)
-    lib.kd_filter_walk.restype = None
-    lib.kd_filter_walk.argtypes = (pointer, pointer, index, index, index, pointer, index, pointer)
+    for name, restype, argtypes in (
+        ("kd_adapt_pass", index, (pointer, pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)),
+        ("kd_integrate", None, (pointer, pointer, index, index, double)),
+        ("kd_allpole", None, (pointer, pointer, index, pointer, pointer, index)),
+        ("kd_image_allpole", None, (pointer, pointer, index, index, double, double, double)),
+        ("kd_filter_walk", None, (pointer, pointer, index, index, index, pointer, index, pointer)),
+    ):
+        kernel = getattr(lib, name)
+        kernel.restype, kernel.argtypes = restype, argtypes
     return lib
 
 
@@ -161,11 +162,10 @@ def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> 
     direct-form-II-transposed filter (scipy's lfilter), and the output is
     bit-identical to it. Runs kd_allpole when the compiled library is there.
     """
-    if x.ndim != 1 or len(lags) != len(coeffs) or min(lags) < 1:
-        raise ContractViolationError("the all-pole recursion needs 1-D input and one positive lag per coefficient")
+    if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and len(lags) == len(coeffs) and min(lags) >= 1):
+        raise ContractViolationError("the all-pole recursion needs a contiguous float64 signal and one positive lag per coefficient")
     if _LIBRARY is None:
         return _python_allpole(x, lags, coeffs)
-    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.empty_like(x)
     k = len(lags)
     _LIBRARY.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, (ctypes.c_ssize_t * k)(*lags), (ctypes.c_double * k)(*coeffs), k)
@@ -191,11 +191,10 @@ def image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
     as ((f + a1 up) + a3 up_left) + (0.0 + a2 left). Runs kd_image_allpole
     when the compiled library is there. An unstable recursion may
     overflow; that is left to the caller."""
-    if f.ndim != 2:
-        raise ContractViolationError("the image recursion needs a 2-D input")
+    if not (f.dtype == np.float64 and f.ndim == 2 and f.flags.c_contiguous):
+        raise ContractViolationError("the image recursion needs a contiguous float64 image")
     if _LIBRARY is None:
         return _python_image_allpole(f, a1, a2, a3)
-    f = np.ascontiguousarray(f, dtype=np.float64)
     g = np.empty_like(f)
     _LIBRARY.kd_image_allpole(f.ctypes.data, g.ctypes.data, f.shape[0], f.shape[1], a1, a2, a3)
     return g

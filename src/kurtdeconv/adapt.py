@@ -34,7 +34,7 @@ import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
-from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _peak_shift, _pow2, _rms_shift, _scratch, _unit, _walk, _walk_size
+from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _finite, _peak_shift, _pow2, _rms_shift, _unit, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -173,13 +173,11 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
             raise DegenerateInputError(f"warmup {cfg.warmup} consumes the whole {H}x{W} image")
     elif len(x1) <= cfg.warmup + cfg.taps:
         raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
-    # sized for the walk, which it holds after the RMS copy
-    scratch = _scratch(0, _walk_size(values, h0.shape))
-    shift = _rms_shift(values, scratch)
+    shift = _rms_shift(values)
     m = init_moments(_pow2(values.ravel()[: cfg.warmup], -shift))
     if cfg.warmup > 0 and m[0] <= M2_GUARD:
         raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
-    walk, h = _walk(values, h0.shape, shift, scratch), h0.flatten()
+    walk, h = _walk(values, h0.shape, shift), h0.flatten()
     pass_filters = []
     for pass_index in range(cfg.passes):
         n = adapt_pass(*walk, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
@@ -255,7 +253,7 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     g2 = np.asarray(grid_a2, dtype=np.float64)
     if g1.size == 0 or g2.size == 0:
         raise ContractViolationError("grids must be nonempty")
-    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+    if not (_finite(g1) and _finite(g2)):
         raise ContractViolationError("grids contain non-finite values")
     x = x1.samples
     if x.size < 3:

@@ -32,16 +32,19 @@ class FormatError(KurtdeconvError, ValueError):
 def _count(value, name: str) -> int:
     """The rule every count a spec or a function takes is read through
     before its lower bound: value as an int by operator.index (an int or a
-    numpy int, not a float such as 2.0), else a ContractViolationError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ContractViolationError(f"{name} must be a whole number, got {value!r}") from None
+    numpy int, not a bool or a float), else a ContractViolationError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ContractViolationError(f"{name} must be a whole number, got {value!r}")
 
 
 def _real(value, name: str):
     """The rule every real-valued spec field is read through before its bound:
-    value itself if an int, a float or a numpy real, else a ContractViolationError."""
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    value itself if an int, a float or a numpy real, not a bool, else a
+    ContractViolationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ContractViolationError(f"{name} must be a real number, got {value!r}")
     return value

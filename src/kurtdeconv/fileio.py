@@ -103,7 +103,7 @@ def read_wav(path) -> Signal1D:
     if len(raw) == 0:
         raise FormatError("data chunk is empty")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    return Signal1D(pcm / 32768.0, sample_rate=rate)
+    return Signal1D(_Owned(np.divide(pcm, 32768.0, out=pcm)), sample_rate=rate)
 
 
 def write_wav(path, s: Signal1D) -> int:
@@ -166,7 +166,7 @@ def read_image(path) -> Image2D:
     if len(raster) != width * height:
         raise FormatError(f"raster size={len(raster)} does not match {width}x{height}")
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64).reshape(height, width)
-    return Image2D(pixels / 255.0)
+    return Image2D(_Owned(np.divide(pixels, 255.0, out=pixels)))
 
 
 def write_image(path, img: Image2D) -> None:

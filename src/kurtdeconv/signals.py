@@ -12,15 +12,15 @@ the recursion stays well defined from sample 0, and no row is copied.
 
 The full-length arrays a call only works in live in a scratch of two
 flat float64 slots per thread (``_scratch``), kept between calls, so a
-steady-state run of the same shape touches no new memory. Slot 0 holds,
-in turn, the scaled copy the RMS is summed over, the walk of run_adapt
-or of apply_kernel, and the scores' centred source; slot 1 the scores'
-other centred values. A slot is remade only when a request is larger
-than it, or less than half of it, so a thread holds about two arrays of
-its latest input. The rule that makes this safe for every caller: a
-scratch array never outlives the call that fills it, so nothing a public
-function returns is a view of one, and no holder of a slot calls code
-that takes the same slot.
+steady-state run of the same shape touches no new memory. A slot is
+taken by the function that fills it: slot 0 by _rms_shift (its scaled
+copy), _walk (its P) and stats._scores (the centred source), slot 1 by
+_scores (the other centred values). A slot is remade only when a request
+is larger than it, or less than half of it, so a thread holds about two
+arrays of its latest input. The rule that makes this safe: a scratch
+array never outlives the call that fills it, but for _walk's P, which its
+caller holds only until it next takes slot 0; nothing a public function
+returns is a view of one, and no holder of a slot calls code that takes it.
 """
 from __future__ import annotations
 
@@ -42,6 +42,12 @@ class _Owned:
     array: np.ndarray
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, read off the max and the min, through
+    which a NaN propagates, instead of a mask of one byte per value."""
+    return values.size == 0 or bool(np.isfinite(values.max()) and np.isfinite(values.min()))
+
+
 def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
     """A read-only float64 copy of values, or the array of an _Owned itself;
     the wrong ndim, no values, or a non-finite one is a ContractViolationError."""
@@ -50,7 +56,7 @@ def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
         raise ContractViolationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ContractViolationError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise ContractViolationError(f"{name} contains non-finite values")
     arr.setflags(write=False)
     return arr
@@ -154,25 +160,18 @@ def _scratch(slot: int, n: int) -> np.ndarray:
     return slots[slot][:n]
 
 
-def _rms_shift(values: np.ndarray, out: np.ndarray | None = None) -> int:
+def _rms_shift(values: np.ndarray) -> int:
     """Exponent k of the power of two nearest the RMS of values (0 if all
     are zero); dividing by 2**k is exact. The squares are summed after an
     exact division by 2**_peak_shift(values), so they neither overflow nor
-    underflow at any finite gain; that scaled copy is made in the first
-    values.size elements of the flat out, if given."""
+    underflow at any finite gain; that scaled copy is made in scratch slot 0."""
     e = _peak_shift(values)
-    scaled = _pow2(values, -e, None if out is None else out[: values.size].reshape(values.shape))
+    scaled = _pow2(values, -e, _scratch(0, values.size).reshape(values.shape))
     mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
 
-def _walk_size(values: np.ndarray, shape: tuple[int, ...]) -> int:
-    """How many values the P of _walk(values, shape) holds."""
-    M, N = shape if len(shape) == 2 else (1, *shape)
-    return (values.size // values.shape[-1] + M - 1) * (values.shape[-1] + N - 1)
-
-
-def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """The regressor rows of a filter of coefficient shape `shape` over
     values, as (P, off, width, stride, n): a walk over one zero-padded
     copy of values, nothing copied per row.
@@ -184,17 +183,15 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0, out: np.nd
     divided by 2**shift, zero-padded to lines of stride = width + N - 1.
     Row r of the walk starts at base(r) = (r // width) * stride + r %
     width, and its element j, the one coefficient j multiplies, is
-    P[base(r) + off[j]]. n counts the rows, one per value. P is built in
-    the first _walk_size(values, shape) elements of the flat out, if
-    given, else in a new array.
+    P[base(r) + off[j]]. n counts the rows, one per value. P is a view of
+    scratch slot 0, which its caller may hold until it next takes slot 0.
     """
     lines = values.reshape(-1, values.shape[-1])
     H, W = lines.shape
     M, N = shape if len(shape) == 2 else (1, *shape)
     top, left, order = (M // 2, N // 2, 1) if len(shape) == 2 else (0, N - 1, -1)
     stride = W + N - 1
-    size = (H + M - 1) * stride
-    P = (np.empty(size) if out is None else out[:size]).reshape(H + M - 1, stride)
+    P = _scratch(0, (H + M - 1) * stride).reshape(H + M - 1, stride)
     # zeros in the pad only; the lines are written scaled in one pass
     P[:top] = P[top + H :] = P[:, :left] = P[:, left + W :] = 0.0
     _pow2(lines, -shift, out=P[top : top + H, left : left + W])
@@ -230,8 +227,7 @@ def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
     the regressor walk the adaptation reads.
     """
     w = _coeffs(kernel, Kernel2D, img)
-    walk = _walk(img.pixels, w.shape, out=_scratch(0, _walk_size(img.pixels, w.shape)))
-    out = filter_walk(*walk, w.ravel())
+    out = filter_walk(*_walk(img.pixels, w.shape), w.ravel())
     return Image2D(_Owned(out.reshape(img.pixels.shape)))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, _count
-from .signals import Image2D, Signal1D, _array, _peak_shift, _pow2, _scratch
+from .signals import Image2D, Signal1D, _array, _finite, _peak_shift, _pow2, _scratch
 
 #: Guard threshold on the running second moment, below which the m2^3
 #: denominator of the update is taken as singular and the update skipped.
@@ -39,7 +39,7 @@ def _values(values) -> np.ndarray:
     if isinstance(values, (Signal1D, Image2D)):
         return _array(values).ravel()
     v = np.asarray(values, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(v)):
+    if not _finite(v):
         raise ContractViolationError("values contain non-finite values")
     return v
 

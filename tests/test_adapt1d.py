@@ -542,6 +542,16 @@ class TestKurtosisSurface:
         with pytest.raises(ContractViolationError):
             kurtosis_surface(Signal1D(np.ones(10)), [], [0.1])
 
+    @pytest.mark.parametrize("x, grid_a1, error, message", [
+        (np.ones(10), [0.1, np.nan], ContractViolationError, "non-finite"),
+        (np.ones(10), [-np.inf], ContractViolationError, "non-finite"),
+        (np.ones(2), [0.1], DegenerateInputError, "at least 3 samples"),
+        (np.zeros(10), [0.1, 0.5], DegenerateInputError, "every grid cell"),
+    ], ids=["nan_grid", "infinite_grid", "two_samples", "silent"])
+    def test_unusable_input_rejected(self, x, grid_a1, error, message):
+        with pytest.raises(error, match=message):
+            kurtosis_surface(Signal1D(x), grid_a1, [0.2])
+
     @settings(max_examples=300)
     @given(
         st.integers(3, 400),

@@ -148,6 +148,10 @@ class TestRunAdapt2d:
         with pytest.raises(DegenerateInputError):
             run_adapt(Image2D(np.ones((2, 8))), Adapt2dConfig(rows=3, cols=3))
 
+    def test_warmup_covering_the_image(self):
+        with pytest.raises(DegenerateInputError, match="consumes the whole 8x8 image"):
+            run_adapt(Image2D(np.random.default_rng(7).random((8, 8))), Adapt2dConfig(warmup=64))
+
     def test_memory_is_one_padded_copy(self, rng):
         # rows copied out of a 256^2 image for a 7x7 kernel would take 49
         # times the image; the walk reads one padded copy, (256 + 6)^2 values

@@ -4,8 +4,10 @@ import pytest
 from kurtdeconv import (
     Adapt2dConfig,
     AdaptConfig,
+    DegradeSpec,
     Image2D,
     Signal1D,
+    apply_degradation,
     normalize_kernel,
     normalize_taps,
     read_image,
@@ -65,6 +67,18 @@ def test_sweep_outputs_argmax(tmp_path, capsys):
     assert lines[0] == "a1,a2,abs_kurtosis"
     assert len(lines) == 17
     assert "argmax a1=0.5 a2=0.3" in capsys.readouterr().out
+
+
+def test_clipped_samples_reported(tmp_path, capsys):
+    # a DC gain of 10 takes a steady 0.9 far outside [-1, 1)
+    src, out = tmp_path / "loud.wav", tmp_path / "out.wav"
+    write_wav(src, Signal1D(np.full(200, 0.9)))
+    spec = DegradeSpec("ar2_iir", 0.6, 0.3)
+    clipped = write_wav(tmp_path / "ref.wav", apply_degradation(spec, read_wav(src)))
+    assert clipped > 100
+    assert main(["degrade", str(src), str(out), "--kind", "ar2_iir", "--a1", "0.6", "--a2", "0.3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"clipped {clipped} samples to [-1, 1)"
+    assert out.read_bytes() == (tmp_path / "ref.wav").read_bytes()
 
 
 def test_metrics_command(tmp_path, source_wav, capsys):

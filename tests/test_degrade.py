@@ -368,6 +368,29 @@ class TestFilterEngines:
         with pytest.raises(ContractViolationError):
             allpole(x, lags, coeffs)
 
+    #: Each entry point with one good input: a float32 copy, a strided view
+    #: and an input of the wrong ndim are refused, by the kernel and the
+    #: twin alike, rather than converted.
+    ENTRY_POINTS = {
+        "integrate": (lambda f: _native.integrate(f, 2.0), (4, 6), (2, 2, 6)),
+        "allpole": (lambda x: allpole(x, (2, 1), (0.3, 0.5)), (12,), (2, 6)),
+        "image_allpole": (lambda f: _native.image_allpole(f, 0.3, 0.2, 0.1), (4, 6), (24,)),
+    }
+
+    @pytest.mark.parametrize("engine", ["compiled", "python"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_point_refuses_rather_than_converts(self, entry, engine, monkeypatch):
+        if engine == "python":
+            monkeypatch.setattr(_native, "_LIBRARY", None)
+        elif _native._LIBRARY is None:
+            pytest.skip("no compiled library")
+        call, shape, wrong = self.ENTRY_POINTS[entry]
+        good = np.random.default_rng(8).random(shape)
+        for bad in (good.astype(np.float32), np.repeat(good, 2, axis=-1)[..., ::2], good.reshape(wrong)):
+            with pytest.raises(ContractViolationError):
+                call(bad)
+        assert call(good).shape == shape
+
     @pytest.fixture
     def unloaded(self, tmp_path, monkeypatch):
         """A copy of the kernel source in tmp_path, which the library is

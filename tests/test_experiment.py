@@ -44,9 +44,9 @@ from kurtdeconv import _native
 from kurtdeconv.adapt import kurtosis_surface
 from kurtdeconv.degrade import true_inverse
 from kurtdeconv.cli import main
-from kurtdeconv.experiment import _cell
-from kurtdeconv.fileio import read_wav, write_wav
-from kurtdeconv.signals import _apply
+from kurtdeconv.experiment import _cell, _degrade_desc
+from kurtdeconv.fileio import read_wav, rescale_unit, write_wav
+from kurtdeconv.signals import _apply, _array
 
 CONFIG_TEXT = """\
 # AR(2) recovery at desk scale
@@ -133,6 +133,13 @@ class TestSourceSpec:
             for d in (1.0, np.sqrt(f.size)):
                 assert np.array_equal(_native.integrate(f.copy(), d), want / d)
                 assert np.array_equal(_native._python_integrate(f.copy(), d), want / d)
+
+    @pytest.mark.parametrize("spec, draw", [
+        (SourceSpec(kind="uniform", seed=4, length=300), lambda rng: rng.uniform(-1.0, 1.0, 300)),
+        (SourceSpec(kind="gaussian", seed=4, height=6, width=7), lambda rng: rescale_unit(Image2D(rng.standard_normal((6, 7)))).pixels),
+    ], ids=["uniform", "gaussian_image"])
+    def test_plain_sources_are_the_seeded_draw(self, spec, draw):
+        assert np.array_equal(_array(make_source(spec)), draw(np.random.default_rng(4)))
 
     def test_seeded_determinism(self):
         a = make_source(SourceSpec(kind="gaussian", seed=3, length=100))
@@ -379,6 +386,15 @@ class TestRunExperiment:
         assert (row[1], row[4], row[7]) == cells
         assert report.estimate.shape == tuple(map(int, cells[2].split("x")))
 
+    @pytest.mark.parametrize("spec, cell", [
+        (None, "none"),
+        (DegradeSpec("ar2_iir", 0.5, 0.3), "ar2_iir a1=0.5 a2=0.3"),
+        (DegradeSpec("echo_iir", -0.6, 0.3, delay=7), "echo_iir a1=-0.6 a2=0.3 D=7"),
+        (DegradeSpec("image_iir3", 0.3, 0.2, 0.1), "image_iir3 a1=0.3 a2=0.2 a3=0.1"),
+    ])
+    def test_degrade_cell_names_every_parameter(self, spec, cell):
+        assert _degrade_desc(spec) == cell
+
     def test_lpc_whitening_path(self):
         cfg = ExperimentConfig(
             experiment_id="lpc",
@@ -563,6 +579,8 @@ TRACED = [
     "tests/test_adapt2d.py::TestRunAdapt2d::test_memory_is_one_padded_copy",
     "tests/test_adapt1d.py::TestKurtosisSurface::test_memory_is_four_rows_of_samples",
     "tests/test_signals.py::TestApply::test_apply_taps_memory_is_its_output",
+    "tests/test_fileio.py::TestWav::test_read_memory_is_the_file_and_its_samples",
+    "tests/test_fileio.py::TestPgm::test_read_memory_is_the_file_and_its_pixels",
 ]
 
 
@@ -595,8 +613,9 @@ def test_traced_memory_alone(node):
         "Adapt2dConfig.passes", "echo_iir.delay", "ar2_iir.delay", "WhitenSpec.order", "SourceSpec.seed",
         "SourceSpec.length", "SourceSpec.height", "SourceSpec.width"])
 def test_counts_must_be_whole_numbers(build, name):
-    # a float count, even a whole one, used to fail later as a bare TypeError
-    for value in (2.5, 1.0, "1"):
+    # a float count, even a whole one, used to fail later as a bare TypeError;
+    # a bool is an int to Python, but no count
+    for value in (2.5, 1.0, "1", True, False):
         with pytest.raises(ContractViolationError, match=f"{name} must be a whole number"):
             build(value)
     build(np.int64(1))  # numpy ints stay accepted
@@ -628,8 +647,8 @@ def test_count_arguments_must_be_whole_numbers(call, name):
         "DegradeSpec.a2", "DegradeSpec.a3", "Signal1D.sample_rate"])
 def test_real_fields_must_be_real_numbers(build, name, good):
     # a string, None or a complex number used to fail as a bare TypeError,
-    # which no exit code maps
-    for value in ("0.5", [0.5], 0.5j, *([None] if name != "sample_rate" else [])):
+    # which no exit code maps; a bool is an int to Python, but no real field
+    for value in ("0.5", [0.5], 0.5j, True, False, *([None] if name != "sample_rate" else [])):
         with pytest.raises(ContractViolationError, match=f"{name} must be a real number"):
             build(value)
     for value in good:  # numpy reals and ints stay accepted, stored as given

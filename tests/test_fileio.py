@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,32 @@ class TestWav:
         with pytest.raises(ContractViolationError):
             Signal1D([])
 
+    @pytest.mark.parametrize("data, message", [
+        (b"RIFF" + struct.pack("<I", 36) + b"WAVEfmt " + struct.pack("<I", 14) + bytes(14) + b"data" + struct.pack("<I", 2) + bytes(2),
+         "fmt chunk size=14 too small"),
+        (wav_bytes([1])[:-10] + b"data" + struct.pack("<I", 3) + bytes(4), "data size=3 is not a whole number"),
+        (wav_bytes([]), "data chunk is empty"),
+    ], ids=["short_fmt", "odd_data", "empty_data"])
+    def test_malformed_chunk_rejected(self, tmp_path, data, message):
+        p = tmp_path / "t.wav"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            read_wav(p)
+
+    def test_read_memory_is_the_file_and_its_samples(self, tmp_path):
+        # the file's bytes, the copy of its data chunk, and the one float
+        # array the signal adopts, divided in place: 12 bytes a sample
+        n = 100_000
+        p = tmp_path / "t.wav"
+        write_wav(p, Signal1D(np.random.default_rng(4).uniform(-0.9, 0.9, n)))
+        tracemalloc.start()
+        try:
+            read_wav(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n + 16 * 1024
+
 
     def test_zero_sample_rate_rejected(self, tmp_path):
         p = tmp_path / "t.wav"
@@ -152,6 +179,26 @@ class TestPgm:
         p.write_bytes(b"P5\n1 1\n65535\n" + bytes([0, 0]))
         with pytest.raises(FormatError, match="maxval=65535"):
             read_image(p)
+
+    def test_zero_dimensions_rejected(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P5\n0 2\n255\n")
+        with pytest.raises(FormatError, match="dimensions 0x2 invalid"):
+            read_image(p)
+
+    def test_read_memory_is_the_file_and_its_pixels(self, tmp_path):
+        # the file's bytes, the copy of its raster, and the one float array
+        # the image adopts, divided in place: 10 bytes a pixel
+        n = 256 * 256
+        p = tmp_path / "t.pgm"
+        write_image(p, Image2D(np.random.default_rng(5).random((256, 256))))
+        tracemalloc.start()
+        try:
+            read_image(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n + 16 * 1024
 
     def test_truncated_raster(self, tmp_path):
         p = tmp_path / "t.pgm"

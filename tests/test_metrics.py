@@ -120,6 +120,18 @@ class TestAlignedCorrelation:
         with pytest.raises(ContractViolationError):
             aligned_correlation(a, b, 1)
 
+    def test_zero_variance_overlaps_skipped(self, rng):
+        # at lag 4 the overlap keeps only a's constant head, and is skipped;
+        # with a constant everywhere no lag is usable
+        a, b = np.array([5.0, 5.0, 5.0, 5.0, 1.0, 2.0, -1.0, 0.5]), rng.standard_normal(8)
+        with pytest.raises(DegenerateInputError):
+            normalized_correlation(a[:4], b[4:])
+        rhos = {lag: normalized_correlation(a[max(-lag, 0) : 8 - max(lag, 0)], b[max(lag, 0) : 8 - max(-lag, 0)]) for lag in range(-4, 4)}
+        lag = max(rhos, key=lambda k: abs(rhos[k]))
+        assert aligned_correlation(a, b, 4) == (rhos[lag], lag, 1 if rhos[lag] >= 0.0 else -1)
+        with pytest.raises(DegenerateInputError, match="no lag"):
+            aligned_correlation(np.full(8, 5.0), b, 4)
+
     def test_lag_above_half_the_length_rejected(self, rng):
         s = Signal1D(rng.laplace(size=64))
         assert aligned_correlation(s, s, 32) == (pytest.approx(1.0), 0, 1)
@@ -166,6 +178,8 @@ class TestNormalization:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             normalize_taps(FilterTaps1D([0.0, 0.0]))
+        with pytest.raises(DegenerateInputError, match="all-zero kernel"):
+            normalize_kernel(Kernel2D(np.zeros((3, 3))))
 
 
 class TestParameterError:
@@ -216,6 +230,11 @@ class TestParameterError:
         else:
             estimate = FilterTaps1D(gain * true_inverse(spec, 2 * spec.delay + 1 + extra_taps).taps)
         assert max(parameter_error(spec, estimate).values()) <= 1e-12
+
+    def test_estimate_of_another_type_rejected(self):
+        spec = DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3)
+        with pytest.raises(ContractViolationError, match="unsupported estimate type ndarray"):
+            extract_parameters(spec, np.array([1.0, -0.6, -0.3]))
 
     def test_zero_unit_tap_rejected(self):
         spec = DegradeSpec(kind="ar2_iir", a1=0.6, a2=0.3)

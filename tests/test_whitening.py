@@ -116,6 +116,10 @@ class TestLpc:
         assert coeffs[1] == pytest.approx(0.3, abs=0.02)
         assert not coeffs.flags.writeable
 
+    def test_order_must_be_positive(self):
+        with pytest.raises(ContractViolationError, match="order must be >= 1"):
+            fit_lpc(Signal1D(np.ones(200)), 0)
+
     def test_needs_enough_samples(self):
         with pytest.raises(DegenerateInputError):
             fit_lpc(Signal1D(np.ones(40)), 4)
