@@ -1,26 +1,28 @@
 """Sample-sequence and image containers, FIR/kernel filtering, filter
 normalization, and the regressor walk the adaptation core reads.
 
-All containers are immutable value objects holding a read-only float64
-array, so instances can be shared freely between threads. A caller's data
-is copied; the package's own stages hand over the fresh arrays they build
-(``_Owned``), which are checked and frozen in place instead. The walk
-reads every regressor (the tap window of a sample, the neighborhood of a
-pixel) from one zero-padded copy of the data, divided by a power of two,
-through a table of tap offsets: indices outside the data read as zero, so
-the recursion stays well defined from sample 0, and no row is copied.
+All containers are immutable value objects holding a read-only C-ordered
+float64 array, shared freely between threads and taken by the compiled
+kernels as it is. A caller's data is copied; the arrays the package's own
+stages build (``_Owned``) are checked and frozen in place instead, copied
+only if not C-ordered. The walk reads every regressor (the tap window of
+a sample, the neighborhood of a pixel) from one zero-padded copy of the
+data, divided by a power of two, through a table of tap offsets: indices
+outside the data read as zero, so the recursion stays well defined from
+sample 0, and no row is copied.
 
 The full-length arrays a call only works in live in a scratch of two
 flat float64 slots per thread (``_scratch``), kept between calls, so a
 steady-state run of the same shape touches no new memory. A slot is
-taken by the function that fills it: slot 0 by _rms_shift (its scaled
-copy), _walk (its P) and stats._scores (the centred source), slot 1 by
-_scores (the other centred values). A slot is remade only when a request
-is larger than it, or less than half of it, so a thread holds about two
-arrays of its latest input. The rule that makes this safe: a scratch
-array never outlives the call that fills it, but for _walk's P, which its
-caller holds only until it next takes slot 0; nothing a public function
-returns is a view of one, and no holder of a slot calls code that takes it.
+taken by the function that fills it: slot 0 by _walk (its P) and
+stats._scores (the centred source), slot 1 by _rms_shift (its scaled
+copy) and _scores (the other centred values), both of the input's size.
+A slot is remade only when a request is larger than it, or less than
+half of it, so a thread holds about two arrays of its latest input. The
+rule that makes this safe: a scratch array never outlives the call that
+fills it, but for _walk's P, which its caller holds only until it next
+takes slot 0; nothing a public function returns is a view of one, and no
+holder of a slot calls code that takes it.
 """
 from __future__ import annotations
 
@@ -49,9 +51,10 @@ def _finite(values: np.ndarray) -> bool:
 
 
 def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
-    """A read-only float64 copy of values, or the array of an _Owned itself;
-    the wrong ndim, no values, or a non-finite one is a ContractViolationError."""
-    arr = np.asarray(values.array, dtype=np.float64) if isinstance(values, _Owned) else np.array(values, dtype=np.float64)
+    """A read-only C-ordered float64 copy of values, or the array of an _Owned
+    itself unless it needs one; the wrong ndim, no values, or a non-finite
+    one is a ContractViolationError."""
+    arr = np.asarray(values.array, dtype=np.float64, order="C") if isinstance(values, _Owned) else np.array(values, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ContractViolationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -164,9 +167,9 @@ def _rms_shift(values: np.ndarray) -> int:
     """Exponent k of the power of two nearest the RMS of values (0 if all
     are zero); dividing by 2**k is exact. The squares are summed after an
     exact division by 2**_peak_shift(values), so they neither overflow nor
-    underflow at any finite gain; that scaled copy is made in scratch slot 0."""
+    underflow at any finite gain; that scaled copy is made in scratch slot 1."""
     e = _peak_shift(values)
-    scaled = _pow2(values, -e, _scratch(0, values.size).reshape(values.shape))
+    scaled = _pow2(values, -e, _scratch(1, values.size).reshape(values.shape))
     mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 

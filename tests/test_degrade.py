@@ -22,6 +22,7 @@ from kurtdeconv import (
 from kurtdeconv import _native
 from kurtdeconv._native import allpole
 from kurtdeconv.degrade import KINDS
+from kurtdeconv.signals import _array
 from conftest import laplace_signal
 
 
@@ -390,6 +391,20 @@ class TestFilterEngines:
             with pytest.raises(ContractViolationError):
                 call(bad)
         assert call(good).shape == shape
+
+    @pytest.mark.parametrize("engine", ["compiled", "python"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_strided_source_degraded_as_its_copy(self, kind, engine, monkeypatch):
+        # a transposed image or a strided signal is held in C order, so the
+        # entry points, which refuse any other layout, take it
+        if engine == "python":
+            monkeypatch.setattr(_native, "_LIBRARY", None)
+        elif _native._LIBRARY is None:
+            pytest.skip("no compiled library")
+        spec = DegradeSpec(kind, 0.3, 0.2, delay=3 if kind == "echo_iir" else 1)
+        g = np.random.default_rng(9).random((12, 10))
+        strided, copy = (Image2D(g.T), Image2D(g.T.copy())) if kind.startswith("image_") else (Signal1D(g[:, 0]), Signal1D(g[:, 0].copy()))
+        assert np.array_equal(_array(apply_degradation(spec, strided)), _array(apply_degradation(spec, copy)))
 
     @pytest.fixture
     def unloaded(self, tmp_path, monkeypatch):
