@@ -162,8 +162,8 @@ def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> 
     direct-form-II-transposed filter (scipy's lfilter), and the output is
     bit-identical to it. Runs kd_allpole when the compiled library is there.
     """
-    if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and len(lags) == len(coeffs) and min(lags) >= 1):
-        raise ContractViolationError("the all-pole recursion needs a contiguous float64 signal and one positive lag per coefficient")
+    if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and len(lags) == len(coeffs) and min(lags, default=0) >= 1):
+        raise ContractViolationError("the all-pole recursion needs a contiguous float64 signal and one positive lag per coefficient, at least one")
     if _LIBRARY is None:
         return _python_allpole(x, lags, coeffs)
     y = np.empty_like(x)

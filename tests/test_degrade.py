@@ -363,6 +363,7 @@ class TestFilterEngines:
         (np.zeros(4), (0,), (0.5,)),
         (np.zeros(4), (-1,), (0.5,)),
         (np.zeros(4), (2, 1), (0.5,)),
+        (np.zeros(4), (), ()),
         (np.zeros((2, 2)), (1,), (0.5,)),
     ])
     def test_allpole_rejects_bad_arguments(self, x, lags, coeffs):
