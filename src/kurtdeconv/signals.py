@@ -3,26 +3,27 @@ normalization, and the regressor walk the adaptation core reads.
 
 All containers are immutable value objects holding a read-only C-ordered
 float64 array, shared freely between threads and taken by the compiled
-kernels as it is. A caller's data is copied; the arrays the package's own
-stages build (``_Owned``) are checked and frozen in place instead, copied
-only if not C-ordered. The walk reads every regressor (the tap window of
-a sample, the neighborhood of a pixel) from one zero-padded copy of the
+kernels as it is. A caller's data is copied; an array a stage of the
+package builds (``_Owned``) is checked and frozen in place, copied only
+if not C-ordered. The walk reads every regressor (the tap window of a
+sample, the neighborhood of a pixel) from one zero-padded copy of the
 data, divided by a power of two, through a table of tap offsets: indices
 outside the data read as zero, so the recursion stays well defined from
 sample 0, and no row is copied.
 
 The full-length arrays a call only works in live in a scratch of two
-flat float64 slots per thread (``_scratch``), kept between calls, so a
-steady-state run of the same shape touches no new memory. A slot is
-taken by the function that fills it: slot 0 by _walk (its P) and
-stats._scores (the centred source), slot 1 by _rms_shift (its scaled
-copy) and _scores (the other centred values), both of the input's size.
-A slot is remade only when a request is larger than it, or less than
-half of it, so a thread holds about two arrays of its latest input. The
-rule that makes this safe: a scratch array never outlives the call that
-fills it, but for _walk's P, which its caller holds only until it next
-takes slot 0; nothing a public function returns is a view of one, and no
-holder of a slot calls code that takes it.
+flat float64 slots per thread (``_scratch``), kept between calls. A slot
+is taken by the function that fills it: slot 0 by _rms_shift (its scaled
+copy), _walk (its P) and stats._scores (the centred source), slot 1 by
+_scores (the other centred values). A slot is remade only when a request
+is larger than it, or less than half of it, so a thread holds about two
+arrays of its latest input, and a steady-state run of one shape touches
+no new memory unless its walk holds more than twice its input (a 9x9
+kernel over 16x16): then the RMS copy and the walk remake slot 0 in turn.
+The rule that makes this safe: a scratch array never outlives the call
+that fills it, but for _walk's P, which its caller holds only until it
+next takes slot 0; nothing a public function returns is a view of one,
+and no holder of a slot calls code that takes it.
 """
 from __future__ import annotations
 
@@ -167,9 +168,9 @@ def _rms_shift(values: np.ndarray) -> int:
     """Exponent k of the power of two nearest the RMS of values (0 if all
     are zero); dividing by 2**k is exact. The squares are summed after an
     exact division by 2**_peak_shift(values), so they neither overflow nor
-    underflow at any finite gain; that scaled copy is made in scratch slot 1."""
+    underflow at any finite gain; that scaled copy is made in scratch slot 0."""
     e = _peak_shift(values)
-    scaled = _pow2(values, -e, _scratch(1, values.size).reshape(values.shape))
+    scaled = _pow2(values, -e, _scratch(0, values.size).reshape(values.shape))
     mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
     return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
@@ -204,15 +205,13 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
 
 
 def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Causal FIR filtering y(n) = sum_k h(k) x(n-k) of the sample array x,
-    zero initial state, as many outputs as inputs. np.convolve copies an
-    input it cannot write, so a read-only float64 x (a container's) is
+    """Causal FIR filtering y(n) = sum_k h(k) x(n-k) of a container's
+    samples x, zero initial state, as many outputs as inputs. np.convolve
+    copies an input it cannot write, so the read-only, C-ordered x is
     passed as a writable alias of its own memory, which np.convolve only
     reads; x itself stays referenced, and so alive, until the alias is
     gone."""
-    alias = x
-    if not x.flags.writeable and x.flags.c_contiguous and x.dtype == np.float64:
-        alias = np.frombuffer((ctypes.c_double * x.size).from_address(x.ctypes.data))
+    alias = np.frombuffer((ctypes.c_double * x.size).from_address(x.ctypes.data))
     return np.convolve(h, alias)[: x.size]
 
 

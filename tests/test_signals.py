@@ -19,9 +19,8 @@ from kurtdeconv import (
     apply_taps,
     normalize_kernel,
     normalize_taps,
-    run_adapt,
 )
-from kurtdeconv import _native, signals
+from kurtdeconv import _native
 from kurtdeconv.signals import _Owned, _array, _pow2, _rms_shift, _walk
 from conftest import patch, window
 
@@ -355,20 +354,9 @@ def test_scalar_ldexp_only_in_pow2():
     assert calls == {("signals.py", "_pow2", "values"), ("adapt.py", "kurtosis_surface", "W")}
 
 
-def test_second_call_of_a_shape_keeps_both_slots():
-    # the RMS copy and the walk are in different slots, so neither is made
-    # again, even for a walk of more than twice the input (9x9 over 16x16)
-    img = Image2D(np.random.default_rng(3).standard_normal((16, 16)))
-    cfg = Adapt2dConfig(rows=9, cols=9, mu=-1e-6, warmup=20)
-    run_adapt(img, cfg)
-    kept = list(signals._SCRATCH.slots)
-    run_adapt(img, cfg)
-    assert all(a is b for a, b in zip(kept, signals._SCRATCH.slots))
-
-
 def test_scratch_taken_only_by_the_functions_that_fill_it():
-    # _walk takes slot 0 and _rms_shift slot 1 for the array each fills,
-    # _scores both slots; no caller sizes a slot for them, and the walk's size is
+    # _rms_shift and _walk take slot 0 for the array each fills, _scores
+    # both slots; no caller sizes a slot for them, and the walk's size is
     # worked out in _walk alone
     texts = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     calls = {(name, func) for name, text in texts.items() for func, _ in _calls(ast.parse(text), "_scratch")}
