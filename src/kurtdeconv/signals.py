@@ -205,13 +205,15 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
 
 
 def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Causal FIR filtering y(n) = sum_k h(k) x(n-k) of a container's
-    samples x, zero initial state, as many outputs as inputs. np.convolve
-    copies an input it cannot write, so the read-only, C-ordered x is
+    """Causal FIR filtering y(n) = sum_k h(k) x(n-k) of the sample array x,
+    zero initial state, as many outputs as inputs. np.convolve copies an
+    input it cannot write, so a read-only float64 x (a container's) is
     passed as a writable alias of its own memory, which np.convolve only
     reads; x itself stays referenced, and so alive, until the alias is
     gone."""
-    alias = np.frombuffer((ctypes.c_double * x.size).from_address(x.ctypes.data))
+    alias = x
+    if not x.flags.writeable and x.flags.c_contiguous and x.dtype == np.float64:
+        alias = np.frombuffer((ctypes.c_double * x.size).from_address(x.ctypes.data))
     return np.convolve(h, alias)[: x.size]
 
 
