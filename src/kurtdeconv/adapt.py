@@ -9,15 +9,15 @@ estimates, and nudges the filter along f(n) * regressor:
     f(n)    = 4 * [(m2(n) * y(n)^2 - m4(n)) * y(n)] / m2(n)^3
     h(n+1)  = h(n) + mu * f(n) * x(n)
 
-with the tap update skipped while m2(n) <= stats.M2_GUARD. The
-sign of mu selects whether kurtosis is pushed up (super-gaussian sources)
-or down (sub-gaussian sources). run_adapt runs this recursion over one
-regressor row per sample: the tap window of a signal, or the M x N
-neighborhood of an image's pixel, flattened, pixels visited in raster
-order (left to right, top to bottom) with zero-padded neighborhoods at the
-borders, so border pixels still generate updates. The rows are read in
-place from one zero-padded copy of the input through a table of tap
-offsets (signals._walk); no row is copied.
+with the tap update skipped while m2(n) <= stats.M2_GUARD times the input
+power. The sign of mu selects whether kurtosis is pushed up
+(super-gaussian sources) or down (sub-gaussian sources). run_adapt runs
+this recursion over one regressor row per sample: the tap window of a
+signal, or the M x N neighborhood of an image's pixel, flattened, pixels
+visited in raster order (left to right, top to bottom) with zero-padded
+neighborhoods at the borders, so border pixels still generate updates.
+The rows are read in place from one zero-padded copy of the input through
+a table of tap offsets (signals._walk); no row is copied.
 
 Each pass of the recursion is one _native.adapt_pass: compiled C when a
 compiler is available, else its Python twin, bit for bit the same. It
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._native import adapt_pass
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
-from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _finite, _peak_shift, _pow2, _rms_shift, _unit, _walk
+from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _finite, _peak_shift, _pow2, _unit, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -146,17 +146,17 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     an Adapt2dConfig a kernel over an Image2D, one centred neighborhood
     per pixel. An input of another type is a ContractViolationError. Both
     walk one zero-padded copy of x1 (signals._walk), divided by the power
-    of two nearest its RMS, which changes no coefficient but makes the
-    moment guard relative to the input power. The first cfg.warmup rows
-    only seed the moment estimates under cfg.identity(), whose output is
-    the input itself; every pass then updates over the remaining rows,
+    of two above its peak, which changes no bit of any coefficient; the
+    moment guard is M2_GUARD times the square of the power of two nearest
+    the walk's RMS, so relative to the input power. The first cfg.warmup
+    rows only seed the moment estimates under cfg.identity(), whose output
+    is the input itself; every pass then updates over the remaining rows,
     filter and moments carried across passes. A warm-up whose second
-    moment is at or below M2_GUARD (silence, since the rows are RMS-scaled)
-    is a DegenerateInputError: its zero moments would make the first
-    updates divide by a vanishing m2^3. A DivergenceError, raised here,
-    names the pass and the sample (the pixel by its raster index). x1 is
-    not filtered here; the result's output and its kurtosis fields are
-    computed on first read.
+    moment is at or below the guard (silence) is a DegenerateInputError:
+    its zero moments would make the first updates divide by a vanishing
+    m2^3. A DivergenceError, raised here, names the pass and the sample
+    (the pixel by its raster index). x1 is not filtered here; the result's
+    output and its kurtosis fields are computed on first read.
     """
     start = cfg.identity()
     kind = _FILTERS[type(start)]
@@ -173,14 +173,17 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
             raise DegenerateInputError(f"warmup {cfg.warmup} consumes the whole {H}x{W} image")
     elif len(x1) <= cfg.warmup + cfg.taps:
         raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
-    shift = _rms_shift(values)
-    m = init_moments(_pow2(values.ravel()[: cfg.warmup], -shift))
-    if cfg.warmup > 0 and m[0] <= M2_GUARD:
-        raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0]:g} of the input power")
+    shift = _peak_shift(values)
     walk, h = _walk(values, h0.shape, shift), h0.flatten()
+    # the input power in the walk's scale (the padding adds only zeros)
+    mantissa, k = np.frexp(np.sqrt(np.vdot(walk[0], walk[0]) / values.size))
+    power = 4.0 ** (int(k) - int(0.0 < mantissa < np.sqrt(0.5)))
+    m = init_moments(_pow2(values.ravel()[: cfg.warmup], -shift))
+    if cfg.warmup > 0 and m[0] <= M2_GUARD * power:
+        raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0] / power:g} of the input power")
     pass_filters = []
     for pass_index in range(cfg.passes):
-        n = adapt_pass(*walk, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD, TAP_LIMIT)
+        n = adapt_pass(*walk, h, m, cfg.mu, cfg.beta, cfg.warmup, M2_GUARD * power, TAP_LIMIT)
         if n >= 0:
             raise DivergenceError(
                 f"filter magnitude exceeded {TAP_LIMIT:g} at pass {pass_index}, sample {n}",

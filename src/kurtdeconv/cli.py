@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .adapt import Adapt2dConfig, AdaptConfig, kurtosis_surface, run_adapt
-from .degrade import KINDS, DegradeSpec, apply_degradation
+from .degrade import KINDS, DegradeSpec, _degrades, apply_degradation
 from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
 from .experiment import SourceSpec, _build, _cell, load_config, make_source, run_experiment, write_report_csv
 from .fileio import _check_target, _write_file, is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
@@ -44,11 +44,16 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _write_any(path: str, data) -> None:
+def _check_output(path: str, kind: type) -> None:
+    """A .pgm output takes an Image2D, a .wav one a Signal1D; each command checks before it computes."""
     image = is_image_path(path)
-    if not isinstance(data, Image2D if image else Signal1D):
-        raise ContractViolationError(f"{path} takes {'an image' if image else 'a signal'}, got {type(data).__name__}")
-    if image:
+    if kind is not (Image2D if image else Signal1D):
+        raise ContractViolationError(f"{path} takes {'an image' if image else 'a signal'}, got {kind.__name__}")
+
+
+def _write_any(path: str, data) -> None:
+    _check_output(path, type(data))
+    if is_image_path(path):
         write_image(path, rescale_unit(data))
     else:
         clipped = write_wav(path, data)
@@ -58,6 +63,7 @@ def _write_any(path: str, data) -> None:
 
 def _cmd_degrade(args) -> int:
     spec = DegradeSpec(**_given(args, "kind", "a1", "a2", "a3", "delay"))
+    _check_output(args.output, _degrades(spec))
     print(f"degrade: {spec} input={args.input} output={args.output}")
     if args.input.startswith("synthetic:"):
         source = SourceSpec(kind=args.input.split(":", 1)[1], **_given(args, "seed", "length", "height", "width"))
@@ -71,6 +77,7 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_whiten(args) -> int:
     spec = WhitenSpec(**_given(args, "kind", "order"))
+    _check_output(args.output, Image2D if is_image_path(args.input) else Signal1D)
     print(f"whiten: {spec} input={args.input} output={args.output}")
     _write_any(args.output, whiten(read_any(args.input), spec))
     return 0
@@ -80,6 +87,7 @@ def _cmd_deconv(args) -> int:
     options = _given(args, "taps", "rows", "cols", "mu", "beta", "warmup", "passes")
     cfg = _build(Adapt2dConfig if is_image_path(args.input) else AdaptConfig, options, "--{}".format)
     spec = WhitenSpec(**_given(args, "kind", "order"))
+    _check_output(args.output, Image2D if is_image_path(args.input) else Signal1D)
     print(f"deconv: input={args.input} {cfg} whiten={spec}")
     data = read_any(args.input)
     work = whiten(data, spec)

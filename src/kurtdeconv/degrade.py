@@ -72,6 +72,11 @@ class DegradeSpec:
             raise ContractViolationError(f"a3 is only meaningful for image_iir3, got {self.a3}")
 
 
+def _degrades(spec: DegradeSpec) -> type:
+    """What spec degrades and returns: an Image2D for an image kind, else a Signal1D."""
+    return Image2D if spec.kind.startswith("image_") else Signal1D
+
+
 def apply_degradation(spec: DegradeSpec, source):
     """Run the degradation spec describes, with zero initial and boundary
     state, on a Signal1D for a 1-D kind or an Image2D for an image kind;
@@ -88,7 +93,7 @@ def apply_degradation(spec: DegradeSpec, source):
     every set runs, and an image output that peaks above 1e9 raises
     DivergenceError. So does any output that overflows, of any kind.
     """
-    image = spec.kind.startswith("image_")
+    image = _degrades(spec) is Image2D
     if not isinstance(source, Image2D if image else Signal1D):
         raise ContractViolationError(f"{spec.kind} degrades {'an Image2D' if image else 'a Signal1D'}, got {type(source).__name__}")
     if image:
@@ -124,7 +129,7 @@ def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | K
     circle.
     """
     slots = _slots(spec)
-    if spec.kind.startswith("image_"):
+    if _degrades(spec) is Image2D:
         if taps is not None:
             raise ContractViolationError(f"{spec.kind} has a 3x3 inverse kernel, not {taps} taps")
         h = _unit((3, 3))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import struct
 
 import numpy as np
@@ -59,30 +60,28 @@ def read_any(path) -> Signal1D | Image2D:
 def read_wav(path) -> Signal1D:
     """Read a RIFF/WAVE file; only PCM, 16-bit, mono is accepted.
 
-    Samples are mapped to [-1, 1) by dividing by 32768.
+    Samples are mapped to [-1, 1) by dividing by 32768. The chunks are read
+    in place, as slices of a memoryview of the file's bytes.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    view = memoryview(data)
     if len(data) < 12 or data[:4] != b"RIFF":
         raise FormatError("chunk id: not a RIFF file")
     if data[8:12] != b"WAVE":
         raise FormatError(f"riff form={data[8:12]!r} unsupported (want WAVE)")
 
-    fmt = None
-    raw = None
-    pos = 12
+    chunks, pos = {}, 12
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise FormatError(f"chunk {cid!r}: declared size {size} exceeds file")
-        if cid == b"fmt ":
-            fmt = body
-        elif cid == b"data":
-            raw = body
+        chunks[cid] = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
+    fmt, raw = chunks.get(b"fmt "), chunks.get(b"data")
     if fmt is None:
         raise FormatError("fmt chunk missing")
     if raw is None:
@@ -124,26 +123,22 @@ def write_wav(path, s: Signal1D) -> int:
     return clipped
 
 
+#: A PGM header token: whitespace and '#' comments to the end of the line
+#: skipped, then the run of non-space bytes.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _next_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines
-    while pos < len(data):
-        if data[pos : pos + 1].isspace():
-            pos += 1
-        elif data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    """The header token at or after pos, and the position just past it."""
+    match = _PGM_TOKEN.match(data, pos)
+    if not match[1]:
         raise FormatError("header: truncated before token")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def read_image(path) -> Image2D:
-    """Read a binary PGM (P5, maxval 255); pixels are mapped to [0, 1]."""
+    """Read a binary PGM (P5, maxval 255); pixels are mapped to [0, 1]. The
+    raster is read in place from the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic, pos = _next_pgm_token(data, 0)
@@ -162,10 +157,10 @@ def read_image(path) -> Image2D:
     if maxval != 255:
         raise FormatError(f"maxval={maxval} unsupported (want 255)")
     pos += 1  # exactly one whitespace byte before the raster
-    raster = data[pos:]
-    if len(raster) != width * height:
-        raise FormatError(f"raster size={len(raster)} does not match {width}x{height}")
-    pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64).reshape(height, width)
+    size = max(len(data) - pos, 0)
+    if size != width * height:
+        raise FormatError(f"raster size={size} does not match {width}x{height}")
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=pos).astype(np.float64).reshape(height, width)
     return Image2D(_Owned(np.divide(pixels, 255.0, out=pixels)))
 
 

@@ -9,17 +9,18 @@ if not C-ordered. The walk reads every regressor (the tap window of a
 sample, the neighborhood of a pixel) from one zero-padded copy of the
 data, divided by a power of two, through a table of tap offsets: indices
 outside the data read as zero, so the recursion stays well defined from
-sample 0, and no row is copied.
+sample 0, and no row is copied. The walk of run_adapt, like every score,
+is divided by 2**_peak_shift: the package's one scaling rule.
 
 The full-length arrays a call only works in live in a scratch of two
 flat float64 slots per thread (``_scratch``), kept between calls. A slot
-is taken by the function that fills it: slot 0 by _rms_shift (its scaled
-copy), _walk (its P) and stats._scores (the centred source), slot 1 by
-_scores (the other centred values). A slot is remade only when a request
-is larger than it, or less than half of it, so a thread holds about two
-arrays of its latest input, and a steady-state run of one shape touches
-no new memory unless its walk holds more than twice its input (a 9x9
-kernel over 16x16): then the RMS copy and the walk remake slot 0 in turn.
+is taken by the function that fills it: slot 0 by _walk (its P) and
+stats._scores (the centred source), slot 1 by _scores (the other centred
+values). A slot is remade only when a request is larger than it, or less
+than half of it, so a thread holds about two arrays of its latest input,
+and a steady-state run of one shape touches no new memory unless its
+walk holds more than twice its input (a 9x9 kernel over 16x16): then
+run_experiment's walk and scores remake slot 0 in turn.
 The rule that makes this safe: a scratch array never outlives the call
 that fills it, but for _walk's P, which its caller holds only until it
 next takes slot 0; nothing a public function returns is a view of one,
@@ -162,17 +163,6 @@ def _scratch(slot: int, n: int) -> np.ndarray:
         slots[slot] = None
         slots[slot] = np.empty(n)
     return slots[slot][:n]
-
-
-def _rms_shift(values: np.ndarray) -> int:
-    """Exponent k of the power of two nearest the RMS of values (0 if all
-    are zero); dividing by 2**k is exact. The squares are summed after an
-    exact division by 2**_peak_shift(values), so they neither overflow nor
-    underflow at any finite gain; that scaled copy is made in scratch slot 0."""
-    e = _peak_shift(values)
-    scaled = _pow2(values, -e, _scratch(0, values.size).reshape(values.shape))
-    mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
-    return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
 
 
 def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[np.ndarray, np.ndarray, int, int, int]:

@@ -24,11 +24,9 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateInputError, _count
 from .signals import Image2D, Signal1D, _array, _finite, _peak_shift, _pow2, _scratch
 
-#: Guard threshold on the running second moment, below which the m2^3
-#: denominator of the update is taken as singular and the update skipped.
-#: run_adapt reads its regressors from a copy of the signal or image
-#: scaled to an RMS near 1, so there the guard is relative to the input
-#: power.
+#: Guard on the running second moment, relative to the input power: at or
+#: below it the m2^3 denominator is taken as singular and the update is
+#: skipped. run_adapt scales it to the power of the regressors it reads.
 M2_GUARD = 1e-8
 
 

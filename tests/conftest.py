@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, FilterTaps1D, _native, kurtosis_excess
 from kurtdeconv.adapt import TAP_LIMIT
-from kurtdeconv.signals import _rms_shift
+from kurtdeconv.signals import _peak_shift
 
 # The same examples on every run: no random seed, no replay of examples
 # saved by earlier runs, and no timing-dependent deadline failures.
@@ -62,13 +62,25 @@ def batch_kurtosis(samples) -> float:
     return float((y2 * y2).mean() / (m2 * m2) - 3.0)
 
 
+def rms_shift(values: np.ndarray) -> int:
+    """Exponent k of the power of two nearest the RMS of values (0 if all
+    are zero): the reference scale the oracles read their regressors at,
+    and the engines, at the peak's scale, must match bit for bit. The
+    squares are summed after an exact division by the power of two above
+    the peak, so they neither overflow nor underflow at any finite gain."""
+    e = _peak_shift(values)
+    scaled = np.ldexp(values, -e)
+    mantissa, k = np.frexp(np.sqrt(np.vdot(scaled, scaled) / values.size))
+    return int(k + e) - int(0.0 < mantissa < np.sqrt(0.5))
+
+
 def rms_scaled_kurtosis(samples) -> float:
     """Excess kurtosis, mean removed, of the samples divided first by the
     power of two nearest their RMS: the reference kurtosis_excess, which
     divides by the power of two above the peak instead, must equal bit for
     bit."""
     x = np.asarray(samples, dtype=np.float64).ravel()
-    x = np.ldexp(x, -_rms_shift(x))
+    x = np.ldexp(x, -rms_shift(x))
     x -= x.mean()
     x2 = x * x
     m2 = x2.mean()

@@ -35,14 +35,13 @@ from kurtdeconv import (
 )
 from kurtdeconv import _native
 from kurtdeconv.adapt import TAP_LIMIT
-from kurtdeconv.signals import _rms_shift
-from conftest import MomentState, adapt_step, batch_gradient, direct_surface, laplace_signal, oracle_adapt, window
+from conftest import MomentState, adapt_step, batch_gradient, direct_surface, laplace_signal, oracle_adapt, rms_shift, window
 
 
 def oracle_taps(x, cfg):
     """oracle_adapt over the tap windows of sample array x, divided as in
     run_adapt by the power of two nearest its RMS."""
-    x = np.ldexp(x, -_rms_shift(x))
+    x = np.ldexp(x, -rms_shift(x))
     windows = [window(x, n, cfg.taps) for n in range(x.size)]
     return oracle_adapt(windows, np.eye(1, cfg.taps)[0], x[: cfg.warmup], cfg)
 
@@ -191,6 +190,23 @@ class TestRunAdapt:
         ref = unit_gain_result().filter.taps
         assert np.max(np.abs(ref[1:] / ref[0])) > 0.3
         assert np.max(np.abs(res.filter.taps - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("ratio, adapts", [(0.5, False), (2.0, True)])
+    def test_guard_follows_the_input_power_not_the_peak(self, ratio, adapts):
+        # a spike 2**10 times the RMS of 2**20 samples, whose power of two
+        # nearest the mean square is 1, behind a warm-up of mean square
+        # ratio * M2_GUARD: the guard is relative to the input power, so
+        # the quieter warm-up is silent and the louder one adapts; relative
+        # to the peak power both would be silent
+        n, cfg = 2**20, AdaptConfig(taps=2, mu=1e-6, beta=0.99, warmup=64, passes=1)
+        x = np.concatenate((np.full(cfg.warmup, np.sqrt(ratio * M2_GUARD)), 2.0**-5.5 * laplace_signal(37, n - cfg.warmup - 1), [2.0**10]))
+        assert rms_shift(x) == 0 and x.max() >= 2**10 * np.sqrt(np.mean(x * x)) * (1 - 1e-3)
+        if not adapts:
+            with pytest.raises(DegenerateInputError, match="warm-up is silent: second moment 5e-09 of the input power"):
+                run_adapt(Signal1D(x), cfg)
+            return
+        taps = run_adapt(Signal1D(x), cfg).filter.taps
+        assert np.all(np.isfinite(taps)) and taps[1] != 0.0
 
     def test_positive_scaling_leaves_kurtosis(self):
         x = laplace_signal(35, 20_000)

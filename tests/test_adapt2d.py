@@ -21,8 +21,7 @@ from kurtdeconv import (
     run_adapt,
 )
 from kurtdeconv import _native
-from kurtdeconv.signals import _rms_shift
-from conftest import oracle_adapt, patch
+from conftest import oracle_adapt, patch, rms_shift
 
 
 def integrated_uniform_image(seed, shape):
@@ -36,7 +35,7 @@ def oracle_kernel(img, cfg):
     order, divided as in run_adapt by the power of two nearest its RMS,
     from the center-1 kernel; returns flattened weights."""
     M, N = cfg.rows, cfg.cols
-    g = np.ldexp(img.pixels, -_rms_shift(img.pixels))
+    g = np.ldexp(img.pixels, -rms_shift(img.pixels))
     patches = [patch(g, r, c, M, N).ravel() for r in range(img.height) for c in range(img.width)]
     return oracle_adapt(patches, np.eye(1, M * N, (M * N) // 2)[0], g.ravel()[: cfg.warmup], cfg)
 

@@ -151,7 +151,7 @@ def test_experiment_with_invalid_value_exits_1(tmp_path, capsys):
     assert "beta must lie in (0, 1)" in err
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # usage error
     assert main(["degrade"]) == 1
     # format error: stereo wav
@@ -198,6 +198,20 @@ def test_exit_codes(tmp_path):
         ["deconv", str(src), str(out / "o.pgm"), "--filter-out", str(out / "f.txt"), "--taps", "3", "--mu", "3e-6", "--warmup", "16"],
     ):
         assert main(argv) == 1
+        assert not any(out.iterdir())
+    # an output of the wrong kind or extension fails before anything is read
+    # or computed: nothing is printed, and no file is written
+    big = tmp_path / "big.pgm"
+    write_image(big, Image2D(np.random.default_rng(56).random((32, 32))))
+    for argv, code in (
+        (["deconv", str(big), str(out / "o.wav"), "--filter-out", str(out / "f.txt"), "--warmup", "100"], 1),
+        (["deconv", str(src), str(out / "o.txt"), "--filter-out", str(out / "f.txt")], 2),
+        (["whiten", str(src), str(out / "o.pgm")], 1),
+        (["degrade", str(src), str(out / "o.pgm"), "--kind", "ar2_iir"], 1),
+    ):
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
         assert not any(out.iterdir())
     # a signal and an image of the same size are not compared, in either order
     short = tmp_path / "a.wav"

@@ -572,7 +572,7 @@ def test_threads_match_serial_runs():
 
 #: The tests that bound a tracemalloc peak. Each also runs alone in a fresh
 #: interpreter, where whatever the traced call is first to import or build
-#: counts against its bound.
+#: counts against its bound; the interpreters all start at once.
 TRACED = [
     "tests/test_experiment.py::test_memory_peak_in_full_length_arrays[audio_ar2]",
     "tests/test_experiment.py::test_memory_peak_in_full_length_arrays[image_iir]",
@@ -584,15 +584,32 @@ TRACED = [
 ]
 
 
-@pytest.mark.parametrize("node", TRACED)
-def test_traced_memory_alone(node):
+@pytest.fixture(scope="module")
+def traced_runs(request):
+    """One pytest process per selected TRACED node, all started together; a
+    process still running at the end of the module is killed."""
+    selected = [item.callspec.params["node"] for item in request.session.items if getattr(item, "originalname", None) == "test_traced_memory_alone"]
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    procs = {
+        node: subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for node in selected
+    }
+    yield procs
+    for proc in procs.values():
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
+@pytest.mark.parametrize("node", TRACED)
+def test_traced_memory_alone(node, traced_runs):
+    proc = traced_runs[node]
+    output, _ = proc.communicate(timeout=300)
+    assert proc.returncode == 0, output
 
 
 @pytest.mark.parametrize("build, name", [

@@ -24,7 +24,7 @@ from kurtdeconv import (
     write_wav,
 )
 from kurtdeconv.cli import main
-from kurtdeconv.fileio import is_image_path, read_any
+from kurtdeconv.fileio import _next_pgm_token, is_image_path, read_any
 from conftest import laplace_signal
 
 
@@ -95,7 +95,9 @@ class TestWav:
          "fmt chunk size=14 too small"),
         (wav_bytes([1])[:-10] + b"data" + struct.pack("<I", 3) + bytes(4), "data size=3 is not a whole number"),
         (wav_bytes([]), "data chunk is empty"),
-    ], ids=["short_fmt", "odd_data", "empty_data"])
+        (wav_bytes([1])[:8] + b"WAVX" + wav_bytes([1])[12:], "riff form=b'WAVX' unsupported"),
+        (wav_bytes([1, 2])[:-2], "chunk b'data': declared size 4 exceeds file"),
+    ], ids=["short_fmt", "odd_data", "empty_data", "riff_form", "data_past_eof"])
     def test_malformed_chunk_rejected(self, tmp_path, data, message):
         p = tmp_path / "t.wav"
         p.write_bytes(data)
@@ -103,8 +105,8 @@ class TestWav:
             read_wav(p)
 
     def test_read_memory_is_the_file_and_its_samples(self, tmp_path):
-        # the file's bytes, the copy of its data chunk, and the one float
-        # array the signal adopts, divided in place: 12 bytes a sample
+        # the file's bytes, its data chunk read in place, and the one float
+        # array the signal adopts, divided in place: 10 bytes a sample
         n = 100_000
         p = tmp_path / "t.wav"
         write_wav(p, Signal1D(np.random.default_rng(4).uniform(-0.9, 0.9, n)))
@@ -114,7 +116,7 @@ class TestWav:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * n + 16 * 1024
+        assert peak <= 10 * n + 16 * 1024
 
 
     def test_zero_sample_rate_rejected(self, tmp_path):
@@ -187,8 +189,8 @@ class TestPgm:
             read_image(p)
 
     def test_read_memory_is_the_file_and_its_pixels(self, tmp_path):
-        # the file's bytes, the copy of its raster, and the one float array
-        # the image adopts, divided in place: 10 bytes a pixel
+        # the file's bytes, its raster read in place, and the one float
+        # array the image adopts, divided in place: 9 bytes a pixel
         n = 256 * 256
         p = tmp_path / "t.pgm"
         write_image(p, Image2D(np.random.default_rng(5).random((256, 256))))
@@ -198,13 +200,51 @@ class TestPgm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * n + 16 * 1024
+        assert peak <= 9 * n + 16 * 1024
 
     def test_truncated_raster(self, tmp_path):
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
-        with pytest.raises(FormatError, match="raster"):
+        with pytest.raises(FormatError, match="raster size=3 does not match 2x2"):
             read_image(p)
+
+    def test_header_ending_at_eof_has_no_raster(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P5\n2 2\n255")
+        with pytest.raises(FormatError, match="raster size=0 does not match 2x2"):
+            read_image(p)
+
+    @given(st.binary(max_size=24) | st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"P5", b"12", b"\x00"]), max_size=12).map(b"".join))
+    def test_tokens_match_a_byte_at_a_time_scan(self, data):
+        # the header tokenizer's pattern gives the tokens, positions and
+        # message of a scan that skips whitespace and '#' comments (to the
+        # end of their line) byte by byte, then takes the non-space run
+        def scan(data, pos):
+            while pos < len(data):
+                if data[pos : pos + 1].isspace():
+                    pos += 1
+                elif data[pos : pos + 1] == b"#":
+                    while pos < len(data) and data[pos : pos + 1] != b"\n":
+                        pos += 1
+                else:
+                    break
+            start = pos
+            while pos < len(data) and not data[pos : pos + 1].isspace():
+                pos += 1
+            if start == pos:
+                raise FormatError("header: truncated before token")
+            return data[start:pos], pos
+
+        def tokens(next_token):
+            out, pos = [], 0
+            while True:
+                try:
+                    tok, pos = next_token(data, pos)
+                except FormatError as exc:
+                    return out, str(exc)
+                out.append((tok, pos))
+
+        assert tokens(_next_pgm_token) == tokens(scan)
 
     def test_write_requires_unit_range(self, tmp_path):
         with pytest.raises(ContractViolationError):

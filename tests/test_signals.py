@@ -21,8 +21,8 @@ from kurtdeconv import (
     normalize_taps,
 )
 from kurtdeconv import _native
-from kurtdeconv.signals import _Owned, _array, _pow2, _rms_shift, _walk
-from conftest import patch, window
+from kurtdeconv.signals import _Owned, _array, _pow2, _walk
+from conftest import patch, rms_shift, window
 
 
 class TestContainers:
@@ -175,9 +175,10 @@ class TestWindowAt:
 
 
 class TestRmsShift:
+    # the reference scale of the oracles in conftest
     @pytest.mark.parametrize("value, shift", [(3.0, 2), (2.5, 1), (1.0, 0), (-1e-5, -17), (0.0, 0)])
     def test_nearest_power_of_two(self, value, shift):
-        assert _rms_shift(np.full((2, 3), value)) == shift
+        assert rms_shift(np.full((2, 3), value)) == shift
 
 
 class TestPatchAt:
@@ -355,10 +356,11 @@ def test_scalar_ldexp_only_in_pow2():
 
 
 def test_scratch_taken_only_by_the_functions_that_fill_it():
-    # _rms_shift and _walk take slot 0 for the array each fills, _scores
-    # both slots; no caller sizes a slot for them, and the walk's size is
-    # worked out in _walk alone
+    # _walk takes slot 0 for its P, _scores both slots; no caller sizes a
+    # slot for them, the walk's size is worked out in _walk alone, and no
+    # function makes an RMS-scaled copy: the walk is read at the peak's
+    # power of two, like every score
     texts = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     calls = {(name, func) for name, text in texts.items() for func, _ in _calls(ast.parse(text), "_scratch")}
-    assert calls == {("signals.py", "_rms_shift"), ("signals.py", "_walk"), ("stats.py", "_scores")}
-    assert [name for name, text in texts.items() if "_walk_size" in text] == []
+    assert calls == {("signals.py", "_walk"), ("stats.py", "_scores")}
+    assert [name for name, text in texts.items() if "_walk_size" in text or "_rms_shift" in text] == []
