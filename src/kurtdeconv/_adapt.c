@@ -2,7 +2,8 @@
  *
  * Built without -ffast-math and with -ffp-contract=off, so no sum is
  * reordered and no multiply-add is fused: each function runs the operations
- * of its Python loop in the same order.
+ * of its reference in the tests (the adapt_step oracle, np.cumsum, lfilter,
+ * ndimage.correlate) in the same order.
  */
 #include <math.h>
 #include <stddef.h>

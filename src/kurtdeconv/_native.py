@@ -1,14 +1,14 @@
 """The serial loops of kurtdeconv, adapt_pass (one pass of adapt.run_adapt),
 integrate (the running sums of experiment's integrated sources), allpole
 (the 1-D all-pole filters of degrade), image_allpole (its image recursion)
-and filter_walk (signals.apply_kernel): each runs its kernel from _adapt.c,
-or its Python twin of the same operations in the same order. Neither
-converts an input: an array that is not C-contiguous float64 of the
+and filter_walk (signals.apply_kernel): each runs its kernel from _adapt.c.
+None converts an input: an array that is not C-contiguous float64 of the
 dimensions an entry point needs is a ContractViolationError.
 
 At import, ctypes loads _adapt.c as the cc on PATH built it into
-__pycache__, under a name hashing source and flags; without a compiler, or
-where the cache cannot be written, _LIBRARY is None and the twins run.
+__pycache__, under a name hashing source and flags. Without cc, or where
+the library cannot be built, cached or loaded, the import is an
+ImportError that names cc and the library's path.
 """
 from __future__ import annotations
 
@@ -27,28 +27,29 @@ _SOURCE = Path(__file__).with_name("_adapt.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _load_library():
+def _load_library() -> ctypes.CDLL:
     """ctypes handle of _adapt.c, built if need be (by each process to its
-    own tmp<pid> file, then replaced) into __pycache__/_adapt-<hash>.so; None
-    when the source is missing, no cc is on PATH, or it cannot be built or loaded."""
+    own tmp<pid> file, then replaced) into __pycache__/_adapt-<hash>.so. An
+    ImportError naming cc and that path when the source is missing, no cc
+    is on PATH, or the library cannot be built, cached or loaded."""
+    path = _SOURCE.parent / "__pycache__" / "_adapt-<hash>.so"
     try:
-        source = _SOURCE.read_bytes()
-        tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-        path = _SOURCE.parent / "__pycache__" / f"_adapt-{tag}.so"
+        tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+        path = path.with_name(f"_adapt-{tag}.so")
         if not path.exists():
             cc = shutil.which("cc")
             if cc is None:
-                return None
+                raise ImportError(f"kurtdeconv builds its kernels into {path} with cc at first import, and no cc is on PATH")
             path.parent.mkdir(exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             try:
-                subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], check=True, capture_output=True)
+                subprocess.run([cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], check=True, capture_output=True, errors="replace")
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.CalledProcessError):
-        return None
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise ImportError(f"kurtdeconv cannot build its kernels into {path} with cc, or load them: {getattr(exc, 'stderr', None) or exc}") from exc
     index, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
     for name, restype, argtypes in (
         ("kd_adapt_pass", index, (pointer, pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)),
@@ -62,7 +63,7 @@ def _load_library():
     return lib
 
 
-#: The compiled library, or None to run the Python twins.
+#: The compiled library.
 _LIBRARY = _load_library()
 
 
@@ -97,34 +98,7 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
         and m.dtype == np.float64 and m.shape == (2,) and m.flags.c_contiguous and h.flags.writeable and m.flags.writeable
     ):
         raise ContractViolationError("the adaptation pass needs a float64 walk inside P, one intp offset per tap, and writable contiguous taps and moments")
-    if _LIBRARY is None:
-        return _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit)
     return _LIBRARY.kd_adapt_pass(P.ctypes.data, off.ctypes.data, width, stride, warmup, n, h.size, h.ctypes.data, m.ctypes.data, mu, beta, guard, limit)
-
-
-def _python_pass(P, off, width, stride, n, h, m, mu, beta, warmup, guard, limit) -> int:
-    """adapt_pass as a Python loop. y is accumulated tap by tap, as
-    kd_adapt_pass sums it; h @ w may let BLAS reorder the sum."""
-    m2, m4 = m.tolist()
-    omb = 1.0 - beta
-    failed = -1
-    # an update that overflows is caught by the limit check, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(warmup, n):
-            w = P[r // width * stride + r % width + off]
-            y = float(np.add.accumulate(h * w)[-1])
-            y2 = y * y
-            m2 = beta * m2 + omb * y2
-            m4 = beta * m4 + omb * y2 * y2
-            if m2 > guard:
-                f = 4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2)
-                h += (mu * f) * w
-                # negated form so NaN coefficients also trip the check
-                if not np.all(np.abs(h) <= limit):
-                    failed = r
-                    break
-    m[:] = m2, m4
-    return failed
 
 
 def integrate(f: np.ndarray, d: float) -> np.ndarray:
@@ -132,85 +106,43 @@ def integrate(f: np.ndarray, d: float) -> np.ndarray:
     the columns, then along each row, each divided by d, bit for bit
     np.cumsum(np.cumsum(f, axis=0), axis=1) / d; the sums themselves are
     not divided. f must be a writable contiguous float64 array, 1-D or 2-D;
-    its draw is used up, as the compiled kernel keeps the column sums in it.
-    Runs kd_integrate when the compiled library is there. The sums go to a
-    new array: written over f, they left a 256 x 256 pipeline one array
-    smaller, and glibc then trimmed the heap top after every run (about 256
-    minor faults each, against none)."""
+    its draw is used up, as kd_integrate keeps the column sums in it. The
+    sums go to a new array: written over f, they left a 256 x 256 pipeline
+    one array smaller, and glibc then trimmed the heap top after every run
+    (about 256 minor faults each, against none)."""
     if not (f.dtype == np.float64 and f.ndim in (1, 2) and f.size > 0 and f.flags.c_contiguous and f.flags.writeable):
         raise ContractViolationError("the running sums need a nonempty writable contiguous float64 signal or image")
-    if _LIBRARY is None:
-        return _python_integrate(f, d)
     g = np.empty_like(f)
     _LIBRARY.kd_integrate(f.ctypes.data, g.ctypes.data, f.size // f.shape[-1], f.shape[-1], d)
     return g
 
 
-def _python_integrate(f: np.ndarray, d: float) -> np.ndarray:
-    """integrate in numpy."""
-    lines = f.reshape(-1, f.shape[-1])
-    g = np.cumsum(np.cumsum(lines, axis=0), axis=1)
-    g /= d
-    return g.reshape(f.shape)
-
-
 def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
     """y(n) = x(n) + sum_j coeffs[j] y(n - lags[j]), zero initial state.
 
-    The sum over j runs in the order given and x(n) is added last. With
-    lags from the deepest in, those are the operations of a
+    The lags are positive and strictly descending, so the sum over j runs
+    from the deepest lag in and x(n) is added last: the operations of a
     direct-form-II-transposed filter (scipy's lfilter), and the output is
-    bit-identical to it. Runs kd_allpole when the compiled library is there.
+    bit-identical to it.
     """
-    if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and len(lags) == len(coeffs) and min(lags, default=0) >= 1):
-        raise ContractViolationError("the all-pole recursion needs a contiguous float64 signal and one positive lag per coefficient, at least one")
-    if _LIBRARY is None:
-        return _python_allpole(x, lags, coeffs)
+    if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and len(lags) == len(coeffs)
+            and min(lags, default=0) >= 1 and all(a > b for a, b in zip(lags, lags[1:]))):
+        raise ContractViolationError("the all-pole recursion needs a contiguous float64 signal and one coefficient per lag, the lags positive, strictly descending and at least one")
     y = np.empty_like(x)
     k = len(lags)
     _LIBRARY.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, (ctypes.c_ssize_t * k)(*lags), (ctypes.c_double * k)(*coeffs), k)
     return y
 
 
-def _python_allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
-    """allpole as a Python loop."""
-    y = x.tolist()
-    terms = tuple(zip(lags, coeffs))
-    for n in range(len(y)):
-        acc = 0.0
-        for lag, c in terms:
-            if n >= lag:
-                acc += c * y[n - lag]
-        y[n] += acc
-    return np.array(y)
-
-
 def image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
     """g(x, y) = a1 g(x-1, y) + a2 g(x, y-1) + a3 g(x-1, y-1) + f(x, y)
     over the 2-D f in raster order, zero boundary state, each pixel summed
-    as ((f + a1 up) + a3 up_left) + (0.0 + a2 left). Runs kd_image_allpole
-    when the compiled library is there. An unstable recursion may
-    overflow; that is left to the caller."""
+    as ((f + a1 up) + a3 up_left) + (0.0 + a2 left). An unstable recursion
+    may overflow; that is left to the caller."""
     if not (f.dtype == np.float64 and f.ndim == 2 and f.flags.c_contiguous):
         raise ContractViolationError("the image recursion needs a contiguous float64 image")
-    if _LIBRARY is None:
-        return _python_image_allpole(f, a1, a2, a3)
     g = np.empty_like(f)
     _LIBRARY.kd_image_allpole(f.ctypes.data, g.ctypes.data, f.shape[0], f.shape[1], a1, a2, a3)
-    return g
-
-
-def _python_image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
-    """image_allpole as a loop over rows: within row x, g(x, y) = a2 g(x, y-1)
-    + c(y) is a first-order all-pole recursion over y, driven by c from the
-    row above."""
-    g = np.empty(f.shape)
-    prev = np.zeros(f.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in range(f.shape[0]):
-            c = f[x] + a1 * prev
-            c[1:] += a3 * prev[:-1]
-            g[x] = prev = _python_allpole(c, (1,), (a2,))
     return g
 
 
@@ -220,25 +152,9 @@ def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int,
     in the order of the taps, of h[j] * P[(r // width) * stride + r % width
     + off[j]]. The walk must cover whole lines (n a multiple of width) and
     stay inside P; anything else is a ContractViolationError, raised before
-    any read. Runs kd_filter_walk when the compiled library is there."""
+    any read."""
     if not (_walk_inside(P, off, width, stride, n, h) and n % width == 0):
         raise ContractViolationError("the walk filter needs a float64 walk of whole lines inside P and one intp offset per float64 tap")
-    if _LIBRARY is None:
-        return _python_filter_walk(P, off, width, stride, n, h)
     out = np.empty(n)
     _LIBRARY.kd_filter_walk(P.ctypes.data, off.ctypes.data, width, stride, n, h.ctypes.data, h.size, out.ctypes.data)
     return out
-
-
-def _python_filter_walk(P, off, width, stride, n, h) -> np.ndarray:
-    """filter_walk as one numpy slice sum per tap: tap j's terms are the
-    n // width lines of width elements that start at P[off[j]], stride
-    elements apart."""
-    lines = n // width
-    out = np.zeros((lines, width))
-    term = np.empty((lines, width))
-    for o, hj in zip(off.tolist(), h.tolist()):
-        rows = np.lib.stride_tricks.as_strided(P[o:], (lines, width), (stride * P.itemsize, P.itemsize), writeable=False)
-        np.multiply(rows, hj, out=term)
-        out += term
-    return out.ravel()

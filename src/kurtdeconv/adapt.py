@@ -19,10 +19,10 @@ neighborhoods at the borders, so border pixels still generate updates.
 The rows are read in place from one zero-padded copy of the input through
 a table of tap offsets (signals._walk); no row is copied.
 
-Each pass of the recursion is one _native.adapt_pass: compiled C when a
-compiler is available, else its Python twin, bit for bit the same. It
-filters nothing: a result keeps each pass's final coefficients, and
-filters the input only when its output or kurtosis is first read.
+Each pass of the recursion is one _native.adapt_pass, the compiled C
+loop, bit for bit the tests' adapt_step oracle repeated. It filters
+nothing: a result keeps each pass's final coefficients, and filters the
+input only when its output or kurtosis is first read.
 """
 from __future__ import annotations
 

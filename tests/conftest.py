@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, FilterTaps1D, _native, kurtosis_excess
+from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, kurtosis_excess
 from kurtdeconv.adapt import TAP_LIMIT
 from kurtdeconv.signals import _peak_shift
 
@@ -17,13 +17,6 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def python_core(monkeypatch):
-    """Run the Python loops (the adaptation pass and the all-pole recursion)
-    in place of the compiled library."""
-    monkeypatch.setattr(_native, "_LIBRARY", None)
 
 
 def laplace_signal(seed, n):
@@ -117,15 +110,14 @@ class NearSingularMomentError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MomentState:
-    """EWMA estimates of E{y^2} and E{y^4} with smoothing factor beta."""
+    """EWMA estimates of E{y^2} and E{y^4} with smoothing factor beta. The
+    estimates may have overflowed to inf or NaN, as the engines' do."""
 
     m2: float
     m4: float
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.m2) and np.isfinite(self.m4) and np.isfinite(self.beta)):
-            raise ContractViolationError("moment state values must be finite")
         if self.m2 < 0.0 or self.m4 < 0.0:
             raise ContractViolationError("moment estimates must be nonnegative")
         if not 0.0 <= self.beta <= 1.0:
@@ -142,53 +134,64 @@ def update_moments(state: MomentState, y: float) -> MomentState:
 def feedback(state: MomentState, y: float) -> float:
     """Instantaneous kurtosis-gradient feedback 4*[(m2*y^2 - m4)*y] / m2^3.
 
-    Raises NearSingularMomentError when m2 is at or below M2_GUARD.
+    Raises NearSingularMomentError unless m2 is above M2_GUARD (so also
+    when it is NaN).
     """
     m2 = state.m2
-    if m2 <= M2_GUARD:
+    if not m2 > M2_GUARD:
         raise NearSingularMomentError(f"second moment {m2!r} at or below guard {M2_GUARD!r}")
     return float(4.0 * ((m2 * (y * y) - state.m4) * y) / (m2 * m2 * m2))
 
 
-def adapt_step(h: FilterTaps1D, state: MomentState, window, mu: float):
-    """One adaptive update; returns (y, new taps, new state).
+def adapt_step(h: np.ndarray, state: MomentState, window, mu: float):
+    """One adaptive update of the float64 taps h; returns (y, new taps, new
+    state).
 
     The moment state always advances; the tap update is skipped when the
-    second moment is still under the singularity guard. This is the
+    second moment is not above the singularity guard. This is the
     reference the adaptation engines are tested against, so y is summed
-    tap by tap, in the order the engines sum it.
+    tap by tap, in the order the engines sum it, and an update that
+    overflows to inf or NaN is followed, not warned about.
     """
     w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 1 or w.size != len(h):
-        raise ContractViolationError(f"window shape {w.shape} does not match {len(h)} taps")
+    if w.ndim != 1 or w.shape != h.shape:
+        raise ContractViolationError(f"window shape {w.shape} does not match {h.size} taps")
     y = 0.0
-    for tap, value in zip(h.taps.tolist(), w.tolist()):
+    for tap, value in zip(h.tolist(), w.tolist()):
         y += tap * value
     state = update_moments(state, y)
     try:
         f = feedback(state, y)
     except NearSingularMomentError:
         return y, h, state
-    return y, FilterTaps1D(h.taps + (mu * f) * w), state
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y, h + (mu * f) * w, state
 
 
-def oracle_adapt(rows, h, block, cfg):
-    """Repeated adapt_step over regressor rows[cfg.warmup:], cfg.passes
-    times, from coefficients h and moments seeded with the batch moments
-    of the warm-up block (zeros when it is empty).
-
-    Returns the final coefficients and the (pass, row) at which any first
-    exceeds TAP_LIMIT (the adaptation stops there), or None.
-    """
-    h = FilterTaps1D(h)
+def warmup_moments(block) -> tuple[float, float]:
+    """The batch moments (mean y^2, mean y^4) of a warm-up block, zeros
+    when it is empty: the moments the engines start from."""
     y2 = block * block
-    state = MomentState(y2.mean(), (y2 * y2).mean(), cfg.beta) if y2.size else MomentState(0.0, 0.0, cfg.beta)
+    return (y2.mean(), (y2 * y2).mean()) if y2.size else (0.0, 0.0)
+
+
+def oracle_adapt(rows, h, moments, cfg, limit=TAP_LIMIT):
+    """Repeated adapt_step over regressor rows[cfg.warmup:], cfg.passes
+    times, from coefficients h and moments (m2, m4).
+
+    Returns the final coefficients, the (pass, row) after whose update a
+    coefficient first exceeds limit in magnitude or is NaN (the adaptation
+    stops there) or None, and the final moments.
+    """
+    h = np.array(h, dtype=np.float64)
+    state = MomentState(*map(float, moments), cfg.beta)
     for p in range(cfg.passes):
         for n in range(cfg.warmup, len(rows)):
             _, h, state = adapt_step(h, state, rows[n], cfg.mu)
-            if np.max(np.abs(h.taps)) > TAP_LIMIT:
-                return h.taps, (p, n)
-    return h.taps, None
+            # negated, so NaN coefficients stop it too
+            if not np.all(np.abs(h) <= limit):
+                return h, (p, n), (state.m2, state.m4)
+    return h, None, (state.m2, state.m4)
 
 
 def direct_surface(x, grid_a1, grid_a2):

@@ -20,8 +20,7 @@ from kurtdeconv import (
     parameter_error,
     run_adapt,
 )
-from kurtdeconv import _native
-from conftest import oracle_adapt, patch, rms_shift
+from conftest import oracle_adapt, patch, rms_shift, warmup_moments
 
 
 def integrated_uniform_image(seed, shape):
@@ -37,7 +36,7 @@ def oracle_kernel(img, cfg):
     M, N = cfg.rows, cfg.cols
     g = np.ldexp(img.pixels, -rms_shift(img.pixels))
     patches = [patch(g, r, c, M, N).ravel() for r in range(img.height) for c in range(img.width)]
-    return oracle_adapt(patches, np.eye(1, M * N, (M * N) // 2)[0], g.ravel()[: cfg.warmup], cfg)
+    return oracle_adapt(patches, np.eye(1, M * N, (M * N) // 2)[0], warmup_moments(g.ravel()[: cfg.warmup]), cfg)[:2]
 
 
 def outcome(img, cfg):
@@ -68,9 +67,6 @@ class TestRunAdapt2d:
         assert first is None
         assert np.array_equal(res.filter.weights.ravel(), want)
 
-    def test_python_core_matches_repeated_adapt_step(self, rng, python_core):
-        self.test_matches_repeated_adapt_step(rng)
-
     @given(st.integers(-26, 13), st.sampled_from([1.0, -1.0]))
     def test_power_of_two_gain_leaves_kernel(self, k, sign):
         g = np.random.default_rng(45).laplace(0.0, 1.0, (12, 14))
@@ -100,21 +96,16 @@ class TestRunAdapt2d:
     # product sums out of kernel order
     @example(3, 1, 8, 10, 8, 2, 0.99, -0.008, 2)
     def test_engines_match_oracle(self, rows, cols, extra_h, extra_w, warmup, passes, beta, mu, seed):
-        # both engines sum each patch in kernel order, as adapt_step does, so
-        # they match it bit for bit and diverge at the same (pass, pixel);
-        # without a compiler both runs take the Python twin
+        # the kernel sums each patch in kernel order, as adapt_step does, so
+        # it matches it bit for bit and diverges at the same (pass, pixel)
         img = Image2D(np.random.default_rng(seed).laplace(0.0, 1.0, (rows + extra_h, cols + extra_w)))
         cfg = Adapt2dConfig(rows=rows, cols=cols, mu=mu, beta=beta, warmup=min(warmup, img.pixels.size - 1), passes=passes)
         want, first = oracle_kernel(img, cfg)
-        engines = [outcome(img, cfg)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_native, "_LIBRARY", None)
-            engines.append(outcome(img, cfg))
-        for got in engines:
-            if first is None:
-                assert np.array_equal(got, want)
-            else:
-                assert got == first
+        got = outcome(img, cfg)
+        if first is None:
+            assert np.array_equal(got, want)
+        else:
+            assert got == first
 
     def test_divergence_guard_names_location(self, rng):
         img = Image2D(rng.laplace(0.0, 1.0, (12, 14)))
@@ -123,9 +114,6 @@ class TestRunAdapt2d:
             run_adapt(img, cfg)
         _, first = oracle_kernel(img, cfg)
         assert (exc.value.pass_index, exc.value.sample_index) == first
-
-    def test_python_core_divergence_guard_names_location(self, rng, python_core):
-        self.test_divergence_guard_names_location(rng)
 
     def test_silent_warmup_band_raises(self):
         # a black band across the top of the image whitens to zeros, so a

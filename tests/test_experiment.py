@@ -124,7 +124,7 @@ class TestSourceSpec:
     @example(3, 128, 0, 1)
     @example(3, 129, 0, 1)
     def test_running_sums_are_double_cumsum(self, height, width, k, seed):
-        # compiled, twin and numpy agree bit for bit under any power-of-two
+        # compiled and numpy agree bit for bit under any power-of-two
         # gain; a signal is the one-row case. Divided by 1.0, which is
         # exact, the sums are the double cumsum itself; divided by the
         # square root of the size, they are make_source's walk
@@ -132,7 +132,6 @@ class TestSourceSpec:
         for f, want in ((noise, np.cumsum(np.cumsum(noise, axis=0), axis=1)), (noise[0], np.cumsum(noise[0]))):
             for d in (1.0, np.sqrt(f.size)):
                 assert np.array_equal(_native.integrate(f.copy(), d), want / d)
-                assert np.array_equal(_native._python_integrate(f.copy(), d), want / d)
 
     @pytest.mark.parametrize("spec, draw", [
         (SourceSpec(kind="uniform", seed=4, length=300), lambda rng: rng.uniform(-1.0, 1.0, 300)),

@@ -18,7 +18,6 @@ from kurtdeconv import (
     Signal1D,
     SourceSpec,
     WhitenSpec,
-    _native,
     run_adapt,
     run_experiment,
     signals,
@@ -102,11 +101,8 @@ def test_experiment_filters_once(source, degrade, adapt, whiten, filterings):
     assert len(filterings) == 1
 
 
-@pytest.mark.parametrize("engine", ["compiled", "python"])
 @pytest.mark.parametrize("dim", RUNS)
-def test_pass_filters_are_the_shorter_runs(dim, engine, monkeypatch):
-    if engine == "python":
-        monkeypatch.setattr(_native, "_LIBRARY", None)
+def test_pass_filters_are_the_shorter_runs(dim):
     run, x, cfg = RUNS[dim]
     res = run(x, cfg)
     assert len(res.pass_filters) == len(res.kurtosis_trace) == cfg.passes

@@ -20,7 +20,6 @@ from kurtdeconv import (
     normalize_kernel,
     normalize_taps,
 )
-from kurtdeconv import _native
 from kurtdeconv.signals import _Owned, _array, _pow2, _walk
 from conftest import patch, rms_shift, window
 
@@ -278,17 +277,14 @@ class TestApply:
     @example(3, 3, 1, 1, 0.0, 0)
     def test_apply_kernel_matches_correlate(self, half_rows, half_cols, H, W, zeros, seed):
         # correlate leaves out weights of magnitude <= 2.2e-16, apply_kernel
-        # keeps them; these draws have none but exact zeros. Both engines,
-        # kernels larger than the image included.
+        # keeps them; these draws have none but exact zeros. Kernels larger
+        # than the image included.
         rng = np.random.default_rng(seed)
         img = Image2D(rng.standard_normal((H, W)))
         weights = rng.standard_normal((2 * half_rows + 1, 2 * half_cols + 1))
         weights[rng.random(weights.shape) < zeros] = 0.0
         want = correlate(img.pixels, weights, mode="constant", cval=0.0)
         assert np.array_equal(apply_kernel(img, Kernel2D(weights)).pixels, want)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_native, "_LIBRARY", None)
-            assert np.array_equal(apply_kernel(img, Kernel2D(weights)).pixels, want)
 
 
 _SIGNAL = Signal1D(np.arange(1.0, 10.0))
