@@ -312,6 +312,12 @@ class TestEngines:
         assert row == -1 and np.all(np.isfinite(taps)) and np.all(np.isnan(moments))
 
 
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 # A 4-row walk over 12 elements whose last row reads P[9:12], and one
 # change per case that takes it outside P or breaks its types.
 BAD_WALKS = {
@@ -328,17 +334,61 @@ BAD_WALKS = {
     "width-over-stride": lambda w: dict(w, width=4),
     "one-past-the-end": lambda w: dict(w, off=np.array([0, 1, 3])),
     "row-past-the-end": lambda w: dict(w, n=5),
+    "P-int64": lambda w: dict(w, P=w["P"].astype(np.int64)),
+    "P-2d": lambda w: dict(w, P=w["P"].reshape(4, 3)),
+    "off-float64": lambda w: dict(w, off=w["off"].astype(np.float64)),
+    "h-2d": lambda w: dict(w, off=w["off"].reshape(3, 1), h=w["h"].reshape(3, 1)),
+    # no taps: refused before the offsets' extremes are taken
+    "h-empty": lambda w: dict(w, off=np.arange(0), h=np.empty(0)),
+    "width-negative": lambda w: dict(w, width=-1),
+    # two elements a line: the last row, the second of line 3, reads P[12]
+    "wide-row-past-the-end": lambda w: dict(w, width=2, n=8),
+    # the offsets out of order: the first, not the last, reads P[12]
+    "first-tap-past-the-end": lambda w: dict(w, off=np.array([3, 0, 1])),
+    "m-long": lambda w: dict(w, m=np.append(w["m"], 0.0)),
+    "m-float32": lambda w: dict(w, m=w["m"].astype(np.float32)),
+    "m-strided": lambda w: dict(w, m=np.repeat(w["m"], 2)[::2]),
+    "m-read-only": lambda w: dict(w, m=read_only(w["m"])),
+    "h-read-only": lambda w: dict(w, h=read_only(w["h"])),
+    "warmup-negative": lambda w: dict(w, warmup=-1),
 }
+
+#: The cases of BAD_WALKS about what only the adaptation pass takes: the
+#: moments, the warm-up and taps it writes.
+ADAPT_ONLY = {"m-short", "m-long", "m-float32", "m-strided", "m-read-only", "h-read-only", "warmup-negative"}
+
+
+def walk_reads(size, off, width, stride, n):
+    """The (n, taps) indices the walk (P, off, width, stride, n) reads from
+    a P of size elements, computed row by row, or None when it is not a walk
+    the guard admits: 1 <= width <= stride and every index inside P."""
+    if not 1 <= width <= stride:
+        return None
+    r = np.arange(n)[:, None]
+    reads = (r // width) * stride + r % width + np.asarray(off)[None, :]
+    return reads if reads.min() >= 0 and reads.max() < size else None
+
+
+@st.composite
+def walks(draw):
+    """A walk over arange(1, size + 1), some outside it: widths, strides
+    and offsets may be zero or negative, and rows may run past P's end."""
+    size = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 4))
+    off = np.array(draw(st.lists(st.integers(-1, 6), min_size=k, max_size=k)), dtype=np.intp)
+    h = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    return dict(P=np.arange(1.0, size + 1.0), off=off, width=draw(st.integers(-1, 5)), stride=draw(st.integers(-1, 6)),
+                n=draw(st.integers(1, 12)), h=h, m=np.array([1.0, 3.0]), warmup=0)
 
 
 class TestWalkGuard:
     @staticmethod
     def walk():
-        return dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=1, stride=3, n=4, h=np.array([1.0, 0.0, 0.0]), m=np.array([1.0, 3.0]))
+        return dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=1, stride=3, n=4, h=np.array([1.0, 0.0, 0.0]), m=np.array([1.0, 3.0]), warmup=0)
 
     @staticmethod
     def run(w):
-        return _native.adapt_pass(w["P"], w["off"], w["width"], w["stride"], w["n"], w["h"], w["m"], 1e-3, 0.9, 0, M2_GUARD, TAP_LIMIT)
+        return _native.adapt_pass(w["P"], w["off"], w["width"], w["stride"], w["n"], w["h"], w["m"], 1e-3, 0.9, w["warmup"], M2_GUARD, TAP_LIMIT)
 
     def test_walk_inside_P_runs(self):
         w = self.walk()
@@ -360,12 +410,53 @@ class TestWalkGuard:
         w = dict(self.walk(), h=np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(self.filter(w), [14.0, 32.0, 50.0, 68.0])
 
-    @pytest.mark.parametrize("case", [*(c for c in BAD_WALKS if c != "m-short"), "part-line"])
+    @pytest.mark.parametrize("case", [*(c for c in BAD_WALKS if c not in ADAPT_ONLY), "part-line"])
     def test_filter_over_walk_outside_P_or_mistyped_is_rejected(self, case):
         # the filter also needs whole lines
         w = dict(self.walk(), width=3) if case == "part-line" else BAD_WALKS[case](self.walk())
         with pytest.raises(ContractViolationError):
             self.filter(w)
+
+    def test_read_only_walk_is_read(self):
+        # neither kernel writes P or the offsets, nor the filter its taps
+        w, fixed = self.walk(), self.walk()
+        fixed.update(P=read_only(w["P"]), off=read_only(w["off"]))
+        assert self.run(fixed) == self.run(w) == -1
+        assert np.array_equal(fixed["h"], w["h"]) and np.array_equal(fixed["m"], w["m"])
+        h = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(self.filter(dict(fixed, h=read_only(h))), [14.0, 32.0, 50.0, 68.0])
+
+    @given(walks())
+    @example(dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=2, stride=4, n=6, h=np.ones(3), m=np.ones(2), warmup=0))
+    def test_filter_guard_is_the_walk_bounds(self, w):
+        # admitted exactly when every read is inside P and the rows are
+        # whole lines; then the sum over the taps in order, from 0.0
+        reads = walk_reads(w["P"].size, w["off"], w["width"], w["stride"], w["n"])
+        if reads is None or w["n"] % w["width"]:
+            with pytest.raises(ContractViolationError):
+                self.filter(w)
+            return
+        want = np.zeros(w["n"])
+        for j, tap in enumerate(w["h"]):
+            want = want + tap * w["P"][reads[:, j]]
+        assert np.array_equal(self.filter(w), want)
+
+    @given(walks())
+    @example(dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=2, stride=4, n=5, h=np.ones(3), m=np.ones(2), warmup=0))
+    def test_adapt_guard_is_the_walk_bounds(self, w):
+        # admitted exactly when every read is inside P, part lines too;
+        # then each row is the regressor the oracle adapts on
+        reads = walk_reads(w["P"].size, w["off"], w["width"], w["stride"], w["n"])
+        h, m = w["h"].copy(), w["m"].copy()
+        if reads is None:
+            with pytest.raises(ContractViolationError):
+                self.run(w)
+            assert np.array_equal(w["h"], h) and np.array_equal(w["m"], m)
+            return
+        row = self.run(w)
+        want_h, first, want_m = oracle_adapt(w["P"][reads], h, m, AdaptConfig(taps=h.size, mu=1e-3, beta=0.9, warmup=0, passes=1))
+        assert row == (-1 if first is None else first[1])
+        assert np.array_equal(w["h"], want_h) and np.array_equal(w["m"], want_m)
 
 
 #: The ctypes type of each scalar C type in the kernels' signatures.

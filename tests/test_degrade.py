@@ -195,14 +195,17 @@ class TestImageIir:
 
 @pytest.mark.parametrize("spec", [
     DegradeSpec("ar2_iir", 0.6, 0.3), DegradeSpec("echo_iir", 0.6, 0.3, delay=3), DegradeSpec("fir2", 0.6, 0.3),
+    DegradeSpec("image_iir2", 0.6, 0.3), DegradeSpec("image_iir3", 0.3, 0.2, 0.1),
 ])
-def test_overflowing_signal_degradation_raises_divergence(spec):
+def test_overflowing_degradation_raises_divergence(spec):
     # the samples are finite; the degraded output is not, and that is the
-    # recursion's failure, not the caller's
+    # recursion's failure, not the caller's: stable coefficients overflow
+    # a signal or image at the top of the float64 range as well
+    source = Image2D(np.full((10, 10), 1e308)) if spec.kind.startswith("image_") else Signal1D(np.full(100, 1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
-            apply_degradation(spec, Signal1D(np.full(100, 1e308)))
+            apply_degradation(spec, source)
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_source_of_the_other_dimension_rejected(kind):
@@ -360,22 +363,55 @@ class TestFilterEngines:
         with pytest.raises(ContractViolationError):
             allpole(x, lags, coeffs)
 
-    #: Each entry point with one good input: a float32 copy, a strided view
-    #: and an input of the wrong ndim are refused rather than converted.
+    #: Each entry point, the shape of its good input and a shape of the
+    #: wrong ndim.
     ENTRY_POINTS = {
         "integrate": (lambda f: _native.integrate(f, 2.0), (4, 6), (2, 2, 6)),
         "allpole": (lambda x: allpole(x, (2, 1), (0.3, 0.5)), (12,), (2, 6)),
         "image_allpole": (lambda f: _native.image_allpole(f, 0.3, 0.2, 0.1), (4, 6), (24,)),
     }
 
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_entry_point_refuses_rather_than_converts(self, entry):
+    #: Inputs, made from a good one and the wrong shape, that an entry
+    #: point refuses rather than converts; the last three only where it
+    #: takes an image, or writes its input.
+    REFUSED = {
+        "float32": lambda good, wrong: good.astype(np.float32),
+        "int64": lambda good, wrong: np.rint(100.0 * good).astype(np.int64),
+        "strided": lambda good, wrong: np.repeat(good, 2, axis=-1)[..., ::2],
+        "wrong-ndim": lambda good, wrong: good.reshape(wrong),
+        "fortran-order": lambda good, wrong: np.asfortranarray(good),
+        "read-only": lambda good, wrong: np.frombuffer(good.tobytes()).reshape(good.shape),
+        "empty": lambda good, wrong: good[:0],
+    }
+
+    @pytest.mark.parametrize("entry, refused", [
+        *((e, r) for e in ENTRY_POINTS for r in ("float32", "int64", "strided", "wrong-ndim")),
+        ("integrate", "fortran-order"), ("image_allpole", "fortran-order"),
+        # integrate keeps its column sums in f, and has none to keep
+        ("integrate", "read-only"), ("integrate", "empty"),
+    ])
+    def test_entry_point_refuses_rather_than_converts(self, entry, refused):
         call, shape, wrong = self.ENTRY_POINTS[entry]
+        bad = self.REFUSED[refused](np.random.default_rng(8).random(shape), wrong)
+        with pytest.raises(ContractViolationError):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_point_takes_its_good_input(self, entry):
+        call, shape, _ = self.ENTRY_POINTS[entry]
+        assert call(np.random.default_rng(8).random(shape)).shape == shape
+
+    @pytest.mark.parametrize("entry", ["allpole", "image_allpole"])
+    def test_filter_reads_a_read_only_input(self, entry):
+        # the containers hold their arrays read-only, and the recursions
+        # only read theirs
+        call, shape, _ = self.ENTRY_POINTS[entry]
         good = np.random.default_rng(8).random(shape)
-        for bad in (good.astype(np.float32), np.repeat(good, 2, axis=-1)[..., ::2], good.reshape(wrong)):
-            with pytest.raises(ContractViolationError):
-                call(bad)
-        assert call(good).shape == shape
+        assert np.array_equal(call(self.REFUSED["read-only"](good, None)), call(good))
+
+    @pytest.mark.parametrize("entry, shape", [("allpole", (0,)), ("image_allpole", (0, 6)), ("image_allpole", (4, 0))])
+    def test_filter_of_nothing_is_empty(self, entry, shape):
+        assert self.ENTRY_POINTS[entry][0](np.empty(shape)).shape == shape
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_strided_source_degraded_as_its_copy(self, kind):
