@@ -3,7 +3,8 @@
  * Built without -ffast-math and with -ffp-contract=off, so no sum is
  * reordered and no multiply-add is fused: each function runs the operations
  * of its reference in the tests (the adapt_step oracle, np.cumsum, lfilter,
- * ndimage.correlate) in the same order.
+ * ndimage.correlate) in the same order, but for kd_surface_moments, whose
+ * sums are held to their numpy reference within rounding.
  */
 #include <math.h>
 #include <stddef.h>
@@ -198,4 +199,165 @@ void kd_filter_walk(const double *restrict P, const ptrdiff_t *restrict off, ptr
             out[r + c] = y;
         }
     }
+}
+
+/* Two neighbouring samples, one a lane: GCC's and Clang's vector extension. */
+typedef double pair __attribute__((vector_size(16)));
+
+/* The difference basis w0, w0 - w1 and (w0 - w1) - (w1 - w2) of two rows
+ * of kd_surface_moments' walk into b, one row a lane, wj the element at
+ * off[j]: rows base and base + 1 of w when fill is NULL, else row base and
+ * then fill. */
+static inline void basis(const double *w, const ptrdiff_t *off, const double *fill, pair b[3])
+{
+    const int two = !fill;
+    const pair w0 = {w[off[0]], two ? w[off[0] + 1] : 0.0}, w1 = {w[off[1]], two ? w[off[1] + 1] : 0.0},
+               w2 = {w[off[2]], two ? w[off[2] + 1] : 0.0};
+    b[0] = w0;
+    b[1] = w0 - w1;
+    b[2] = b[1] - (w1 - w2);
+    if (fill)
+        for (int k = 0; k < 3; k++)
+            b[k][1] = fill[k];
+}
+
+/* Rows a block of kd_surface_moments' sums takes, two a step. */
+#define BLOCK 128
+
+/* Adds the k block sums acc into the lanes of total and clears them. */
+static void flush(pair *total, pair *acc, int k)
+{
+    for (int i = 0; i < k; i++) {
+        total[i] += acc[i];
+        acc[i] = (pair){0.0, 0.0};
+    }
+}
+
+/* The factorization of kurtdeconv.adapt.kurtosis_surface over the n rows of
+ * a 3-offset walk (the walk of kd_adapt_pass): row r gives the difference
+ * basis c = (w0, w0 - w1, (w0 - w1) - (w1 - w2)) of its elements wj =
+ * P[base(r) + off[j]], c - mean its centred value.
+ *
+ * Pass 1 sums d = c - c0 and its outer products, c0 the first row's c
+ * with its differences taken as zero (their sums nearly telescope), which
+ * gives the mean, c0 + sum(d) / n, and the centred Gram A = sum(d d') -
+ * sum(d) sum(d)' / n. A Cholesky factor R (A = R'R, R upper triangular)
+ * and its whitening T = R^-T follow; a pivot at or below zero zeroes its
+ * row of R and of T, as Gram-Schmidt zeroes a vanished row. Pass 2 sums,
+ * for q = T (c - mean), the Gram G = sum(q q'), which rounding alone keeps
+ * from the identity (CholeskyQR2 forms R G^(1/2) from it; the caller uses
+ * it as it is), and the 15 fourth moments sum(q_p q_q q_r q_s), p <= q <=
+ * r <= s in lexicographic order, into M. R and G are 3 x 3, row-major.
+ * Both passes take two rows a step, one a lane, and sum BLOCK rows at a
+ * time before adding them to the totals, so a term passes through about
+ * BLOCK / 2 + n / BLOCK additions, not n / 2. The caller keeps every read
+ * inside P and n >= 1 (kurtdeconv._native.surface_moments checks both).
+ */
+void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, ptrdiff_t stride, ptrdiff_t n,
+                        double *R, double *G, double *M)
+{
+    /* where entry (i, j) of a symmetric 3 x 3 matrix is among six sums */
+    static const int upper[3][3] = {{0, 1, 2}, {1, 3, 4}, {2, 4, 5}};
+    const double c0[3] = {P[off[0]], 0.0, 0.0};
+    pair acc[21] = {{0.0, 0.0}}, total[21] = {{0.0, 0.0}};
+    pair *const s = acc, *const S = acc + 3; /* pass 1: sum(d), then the six of sum(d d') */
+    int steps = 0;
+    for (ptrdiff_t first = 0, line = 0; first < n; first += width, line += stride) {
+        const ptrdiff_t end = first + width < n ? first + width : n;
+        for (ptrdiff_t r = first; r < end; r += 2) {
+            pair c[3];
+            basis(P + line + (r - first), off, r + 1 < end ? NULL : c0, c);
+            for (int k = 0; k < 3; k++) {
+                c[k] -= c0[k];
+                s[k] += c[k];
+            }
+            S[0] += c[0] * c[0];
+            S[1] += c[0] * c[1];
+            S[2] += c[0] * c[2];
+            S[3] += c[1] * c[1];
+            S[4] += c[1] * c[2];
+            S[5] += c[2] * c[2];
+            if (++steps == BLOCK / 2) {
+                flush(total, acc, 9);
+                steps = 0;
+            }
+        }
+    }
+    flush(total, acc, 9);
+    double sum[9], mean[3], T[3][3] = {{0.0}};
+    for (int k = 0; k < 9; k++)
+        sum[k] = total[k][0] + total[k][1];
+    for (int k = 0; k < 3; k++)
+        mean[k] = c0[k] + sum[k] / n;
+    for (int k = 0; k < 9; k++)
+        R[k] = 0.0;
+    for (int k = 0; k < 3; k++) {
+        double pivot = sum[3 + upper[k][k]] - sum[k] * sum[k] / n;
+        for (int i = 0; i < k; i++)
+            pivot -= R[3 * i + k] * R[3 * i + k];
+        if (!(pivot > 0.0))
+            continue;
+        const double rkk = sqrt(pivot);
+        R[4 * k] = rkk;
+        for (int j = k + 1; j < 3; j++) {
+            double a = sum[3 + upper[k][j]] - sum[k] * sum[j] / n;
+            for (int i = 0; i < k; i++)
+                a -= R[3 * i + k] * R[3 * i + j];
+            R[3 * k + j] = a / rkk;
+        }
+        /* row k of T, so that q_k = (c_k - sum_i<k R[i][k] q_i) / R[k][k] */
+        for (int j = 0; j <= k; j++) {
+            double t = j == k ? 1.0 : 0.0;
+            for (int i = j; i < k; i++)
+                t -= R[3 * i + k] * T[i][j];
+            T[k][j] = t / rkk;
+        }
+    }
+    for (int k = 0; k < 21; k++)
+        total[k] = (pair){0.0, 0.0};
+    pair *const g = acc, *const m = acc + 6; /* pass 2: the six of G, then the 15 of M */
+    for (ptrdiff_t first = 0, line = 0; first < n; first += width, line += stride) {
+        const ptrdiff_t end = first + width < n ? first + width : n;
+        for (ptrdiff_t r = first; r < end; r += 2) {
+            pair c[3];
+            basis(P + line + (r - first), off, r + 1 < end ? NULL : mean, c);
+            for (int k = 0; k < 3; k++)
+                c[k] -= mean[k];
+            const pair q0 = T[0][0] * c[0];
+            const pair q1 = T[1][0] * c[0] + T[1][1] * c[1];
+            const pair q2 = (T[2][0] * c[0] + T[2][1] * c[1]) + T[2][2] * c[2];
+            const pair p00 = q0 * q0, p01 = q0 * q1, p02 = q0 * q2, p11 = q1 * q1, p12 = q1 * q2, p22 = q2 * q2;
+            g[0] += p00;
+            g[1] += p01;
+            g[2] += p02;
+            g[3] += p11;
+            g[4] += p12;
+            g[5] += p22;
+            m[0] += p00 * p00;
+            m[1] += p00 * p01;
+            m[2] += p00 * p02;
+            m[3] += p00 * p11;
+            m[4] += p00 * p12;
+            m[5] += p00 * p22;
+            m[6] += p01 * p11;
+            m[7] += p01 * p12;
+            m[8] += p01 * p22;
+            m[9] += p02 * p22;
+            m[10] += p11 * p11;
+            m[11] += p11 * p12;
+            m[12] += p11 * p22;
+            m[13] += p12 * p22;
+            m[14] += p22 * p22;
+            if (++steps == BLOCK / 2) {
+                flush(total, acc, 21);
+                steps = 0;
+            }
+        }
+    }
+    flush(total, acc, 21);
+    for (int i = 0; i < 3; i++)
+        for (int j = 0; j < 3; j++)
+            G[3 * i + j] = total[upper[i][j]][0] + total[upper[i][j]][1];
+    for (int k = 0; k < 15; k++)
+        M[k] = total[6 + k][0] + total[6 + k][1];
 }

@@ -1,7 +1,8 @@
 """The serial loops of kurtdeconv, adapt_pass (one pass of adapt.run_adapt),
 integrate (the running sums of experiment's integrated sources), allpole
-(the 1-D all-pole filters of degrade), image_allpole (its image recursion)
-and filter_walk (signals.apply_kernel): each runs its kernel from _adapt.c.
+(the 1-D all-pole filters of degrade), image_allpole (its image recursion),
+filter_walk (signals.apply_kernel) and surface_moments (the factorization
+of adapt.kurtosis_surface): each runs its kernel from _adapt.c.
 None converts an input: an array that is not C-contiguous float64 of the
 dimensions an entry point needs is a ContractViolationError.
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _count, _real
 
 _SOURCE = Path(__file__).with_name("_adapt.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -57,6 +58,7 @@ def _load_library() -> ctypes.CDLL:
         ("kd_allpole", None, (pointer, pointer, index, pointer, pointer, index)),
         ("kd_image_allpole", None, (pointer, pointer, index, index, double, double, double)),
         ("kd_filter_walk", None, (pointer, pointer, index, index, index, pointer, index, pointer)),
+        ("kd_surface_moments", None, (pointer, pointer, index, index, index, pointer, pointer, pointer)),
     ):
         kernel = getattr(lib, name)
         kernel.restype, kernel.argtypes = restype, argtypes
@@ -67,18 +69,22 @@ def _load_library() -> ctypes.CDLL:
 _LIBRARY = _load_library()
 
 
-def _walk_inside(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray) -> bool:
-    """Whether (P, off, width, stride, n) is a contiguous float64 walk with
-    one intp offset per contiguous float64 coefficient of h, whose every
-    read falls inside P. With 1 <= width <= stride the row bases never
-    decrease, so the last row bounds every read."""
+def _walk_inside(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, k: int) -> bool:
+    """Whether (P, off, width, stride, n) is a contiguous float64 walk of
+    k >= 1 contiguous intp offsets whose every read falls inside P. With
+    1 <= width <= stride the row bases never decrease, so the last row
+    bounds every read."""
     return (
-        P.dtype == h.dtype == np.float64 and off.dtype == np.intp
-        and P.ndim == h.ndim == 1 and off.shape == h.shape and h.size > 0
-        and all(a.flags.c_contiguous for a in (P, off, h))
+        P.dtype == np.float64 and off.dtype == np.intp and P.ndim == 1 and off.shape == (k,) and k > 0
+        and P.flags.c_contiguous and off.flags.c_contiguous
         and 1 <= width <= stride and off.min() >= 0
         and (n - 1) // width * stride + (n - 1) % width + off.max() < P.size
     )
+
+
+def _taps(h: np.ndarray) -> bool:
+    """Whether h is a 1-D contiguous float64 array: one coefficient per offset of a walk."""
+    return h.dtype == np.float64 and h.ndim == 1 and h.flags.c_contiguous
 
 
 def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray, m: np.ndarray, mu: float, beta: float, warmup: int, guard: float, limit: float) -> int:
@@ -94,7 +100,7 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
     before any read.
     """
     if not (
-        _walk_inside(P, off, width, stride, n, h) and 0 <= warmup
+        _taps(h) and _walk_inside(P, off, width, stride, n, h.size) and 0 <= warmup
         and m.dtype == np.float64 and m.shape == (2,) and m.flags.c_contiguous and h.flags.writeable and m.flags.writeable
     ):
         raise ContractViolationError("the adaptation pass needs a float64 walk inside P, one intp offset per tap, and writable contiguous taps and moments")
@@ -123,8 +129,11 @@ def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> 
     The lags are positive and strictly descending, so the sum over j runs
     from the deepest lag in and x(n) is added last: the operations of a
     direct-form-II-transposed filter (scipy's lfilter), and the output is
-    bit-identical to it.
+    bit-identical to it. Each lag is read as a count (errors._count) and
+    each coefficient as a real (errors._real).
     """
+    lags = [_count(lag, "a lag") for lag in lags]
+    coeffs = [_real(c, "a coefficient") for c in coeffs]
     if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and len(lags) == len(coeffs)
             and min(lags, default=0) >= 1 and all(a > b for a, b in zip(lags, lags[1:]))):
         raise ContractViolationError("the all-pole recursion needs a contiguous float64 signal and one coefficient per lag, the lags positive, strictly descending and at least one")
@@ -153,8 +162,27 @@ def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int,
     + off[j]]. The walk must cover whole lines (n a multiple of width) and
     stay inside P; anything else is a ContractViolationError, raised before
     any read."""
-    if not (_walk_inside(P, off, width, stride, n, h) and n % width == 0):
+    if not (_taps(h) and _walk_inside(P, off, width, stride, n, h.size) and n % width == 0):
         raise ContractViolationError("the walk filter needs a float64 walk of whole lines inside P and one intp offset per float64 tap")
     out = np.empty(n)
     _LIBRARY.kd_filter_walk(P.ctypes.data, off.ctypes.data, width, stride, n, h.ctypes.data, h.size, out.ctypes.data)
     return out
+
+
+def surface_moments(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factorization kurtosis_surface evaluates, over the 3-offset walk
+    (P, off, width, stride, n) of at least one row that signals._walk
+    builds: the difference basis c = (w0, w0 - w1, (w0 - w1) - (w1 - w2))
+    of each row, wj its element at off[j], is centred and whitened, q =
+    R^-T (c - mean), by the Cholesky factor R of its centred Gram. Returns
+    R and the Gram sum(q q') (both 3 x 3) and the 15 sums sum(q_p q_q q_r
+    q_s), p <= q <= r <= s in lexicographic order (kd_surface_moments).
+
+    A walk that would read outside P is a ContractViolationError, raised
+    before any read.
+    """
+    if not (_walk_inside(P, off, width, stride, n, 3) and n >= 1):
+        raise ContractViolationError("the surface moments need a float64 walk of at least one row inside P and three intp offsets")
+    R, G, M = np.empty((3, 3)), np.empty((3, 3)), np.empty(15)
+    _LIBRARY.kd_surface_moments(P.ctypes.data, off.ctypes.data, width, stride, n, R.ctypes.data, G.ctypes.data, M.ctypes.data)
+    return R, G, M

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from ._native import adapt_pass
+from ._native import adapt_pass, surface_moments
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
 from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _finite, _peak_shift, _pow2, _unit, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
@@ -198,21 +198,21 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
 run_adapt2d = run_adapt
 
 
-def _fourth_moment_index() -> np.ndarray:
-    """Where kurtosis_surface finds each fourth moment of Q's three rows.
+#: The products v_p v_q kurtosis_surface forms per cell, and how many of
+#: the nine ordered pairs each stands for. With p these products, v'Gv is
+#: (G[_G_INDEX] * _COUNT)'p, and the quartic form, the sum over all 81
+#: (a, b, c, d) of E{q_a q_b q_c q_d} v_a v_b v_c v_d, is p'Fp for
+#: F = sums[_M4] * _COUNT _COUNT' / N, where sums holds the 15 fourth-moment
+#: sums of _native.surface_moments, a <= b <= c <= d in lexicographic order.
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_COUNT = np.array([1.0 if p == q else 2.0 for p, q in _PAIRS])
+_G_INDEX = tuple(np.array(_PAIRS).T)
+_SUMS = list(combinations_with_replacement(range(3), 4))
+_M4 = np.array([[_SUMS.index(tuple(sorted(a + b))) for b in _PAIRS] for a in _PAIRS])
 
-    Its scratch rows hold Q_p Q_q for (p, q) in the order of `rows`, and
-    G[i, c] sums Q_i Q_i times row c, so the 18 entries of G hold all 15
-    moments. Entry (3p + q, 3r + s) is the index into G.ravel() of one
-    that equals N E{Q_p Q_q Q_r Q_s}.
-    """
-    rows = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-    where = {tuple(sorted((i, i) + pq)): 6 * i + c for i in range(3) for c, pq in enumerate(rows)}
-    cells = list(product(range(3), repeat=2))
-    return np.array([[where[tuple(sorted(pq + rs))] for rs in cells] for pq in cells])
-
-
-_M4 = _fourth_moment_index()
+#: Grid cells kurtosis_surface evaluates at a time: a block's arrays then
+#: hold about 32 KiB, and the call needs no O(N) array but the walk.
+_CELLS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,28 +227,26 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     surface[i, j] corresponds to (grid_a1[i], grid_a2[j]); cells whose
     filtered output is degenerate are NaN and excluded from the argmax.
 
-    The output x - a1 x(n-1) - a2 x(n-2) equals w'C for
-    w = [1 - a1 - a2, a1 + 2 a2, -a2] and C the rows of x and of its first
-    and second differences (zero before index 0); centering the rows of C
-    demeans every output. One O(N) pass factors the centered C = R'Q, Q
-    orthonormal rows (Gram-Schmidt, twice), so each cell is O(1): with
-    v = Rw, m2 = |v|^2 / N and m4 = (v (x) v)' E (v (x) v), E the 9 x 9
-    matrix of fourth moments E{Q_p Q_q Q_r Q_s}. Differences rather than
-    delayed copies keep smooth inputs, whose outputs nearly cancel in the
-    low-order cells, as accurate as filtering cell by cell. A cell is
-    degenerate when v vanishes to rounding, |Rw| <= 16 eps ||R| |w||. An
-    x1 that is not a Signal1D is a ContractViolationError.
+    The output x - a1 x(n-1) - a2 x(n-2) equals w'c for
+    w = [1 - a1 - a2, a1 + 2 a2, -a2] and c the difference basis of x:
+    x itself and its first and second differences (zero before index 0);
+    centring c demeans every output. Two compiled passes over the 3-tap
+    walk of x (_native.surface_moments) factor it: the first gives the
+    means and the Cholesky factor R of the centred basis's Gram, the
+    second the Gram G2 of the whitened basis q = R^-T (c - mean), which
+    rounding alone keeps from the identity, and the 15 fourth moments of q
+    (CholeskyQR2 without forming q). Each cell is then O(1): the output is
+    v'q for v = Rw, so m2 = v'G2v / N and m4 is the quartic form of the
+    moments E{q_p q_q q_r q_s} in v. Differences rather than delayed copies
+    keep smooth inputs, whose outputs nearly cancel in the low-order cells,
+    as accurate as filtering cell by cell. A cell is degenerate when its
+    output vanishes to rounding, v'G2v <= (16 eps ||R| |w||)^2. An x1 that
+    is not a Signal1D is a ContractViolationError.
 
-    x is first divided by the power of two just above max|x|, which is
+    The walk divides x by the power of two just above max|x|, which is
     exact and changes no bit of any cell, so the surface is the same at any
-    power-of-two gain. All O(N) work lives in two arrays: Q, which holds C
-    and then is made orthonormal in place, and a scratch array of N samples.
-    The scratch holds the Gram-Schmidt product r Q_j, then, one sixth of the
-    samples at a time, the six pair products Q_p Q_q as six rows. One matrix
-    product per block, of the three squares Q_i Q_i with all six rows, and
-    the sum over the blocks give all 15 fourth moments. Those sums run in
-    another order than one dot product per moment, so a value may differ
-    from such a sum at rounding level.
+    power-of-two gain. The walk, in the thread's scratch, is the only O(N)
+    array; the cells are evaluated _CELLS at a time.
     """
     if not isinstance(x1, Signal1D):
         raise ContractViolationError(f"the kurtosis surface is taken over a Signal1D, not {type(x1).__name__}")
@@ -262,53 +260,44 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     if x.size < 3:
         raise DegenerateInputError("need at least 3 samples")
     n = x.size
-    Q = np.empty((3, n))
-    P = np.empty((6, -(-n // 6)))
-    _pow2(x, -_peak_shift(x), out=Q[0])
-    for k in (1, 2):
-        Q[k, 0] = Q[k - 1, 0]
-        np.subtract(Q[k - 1, 1:], Q[k - 1, :-1], out=Q[k, 1:])
-    Q -= Q.mean(axis=1, keepdims=True)
-    tmp = P.reshape(-1)[:n]
-    R = np.zeros((3, 3))
-    for k in range(3):
-        for _ in range(2):
-            for j in range(k):
-                r = Q[j] @ Q[k]
-                np.multiply(Q[j], r, out=tmp)
-                Q[k] -= tmp
-                R[j, k] += r
-        R[k, k] = np.sqrt(Q[k] @ Q[k])
-        if R[k, k] > 0.0:
-            Q[k] /= R[k, k]
-    G = np.zeros((3, 6))
-    b = P.shape[1]
-    for s in range(0, n, b):
-        q = Q[:, s:s + b]
-        p = P[:, :q.shape[1]]
-        np.square(q, out=p[:3])
-        np.multiply(q[0], q[1:], out=p[3:5])
-        np.multiply(q[1], q[2], out=p[5])
-        G += p[:3] @ p.T
-    E4 = G.ravel()[_M4] / n
-    # freed before the per-cell arrays, so they add nothing to the peak
-    del Q, P, tmp, q, p
-    a1, a2 = np.broadcast_arrays(g1[:, None], g2)
-    W = np.stack(((1.0 - a1) - a2, a1 + 2.0 * a2, -a2)).reshape(3, -1)
-    # scaling w changes no kurtosis; a power of two per cell keeps huge
-    # grid values from overflowing the fourth powers
-    W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=0))[1])
-    v = R @ W
-    vv = np.einsum("pc,pc->c", v, v)
-    bound = np.abs(R) @ np.abs(W)
-    ok = vv > (16.0 * np.finfo(np.float64).eps) ** 2 * np.einsum("pc,pc->c", bound, bound)
-    if not np.any(ok):
+    R, G2, sums = surface_moments(*_walk(x, (3,), _peak_shift(x)))
+    gram = G2[_G_INDEX] * _COUNT
+    F = sums[_M4] * np.outer(_COUNT, _COUNT) / n
+    bound_R = np.abs(R)
+    tol = (16.0 * np.finfo(np.float64).eps) ** 2
+    # scaling w changes no kurtosis; a power of two per cell, above both
+    # its parameters, keeps huge grid values from overflowing the fourth
+    # powers; it is exact, so it changes no cell that would not overflow
+    e1, e2 = (-np.frexp(np.fmax(np.abs(a), 1.0))[1] for a in (g1, g2))
+    surface = np.empty((g1.size, g2.size))
+    rows = max(1, _CELLS // g2.size)
+    for i in range(0, g1.size, rows):
+        a1 = g1[i:i + rows, None]
+        W = np.empty((3, a1.size, g2.size))
+        np.subtract(1.0 - a1, g2, out=W[0])
+        np.add(a1, 2.0 * g2, out=W[1])
+        np.negative(g2, out=W[2])
+        W = np.ldexp(W, np.minimum.outer(e1[i:i + rows], e2), out=W).reshape(3, -1)
+        v = R @ W
+        bound = bound_R @ np.abs(W)
+        bb = np.einsum("pc,pc->c", bound, bound)
+        # each array is dropped once read, so a block holds few at a time
+        del W, bound
+        p = np.empty((6, v.shape[1]))
+        np.multiply(v, v, out=p[:3])
+        np.multiply(v[0], v[1:], out=p[3:5])
+        np.multiply(v[1], v[2], out=p[5])
+        del v
+        yy = gram @ p
+        degenerate = yy <= tol * bb
+        m2 = yy / n
+        del bb, yy
+        cells = surface[i:i + rows].reshape(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.abs(np.einsum("ac,ac->c", p, F @ p) / (m2 * m2) - 3.0, out=cells)
+        cells[degenerate] = np.nan
+        del p, m2, degenerate
+    if np.isnan(surface).all():
         raise DegenerateInputError("every grid cell produced a degenerate output")
-    v = v[:, ok]
-    m2 = vv[ok] / n
-    V = (v[:, None] * v).reshape(9, -1)
-    surface = np.full(vv.size, np.nan)
-    surface[ok] = np.abs(np.einsum("ac,ac->c", V, E4 @ V) / (m2 * m2) - 3.0)
-    surface = surface.reshape(g1.size, g2.size)
     i, j = np.unravel_index(np.nanargmax(surface), surface.shape)
     return SurfaceResult(surface, (float(g1[i]), float(g2[j])))

@@ -4,7 +4,7 @@ Subcommands:
     degrade     run a parametric degradation over a WAV/PGM file
     whiten      highpass or LPC whitening of a file
     deconv      adapt an inverse filter and restore a file
-    sweep       kurtosis surface over an (a1, a2) grid, CSV + argmax
+    sweep       kurtosis surface of a WAV over an (a1, a2) grid, CSV + argmax
     experiment  run config-file experiments and emit report CSV/text
     metrics     correlation and kurtosis between two files
 
@@ -119,6 +119,8 @@ def _grid(lo: float, hi: float, count: float) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
+    if is_image_path(args.input):
+        raise ContractViolationError(f"sweep takes a WAV signal, not the image {args.input}")
     grid_a1 = _grid(*args.a1_range)
     grid_a2 = _grid(*args.a2_range)
     print(f"sweep: input={args.input} a1 grid {grid_a1[0]:g}..{grid_a1[-1]:g} ({grid_a1.size}) "

@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import itertools
 import os
 import re
 import shutil
@@ -32,6 +33,7 @@ from kurtdeconv import (
 )
 from kurtdeconv import _native
 from kurtdeconv.adapt import TAP_LIMIT
+from kurtdeconv.signals import _peak_shift, _walk
 from conftest import MomentState, adapt_step, batch_gradient, direct_surface, laplace_signal, oracle_adapt, rms_shift, warmup_moments, window
 
 
@@ -357,6 +359,18 @@ BAD_WALKS = {
 #: moments, the warm-up and taps it writes.
 ADAPT_ONLY = {"m-short", "m-long", "m-float32", "m-strided", "m-read-only", "h-read-only", "warmup-negative"}
 
+#: The cases of BAD_WALKS about the taps alone, which the surface moments
+#: do not take.
+TAPS_ONLY = {"h-float32", "h-strided"}
+
+#: Walks inside P that only the surface moments refuse: they read three
+#: offsets, over at least one row.
+SURFACE_ONLY = {
+    "off-four": lambda w: dict(w, off=np.arange(4), n=3),
+    "off-one": lambda w: dict(w, off=np.arange(1)),
+    "n-zero": lambda w: dict(w, n=0),
+}
+
 
 def walk_reads(size, off, width, stride, n):
     """The (n, taps) indices the walk (P, off, width, stride, n) reads from
@@ -379,6 +393,24 @@ def walks(draw):
     h = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
     return dict(P=np.arange(1.0, size + 1.0), off=off, width=draw(st.integers(-1, 5)), stride=draw(st.integers(-1, 6)),
                 n=draw(st.integers(1, 12)), h=h, m=np.array([1.0, 3.0]), warmup=0)
+
+
+def surface_forms(R, G, sums, w):
+    """The output energy v'Gv and fourth-power sum of each column of w,
+    read off surface_moments' (R, G, sums) as kurtosis_surface reads them,
+    with v = R w."""
+    v = R @ w
+    index = {t: i for i, t in enumerate(itertools.combinations_with_replacement(range(3), 4))}
+    fourth = sum(sums[index[tuple(sorted(t))]] * v[t[0]] * v[t[1]] * v[t[2]] * v[t[3]] for t in itertools.product(range(3), repeat=4))
+    return np.einsum("pc,pq,qc->c", v, G, v), fourth
+
+
+def centred_basis(rows):
+    """The centred difference basis of the (n, 3) walk rows: the columns
+    w0, w0 - w1 and (w0 - w1) - (w1 - w2), less their means."""
+    d = rows[:, 0] - rows[:, 1]
+    c = np.stack((rows[:, 0], d, d - (rows[:, 1] - rows[:, 2])))
+    return c - c.mean(axis=1, keepdims=True)
 
 
 class TestWalkGuard:
@@ -417,14 +449,26 @@ class TestWalkGuard:
         with pytest.raises(ContractViolationError):
             self.filter(w)
 
+    @staticmethod
+    def moments(w):
+        return _native.surface_moments(w["P"], w["off"], w["width"], w["stride"], w["n"])
+
+    @pytest.mark.parametrize("case", [*(c for c in BAD_WALKS if c not in ADAPT_ONLY | TAPS_ONLY), *SURFACE_ONLY])
+    def test_surface_moments_over_walk_outside_P_or_mistyped_is_rejected(self, case):
+        w = (SURFACE_ONLY.get(case) or BAD_WALKS[case])(self.walk())
+        with pytest.raises(ContractViolationError):
+            self.moments(w)
+
     def test_read_only_walk_is_read(self):
-        # neither kernel writes P or the offsets, nor the filter its taps
+        # no kernel writes P or the offsets, nor the filter its taps
         w, fixed = self.walk(), self.walk()
         fixed.update(P=read_only(w["P"]), off=read_only(w["off"]))
         assert self.run(fixed) == self.run(w) == -1
         assert np.array_equal(fixed["h"], w["h"]) and np.array_equal(fixed["m"], w["m"])
         h = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(self.filter(dict(fixed, h=read_only(h))), [14.0, 32.0, 50.0, 68.0])
+        for got, want in zip(self.moments(fixed), self.moments(self.walk())):
+            assert np.array_equal(got, want)
 
     @given(walks())
     @example(dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=2, stride=4, n=6, h=np.ones(3), m=np.ones(2), warmup=0))
@@ -457,6 +501,61 @@ class TestWalkGuard:
         want_h, first, want_m = oracle_adapt(w["P"][reads], h, m, AdaptConfig(taps=h.size, mu=1e-3, beta=0.9, warmup=0, passes=1))
         assert row == (-1 if first is None else first[1])
         assert np.array_equal(w["h"], want_h) and np.array_equal(w["m"], want_m)
+
+    @settings(max_examples=200)
+    @given(walks(), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    @example(dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=2, stride=4, n=5, h=np.ones(3), m=np.ones(2), warmup=0), [1.0, -0.5, 0.25])
+    @example(dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=1, stride=3, n=4, h=np.ones(3), m=np.ones(2), warmup=0), [1.0, -0.5, 0.25])
+    def test_surface_moments_guard_is_the_walk_bounds(self, w, weights):
+        # admitted exactly when three offsets read inside P over at least
+        # one row, odd rows and part lines included; then v'Gv and the
+        # quartic form are the energy and fourth-power sum of the centred
+        # outputs w'c, as kurtosis_surface reads them
+        reads = walk_reads(w["P"].size, w["off"], w["width"], w["stride"], w["n"])
+        if reads is None or reads.shape[1] != 3:
+            with pytest.raises(ContractViolationError):
+                self.moments(w)
+            return
+        c = centred_basis(w["P"][reads])
+        y = np.array(weights) @ c
+        energy, fourth = surface_forms(*self.moments(w), np.array(weights)[:, None])
+        scale = np.abs(weights) @ np.abs(c) + 1.0
+        assert abs(energy[0] - y @ y) <= 1e-9 * (scale @ scale)
+        assert abs(fourth[0] - np.sum(y**4)) <= 1e-9 * np.sum(scale**4)
+
+
+class TestSurfaceMoments:
+    @staticmethod
+    def moments(x):
+        return _native.surface_moments(*_walk(x, (3,), _peak_shift(x)))
+
+    @pytest.mark.parametrize("shape", ["white", "cumsum", "ar2"])
+    def test_factor_whitens_the_centred_basis(self, shape):
+        # R'R is the centred Gram, G the Gram of q = R^-T c (so nearly the
+        # identity) and the sums the fourth moments of q
+        x = np.random.default_rng(74).laplace(size=5000)
+        if shape == "cumsum":
+            x = np.cumsum(x)
+        elif shape == "ar2":
+            x = apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), Signal1D(x)).samples
+        R, G, sums = self.moments(x)
+        scaled = np.ldexp(x, -_peak_shift(x))
+        c = centred_basis(np.stack((scaled, np.r_[0.0, scaled[:-1]], np.r_[0.0, 0.0, scaled[:-2]]), axis=1))
+        assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0.0)
+        assert np.allclose(R.T @ R, c @ c.T, rtol=0.0, atol=1e-12 * np.abs(c @ c.T).max())
+        q = np.linalg.solve(R.T, c)
+        assert np.allclose(G, np.eye(3), rtol=0.0, atol=1e-9)
+        assert np.allclose(G, q @ q.T, rtol=0.0, atol=1e-9)
+        want = [np.sum(q[a] * q[b] * q[c_] * q[d]) for a, b, c_, d in itertools.combinations_with_replacement(range(3), 4)]
+        assert np.allclose(sums, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+    def test_vanished_pivot_zeroes_its_row(self):
+        # a constant input centres to zero: the first pivot is zero, so the
+        # first row of R and the whitened first row are zero
+        R, G, sums = self.moments(np.full(50, 2.5))
+        assert np.all(R[0] == 0.0) and np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
+        with_zero = [i for i, t in enumerate(itertools.combinations_with_replacement(range(3), 4)) if 0 in t]
+        assert np.all(sums[with_zero] == 0.0) and R[1, 1] > 0.0 and R[2, 2] > 0.0
 
 
 #: The ctypes type of each scalar C type in the kernels' signatures.
@@ -511,12 +610,19 @@ class TestKernelBuild:
         # ctypes passes the arguments of a function without one as ints,
         # doubles included, and raises nothing
         kernels = re.findall(r"^(?!static\b)(\w+)\s+(kd_\w+)\(([^)]*)\)\s*\{", _native._SOURCE.read_text(), re.M)
-        assert {name for _, name, _ in kernels} >= {"kd_adapt_pass", "kd_integrate", "kd_allpole", "kd_image_allpole", "kd_filter_walk"}
+        assert {name for _, name, _ in kernels} >= {"kd_adapt_pass", "kd_integrate", "kd_allpole", "kd_image_allpole", "kd_filter_walk", "kd_surface_moments"}
         lib = _native._LIBRARY
         for restype, name, params in kernels:
             argtypes = tuple(ctypes.c_void_p if "*" in p else C_SCALARS[p.split()[-2]] for p in params.split(","))
             assert getattr(lib, name).argtypes == argtypes, name
             assert getattr(lib, name).restype is (None if restype == "void" else C_SCALARS[restype]), name
+
+    def test_no_kernel_loads_untyped(self):
+        # every function of _adapt.c that is not static, whatever its
+        # signature looks like, has its argtypes set once the library loads
+        names = set(re.findall(r"^(?!static\b)[A-Za-z_][^;{}()]*?\b(kd_\w+)\s*\(", _native._SOURCE.read_text(), re.M))
+        assert "kd_surface_moments" in names and len(names) == 6
+        assert [name for name in sorted(names) if getattr(_native._LIBRARY, name).argtypes is None] == []
 
     def test_cold_cache_built_once_at_import_by_two_processes(self, tmp_path):
         package = tmp_path / "kurtdeconv"
@@ -645,10 +751,9 @@ class TestKurtosisSurface:
         i, j = np.unravel_index(np.nanargmax(direct), direct.shape)
         assert kurtosis_surface(Signal1D(x), grid, grid).argmax == (grid[i], grid[j])
 
-    def test_memory_is_four_rows_of_samples(self):
-        # every O(N) array of the factorization and the fourth moments lives
-        # in Q (3 rows of N) or in one scratch array of N samples; 64 KiB
-        # covers the small arrays
+    def test_memory_is_one_row_of_samples(self):
+        # the only O(N) array is the 3-tap walk (N + 2 samples, in scratch
+        # slot 0); 64 KiB covers the small arrays and the grid's blocks
         n = 100_000
         x = Signal1D(laplace_signal(40, n))
         grid = np.linspace(-1.0, 1.0, 41)
@@ -658,7 +763,7 @@ class TestKurtosisSurface:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * n + 64 * 1024
+        assert peak <= 8 * (n + 2) + 64 * 1024
 
     @pytest.mark.parametrize("k", [-540, 540])
     def test_power_of_two_gain_leaves_surface(self, k):

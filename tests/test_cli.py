@@ -213,6 +213,19 @@ def test_exit_codes(tmp_path, capsys):
         assert main(argv) == code
         assert capsys.readouterr().out == ""
         assert not any(out.iterdir())
+    # sweep takes a WAV signal: a valid PGM is a contract violation, any
+    # other extension a format error, both before the input is read
+    text = tmp_path / "s.txt"
+    text.write_bytes(src.read_bytes())
+    for argv, code, message in (
+        (["sweep", str(pgm), str(out / "s.csv")], 1, "error: sweep takes a WAV signal"),
+        (["sweep", str(text), str(out / "s.csv")], 2, "format error: cannot tell WAV from PGM by extension"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == code
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith(message)
+        assert not any(out.iterdir())
     # a signal and an image of the same size are not compared, in either order
     short = tmp_path / "a.wav"
     write_wav(short, Signal1D(0.1 * laplace_signal(55, 64)))

@@ -358,6 +358,10 @@ class TestFilterEngines:
         (np.zeros(4), (2, 2), (0.5, 0.3)),
         (np.zeros(4), (), ()),
         (np.zeros((2, 2)), (1,), (0.5,)),
+        # each lag is a count and each coefficient a real, not a bool
+        (np.ones(4), (2.5, 1), (0.1, 0.1)),
+        (np.ones(4), (2, True), (0.1, 0.1)),
+        (np.ones(4), (2, 1), (0.1, "a")),
     ])
     def test_allpole_rejects_bad_arguments(self, x, lags, coeffs):
         with pytest.raises(ContractViolationError):
