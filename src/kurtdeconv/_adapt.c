@@ -225,7 +225,7 @@ static inline void basis(const double *w, const ptrdiff_t *off, const double *fi
 #define BLOCK 128
 
 /* Adds the k block sums acc into the lanes of total and clears them. */
-static void flush(pair *total, pair *acc, int k)
+static inline void flush(pair *total, pair *acc, int k)
 {
     for (int i = 0; i < k; i++) {
         total[i] += acc[i];
@@ -259,31 +259,33 @@ void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
     /* where entry (i, j) of a symmetric 3 x 3 matrix is among six sums */
     static const int upper[3][3] = {{0, 1, 2}, {1, 3, 4}, {2, 4, 5}};
     const double c0[3] = {P[off[0]], 0.0, 0.0};
-    pair acc[21] = {{0.0, 0.0}}, total[21] = {{0.0, 0.0}};
-    pair *const s = acc, *const S = acc + 3; /* pass 1: sum(d), then the six of sum(d d') */
+    /* pass 1: sum(d), then the six sums of d d' in upper's order; each pass
+     * keeps its block sums in an array of its own, which the compiler can
+     * hold in registers */
+    pair a[9] = {{0.0, 0.0}}, total[21] = {{0.0, 0.0}};
     int steps = 0;
     for (ptrdiff_t first = 0, line = 0; first < n; first += width, line += stride) {
         const ptrdiff_t end = first + width < n ? first + width : n;
         for (ptrdiff_t r = first; r < end; r += 2) {
-            pair c[3];
-            basis(P + line + (r - first), off, r + 1 < end ? NULL : c0, c);
-            for (int k = 0; k < 3; k++) {
-                c[k] -= c0[k];
-                s[k] += c[k];
-            }
-            S[0] += c[0] * c[0];
-            S[1] += c[0] * c[1];
-            S[2] += c[0] * c[2];
-            S[3] += c[1] * c[1];
-            S[4] += c[1] * c[2];
-            S[5] += c[2] * c[2];
+            pair d[3];
+            basis(P + line + (r - first), off, r + 1 < end ? NULL : c0, d);
+            d[0] -= c0[0]; /* c0's differences are zero */
+            a[0] += d[0];
+            a[1] += d[1];
+            a[2] += d[2];
+            a[3] += d[0] * d[0];
+            a[4] += d[0] * d[1];
+            a[5] += d[0] * d[2];
+            a[6] += d[1] * d[1];
+            a[7] += d[1] * d[2];
+            a[8] += d[2] * d[2];
             if (++steps == BLOCK / 2) {
-                flush(total, acc, 9);
+                flush(total, a, 9);
                 steps = 0;
             }
         }
     }
-    flush(total, acc, 9);
+    flush(total, a, 9);
     double sum[9], mean[3], T[3][3] = {{0.0}};
     for (int k = 0; k < 9; k++)
         sum[k] = total[k][0] + total[k][1];
@@ -300,10 +302,10 @@ void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
         const double rkk = sqrt(pivot);
         R[4 * k] = rkk;
         for (int j = k + 1; j < 3; j++) {
-            double a = sum[3 + upper[k][j]] - sum[k] * sum[j] / n;
+            double e = sum[3 + upper[k][j]] - sum[k] * sum[j] / n;
             for (int i = 0; i < k; i++)
-                a -= R[3 * i + k] * R[3 * i + j];
-            R[3 * k + j] = a / rkk;
+                e -= R[3 * i + k] * R[3 * i + j];
+            R[3 * k + j] = e / rkk;
         }
         /* row k of T, so that q_k = (c_k - sum_i<k R[i][k] q_i) / R[k][k] */
         for (int j = 0; j <= k; j++) {
@@ -313,9 +315,10 @@ void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
             T[k][j] = t / rkk;
         }
     }
-    for (int k = 0; k < 21; k++)
+    for (int k = 0; k < 9; k++)
         total[k] = (pair){0.0, 0.0};
-    pair *const g = acc, *const m = acc + 6; /* pass 2: the six of G, then the 15 of M */
+    pair b[21] = {{0.0, 0.0}};
+    pair *const g = b, *const m = b + 6; /* pass 2: the six sums of G, then the 15 of M */
     for (ptrdiff_t first = 0, line = 0; first < n; first += width, line += stride) {
         const ptrdiff_t end = first + width < n ? first + width : n;
         for (ptrdiff_t r = first; r < end; r += 2) {
@@ -349,12 +352,12 @@ void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
             m[13] += p12 * p22;
             m[14] += p22 * p22;
             if (++steps == BLOCK / 2) {
-                flush(total, acc, 21);
+                flush(total, b, 21);
                 steps = 0;
             }
         }
     }
-    flush(total, acc, 21);
+    flush(total, b, 21);
     for (int i = 0; i < 3; i++)
         for (int j = 0; j < 3; j++)
             G[3 * i + j] = total[upper[i][j]][0] + total[upper[i][j]][1];

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -261,42 +261,42 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
         raise DegenerateInputError("need at least 3 samples")
     n = x.size
     R, G2, sums = surface_moments(*_walk(x, (3,), _peak_shift(x)))
-    gram = G2[_G_INDEX] * _COUNT
+    gram = G2[_G_INDEX] * _COUNT / n
     F = sums[_M4] * np.outer(_COUNT, _COUNT) / n
-    bound_R = np.abs(R)
-    tol = (16.0 * np.finfo(np.float64).eps) ** 2
+    # m2 <= (bound_R @ |w|)^2 is the degeneracy rule, 1 / N on both sides
+    bound_R = np.abs(R) * (16.0 * np.finfo(np.float64).eps / np.sqrt(n))
     # scaling w changes no kurtosis; a power of two per cell, above both
     # its parameters, keeps huge grid values from overflowing the fourth
     # powers; it is exact, so it changes no cell that would not overflow
     e1, e2 = (-np.frexp(np.fmax(np.abs(a), 1.0))[1] for a in (g1, g2))
+    twice, minus = 2.0 * g2, -g2
     surface = np.empty((g1.size, g2.size))
     rows = max(1, _CELLS // g2.size)
-    for i in range(0, g1.size, rows):
-        a1 = g1[i:i + rows, None]
-        W = np.empty((3, a1.size, g2.size))
-        np.subtract(1.0 - a1, g2, out=W[0])
-        np.add(a1, 2.0 * g2, out=W[1])
-        np.negative(g2, out=W[2])
-        W = np.ldexp(W, np.minimum.outer(e1[i:i + rows], e2), out=W).reshape(3, -1)
-        v = R @ W
-        bound = bound_R @ np.abs(W)
-        bb = np.einsum("pc,pc->c", bound, bound)
-        # each array is dropped once read, so a block holds few at a time
-        del W, bound
-        p = np.empty((6, v.shape[1]))
-        np.multiply(v, v, out=p[:3])
-        np.multiply(v[0], v[1:], out=p[3:5])
-        np.multiply(v[1], v[2], out=p[5])
-        del v
-        yy = gram @ p
-        degenerate = yy <= tol * bb
-        m2 = yy / n
-        del bb, yy
-        cells = surface[i:i + rows].reshape(-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, g1.size, rows):
+            a1 = g1[i:i + rows, None]
+            W = np.empty((3, a1.size, g2.size))
+            np.subtract(1.0 - a1, g2, out=W[0])
+            np.add(a1, twice, out=W[1])
+            W[2] = minus
+            W = np.ldexp(W, np.minimum.outer(e1[i:i + rows], e2), out=W).reshape(3, -1)
+            v = R @ W
+            bound = bound_R @ np.abs(W)
+            bb = np.einsum("pc,pc->c", bound, bound)
+            # each array is dropped once read, so a block holds few at a time
+            del W, bound
+            p = np.empty((6, v.shape[1]))
+            np.multiply(v, v, out=p[:3])
+            np.multiply(v[0], v[1:], out=p[3:5])
+            np.multiply(v[1], v[2], out=p[5])
+            del v
+            m2 = gram @ p
+            degenerate = m2 <= bb
+            del bb
+            cells = surface[i:i + rows].reshape(-1)
             np.abs(np.einsum("ac,ac->c", p, F @ p) / (m2 * m2) - 3.0, out=cells)
-        cells[degenerate] = np.nan
-        del p, m2, degenerate
+            cells[degenerate] = np.nan
+            del p, m2, degenerate
     if np.isnan(surface).all():
         raise DegenerateInputError("every grid cell produced a degenerate output")
     i, j = np.unravel_index(np.nanargmax(surface), surface.shape)
