@@ -201,7 +201,8 @@ void kd_filter_walk(const double *restrict P, const ptrdiff_t *restrict off, ptr
     }
 }
 
-/* Two neighbouring samples, one a lane: GCC's and Clang's vector extension. */
+/* Two doubles, one row of a walk a lane: the vector extension of GCC and
+ * Clang, which the build already assumes of cc (-ffp-contract=off). */
 typedef double pair __attribute__((vector_size(16)));
 
 /* The difference basis w0, w0 - w1 and (w0 - w1) - (w1 - w2) of two rows
