@@ -118,23 +118,26 @@ void kd_integrate(double *restrict f, double *restrict g, ptrdiff_t h, ptrdiff_t
     }
 }
 
-/* The sparse all-pole recursion of kurtdeconv._native.allpole:
+/* The echo recursion of kurtdeconv._native.allpole:
  *
- *     y(i) = x(i) + sum_j c[j] * y(i - lags[j]),   j = 0..k-1,
+ *     y(i) = x(i) + ((0.0 + a2 y(i - 2d)) + a1 y(i - d)),   d >= 1,
  *
- * over n samples with zero initial state (terms before sample 0 are left
- * out), the sum taken in the order of lags and x(i) added last. y(i - 1)
- * is read from a register, not back from y.
+ * over n samples with zero initial state: a term whose sample precedes
+ * sample 0 is left out, and the 0.0 stays. These are the operations of
+ * lfilter's direct form II transposed for the lags 2d and d, in its order,
+ * less its products 0 * x, which can change only the sign of a zero
+ * output. y(i - 1) is read from a register when d = 1, not back from y.
+ * The caller keeps 1 <= d <= n, so 2d cannot overflow.
  */
-void kd_allpole(const double *restrict x, double *restrict y, ptrdiff_t n, const ptrdiff_t *restrict lags,
-                const double *restrict c, ptrdiff_t k)
+void kd_allpole(const double *restrict x, double *restrict y, ptrdiff_t n, ptrdiff_t d, double a1, double a2)
 {
     double last = 0.0;
     for (ptrdiff_t i = 0; i < n; i++) {
         double acc = 0.0;
-        for (ptrdiff_t j = 0; j < k; j++)
-            if (i >= lags[j])
-                acc += c[j] * (lags[j] == 1 ? last : y[i - lags[j]]);
+        if (i >= 2 * d)
+            acc += a2 * y[i - 2 * d];
+        if (i >= d)
+            acc += a1 * (d == 1 ? last : y[i - d]);
         y[i] = last = x[i] + acc;
     }
 }

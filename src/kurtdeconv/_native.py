@@ -1,8 +1,9 @@
 """The serial loops of kurtdeconv, adapt_pass (one pass of adapt.run_adapt),
 integrate (the running sums of experiment's integrated sources), allpole
-(the 1-D all-pole filters of degrade), image_allpole (its image recursion),
-filter_walk (signals.apply_kernel) and surface_moments (the factorization
-of adapt.kurtosis_surface): each runs its kernel from _adapt.c.
+(the echo recursion of degrade's 1-D all-pole filters), image_allpole (its
+image recursion), filter_walk (signals.apply_kernel) and surface_moments
+(the factorization of adapt.kurtosis_surface): each runs its kernel from
+_adapt.c.
 None converts an input: an array that is not C-contiguous float64 of the
 dimensions an entry point needs is a ContractViolationError.
 
@@ -55,7 +56,7 @@ def _load_library() -> ctypes.CDLL:
     for name, restype, argtypes in (
         ("kd_adapt_pass", index, (pointer, pointer, index, index, index, index, index, pointer, pointer, double, double, double, double)),
         ("kd_integrate", None, (pointer, pointer, index, index, double)),
-        ("kd_allpole", None, (pointer, pointer, index, pointer, pointer, index)),
+        ("kd_allpole", None, (pointer, pointer, index, index, double, double)),
         ("kd_image_allpole", None, (pointer, pointer, index, index, double, double, double)),
         ("kd_filter_walk", None, (pointer, pointer, index, index, index, pointer, index, pointer)),
         ("kd_surface_moments", None, (pointer, pointer, index, index, index, pointer, pointer, pointer)),
@@ -123,23 +124,21 @@ def integrate(f: np.ndarray, d: float) -> np.ndarray:
     return g
 
 
-def allpole(x: np.ndarray, lags: tuple[int, ...], coeffs: tuple[float, ...]) -> np.ndarray:
-    """y(n) = x(n) + sum_j coeffs[j] y(n - lags[j]), zero initial state.
-
-    The lags are positive and strictly descending, so the sum over j runs
-    from the deepest lag in and x(n) is added last: the operations of a
-    direct-form-II-transposed filter (scipy's lfilter), and the output is
-    bit-identical to it. Each lag is read as a count (errors._count) and
-    each coefficient as a real (errors._real).
+def allpole(x: np.ndarray, delay: int, a1: float, a2: float) -> np.ndarray:
+    """y(n) = x(n) + a1 y(n - delay) + a2 y(n - 2 delay), zero initial
+    state: the echo family, ar2_iir at delay 1. Each output is summed as
+    x(n) + ((0.0 + a2 y(n - 2 delay)) + a1 y(n - delay)), a term before
+    sample 0 left out: the operations of a direct-form-II-transposed filter
+    (scipy's lfilter) but its products 0 * x, so the output is lfilter's
+    bit for bit up to the sign of a zero. The delay is read as a count
+    (errors._count) and must be at least 1; the coefficients are read as
+    reals (errors._real).
     """
-    lags = [_count(lag, "a lag") for lag in lags]
-    coeffs = [_real(c, "a coefficient") for c in coeffs]
-    if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and len(lags) == len(coeffs)
-            and min(lags, default=0) >= 1 and all(a > b for a, b in zip(lags, lags[1:]))):
-        raise ContractViolationError("the all-pole recursion needs a contiguous float64 signal and one coefficient per lag, the lags positive, strictly descending and at least one")
+    if not (x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous and _count(delay, "the delay") >= 1):
+        raise ContractViolationError("the echo recursion needs a contiguous float64 signal and a delay of at least 1")
     y = np.empty_like(x)
-    k = len(lags)
-    _LIBRARY.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, (ctypes.c_ssize_t * k)(*lags), (ctypes.c_double * k)(*coeffs), k)
+    # a delay past the length reads nothing; it is passed as the length
+    _LIBRARY.kd_allpole(x.ctypes.data, y.ctypes.data, x.size, min(delay, x.size), _real(a1, "a1"), _real(a2, "a2"))
     return y
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._native import adapt_pass, surface_moments
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
-from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _finite, _peak_shift, _pow2, _unit, _walk
+from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _dot, _finite, _peak_shift, _pow2, _unit, _walk
 from .stats import M2_GUARD, init_moments, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -176,7 +176,7 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     shift = _peak_shift(values)
     walk, h = _walk(values, h0.shape, shift), h0.flatten()
     # the input power in the walk's scale (the padding adds only zeros)
-    mantissa, k = np.frexp(np.sqrt(np.vdot(walk[0], walk[0]) / values.size))
+    mantissa, k = np.frexp(np.sqrt(_dot(walk[0], walk[0]) / values.size))
     power = 4.0 ** (int(k) - int(0.0 < mantissa < np.sqrt(0.5)))
     m = init_moments(_pow2(values.ravel()[: cfg.warmup], -shift))
     if cfg.warmup > 0 and m[0] <= M2_GUARD * power:

@@ -101,7 +101,7 @@ def apply_degradation(spec: DegradeSpec, source):
     elif spec.kind == "fir2":
         y = _fir(np.array([1.0, spec.a1 + spec.a2, spec.a1 * spec.a2]), source.samples)
     else:
-        y = allpole(source.samples, (2 * spec.delay, spec.delay), (spec.a2, spec.a1))
+        y = allpole(source.samples, spec.delay, spec.a1, spec.a2)
     # the one guard: an image recursion may be unstable, and any kind may
     # overflow on finite data; the negated form also trips on NaN output
     peak = float(max(y.max(), -y.min()))
@@ -140,7 +140,7 @@ def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | K
             raise ContractViolationError(f"{spec.kind} inverse needs at least {need} taps, got {taps}")
         h = _unit(taps)
     if spec.kind == "fir2":
-        return FilterTaps1D(allpole(h, (2, 1), (-(spec.a1 * spec.a2), -(spec.a1 + spec.a2))))
+        return FilterTaps1D(allpole(h, 1, -(spec.a1 + spec.a2), -(spec.a1 * spec.a2)))
     for name, (pos, sign) in slots.items():
         h[tuple(np.add(_origin(h), pos))] = sign * getattr(spec, name)
     return Kernel2D(h) if h.ndim == 2 else FilterTaps1D(h)

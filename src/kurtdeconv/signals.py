@@ -144,6 +144,16 @@ def _peak_shift(values: np.ndarray) -> int:
     return int(np.frexp(max(values.max(), -values.min()))[1])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of a * b over two 1-D arrays by numpy's own loops, not BLAS,
+    whose sums change with its thread count: one sum per block of 1024
+    values, the block sums then summed pairwise, which keeps the rounding
+    near a pairwise sum's. It makes no array of the products."""
+    k = a.size - a.size % 1024
+    sums = np.einsum("ij,ij->i", a[:k].reshape(-1, 1024), b[:k].reshape(-1, 1024))
+    return float(sums.sum() + np.einsum("i,i->", a[k:], b[k:]))
+
+
 class _Scratch(threading.local):
     """The calling thread's two scratch slots; each thread starts empty."""
 

@@ -13,7 +13,10 @@ live in the tests, as the oracle for the direction of the online update.
 Restorations are also scored by Pearson correlation, which is blind to the
 gain, sign and offset that blind deconvolution cannot recover. Each score
 first divides its values by a power of two (``_centred``), exactly, so it
-keeps every bit at any power-of-two gain and no sum overflows.
+keeps every bit at any power-of-two gain and no sum overflows. No sum goes
+to BLAS, whose sums follow its thread count: a correlation's mean squares
+are the pairwise means its kurtosis takes, and its mean product is
+signals._dot's.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, _count
-from .signals import Image2D, Signal1D, _array, _finite, _peak_shift, _pow2, _scratch
+from .signals import Image2D, Signal1D, _array, _dot, _finite, _peak_shift, _pow2, _scratch
 
 #: Guard on the running second moment, relative to the input power: at or
 #: below it the m2^3 denominator is taken as singular and the update is
@@ -51,9 +54,9 @@ def _centred(v: np.ndarray, out=None) -> np.ndarray:
     return c
 
 
-def _kurtosis(c: np.ndarray, out=None) -> float:
-    """Excess kurtosis of the centred values c, squared into out (by
-    default into c itself)."""
+def _kurtosis(c: np.ndarray, out=None) -> tuple[float, float]:
+    """Excess kurtosis and mean square of the centred values c, squared
+    into out (by default into c itself)."""
     if c.size < 2:
         raise DegenerateInputError(f"need at least 2 samples, got {c.size}")
     q = np.square(c, out=c if out is None else out)
@@ -62,16 +65,21 @@ def _kurtosis(c: np.ndarray, out=None) -> float:
         raise DegenerateInputError("zero-variance input")
     np.square(q, out=q)
     m4 = q.mean()
-    return float(m4 / (m2 * m2) - 3.0)
+    return float(m4 / (m2 * m2) - 3.0), m2
 
 
-def _rho(a: np.ndarray, b: np.ndarray, aa: float | None = None) -> float:
-    """Pearson correlation of the centred values a and b, clipped to
-    [-1, 1]; aa is a @ a, if already known."""
-    den = np.sqrt((a @ a if aa is None else aa) * (b @ b))
-    if den <= 0.0:
+def _rho(ab: float, aa: float, bb: float) -> float:
+    """Pearson correlation of two centred value sets from the mean of their
+    products ab and their mean squares aa and bb, clipped to [-1, 1]."""
+    if aa * bb <= 0.0:
         raise DegenerateInputError("zero-variance input")
-    return float(np.clip(a @ b / den, -1.0, 1.0))
+    return float(np.clip(ab / np.sqrt(aa * bb), -1.0, 1.0))
+
+
+def _correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """_rho of the centred values a and b, which it then squares in place:
+    the mean squares are those _kurtosis takes."""
+    return _rho(_dot(a, b) / a.size, np.square(a, out=a).mean(), np.square(b, out=b).mean())
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -89,28 +97,29 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def kurtosis_excess(samples) -> float:
     """Excess kurtosis of the flattened values, mean removed first."""
-    return _kurtosis(_centred(_values(samples)))
+    return _kurtosis(_centred(_values(samples)))[0]
 
 
 def normalized_correlation(a, b) -> float:
     """Zero-lag Pearson correlation of mean-removed flattened values."""
-    return _rho(*map(_centred, _pair(a, b)))
+    return _correlation(*map(_centred, _pair(a, b)))
 
 
 def _scores(s, x, s_est) -> tuple[float, float, float, float, float]:
     """The excess kurtoses of s, x and s_est and the correlations of x and
     s_est with s, as kurtosis_excess and normalized_correlation give them,
     from s centred once, in scratch slot 0, and slot 1, where x and then
-    s_est are centred and squared."""
+    s_est are centred, their mean product with s taken, and squared. Each
+    mean square is the one its kurtosis takes."""
     v = _values(s)
     cs = _centred(v, out=_scratch(0, v.size))
     scratch = _scratch(1, v.size)
-    kurt = [_kurtosis(cs, out=scratch)]
-    ss, rho = cs @ cs, []
+    moments, rho = [_kurtosis(cs, out=scratch)], []
     for v in (x, s_est):
-        rho.append(_rho(cs, _centred(_values(v), out=scratch), ss))
-        kurt.append(_kurtosis(scratch))
-    return (*kurt, *rho)
+        ab = _dot(cs, _centred(_values(v), out=scratch)) / cs.size
+        moments.append(_kurtosis(scratch))
+        rho.append(_rho(ab, moments[0][1], moments[-1][1]))
+    return (*(kurt for kurt, _ in moments), *rho)
 
 
 class AlignedCorrelation(NamedTuple):
@@ -141,7 +150,7 @@ def aligned_correlation(a, b, max_lag: int) -> AlignedCorrelation:
     for lag in range(-max_lag, max_lag + 1):
         overlap = (av[: av.size - lag], bv[lag:]) if lag >= 0 else (av[-lag:], bv[: bv.size + lag])
         try:
-            rho = _rho(*(_centred(v, out[: v.size]) for v, out in zip(overlap, scratch)))
+            rho = _correlation(*(_centred(v, out[: v.size]) for v, out in zip(overlap, scratch)))
         except DegenerateInputError:
             continue
         if best is None or abs(rho) > abs(best[0]):

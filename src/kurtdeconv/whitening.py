@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, _count
-from .signals import _FILTERS, FilterTaps1D, Image2D, Signal1D, _array, _Owned, apply_taps
+from .signals import _FILTERS, FilterTaps1D, Image2D, Signal1D, _array, _dot, _Owned, apply_taps
 
 WHITEN_KINDS = ("none", "highpass", "lpc")
 
@@ -61,14 +61,15 @@ def fit_lpc(x: Signal1D, order: int) -> np.ndarray:
 
     Uses the biased autocorrelation estimate (divide by the full length),
     which keeps the Toeplitz system positive semidefinite and the
-    resulting predictor stable.
+    resulting predictor stable. Every sum of products is signals._dot's,
+    not BLAS's, so the coefficients keep their bits at any thread count.
     """
     if _count(order, "order") < 1:
         raise ContractViolationError(f"order must be >= 1, got {order}")
     s = x.samples
     if s.size <= 10 * order:
         raise DegenerateInputError(f"need more than {10 * order} samples for order {order}, got {s.size}")
-    r = np.array([s[: s.size - k] @ s[k:] for k in range(order + 1)]) / s.size
+    r = np.array([_dot(s[: s.size - k], s[k:]) for k in range(order + 1)]) / s.size
     if r[0] <= 0.0:
         raise DegenerateInputError("zero-energy signal")
 
@@ -77,10 +78,9 @@ def fit_lpc(x: Signal1D, order: int) -> np.ndarray:
     a = np.zeros(order)
     e = r[0]
     for i in range(1, order + 1):
-        acc = r[i] - a[: i - 1] @ r[1:i][::-1]
         if e <= 0.0:
             break
-        k = acc / e
+        k = (r[i] - _dot(a[: i - 1], r[1:i][::-1])) / e
         a[: i - 1] -= k * a[: i - 1][::-1]
         a[i - 1] = k
         e *= 1.0 - k * k

@@ -632,7 +632,7 @@ class TestKernelBuild:
         # the library is a loaded CDLL before any kernel is called
         script = ("from kurtdeconv import _native; import numpy as np; "
                   "print(_native.__file__, type(_native._LIBRARY).__name__, "
-                  "_native.allpole(np.linspace(-1.0, 1.0, 50), (2, 1), (0.3, 0.5)).tolist(), sep='\\n')")
+                  "_native.allpole(np.linspace(-1.0, 1.0, 50), 1, 0.5, 0.3).tolist(), sep='\\n')")
         env = {**os.environ, "PYTHONPATH": str(tmp_path)}
         runs = [subprocess.Popen([sys.executable, "-c", script], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
                 for _ in range(2)]

@@ -338,40 +338,45 @@ class TestFilterEngines:
         for got, want in zip(filter_outputs(spec, source), lfilter_outputs(spec, source), strict=True):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("lags", [(1,), (2, 1), (3, 2, 1), (5,)])
-    @given(st.integers(1, 300), st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
-    def test_allpole_is_lfilter(self, lags, n, draws, seed):
-        # lag 1, read from a register by the kernel, last and absent
-        coeffs = tuple(draws[: len(lags)])
-        x = laplace_signal(seed, n)
-        a = np.zeros(lags[0] + 1)
-        a[0] = 1.0
-        a[list(lags)] = np.negative(coeffs)
-        assert np.array_equal(allpole(x, lags, coeffs), lfilter([1.0], a, x))
+    @pytest.mark.parametrize("delay", [1, 2, 3, 37, 100])
+    @given(data=st.data())
+    def test_allpole_is_lfilter(self, delay, data):
+        # delay 1 is read from a register by the kernel; the lengths run
+        # below D and 2D, either coefficient may be 0, and there are -0.0
+        # samples (lfilter also adds 0 * x products, which can give a zero
+        # output the other sign, so the values are compared, not the bytes)
+        n = data.draw(st.integers(0, 2 * delay + 20))
+        a1, a2 = (data.draw(st.just(0.0) | st.floats(-0.45, 0.45)) for _ in range(2))
+        x = laplace_signal(data.draw(st.integers(0, 2**32 - 1)), n)
+        x[data.draw(st.lists(st.integers(0, n - 1), max_size=5) if n else st.just([]))] = -0.0
+        a = np.zeros(2 * delay + 1)
+        a[[0, delay, 2 * delay]] = 1.0, -a1, -a2
+        assert np.array_equal(allpole(x, delay, a1, a2), lfilter([1.0], a, x))
 
-    @pytest.mark.parametrize("x, lags, coeffs", [
-        (np.zeros(4), (0,), (0.5,)),
-        (np.zeros(4), (-1,), (0.5,)),
-        (np.zeros(4), (2, 1), (0.5,)),
-        (np.zeros(4), (1, 2), (0.5, 0.3)),
-        (np.zeros(4), (3, 1, 2), (0.5, 0.3, 0.1)),
-        (np.zeros(4), (2, 2), (0.5, 0.3)),
-        (np.zeros(4), (), ()),
-        (np.zeros((2, 2)), (1,), (0.5,)),
-        # each lag is a count and each coefficient a real, not a bool
-        (np.ones(4), (2.5, 1), (0.1, 0.1)),
-        (np.ones(4), (2, True), (0.1, 0.1)),
-        (np.ones(4), (2, 1), (0.1, "a")),
+    def test_allpole_delay_past_the_length_reads_nothing(self):
+        # each output is x + 0.0, so a -0.0 sample comes out +0.0
+        x = np.array([1.5, -0.0, 2.0])
+        assert allpole(x, 2**70, 0.5, 0.3).tobytes() == np.array([1.5, 0.0, 2.0]).tobytes()
+
+    @pytest.mark.parametrize("x, delay, a1, a2", [
+        (np.zeros(4), 0, 0.5, 0.3),
+        (np.zeros(4), -1, 0.5, 0.3),
+        (np.zeros((2, 2)), 1, 0.5, 0.3),
+        # the delay is a count and each coefficient a real, not a bool
+        (np.ones(4), 2.5, 0.1, 0.1),
+        (np.ones(4), True, 0.1, 0.1),
+        (np.ones(4), 1, 0.1, "a"),
+        (np.ones(4), 1, True, 0.1),
     ])
-    def test_allpole_rejects_bad_arguments(self, x, lags, coeffs):
+    def test_allpole_rejects_bad_arguments(self, x, delay, a1, a2):
         with pytest.raises(ContractViolationError):
-            allpole(x, lags, coeffs)
+            allpole(x, delay, a1, a2)
 
     #: Each entry point, the shape of its good input and a shape of the
     #: wrong ndim.
     ENTRY_POINTS = {
         "integrate": (lambda f: _native.integrate(f, 2.0), (4, 6), (2, 2, 6)),
-        "allpole": (lambda x: allpole(x, (2, 1), (0.3, 0.5)), (12,), (2, 6)),
+        "allpole": (lambda x: allpole(x, 1, 0.5, 0.3), (12,), (2, 6)),
         "image_allpole": (lambda f: _native.image_allpole(f, 0.3, 0.2, 0.1), (4, 6), (24,)),
     }
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -567,6 +568,32 @@ def test_threads_match_serial_runs():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert rows == [[serial[i % 2]] * 20 for i in range(4)]
+
+
+def test_report_bytes_at_any_blas_thread_count(tmp_path):
+    # sums over more than 10,000 values, which OpenBLAS splits between its
+    # threads: an echo's and a 256 x 256 image's correlations, and an LPC
+    # fit, which every estimate of its run follows
+    configs = [
+        ExperimentConfig("echo", SourceSpec(kind="laplace", seed=106, length=20_000),
+                         AdaptConfig(taps=21, mu=5e-7, beta=0.999, warmup=1000), DegradeSpec("echo_iir", -0.6, 0.3, delay=10)),
+        ExperimentConfig("image", SourceSpec(kind="integrated_uniform", seed=108, height=256, width=256),
+                         Adapt2dConfig(mu=-1.5e-5, beta=0.999, warmup=2000), DegradeSpec("image_iir2", 0.5, 0.4), WhitenSpec("highpass")),
+        ExperimentConfig("lpc", SourceSpec(kind="integrated_laplace", seed=105, length=20_000),
+                         AdaptConfig(taps=3, mu=1.5e-6, beta=0.999, warmup=2000), DegradeSpec("ar2_iir", 0.6, 0.3), WhitenSpec("lpc")),
+    ]
+    script = ("import pickle, sys; from kurtdeconv import run_experiment, write_report_csv; "
+              "write_report_csv(sys.argv[1], [run_experiment(cfg) for cfg in pickle.loads(sys.stdin.buffer.read())])")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    paths = [tmp_path / f"threads{n}.csv" for n in (1, 2)]
+    runs = [subprocess.Popen([sys.executable, "-c", script, str(path)], env=dict(env, OPENBLAS_NUM_THREADS=str(n)), stdin=subprocess.PIPE)
+            for n, path in zip((1, 2), paths)]
+    for run in runs:
+        run.communicate(pickle.dumps(configs), timeout=120)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert paths[0].read_text().splitlines() == paths[1].read_text().splitlines()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 #: The tests that bound a tracemalloc peak. Each also runs alone in a fresh

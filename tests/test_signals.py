@@ -1,4 +1,5 @@
 import ast
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from kurtdeconv import (
     normalize_kernel,
     normalize_taps,
 )
-from kurtdeconv.signals import _Owned, _array, _pow2, _walk
+from kurtdeconv.signals import _Owned, _array, _dot, _pow2, _walk
 from conftest import patch, rms_shift, window
 
 
@@ -332,16 +333,27 @@ def test_pow2_is_ldexp_bit_for_bit(values, k):
 SRC = Path(__file__).resolve().parent.parent / "src" / "kurtdeconv"
 
 
-def _calls(tree: ast.AST, name: str):
-    """(enclosing function, first argument) of every call of a function or
-    method called name in tree."""
+def _nodes(tree: ast.AST, match):
+    """(enclosing function, node) of every node of tree that match accepts."""
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == name:
-                yield inner, ast.unparse(child.args[0]) if child.args else None
+            if match(child):
+                yield inner, child
             yield from visit(child, inner)
     yield from visit(tree, None)
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name of the function or method node calls, if it is a call."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+
+
+def _calls(tree: ast.AST, name: str):
+    """(enclosing function, first argument) of every call of a function or
+    method called name in tree."""
+    for func, call in _nodes(tree, lambda node: _called(node) == name):
+        yield func, ast.unparse(call.args[0]) if call.args else None
 
 
 def test_scalar_ldexp_only_in_pow2():
@@ -360,3 +372,29 @@ def test_scratch_taken_only_by_the_functions_that_fill_it():
     calls = {(name, func) for name, text in texts.items() for func, _ in _calls(ast.parse(text), "_scratch")}
     assert calls == {("signals.py", "_walk"), ("stats.py", "_scores")}
     assert [name for name, text in texts.items() if "_walk_size" in text or "_rms_shift" in text] == []
+
+
+def test_matrix_products_only_in_kurtosis_surface():
+    # every other sum of products is signals._dot's, whose bits do not
+    # follow BLAS's thread count; kurtosis_surface keeps @ for its 3 x 3
+    # and 6 x 6 algebra over a block of grid cells
+    def product(node):
+        return isinstance(getattr(node, "op", None), ast.MatMult) or _called(node) in ("dot", "vdot", "inner", "matmul")
+
+    found = {(path.name, func) for path in SRC.glob("*.py") for func, _ in _nodes(ast.parse(path.read_text(encoding="utf-8")), product)}
+    assert found == {("adapt.py", "kurtosis_surface")}
+
+
+@given(st.integers(0, 5000), st.integers(0, 2**32 - 1))
+def test_dot_keeps_its_bits_at_any_alignment(n, seed):
+    # the sum follows the values alone, not the 16 byte offsets they may
+    # sit at, and stays within a few roundings of the exact sum of the
+    # rounded products (it measured under half an eps of sum |ab|)
+    a, b = np.random.default_rng(seed).laplace(size=(2, n))
+    want = _dot(a, b)
+    for offset in range(16):
+        buf = np.zeros(2 * 8 * n + 16, np.uint8)
+        moved = [buf[offset + 8 * n * i: offset + 8 * n * (i + 1)].view(np.float64) for i in (0, 1)]
+        moved[0][:], moved[1][:] = a, b
+        assert _dot(*moved) == want
+    assert abs(want - math.fsum(a * b)) <= 4.0 * np.finfo(np.float64).eps * math.fsum(np.abs(a * b))

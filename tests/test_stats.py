@@ -12,6 +12,7 @@ from kurtdeconv import (
     kurtosis_excess,
     normalized_correlation,
 )
+from kurtdeconv.signals import _dot
 from kurtdeconv.stats import _scores
 from conftest import (
     MomentState,
@@ -110,13 +111,15 @@ def _old_kurtosis(values) -> float:
 
 
 def _old_correlation(a, b) -> float:
+    # the mean product, by the package's non-BLAS sum of products, over the
+    # root of the pairwise means of the squares, as the kurtosis takes them
     av, bv = _old_scaled(a), _old_scaled(b)
     av -= av.mean()
     bv -= bv.mean()
-    den = np.sqrt((av @ av) * (bv @ bv))
+    den = np.sqrt(np.square(av).mean() * np.square(bv).mean())
     if den <= 0.0:
         raise DegenerateInputError("zero-variance input")
-    return float(np.clip(av @ bv / den, -1.0, 1.0))
+    return float(np.clip(_dot(av, bv) / av.size / den, -1.0, 1.0))
 
 
 def _outcome(f, *args):
