@@ -170,8 +170,9 @@ void kd_image_allpole(const double *restrict f, double *restrict g, ptrdiff_t h,
     }
 }
 
-/* The filter of kurtdeconv._native.filter_walk: out[r] is the sum, from 0.0
- * and in tap order, of h[j] * P[base(r) + off[j]] over the k taps, for the
+/* The filter of kurtdeconv._native.filter_walk, every FIR and kernel filter
+ * of kurtdeconv: out[r] is the sum, from 0.0 and in tap order (the order of
+ * kd_adapt_pass's y), of h[j] * P[base(r) + off[j]] over the k taps, for the
  * n rows of the regressor walk of kd_adapt_pass, n a multiple of width.
  * Four neighbouring rows of a line share each tap's loads; each of their
  * sums still runs over the taps in order.

@@ -1,7 +1,7 @@
 """The serial loops of kurtdeconv, adapt_pass (one pass of adapt.run_adapt),
 integrate (the running sums of experiment's integrated sources), allpole
 (the echo recursion of degrade's 1-D all-pole filters), image_allpole (its
-image recursion), filter_walk (signals.apply_kernel) and surface_moments
+image recursion), filter_walk (every filter of signals) and surface_moments
 (the factorization of adapt.kurtosis_surface): each runs its kernel from
 _adapt.c.
 None converts an input: an array that is not C-contiguous float64 of the
@@ -157,8 +157,9 @@ def image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
 def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray) -> np.ndarray:
     """The filter h over the walk (P, off, width, stride, n) that
     signals._walk builds: element r of the result is the sum, from 0.0 and
-    in the order of the taps, of h[j] * P[(r // width) * stride + r % width
-    + off[j]]. The walk must cover whole lines (n a multiple of width) and
+    in the order of the taps (adapt_pass's order, which neither BLAS nor
+    the CPU changes), of h[j] * P[(r // width) * stride + r % width +
+    off[j]]. The walk must cover whole lines (n a multiple of width) and
     stay inside P; anything else is a ContractViolationError, raised before
     any read."""
     if not (_taps(h) and _walk_inside(P, off, width, stride, n, h.size) and n % width == 0):

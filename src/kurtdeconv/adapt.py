@@ -241,21 +241,20 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     keep smooth inputs, whose outputs nearly cancel in the low-order cells,
     as accurate as filtering cell by cell. A cell is degenerate when its
     output vanishes to rounding, v'G2v <= (16 eps ||R| |w||)^2. An x1 that
-    is not a Signal1D is a ContractViolationError.
+    is not a Signal1D, or a grid that is not a nonempty 1-D sequence of
+    finite reals, is a ContractViolationError.
 
     The walk divides x by the power of two just above max|x|, which is
     exact and changes no bit of any cell, so the surface is the same at any
     power-of-two gain. The walk, in the thread's scratch, is the only O(N)
-    array; the cells are evaluated _CELLS at a time.
+    array; the cells are evaluated _CELLS at a time, by np.einsum, not
+    BLAS, whose bits follow its thread count and the CPU.
     """
     if not isinstance(x1, Signal1D):
         raise ContractViolationError(f"the kurtosis surface is taken over a Signal1D, not {type(x1).__name__}")
-    g1 = np.asarray(grid_a1, dtype=np.float64)
-    g2 = np.asarray(grid_a2, dtype=np.float64)
-    if g1.size == 0 or g2.size == 0:
-        raise ContractViolationError("grids must be nonempty")
-    if not (_finite(g1) and _finite(g2)):
-        raise ContractViolationError("grids contain non-finite values")
+    g1, g2 = (np.asarray(g, dtype=np.float64) for g in (grid_a1, grid_a2))
+    if not all(g.ndim == 1 and g.size > 0 and _finite(g) for g in (g1, g2)):
+        raise ContractViolationError(f"grids must be nonempty 1-D sequences with no non-finite value, got shapes {g1.shape} and {g2.shape}")
     x = x1.samples
     if x.size < 3:
         raise DegenerateInputError("need at least 3 samples")
@@ -280,8 +279,8 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
             np.add(a1, twice, out=W[1])
             W[2] = minus
             W = np.ldexp(W, np.minimum.outer(e1[i:i + rows], e2), out=W).reshape(3, -1)
-            v = R @ W
-            bound = bound_R @ np.abs(W)
+            v = np.einsum("pq,qc->pc", R, W)
+            bound = np.einsum("pq,qc->pc", bound_R, np.abs(W))
             bb = np.einsum("pc,pc->c", bound, bound)
             # each array is dropped once read, so a block holds few at a time
             del W, bound
@@ -290,11 +289,11 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
             np.multiply(v[0], v[1:], out=p[3:5])
             np.multiply(v[1], v[2], out=p[5])
             del v
-            m2 = gram @ p
+            m2 = np.einsum("a,ac->c", gram, p)
             degenerate = m2 <= bb
             del bb
             cells = surface[i:i + rows].reshape(-1)
-            np.abs(np.einsum("ac,ac->c", p, F @ p) / (m2 * m2) - 3.0, out=cells)
+            np.abs(np.einsum("ac,ac->c", p, np.einsum("ab,bc->ac", F, p)) / (m2 * m2) - 3.0, out=cells)
             cells[degenerate] = np.nan
             del p, m2, degenerate
     if np.isnan(surface).all():

@@ -7,13 +7,13 @@ identification experiments a machine-precision ground truth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._native import allpole, image_allpole
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
-from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _fir, _origin, _Owned, _unit
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _array, _filtered, _origin, _Owned, _unit
 
 # Where each kind's identified parameters sit in its analytic inverse,
 # {name: (position, sign)}: the parameter is sign times the coefficient at
@@ -99,7 +99,7 @@ def apply_degradation(spec: DegradeSpec, source):
     if image:
         y = image_allpole(source.pixels, spec.a1, spec.a2, spec.a3)
     elif spec.kind == "fir2":
-        y = _fir(np.array([1.0, spec.a1 + spec.a2, spec.a1 * spec.a2]), source.samples)
+        y = _filtered(np.array([1.0, spec.a1 + spec.a2, spec.a1 * spec.a2]), source.samples)
     else:
         y = allpole(source.samples, spec.delay, spec.a1, spec.a2)
     # the one guard: an image recursion may be unstable, and any kind may
@@ -167,7 +167,9 @@ def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
 
 
 def true_parameters(spec: DegradeSpec) -> dict[str, float]:
-    """Identification targets: the parameter slots of the analytic inverse."""
+    """Identification targets: the parameter slots of the analytic inverse
+    at delay 1, which holds echo_iir's values in 3 taps instead of 2D + 1."""
+    spec = replace(spec, delay=1)
     return extract_parameters(spec, true_inverse(spec))
 
 

@@ -14,10 +14,11 @@ is divided by 2**_peak_shift: the package's one scaling rule.
 
 The full-length arrays a call only works in live in a scratch of two
 flat float64 slots per thread (``_scratch``), kept between calls. A slot
-is taken by the function that fills it: slot 0 by _walk (its P) and
-stats._scores (the centred source), slot 1 by _scores (the other centred
-values). A slot is remade only when a request is larger than it, or less
-than half of it, so a thread holds about two arrays of its latest input,
+is taken by the function that fills it: slot 0 by _walk (its P, the walk
+of run_adapt, of every filter and of kurtosis_surface) and stats._scores
+(the centred source), slot 1 by _scores (the other centred values). A
+slot is remade only when a request is larger than it, or less than half
+of it, so a thread holds about two arrays of its latest input,
 and a steady-state run of one shape touches no new memory unless its
 walk holds more than twice its input (a 9x9 kernel over 16x16): then
 run_experiment's walk and scores remake slot 0 in turn.
@@ -28,9 +29,8 @@ and no holder of a slot calls code that takes it.
 """
 from __future__ import annotations
 
-import ctypes
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -204,22 +204,17 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
     return P.ravel(), off, W, stride, H * W
 
 
-def _fir(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Causal FIR filtering y(n) = sum_k h(k) x(n-k) of the sample array x,
-    zero initial state, as many outputs as inputs. np.convolve copies an
-    input it cannot write, so a read-only float64 x (a container's) is
-    passed as a writable alias of its own memory, which np.convolve only
-    reads; x itself stays referenced, and so alive, until the alias is
-    gone."""
-    alias = x
-    if not x.flags.writeable and x.flags.c_contiguous and x.dtype == np.float64:
-        alias = np.frombuffer((ctypes.c_double * x.size).from_address(x.ctypes.data))
-    return np.convolve(h, alias)[: x.size]
+def _filtered(h: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The package's one filter: samples or pixels filtered by h, the walk
+    filter of _native over the walk the adaptation reads, each output
+    summed from 0.0 in the order of h, as run_adapt forms its output."""
+    return filter_walk(*_walk(values, h.shape), h.ravel()).reshape(values.shape)
 
 
 def apply_taps(x: Signal1D, taps: FilterTaps1D) -> Signal1D:
-    """Causal FIR filtering y(n) = sum_k h(k) x(n-k), zero initial state."""
-    return Signal1D(_Owned(_fir(_coeffs(taps, FilterTaps1D, x), x.samples)), sample_rate=x.sample_rate)
+    """Causal FIR filtering y(n) = sum_k h(k) x(n-k), zero initial state,
+    each output summed from 0.0 over the taps in order."""
+    return replace(x, samples=_Owned(_filtered(_coeffs(taps, FilterTaps1D, x), x.samples)))
 
 
 def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
@@ -227,12 +222,9 @@ def apply_kernel(img: Image2D, kernel: Kernel2D) -> Image2D:
 
     Output pixel (n, m) is the inner product of the kernel with the
     zero-padded rows x cols neighborhood centered at (n, m), summed from
-    0.0 over the kernel in raster order: the walk filter of _native over
-    the regressor walk the adaptation reads.
+    0.0 over the kernel in raster order.
     """
-    w = _coeffs(kernel, Kernel2D, img)
-    out = filter_walk(*_walk(img.pixels, w.shape), w.ravel())
-    return Image2D(_Owned(out.reshape(img.pixels.shape)))
+    return replace(img, pixels=_Owned(_filtered(_coeffs(kernel, Kernel2D, img), img.pixels)))
 
 
 #: The pairing rule: a FilterTaps1D filters a Signal1D, a Kernel2D an Image2D.

@@ -33,6 +33,24 @@ def window(x, n, L):
     return out
 
 
+def fir(h, x) -> np.ndarray:
+    """Causal FIR filtering of the sample array x by the taps h, zero
+    initial state: each output summed from 0.0 over the taps in order, the
+    order of the walk filter (the TestWalkGuard filter oracle)."""
+    y = np.zeros(x.size)
+    for k, tap in enumerate(h):
+        y = y + tap * np.concatenate((np.zeros(min(k, x.size)), x[: max(x.size - k, 0)]))
+    return y
+
+
+def fir_rounding(h, x) -> np.ndarray:
+    """How far two sums of fir's products, in any order, can round apart:
+    each is within gamma_K = K eps / 2 (to first order) of the exact sum
+    of its K = len(h) products, relative to the sum of their magnitudes,
+    so the two within K eps of it; (K + 1) eps covers the rest."""
+    return (len(h) + 1) * np.finfo(np.float64).eps * fir(np.abs(h), np.abs(x))
+
+
 def patch(g, r, c, M, N):
     """M x N neighborhood of pixel array g centered at (r, c), zero outside."""
     out = np.zeros((M, N))

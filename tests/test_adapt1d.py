@@ -34,7 +34,7 @@ from kurtdeconv import (
 from kurtdeconv import _native
 from kurtdeconv.adapt import TAP_LIMIT
 from kurtdeconv.signals import _peak_shift, _walk
-from conftest import MomentState, adapt_step, batch_gradient, direct_surface, laplace_signal, oracle_adapt, rms_shift, warmup_moments, window
+from conftest import MomentState, adapt_step, batch_gradient, direct_surface, fir, fir_rounding, laplace_signal, oracle_adapt, rms_shift, warmup_moments, window
 
 
 def oracle_taps(x, cfg):
@@ -685,9 +685,11 @@ class TestKurtosisSurface:
     @pytest.mark.parametrize("x, grid_a1, error, message", [
         (np.ones(10), [0.1, np.nan], ContractViolationError, "non-finite"),
         (np.ones(10), [-np.inf], ContractViolationError, "non-finite"),
+        (np.ones(10), [[0.1, 0.5]], ContractViolationError, "1-D"),
+        (np.ones(10), 0.1, ContractViolationError, "1-D"),
         (np.ones(2), [0.1], DegenerateInputError, "at least 3 samples"),
         (np.zeros(10), [0.1, 0.5], DegenerateInputError, "every grid cell"),
-    ], ids=["nan_grid", "infinite_grid", "two_samples", "silent"])
+    ], ids=["nan_grid", "infinite_grid", "2d_grid", "scalar_grid", "two_samples", "silent"])
     def test_unusable_input_rejected(self, x, grid_a1, error, message):
         with pytest.raises(error, match=message):
             kurtosis_surface(Signal1D(x), grid_a1, [0.2])
@@ -776,10 +778,11 @@ class TestKurtosisSurface:
 
 
 def test_result_output_matches_filter(rng):
+    # the taps summed in order from 0.0, bit for bit; lfilter within rounding
     x = Signal1D(rng.standard_normal(3000))
     res = run_adapt(x, AdaptConfig(taps=3, mu=1e-5, warmup=128, passes=1))
-    want = lfilter(res.filter.taps, [1.0], x.samples)
-    assert np.array_equal(res.output.samples, want)
+    assert np.array_equal(res.output.samples, fir(res.filter.taps, x.samples))
+    assert np.all(np.abs(res.output.samples - lfilter(res.filter.taps, [1.0], x.samples)) <= fir_rounding(res.filter.taps, x.samples))
     assert res.final_kurtosis == res.kurtosis_trace[-1]
 
 

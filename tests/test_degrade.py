@@ -22,7 +22,7 @@ from kurtdeconv import _native
 from kurtdeconv._native import allpole
 from kurtdeconv.degrade import KINDS
 from kurtdeconv.signals import _array
-from conftest import laplace_signal
+from conftest import fir, fir_rounding, laplace_signal
 
 
 def fir2_inverse(a1, a2, L):
@@ -333,9 +333,17 @@ class TestFilterEngines:
     @pytest.mark.parametrize("kind", KINDS)
     @given(data=st.data())
     def test_compiled_and_lfilter_agree(self, kind, data):
+        # the recursions are lfilter bit for bit; fir2's FIR sums its taps
+        # in order from 0.0, bit for bit, and lfilter within rounding
         spec = data.draw(specs(kind))
         source = data.draw(sources(spec))
-        for got, want in zip(filter_outputs(spec, source), lfilter_outputs(spec, source), strict=True):
+        outputs, references = filter_outputs(spec, source), lfilter_outputs(spec, source)
+        if kind == "fir2":
+            h = np.array([1.0, spec.a1 + spec.a2, spec.a1 * spec.a2])
+            got, want = outputs.pop(0), references.pop(0)
+            assert np.array_equal(got, fir(h, source.samples))
+            assert np.all(np.abs(got - want) <= fir_rounding(h, source.samples))
+        for got, want in zip(outputs, references, strict=True):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("delay", [1, 2, 3, 37, 100])

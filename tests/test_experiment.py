@@ -573,7 +573,10 @@ def test_threads_match_serial_runs():
 def test_report_bytes_at_any_blas_thread_count(tmp_path):
     # sums over more than 10,000 values, which OpenBLAS splits between its
     # threads: an echo's and a 256 x 256 image's correlations, and an LPC
-    # fit, which every estimate of its run follows
+    # fit, which every estimate of its run follows. The same bytes under
+    # two of OpenBLAS's CPU kernels, which run on any x86-64 (elsewhere the
+    # variable does nothing): a 41-tap restore, an LPC(20) whitening and a
+    # kurtosis surface, whose sums BLAS would order and fuse by its kernel
     configs = [
         ExperimentConfig("echo", SourceSpec(kind="laplace", seed=106, length=20_000),
                          AdaptConfig(taps=21, mu=5e-7, beta=0.999, warmup=1000), DegradeSpec("echo_iir", -0.6, 0.3, delay=10)),
@@ -581,19 +584,30 @@ def test_report_bytes_at_any_blas_thread_count(tmp_path):
                          Adapt2dConfig(mu=-1.5e-5, beta=0.999, warmup=2000), DegradeSpec("image_iir2", 0.5, 0.4), WhitenSpec("highpass")),
         ExperimentConfig("lpc", SourceSpec(kind="integrated_laplace", seed=105, length=20_000),
                          AdaptConfig(taps=3, mu=1.5e-6, beta=0.999, warmup=2000), DegradeSpec("ar2_iir", 0.6, 0.3), WhitenSpec("lpc")),
+        ExperimentConfig("echo41", SourceSpec(kind="laplace", seed=3, length=20_000),
+                         AdaptConfig(taps=41, mu=2e-6, beta=0.999, warmup=1000), DegradeSpec("echo_iir", -0.6, 0.3, delay=20)),
+        ExperimentConfig("lpc20", SourceSpec(kind="integrated_laplace", seed=105, length=20_000),
+                         AdaptConfig(taps=3, mu=1.5e-6, beta=0.999, warmup=2000), DegradeSpec("ar2_iir", 0.6, 0.3), WhitenSpec("lpc", order=20)),
     ]
-    script = ("import pickle, sys; from kurtdeconv import run_experiment, write_report_csv; "
-              "write_report_csv(sys.argv[1], [run_experiment(cfg) for cfg in pickle.loads(sys.stdin.buffer.read())])")
+    surface = (apply_degradation(DegradeSpec("ar2_iir", 0.6, 0.3), Signal1D(np.random.default_rng(3).laplace(size=20_000))), np.linspace(-1.0, 1.0, 41))
+    script = ("import pickle, sys; from kurtdeconv import kurtosis_surface, run_experiment, write_report_csv; "
+              "configs, (x, grid) = pickle.loads(sys.stdin.buffer.read()); "
+              "write_report_csv(sys.argv[1], [run_experiment(cfg) for cfg in configs]); "
+              "open(sys.argv[1] + '.surface', 'wb').write(kurtosis_surface(x, grid, grid).surface.tobytes())")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
-    paths = [tmp_path / f"threads{n}.csv" for n in (1, 2)]
-    runs = [subprocess.Popen([sys.executable, "-c", script, str(path)], env=dict(env, OPENBLAS_NUM_THREADS=str(n)), stdin=subprocess.PIPE)
-            for n, path in zip((1, 2), paths)]
+    cases = {"threads1": {"OPENBLAS_NUM_THREADS": "1"}, "threads2": {"OPENBLAS_NUM_THREADS": "2"},
+             "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"}, "prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
+    paths = [tmp_path / f"{name}.csv" for name in cases]
+    runs = [subprocess.Popen([sys.executable, "-c", script, str(path)], env=dict(env, **case), stdin=subprocess.PIPE)
+            for case, path in zip(cases.values(), paths)]
     for run in runs:
-        run.communicate(pickle.dumps(configs), timeout=120)
-    assert [run.returncode for run in runs] == [0, 0]
-    assert paths[0].read_text().splitlines() == paths[1].read_text().splitlines()
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+        run.communicate(pickle.dumps((configs, surface)), timeout=120)
+    assert [run.returncode for run in runs] == [0] * len(cases)
+    for path in paths[1:]:
+        assert path.read_text().splitlines() == paths[0].read_text().splitlines()
+        assert path.read_bytes() == paths[0].read_bytes()
+        assert Path(f"{path}.surface").read_bytes() == Path(f"{paths[0]}.surface").read_bytes()
 
 
 #: The tests that bound a tracemalloc peak. Each also runs alone in a fresh

@@ -211,6 +211,11 @@ class TestParameterError:
         taps[0], taps[2], taps[4] = 1.0, 0.6, -0.3
         assert max(parameter_error(spec, FilterTaps1D(taps)).values()) == 0.0
 
+    def test_echo_targets_at_any_delay(self):
+        # read off three taps, not the 2D + 1 of the echo's own inverse
+        spec = DegradeSpec(kind="echo_iir", a1=0.5, a2=0.3, delay=2**40)
+        assert true_parameters(spec) == {"a1": 0.5, "a2": 0.3}
+
     def test_fir2_targets(self):
         spec = DegradeSpec(kind="fir2", a1=0.5, a2=0.2)
         assert true_parameters(spec) == {"h1": pytest.approx(-0.7), "h2": pytest.approx(0.39)}
