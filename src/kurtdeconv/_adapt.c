@@ -9,6 +9,11 @@
 #include <math.h>
 #include <stddef.h>
 
+/* Two doubles, one a lane: the vector extension of GCC and Clang, which the
+ * build already assumes of cc (-ffp-contract=off). Each lane rounds as the
+ * scalar operation does, and the flag keeps its multiplies and adds apart. */
+typedef double pair __attribute__((vector_size(16)));
+
 /* Nonzero when some |h[j]|, j < k, exceeds limit or is NaN. */
 static int over_limit(const double *h, ptrdiff_t k, double limit)
 {
@@ -39,8 +44,20 @@ static int over_limit(const double *h, ptrdiff_t k, double limit)
  * per-tap test. That screen misses nothing: partial sums of nonnegative
  * terms never decrease under round-to-nearest, so a tap with
  * |h_j| > limit leaves the sum at or above fl(h_j^2) >= fl(limit^2), and a
- * NaN or infinite tap leaves it NaN or infinite. A limit exceeded in the
- * sweep of row r is the update of row r - 1, whose moments m still holds.
+ * NaN or infinite tap leaves it NaN or infinite.
+ *
+ * The sweep takes two taps a step, one a lane of a pair: the update, the
+ * store of the taps, the squares and the products v * w run in the lanes,
+ * each lane the scalar operations of its tap, and y adds the two products
+ * of a step in tap order, from 0.0. An odd count of taps takes tap 0 in a
+ * scalar step first, so that y's chain of adds starts while g is still
+ * being copied into both lanes. So only the screen sums in another order:
+ * each lane sums the squares of its own taps, and the sum of the two lanes
+ * is added to tap 0's square. Each lane's sum never decreases either, and
+ * neither does a sum of nonnegative sums, so the total is at least the
+ * lane sum of any tap and the screen still misses no tap over the limit
+ * and no NaN. A limit exceeded in the sweep of row r is the update of row
+ * r - 1, whose moments m still holds.
  */
 ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, ptrdiff_t stride,
                         ptrdiff_t warmup, ptrdiff_t n, ptrdiff_t k, double *h, double *m, double mu,
@@ -56,13 +73,27 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
         const double *w = P + line + col;
         double y = 0.0;
         if (u) {
+            pair sq = {0.0, 0.0};
             double ss = 0.0;
-            for (ptrdiff_t j = 0; j < k; j++) {
-                const double v = h[j] + g * u[off[j]];
-                h[j] = v;
-                ss += v * v;
-                y += v * w[off[j]];
+            ptrdiff_t j = 0;
+            if (k % 2) {
+                const double v = h[0] + g * u[off[0]];
+                h[0] = v;
+                ss = v * v;
+                y += v * w[off[0]];
+                j = 1;
             }
+            for (; j < k; j += 2) {
+                const ptrdiff_t a = off[j], b = off[j + 1];
+                const pair v = (pair){h[j], h[j + 1]} + g * (pair){u[a], u[b]};
+                const pair p = v * (pair){w[a], w[b]};
+                h[j] = v[0];
+                h[j + 1] = v[1];
+                sq += v * v;
+                y += p[0];
+                y += p[1];
+            }
+            ss += sq[0] + sq[1];
             u = NULL;
             if (!(ss < limit2) && over_limit(h, k, limit)) {
                 failed = r - 1;
@@ -174,27 +205,35 @@ void kd_image_allpole(const double *restrict f, double *restrict g, ptrdiff_t h,
  * of kurtdeconv: out[r] is the sum, from 0.0 and in tap order (the order of
  * kd_adapt_pass's y), of h[j] * P[base(r) + off[j]] over the k taps, for the
  * n rows of the regressor walk of kd_adapt_pass, n a multiple of width.
- * Four neighbouring rows of a line share each tap's loads; each of their
- * sums still runs over the taps in order.
+ * Eight neighbouring rows of a line, two a pair in four pairs, share each
+ * tap's broadcast; each row is summed in its own lane, from 0.0 over the
+ * taps in order. The last width % 8 rows of a line are summed one at a
+ * time.
  */
 void kd_filter_walk(const double *restrict P, const ptrdiff_t *restrict off, ptrdiff_t width, ptrdiff_t stride,
                     ptrdiff_t n, const double *restrict h, ptrdiff_t k, double *restrict out)
 {
     for (ptrdiff_t r = 0, line = 0; r < n; r += width, line += stride) {
         ptrdiff_t c = 0;
-        for (; c + 4 <= width; c += 4) {
-            double y0 = 0.0, y1 = 0.0, y2 = 0.0, y3 = 0.0;
+        for (; c + 8 <= width; c += 8) {
+            pair y0 = {0.0, 0.0}, y1 = {0.0, 0.0}, y2 = {0.0, 0.0}, y3 = {0.0, 0.0};
             for (ptrdiff_t j = 0; j < k; j++) {
                 const double *w = P + line + c + off[j];
-                y0 += h[j] * w[0];
-                y1 += h[j] * w[1];
-                y2 += h[j] * w[2];
-                y3 += h[j] * w[3];
+                const pair t = {h[j], h[j]};
+                y0 += t * (pair){w[0], w[1]};
+                y1 += t * (pair){w[2], w[3]};
+                y2 += t * (pair){w[4], w[5]};
+                y3 += t * (pair){w[6], w[7]};
             }
-            out[r + c] = y0;
-            out[r + c + 1] = y1;
-            out[r + c + 2] = y2;
-            out[r + c + 3] = y3;
+            double *o = out + r + c;
+            o[0] = y0[0];
+            o[1] = y0[1];
+            o[2] = y1[0];
+            o[3] = y1[1];
+            o[4] = y2[0];
+            o[5] = y2[1];
+            o[6] = y3[0];
+            o[7] = y3[1];
         }
         for (; c < width; c++) {
             double y = 0.0;
@@ -204,10 +243,6 @@ void kd_filter_walk(const double *restrict P, const ptrdiff_t *restrict off, ptr
         }
     }
 }
-
-/* Two doubles, one row of a walk a lane: the vector extension of GCC and
- * Clang, which the build already assumes of cc (-ffp-contract=off). */
-typedef double pair __attribute__((vector_size(16)));
 
 /* The difference basis w0, w0 - w1 and (w0 - w1) - (w1 - w2) of two rows
  * of kd_surface_moments' walk into b, one row a lane, wj the element at

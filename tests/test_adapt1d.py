@@ -283,11 +283,18 @@ class TestEngines:
         assert np.array_equal(moments, want_moments, equal_nan=True)
         return row, taps, moments
 
-    def test_norm_over_limit_with_every_tap_under_it_runs_on(self):
-        # |h|_2 = 2e6 trips the sum-of-squares screen on every row, and the
-        # exact per-tap test clears it; every row updates, the last one too
-        h = np.full(100, 2e5)
-        X = 1e-3 * np.random.default_rng(71).laplace(size=(50, 100))
+    @pytest.mark.parametrize("h", [
+        pytest.param(np.full(100, 2e5), id="pairs"),
+        pytest.param(np.full(101, 2e5), id="odd-tap"),
+        # each lane's squares sum to 6.4e11, under limit^2; the two lanes
+        # together reach it
+        pytest.param(np.array([0.0, 8e5, 8e5]), id="lanes-together"),
+    ])
+    def test_norm_over_limit_with_every_tap_under_it_runs_on(self, h):
+        # |h|_2 > limit trips the sum-of-squares screen on every row, and
+        # the exact per-tap test clears it; every row updates, the last one
+        # too
+        X = 1e-3 * np.random.default_rng(71).laplace(size=(50, h.size))
         row, taps, _ = self.passes_agree(X, h, np.array([1.0, 3.0]), 1e3, 0.9, 0)
         assert row == -1
         assert np.linalg.norm(taps) > TAP_LIMIT and not np.array_equal(taps, h)
@@ -299,11 +306,33 @@ class TestEngines:
         # the limit, but the NaN taps must still stop the pass
         pytest.param(4, 1e100, 0, TAP_LIMIT, id="nan-taps"),
     ])
-    def test_divergence_names_the_row_that_updated(self, row, spike, warmup, limit):
-        X = 0.1 * np.random.default_rng(72).laplace(size=(6, 3))
-        X[row, 0] = spike
-        got, taps, _ = self.passes_agree(X, np.array([1.0, 0.0, 0.0]), np.array([1.0, 3.0]), 1.0, 0.99, warmup, limit)
+    # the kernel sweeps 5 taps as tap 0 and then two pairs: the spike and
+    # the one unit tap sit in the odd tap, or in lane 0 or 1 of a pair
+    @pytest.mark.parametrize("tap", [pytest.param(0, id="odd-tap"), pytest.param(1, id="lane-0"), pytest.param(4, id="lane-1")])
+    def test_divergence_names_the_row_that_updated(self, row, spike, warmup, limit, tap):
+        X = 0.1 * np.random.default_rng(72).laplace(size=(6, 5))
+        X[row, tap] = spike
+        got, taps, _ = self.passes_agree(X, np.eye(1, 5, tap)[0], np.array([1.0, 3.0]), 1.0, 0.99, warmup, limit)
         assert got == row and not np.all(np.abs(taps) <= limit)
+
+    @pytest.mark.parametrize("tap, unit", [pytest.param(0, 1, id="odd-tap"), pytest.param(3, 0, id="lane-0"), pytest.param(2, 0, id="lane-1")])
+    def test_one_tap_over_the_limit_stops_the_pass(self, tap, unit):
+        # the first updated row is small but for one element: that tap's
+        # update alone exceeds the limit, so one lane's squares (or the odd
+        # tap's square) must trip the screen
+        X = 0.1 * np.random.default_rng(75).laplace(size=(6, 5))
+        X[3, tap] = 1e4
+        got, taps, _ = self.passes_agree(X, np.eye(1, 5, unit)[0], np.array([1.0, 3.0]), 1.0, 0.99, 3, 10.0)
+        assert got == 3 and np.flatnonzero(~(np.abs(taps) <= 10.0)).tolist() == [tap]
+
+    def test_nan_in_lane_1_stops_the_pass(self):
+        # y = 10 at mu = 1e308 overflows the first update g to inf; tap 2's
+        # element of the row is 0, so tap 2 alone, lane 1 of the first
+        # pair, is inf * 0 = NaN, and the other taps are infinite
+        X = 0.1 * np.random.default_rng(76).laplace(size=(6, 5))
+        X[3, [0, 2]] = 10.0, 0.0
+        got, taps, _ = self.passes_agree(X, np.eye(1, 5, 0)[0], np.array([1.0, 3.0]), 1e308, 0.99, 3)
+        assert got == 3 and np.flatnonzero(np.isnan(taps)).tolist() == [2]
 
     def test_nan_moments_hold_the_taps(self):
         # row 2's terms overflow to inf and -inf, so y and then m2 are NaN:
@@ -386,13 +415,25 @@ def walk_reads(size, off, width, stride, n):
 @st.composite
 def walks(draw):
     """A walk over arange(1, size + 1), some outside it: widths, strides
-    and offsets may be zero or negative, and rows may run past P's end."""
-    size = draw(st.integers(1, 40))
-    k = draw(st.integers(1, 4))
-    off = np.array(draw(st.lists(st.integers(-1, 6), min_size=k, max_size=k)), dtype=np.intp)
+    and offsets may be zero or negative, and rows may run past P's end.
+    Half are drawn as walks of whole or part lines whose last read is P's
+    last element, the one before it or one past P's end, so that many are
+    inside P. Widths reach two
+    8-row blocks of the filter and a row over, and up to 7 taps make an
+    odd tap and pairs of the adaptation's sweep."""
+    k = draw(st.integers(1, 7))
     h = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
-    return dict(P=np.arange(1.0, size + 1.0), off=off, width=draw(st.integers(-1, 5)), stride=draw(st.integers(-1, 6)),
-                n=draw(st.integers(1, 12)), h=h, m=np.array([1.0, 3.0]), warmup=0)
+    if draw(st.booleans()):
+        off = np.array(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)), dtype=np.intp)
+        width = draw(st.integers(1, 17))
+        stride = draw(st.integers(width, width + 2))
+        n = draw(st.integers(1, 3).map(lambda lines: lines * width) | st.integers(1, 3 * width))
+        size = (n - 1) // width * stride + (n - 1) % width + off.max() + draw(st.sampled_from([1, 1, 2, 0]))
+    else:
+        size = draw(st.integers(1, 80))
+        off = np.array(draw(st.lists(st.integers(-1, 6), min_size=k, max_size=k)), dtype=np.intp)
+        width, stride, n = draw(st.integers(-1, 17)), draw(st.integers(-1, 18)), draw(st.integers(1, 40))
+    return dict(P=np.arange(1.0, size + 1.0), off=off, width=width, stride=stride, n=n, h=h, m=np.array([1.0, 3.0]), warmup=0)
 
 
 def surface_forms(R, G, sums, w):
@@ -472,6 +513,7 @@ class TestWalkGuard:
 
     @given(walks())
     @example(dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=2, stride=4, n=6, h=np.ones(3), m=np.ones(2), warmup=0))
+    @example(dict(P=np.arange(1.0, 43.0), off=np.array([6, 0, 5, 1, 4, 2, 3]), width=17, stride=18, n=34, h=np.linspace(-1.3, 1.7, 7), m=np.ones(2), warmup=0))
     def test_filter_guard_is_the_walk_bounds(self, w):
         # admitted exactly when every read is inside P and the rows are
         # whole lines; then the sum over the taps in order, from 0.0
@@ -487,6 +529,7 @@ class TestWalkGuard:
 
     @given(walks())
     @example(dict(P=np.arange(1.0, 13.0), off=np.arange(3), width=2, stride=4, n=5, h=np.ones(3), m=np.ones(2), warmup=0))
+    @example(dict(P=np.arange(1.0, 43.0), off=np.array([6, 0, 5, 1, 4, 2, 3]), width=17, stride=18, n=30, h=np.linspace(-1.3, 1.7, 7), m=np.ones(2), warmup=0))
     def test_adapt_guard_is_the_walk_bounds(self, w):
         # admitted exactly when every read is inside P, part lines too;
         # then each row is the regressor the oracle adapts on
@@ -600,6 +643,13 @@ class TestKernelBuild:
             _native._load_library()
         assert re.search(r"\bcc\b", str(exc.value)) and str(source.parent / "__pycache__" / "_adapt-") in str(exc.value)
         assert not list(source.parent.rglob("*.tmp")) and not list(source.parent.rglob("*.so"))
+
+    def test_flags_keep_every_operation(self):
+        # the kernels' pairs round lane by lane as their scalar code does
+        # only if no multiply and add are fused and no sum is reordered
+        flags = _native._CFLAGS
+        assert "-ffp-contract=off" in flags
+        assert [f for f in flags if f in ("-ffast-math", "-Ofast", "-mfma") or f.startswith("-march=")] == []
 
     def test_compiles_without_warnings(self, source):
         flags = (*_native._CFLAGS, "-Wall", "-Wextra", "-Werror")
