@@ -21,7 +21,6 @@ from .degrade import (
     apply_degradation,
     extract_parameters,
     parameter_error,
-    stability_check,
     true_inverse,
     true_parameters,
 )
@@ -57,10 +56,9 @@ from .stats import (
     M2_GUARD,
     AlignedCorrelation,
     aligned_correlation,
-    init_moments,
     kurtosis_excess,
     normalized_correlation,
 )
-from .whitening import WhitenSpec, fit_lpc, highpass_whiten, highpass_whiten_2d, lpc_whiten, whiten
+from .whitening import WhitenSpec, fit_lpc, highpass_whiten, highpass_whiten_2d, whiten
 
 __version__ = "0.1.0"

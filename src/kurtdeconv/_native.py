@@ -8,7 +8,8 @@ None converts an input: an array that is not C-contiguous float64 of the
 dimensions an entry point needs is a ContractViolationError.
 
 At import, ctypes loads _adapt.c as the cc on PATH built it into
-__pycache__, under a name hashing source and flags. Without cc, or where
+__pycache__, under a name hashing source and flags; a build deletes the
+libraries of older sources or flags there. Without cc, or where
 the library cannot be built, cached or loaded, the import is an
 ImportError that names cc and the library's path.
 """
@@ -49,6 +50,11 @@ def _load_library() -> ctypes.CDLL:
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
+            # the new build replaces every older one (a process that loaded
+            # one keeps it mapped); other builders' tmp files stay
+            for old in path.parent.glob("_adapt-*.so"):
+                if old != path:
+                    old.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError) as exc:
         raise ImportError(f"kurtdeconv cannot build its kernels into {path} with cc, or load them: {getattr(exc, 'stderr', None) or exc}") from exc

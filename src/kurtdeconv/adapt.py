@@ -35,7 +35,7 @@ import numpy as np
 from ._native import adapt_pass, surface_moments
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
 from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _dot, _finite, _peak_shift, _pow2, _unit, _walk
-from .stats import M2_GUARD, init_moments, kurtosis_excess
+from .stats import M2_GUARD, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
 TAP_LIMIT = 1e6
@@ -178,7 +178,9 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     # the input power in the walk's scale (the padding adds only zeros)
     mantissa, k = np.frexp(np.sqrt(_dot(walk[0], walk[0]) / values.size))
     power = 4.0 ** (int(k) - int(0.0 < mantissa < np.sqrt(0.5)))
-    m = init_moments(_pow2(values.ravel()[: cfg.warmup], -shift))
+    # the warm-up block's [mean y^2, mean y^4] in the walk's scale; an empty mean warns
+    y2 = np.square(_pow2(values.ravel()[: cfg.warmup], -shift))
+    m = np.array([y2.mean(), (y2 * y2).mean()]) if y2.size else np.zeros(2)
     if cfg.warmup > 0 and m[0] <= M2_GUARD * power:
         raise DegenerateInputError(f"the {cfg.warmup}-sample warm-up is silent: second moment {m[0] / power:g} of the input power")
     pass_filters = []

@@ -30,19 +30,14 @@ _SLOTS = {
 KINDS = tuple(_SLOTS)
 
 
-def stability_check(a1: float, a2: float) -> bool:
-    """True iff both roots of z^2 - a1 z - a2 are strictly inside the unit
-    circle (the AR(2) stability triangle)."""
-    return abs(a2) < 1.0 and a2 + a1 < 1.0 and a2 - a1 < 1.0
-
-
 @dataclass(frozen=True)
 class DegradeSpec:
     """Parametric description of a degrading system.
 
     For echo_iir, ``delay`` is the echo spacing D; every other kind takes
     the default 1. a3 is meaningful only for image_iir3. The 1-D recursive
-    kinds must satisfy the stability triangle. The image kinds are only
+    kinds must satisfy the stability triangle: both roots of z^2 - a1 z - a2
+    strictly inside the unit circle. The image kinds are only
     checked at run time, by the peak guard of apply_degradation, because the
     conservative 2-D bound excludes parameter sets that are still usable in
     practice.
@@ -60,7 +55,7 @@ class DegradeSpec:
         for name in ("a1", "a2", "a3"):
             if not np.isfinite(_real(getattr(self, name), name)):
                 raise ContractViolationError(f"{name} must be finite")
-        if self.kind in ("echo_iir", "ar2_iir") and not stability_check(self.a1, self.a2):
+        if self.kind in ("echo_iir", "ar2_iir") and not (abs(self.a2) < 1.0 and self.a2 + self.a1 < 1.0 and self.a2 - self.a1 < 1.0):
             raise ContractViolationError(f"({self.a1}, {self.a2}) lies outside the stability triangle")
         if self.kind == "fir2" and not (abs(self.a1) < 1.0 and abs(self.a2) < 1.0):
             raise ContractViolationError("fir2 requires |a1| < 1 and |a2| < 1 for an invertible system")

@@ -1,5 +1,4 @@
-"""Scoring statistics: excess kurtosis, correlations, and the warm-up
-moment seed.
+"""Scoring statistics: excess kurtosis and correlations.
 
 The cost driving everything here is normalized excess kurtosis
 
@@ -140,11 +139,11 @@ def aligned_correlation(a, b, max_lag: int) -> AlignedCorrelation:
     """
     if any(isinstance(v, Image2D) for v in (a, b)):
         raise ContractViolationError("aligned correlation lags samples; an Image2D has none")
-    av, bv = (_pow2(v, -_peak_shift(v)) for v in _pair(a, b))
+    av, bv = _pair(a, b)
     if not 0 <= 2 * _count(max_lag, "max_lag") <= av.size:
         raise ContractViolationError(f"max_lag must lie in [0, {av.size // 2}], half the length, got {max_lag}")
-    # each overlap is scaled again into a scratch array and centred there:
-    # a plain copy, unless the lag dropped every value of magnitude >= 0.5
+    # each overlap is divided by the power of two above its own peak into a
+    # scratch array and centred there, as normalized_correlation centres it
     scratch = np.empty(av.size), np.empty(bv.size)
     best = None
     for lag in range(-max_lag, max_lag + 1):
@@ -159,13 +158,3 @@ def aligned_correlation(a, b, max_lag: int) -> AlignedCorrelation:
         raise DegenerateInputError("no lag produced a usable overlap")
     rho, lag = best
     return AlignedCorrelation(rho, lag, 1 if rho >= 0.0 else -1)
-
-
-def init_moments(block) -> np.ndarray:
-    """[m2, m4]: the batch moments E{y^2} and E{y^4} of a warm-up block,
-    zeros for an empty block."""
-    y = np.asarray(block, dtype=np.float64).ravel()
-    if y.size == 0:
-        return np.zeros(2)
-    y2 = y * y
-    return np.array([y2.mean(), (y2 * y2).mean()])

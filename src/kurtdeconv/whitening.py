@@ -88,20 +88,14 @@ def fit_lpc(x: Signal1D, order: int) -> np.ndarray:
     return a
 
 
-def lpc_whiten(x: Signal1D, coeffs) -> Signal1D:
-    """Prediction residual e(n) = x(n) - sum_k coeffs[k-1] x(n-k), zero
-    prefix: x filtered by the taps [1, -coeffs]. coeffs must be a
-    nonempty, finite 1-D sequence."""
-    return apply_taps(x, FilterTaps1D(np.concatenate(([1.0], -FilterTaps1D(coeffs).taps))))
-
-
 def whiten(data, spec: WhitenSpec):
     """Whiten a Signal1D or Image2D as spec describes; lpc whitening takes
-    only a Signal1D (anything else is a ContractViolationError)."""
+    only a Signal1D (anything else is a ContractViolationError) and returns
+    its residual by the fit_lpc predictor a: x filtered by the taps [1, -a]."""
     if spec.kind == "none":
         return data
     if spec.kind == "highpass":
         return highpass_whiten(data)
     if not isinstance(data, Signal1D):
         raise ContractViolationError(f"lpc whitening takes a Signal1D, not {type(data).__name__}")
-    return lpc_whiten(data, fit_lpc(data, spec.order))
+    return apply_taps(data, FilterTaps1D(np.concatenate(([1.0], -fit_lpc(data, spec.order)))))

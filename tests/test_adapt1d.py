@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import hashlib
 import itertools
 import os
 import re
@@ -256,6 +257,8 @@ class TestEngines:
         st.integers(1, 300),
     )
     @example(4, 0, 1, 0.99, 308.0, 1.0, 0.0, 0, 300)
+    # no warm-up: the engines start from zero moments, as the oracle does
+    @example(3, 0, 2, 0.99, -3.0, 1.0, 0.0, 1, 200)
     def test_engines_match_oracle(self, taps, warmup, passes, beta, log_mu, sign, log_gain, seed, length):
         # the kernel rounds as adapt_step does, so it matches it bit for bit
         # and diverges at the same (pass, sample)
@@ -625,14 +628,26 @@ class TestKernelBuild:
 
     def test_built_once_then_loaded_from_cache(self, source, monkeypatch):
         assert isinstance(_native._load_library(), ctypes.CDLL)
-        built = list((source.parent / "__pycache__").iterdir())
+        cache = source.parent / "__pycache__"
+        built = list(cache.iterdir())
         assert len(built) == 1 and built[0].name.startswith("_adapt-") and built[0].suffix == ".so"
 
         def no_compile(*args, **kwargs):
             raise AssertionError("the cached kernel was rebuilt")
 
+        compile_ = _native.subprocess.run
         monkeypatch.setattr(_native.subprocess, "run", no_compile)
         assert isinstance(_native._load_library(), ctypes.CDLL)
+
+        # a changed source is built anew, and its library replaces the old
+        # one; a concurrent builder's tmp file is left to that builder
+        monkeypatch.setattr(_native.subprocess, "run", compile_)
+        source.write_bytes(source.read_bytes() + b"\n/* changed */\n")
+        busy = cache / f"{built[0].name}.1.tmp"
+        busy.write_bytes(b"")
+        assert isinstance(_native._load_library(), ctypes.CDLL)
+        tag = hashlib.sha256(source.read_bytes() + " ".join(_native._CFLAGS).encode()).hexdigest()[:16]
+        assert {p.name for p in cache.iterdir()} == {f"_adapt-{tag}.so", busy.name} and built[0].name != f"_adapt-{tag}.so"
 
     @pytest.mark.parametrize("case", UNBUILDABLE)
     def test_unbuildable_library_is_an_import_error(self, source, monkeypatch, case):

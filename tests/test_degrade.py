@@ -15,7 +15,6 @@ from kurtdeconv import (
     apply_kernel,
     apply_taps,
     kurtosis_excess,
-    stability_check,
     true_inverse,
 )
 from kurtdeconv import _native
@@ -34,14 +33,27 @@ def image_inverse(a1, a2, a3=0.0):
 
 
 class TestStability:
-    def test_known_good_pair(self):
-        assert stability_check(0.6, 0.3)
+    # the 1-D recursive kinds take (a1, a2) inside the stability triangle only
+    @pytest.mark.parametrize("kind", ["ar2_iir", "echo_iir"])
+    def test_known_good_pair(self, kind):
+        assert DegradeSpec(kind, a1=0.6, a2=0.3).a1 == 0.6
 
-    def test_triangle_violation(self):
-        assert not stability_check(1.0, 0.5)
+    @pytest.mark.parametrize("kind", ["ar2_iir", "echo_iir"])
+    def test_triangle_violation(self, kind):
+        with pytest.raises(ContractViolationError, match="stability triangle"):
+            DegradeSpec(kind, a1=1.0, a2=0.5)
 
-    def test_identity(self):
-        assert stability_check(0.0, 0.0)
+    @pytest.mark.parametrize("kind", ["ar2_iir", "echo_iir"])
+    def test_identity(self, kind):
+        assert DegradeSpec(kind).a2 == 0.0
+
+    # each edge of the triangle on its own, just inside and on it: |a2| < 1,
+    # a2 + a1 < 1 and a2 - a1 < 1 are each strict
+    @pytest.mark.parametrize("inside, on", [((0.0, -0.99), (0.0, -1.0)), ((0.59, 0.4), (0.6, 0.4)), ((-0.59, 0.4), (-0.6, 0.4))])
+    def test_each_edge_is_strict(self, inside, on):
+        assert DegradeSpec("ar2_iir", *inside).a1 == inside[0]
+        with pytest.raises(ContractViolationError, match="stability triangle"):
+            DegradeSpec("ar2_iir", *on)
 
 
 class TestDegradeSpec:

@@ -508,8 +508,8 @@ def test_memory_peak_in_full_length_arrays(cfg, arrays):
 
 @pytest.mark.parametrize("cfg", [_AUDIO_AR2, _IMAGE_IIR], ids=["audio_ar2", "image_iir"])
 def test_second_run_of_a_shape_reuses_the_scratch(cfg):
-    # the walk, the RMS copy and the scores' arrays stay in the thread's
-    # scratch, so the second run makes at least one full-length array fewer
+    # the walk and the scores' arrays stay in the thread's scratch, so the
+    # second run makes at least one full-length array fewer
     n = cfg.source.length or cfg.source.height * cfg.source.width
     first, second = peaks_in_a_new_thread(lambda: run_experiment(cfg), runs=2)
     assert second <= first - 8 * n

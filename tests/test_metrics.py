@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -113,6 +115,29 @@ class TestAlignedCorrelation:
         a, b = s.copy(), np.roll(s, 3)
         a[-1], b[0] = 2.0**340, -(2.0**340)
         assert aligned_correlation(a, b, 5) == (normalized_correlation(a[:-3], b[3:]), 3, 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overlap_scaled_at_its_own_peak_only(self, seed):
+        # a spike of 2**1023 at each end: divided by it first, every other
+        # value of the overlap that drops both spikes would be subnormal
+        s = np.random.default_rng(seed).laplace(size=200)
+        a, b = s.copy(), np.roll(s, 3)
+        a[-1], b[0] = 2.0**1023, -(2.0**1023)
+        assert aligned_correlation(a, b, 5) == (normalized_correlation(a[:-3], b[3:]), 3, 1)
+
+    def test_works_in_two_arrays(self, rng):
+        # one scratch array per argument, each overlap scaled and centred
+        # there; the arguments themselves are not copied
+        n = 100_000
+        a, b = rng.laplace(size=n), rng.laplace(size=n)
+        aligned_correlation(a, b, 2)
+        tracemalloc.start()
+        try:
+            aligned_correlation(a, b, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * a.nbytes
 
     @pytest.mark.parametrize("a, b", [([np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]), ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, -np.inf])])
     def test_non_finite_array_rejected(self, a, b):

@@ -64,6 +64,11 @@ class TestContainers:
     def test_taps_len(self):
         assert len(FilterTaps1D([1.0, 0.0])) == 2
 
+    @pytest.mark.parametrize("taps", [[], [np.nan], [[0.5]]])
+    def test_taps_reject_bad_coefficients(self, taps):
+        with pytest.raises(ContractViolationError):
+            FilterTaps1D(taps)
+
     def test_caller_data_is_copied(self):
         values = np.array([1.0, 2.0, 3.0])
         s = Signal1D(values)

@@ -8,7 +8,6 @@ from kurtdeconv import (
     DegenerateInputError,
     Image2D,
     Signal1D,
-    init_moments,
     kurtosis_excess,
     normalized_correlation,
 )
@@ -23,6 +22,7 @@ from conftest import (
     laplace_signal,
     rms_scaled_kurtosis,
     update_moments,
+    warmup_moments,
 )
 
 
@@ -180,9 +180,9 @@ class TestMoments:
         assert min(m2, y * y) - 1e-12 <= st_.m2 <= max(m2, y * y) + 1e-12
         assert min(m4, y**4) - 1e-9 <= st_.m4 <= max(m4, y**4) + 1e-9
 
-    def test_init_moments_batch(self):
-        assert init_moments(np.array([1.0, -2.0])).tolist() == [2.5, 8.5]
-        assert init_moments(np.array([])).tolist() == [0.0, 0.0]
+    def test_warmup_moments_batch(self):
+        assert warmup_moments(np.array([1.0, -2.0])) == (2.5, 8.5)
+        assert warmup_moments(np.array([])) == (0.0, 0.0)
 
 
 class TestFeedback:
