@@ -297,6 +297,14 @@ static inline void flush(pair *total, pair *acc, int k)
  * time before adding them to the totals, so a term passes through about
  * BLOCK / 2 + n / BLOCK additions, not n / 2. The caller keeps every read
  * inside P and n >= 1 (kurtdeconv._native.surface_moments checks both).
+ *
+ * Pass 2 does not restart the block count: steps carries on from pass 1,
+ * so pass 2's first block is cut short by the steps of pass 1's last one,
+ * and where each of its blocks starts depends on pass 1's step count.
+ * Resetting steps between the passes moves bits of G and M, and so of the
+ * surface, once: on inputs shaped as perfbench's audio_ar2 workload's, at
+ * n = 100,000 and 20,000 (the argmax unchanged), but not at n = 128, where
+ * pass 1 ends on a block boundary.
  */
 void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, ptrdiff_t stride, ptrdiff_t n,
                         double *R, double *G, double *M)

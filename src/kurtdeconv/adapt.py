@@ -34,7 +34,7 @@ import numpy as np
 
 from ._native import adapt_pass, surface_moments
 from .errors import ContractViolationError, DegenerateInputError, DivergenceError, _count, _real
-from .signals import _FILTERS, FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _dot, _finite, _peak_shift, _pow2, _unit, _walk
+from .signals import FilterTaps1D, Image2D, Kernel2D, Signal1D, _apply, _array, _dot, _finite, _peak_shift, _pow2, _unit, _walk
 from .stats import M2_GUARD, kurtosis_excess
 
 #: Magnitude above which any tap is treated as numeric blow-up.
@@ -158,13 +158,14 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
     (the pixel by its raster index). x1 is not filtered here; the result's
     output and its kurtosis fields are computed on first read.
     """
-    start = cfg.identity()
-    kind = _FILTERS[type(start)]
+    kind = Image2D if isinstance(cfg, Adapt2dConfig) else Signal1D
     if not isinstance(x1, kind):
         raise ContractViolationError(f"{type(cfg).__name__} adapts over {kind.__name__}, not {type(x1).__name__}")
-    values, h0 = _array(x1), _array(start)
+    # the size rules need only x1's shape and the config's fields, so an
+    # input too small for the filter is refused before cfg.identity() builds it
+    values = _array(x1)
     if kind is Image2D:
-        (H, W), (M, N) = values.shape, h0.shape
+        (H, W), M, N = values.shape, cfg.rows, cfg.cols
         # >= rather than > so a 1xN image with a 1x1 kernel stays legal (the
         # degenerate case the 1-D equivalence property relies on).
         if H < M or W < N:
@@ -173,7 +174,8 @@ def run_adapt(x1: Signal1D | Image2D, cfg: AdaptConfig | Adapt2dConfig) -> Adapt
             raise DegenerateInputError(f"warmup {cfg.warmup} consumes the whole {H}x{W} image")
     elif len(x1) <= cfg.warmup + cfg.taps:
         raise DegenerateInputError(f"signal length {len(x1)} too short for warmup {cfg.warmup} and {cfg.taps} taps")
-    shift = _peak_shift(values)
+    start = cfg.identity()
+    h0, shift = _array(start), _peak_shift(values)
     walk, h = _walk(values, h0.shape, shift), h0.flatten()
     # the input power in the walk's scale (the padding adds only zeros)
     mantissa, k = np.frexp(np.sqrt(_dot(walk[0], walk[0]) / values.size))

@@ -11,7 +11,12 @@ Subcommands:
 Files are WAV or PGM by extension. An option left out takes the default of
 the library spec it sets; one the input lacks (--taps on a PGM) is an error.
 
-Exit codes: 0 success, 1 usage error, 2 format error, 3 numeric divergence.
+Exit codes: 0 success; 1 a usage error, any other contract violation or
+degenerate input, a file that cannot be read or written, or a size the host
+cannot allocate (MemoryError); 2 a format error, a config file that is not
+UTF-8 included; 3 numeric divergence. A command fails only by raising, and
+main maps the exception to its code and prints it as one stderr line, after
+the usage for a usage error.
 """
 from __future__ import annotations
 
@@ -32,10 +37,11 @@ from .whitening import WHITEN_KINDS, WhitenSpec, whiten
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the documented
-    # contract reserves 2 for format errors and uses 1 for usage.
+    # contract reserves 2 for format errors, so a usage error is raised
+    # as the contract violation it is, which main maps to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"error: {message}") from None
+        raise ContractViolationError(message)
 
 
 def _given(args, *names) -> dict:
@@ -52,7 +58,7 @@ def _check_output(path: str, kind: type) -> None:
 
 
 def _write_any(path: str, data) -> None:
-    _check_output(path, type(data))
+    """Write data to path, whose kind the command checked before it computed data."""
     if is_image_path(path):
         write_image(path, rescale_unit(data))
     else:
@@ -235,17 +241,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return 0 if exc.code in (0, None) else 1
+        # argparse exits by itself only after printing --help, with code 0
+        return exc.code
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
-    except (KurtdeconvError, OSError) as exc:
+    except (KurtdeconvError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

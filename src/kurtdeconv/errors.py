@@ -26,7 +26,8 @@ class DivergenceError(KurtdeconvError, RuntimeError):
 
 
 class FormatError(KurtdeconvError, ValueError):
-    """A file does not conform to the supported WAV/PGM/config format."""
+    """A file does not conform to the supported WAV/PGM/config format; a
+    config file that is not UTF-8 is one."""
 
 
 def _count(value, name: str) -> int:

@@ -344,5 +344,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """parse_config of the file at path; a file that is not UTF-8 is a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_config(text)

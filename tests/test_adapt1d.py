@@ -106,6 +106,12 @@ class TestRunAdapt:
         with pytest.raises(DegenerateInputError):
             run_adapt(Signal1D(np.ones(10)), AdaptConfig(taps=4, warmup=8))
 
+    def test_length_rule_comes_before_the_filter_is_built(self, monkeypatch):
+        # 10**12 taps would take 7.28 TiB: the length rule refuses them unbuilt
+        monkeypatch.setattr(AdaptConfig, "identity", lambda cfg: pytest.fail("run_adapt built the filter"))
+        with pytest.raises(DegenerateInputError, match=r"^signal length 100 too short for warmup 256 and 1000000000000 taps$"):
+            run_adapt(Signal1D(np.ones(100)), AdaptConfig(taps=10**12))
+
     def test_divergence_guard_names_location(self):
         # mu large enough that a single update overshoots the tap limit
         # (moderately large mu merely stalls: the m2^3 denominator quenches)

@@ -135,6 +135,12 @@ class TestRunAdapt2d:
         with pytest.raises(DegenerateInputError):
             run_adapt(Image2D(np.ones((2, 8))), Adapt2dConfig(rows=3, cols=3))
 
+    def test_size_rule_comes_before_the_kernel_is_built(self, monkeypatch):
+        # a 1000001x1000001 kernel would take 7.28 TiB: the size rule refuses it unbuilt
+        monkeypatch.setattr(Adapt2dConfig, "identity", lambda cfg: pytest.fail("run_adapt built the kernel"))
+        with pytest.raises(DegenerateInputError, match=r"^image 4x4 is smaller than the kernel 1000001x1000001$"):
+            run_adapt(Image2D(np.ones((4, 4))), Adapt2dConfig(rows=10**6 + 1, cols=10**6 + 1))
+
     def test_warmup_covering_the_image(self):
         with pytest.raises(DegenerateInputError, match="consumes the whole 8x8 image"):
             run_adapt(Image2D(np.random.default_rng(7).random((8, 8))), Adapt2dConfig(warmup=64))

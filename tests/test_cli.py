@@ -388,3 +388,59 @@ def test_lpc_whitening_of_image_is_usage_error(tmp_path):
     assert rc == 1
     assert not filt.exists()
     assert main(["whiten", str(src), str(tmp_path / "white.pgm"), "--kind", "lpc"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["degrade"], "the following arguments are required: input, output, --kind"),
+    (["sweep", "a.wav"], "the following arguments are required: output"),
+    (["deconv", "s.wav", "o.wav", "--taps", "x"], "argument --taps: invalid int value: 'x'"),
+])
+def test_usage_error_prints_the_usage_and_one_error_line(argv, message, capsys):
+    assert main([argv[0], "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0] + "\n"
+    assert usage.startswith(f"usage: kurtdeconv {argv[0]} ")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{usage}error: {message}\n"
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: kurtdeconv ") and "Exit codes:" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run_adapt", ["deconv", "{wav}", "{dir}/o.wav", "--filter-out", "{dir}/f.txt"]),
+    ("kurtosis_surface", ["sweep", "{wav}", "{dir}/g.csv"]),
+])
+def test_memory_exhaustion_exits_1_with_one_line(tmp_path, source_wav, capsys, monkeypatch, name, argv):
+    # a size the host cannot hold, raised where the library call would
+    # allocate it; no test allocates it for real
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64")
+
+    monkeypatch.setattr(f"kurtdeconv.cli.{name}", exhausted)
+    assert main([a.format(wav=source_wav, dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64\n"
+    assert not (tmp_path / "o.wav").exists() and not (tmp_path / "g.csv").exists()
+
+
+def test_too_many_taps_for_the_signal_exit_1_unbuilt(tmp_path, source_wav, capsys, monkeypatch):
+    monkeypatch.setattr(AdaptConfig, "identity", lambda cfg: pytest.fail("deconv built the filter"))
+    assert main(["deconv", str(source_wav), str(tmp_path / "o.wav"), "--filter-out", str(tmp_path / "f.txt"),
+                 "--taps", "1000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: signal length 30000 too short for warmup 256 and 1000000000000 taps\n"
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"experiment.id = caf\xe9\nsource.seed = 1\nsource.length = 5000\n")
+    assert main(["experiment", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"format error: config {cfg} is not UTF-8: invalid continuation byte at byte 19\n"
