@@ -23,6 +23,59 @@ static int over_limit(const double *h, ptrdiff_t k, double limit)
     return 0;
 }
 
+/* The fewest taps whose output kd_adapt_pass sums in four lanes. Below it
+ * y is summed in tap order: at 3 taps and 3 x 3 the latency of g, not the
+ * chain of adds, bounds a row, and the lanes cost 4% at 3 taps. */
+#define LANES_FROM 16
+
+/* The output sum of kd_adapt_pass over the k terms t(j) = h[j] * w[off[j]]
+ * of a row whose taps take no update; the sweep of a row that takes one
+ * sums its products in the same order:
+ *
+ *   - an odd count adds t(0) to 0.0 first, in a scalar step;
+ *   - below LANES_FROM taps the rest follow in tap order;
+ *   - from LANES_FROM taps the rest go four at a time into the lanes of
+ *     two pairs, a and c: taps j and j + 1 into a, j + 2 and j + 3 into c,
+ *     a leftover two into a; then y += (a + c)[0] + (a + c)[1].
+ */
+static double output(const double *h, const ptrdiff_t *off, const double *w, ptrdiff_t k)
+{
+    double y = 0.0;
+    ptrdiff_t j = 0;
+    if (k % 2) {
+        y += h[0] * w[off[0]];
+        j = 1;
+    }
+    if (k < LANES_FROM) {
+        for (; j < k; j++)
+            y += h[j] * w[off[j]];
+        return y;
+    }
+    pair a = {0.0, 0.0}, c = {0.0, 0.0};
+    for (; j + 4 <= k; j += 4) {
+        a += (pair){h[j], h[j + 1]} * (pair){w[off[j]], w[off[j + 1]]};
+        c += (pair){h[j + 2], h[j + 3]} * (pair){w[off[j + 2]], w[off[j + 3]]};
+    }
+    if (j < k)
+        a += (pair){h[j], h[j + 1]} * (pair){w[off[j]], w[off[j + 1]]};
+    const pair s = a + c;
+    return y + (s[0] + s[1]);
+}
+
+/* Taps j and j + 1 of kd_adapt_pass's update sweep, one a lane: each tap
+ * takes its held update g * u and is stored, the squares of the new taps
+ * are added to sq, and their products with row w are returned. */
+static inline pair update(double *h, const ptrdiff_t *off, ptrdiff_t j, double g, const double *u, const double *w,
+                          pair *sq)
+{
+    const ptrdiff_t a = off[j], b = off[j + 1];
+    const pair v = (pair){h[j], h[j + 1]} + g * (pair){u[a], u[b]};
+    h[j] = v[0];
+    h[j + 1] = v[1];
+    *sq += v * v;
+    return v * (pair){w[a], w[b]};
+}
+
 /* One pass of the kurtosis-gradient recursion of kurtdeconv.adapt._adapt.
  *
  * Runs rows warmup..n-1 of the regressor walk over P: row r starts at
@@ -39,25 +92,26 @@ static int over_limit(const double *h, ptrdiff_t k, double limit)
  * each tap just before that tap enters the output sum, and the update of
  * the last row is applied after the loop. Every tap and output therefore
  * goes through the same operations in the same order as when the update
- * is applied in a sweep of its own. The same sweep sums the squares of
- * the new taps, and only a sum of at least limit^2 (or NaN) runs the exact
- * per-tap test. That screen misses nothing: partial sums of nonnegative
- * terms never decrease under round-to-nearest, so a tap with
- * |h_j| > limit leaves the sum at or above fl(h_j^2) >= fl(limit^2), and a
- * NaN or infinite tap leaves it NaN or infinite.
+ * is applied in a sweep of its own: y is summed in the order of output()
+ * in both. The same sweep sums the squares of the new taps, and only a
+ * sum of at least limit^2 (or NaN) runs the exact per-tap test. That
+ * screen misses nothing: partial sums of nonnegative terms never decrease
+ * under round-to-nearest, so a tap with |h_j| > limit leaves the sum at or
+ * above fl(h_j^2) >= fl(limit^2), and a NaN or infinite tap leaves it NaN
+ * or infinite.
  *
- * The sweep takes two taps a step, one a lane of a pair: the update, the
- * store of the taps, the squares and the products v * w run in the lanes,
- * each lane the scalar operations of its tap, and y adds the two products
- * of a step in tap order, from 0.0. An odd count of taps takes tap 0 in a
- * scalar step first, so that y's chain of adds starts while g is still
- * being copied into both lanes. So only the screen sums in another order:
- * each lane sums the squares of its own taps, and the sum of the two lanes
- * is added to tap 0's square. Each lane's sum never decreases either, and
- * neither does a sum of nonnegative sums, so the total is at least the
- * lane sum of any tap and the screen still misses no tap over the limit
- * and no NaN. A limit exceeded in the sweep of row r is the update of row
- * r - 1, whose moments m still holds.
+ * The sweep takes two taps a step, one a lane of a pair (update()). An odd
+ * count of taps takes tap 0 in a scalar step first, so that y's adds start
+ * while g is still being copied into both lanes. Below LANES_FROM taps y
+ * adds the two products of a step in tap order; from LANES_FROM taps the
+ * steps alternate between the accumulators a and c of output(), so four
+ * chains of adds run side by side instead of one. The screen sums in its
+ * own order: each lane sums the squares of its own taps, and the sum of
+ * the two lanes is added to tap 0's square. Each lane's sum never
+ * decreases either, and neither does a sum of nonnegative sums, so the
+ * total is at least the lane sum of any tap and the screen still misses
+ * no tap over the limit and no NaN. A limit exceeded in the sweep of row r
+ * is the update of row r - 1, whose moments m still holds.
  *
  * A direct test !(|v| <= limit) in the lanes, in place of the screen, keeps
  * every bit too, but at k = 201 it took 356-362 ns per update against the
@@ -88,15 +142,22 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
                 y += v * w[off[0]];
                 j = 1;
             }
-            for (; j < k; j += 2) {
-                const ptrdiff_t a = off[j], b = off[j + 1];
-                const pair v = (pair){h[j], h[j + 1]} + g * (pair){u[a], u[b]};
-                const pair p = v * (pair){w[a], w[b]};
-                h[j] = v[0];
-                h[j + 1] = v[1];
-                sq += v * v;
-                y += p[0];
-                y += p[1];
+            if (k < LANES_FROM) {
+                for (; j < k; j += 2) {
+                    const pair p = update(h, off, j, g, u, w, &sq);
+                    y += p[0];
+                    y += p[1];
+                }
+            } else {
+                pair a = {0.0, 0.0}, c = {0.0, 0.0};
+                for (; j + 4 <= k; j += 4) {
+                    a += update(h, off, j, g, u, w, &sq);
+                    c += update(h, off, j + 2, g, u, w, &sq);
+                }
+                if (j < k)
+                    a += update(h, off, j, g, u, w, &sq);
+                const pair s = a + c;
+                y += s[0] + s[1];
             }
             ss += sq[0] + sq[1];
             u = NULL;
@@ -105,8 +166,7 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
                 break;
             }
         } else {
-            for (ptrdiff_t j = 0; j < k; j++)
-                y += h[j] * w[off[j]];
+            y = output(h, off, w, k);
         }
         const double y2 = y * y;
         m2 = beta * m2 + omb * y2;
@@ -207,9 +267,11 @@ void kd_image_allpole(const double *restrict f, double *restrict g, ptrdiff_t h,
 }
 
 /* The filter of kurtdeconv._native.filter_walk, every FIR and kernel filter
- * of kurtdeconv: out[r] is the sum, from 0.0 and in tap order (the order of
- * kd_adapt_pass's y), of h[j] * P[base(r) + off[j]] over the k taps, for the
- * n rows of the regressor walk of kd_adapt_pass, n a multiple of width.
+ * of kurtdeconv: out[r] is the sum, from 0.0 and in tap order, of
+ * h[j] * P[base(r) + off[j]] over the k taps, for the n rows of the
+ * regressor walk of kd_adapt_pass, n a multiple of width. That is the order
+ * of kd_adapt_pass's y only below LANES_FROM taps; a filtered output is
+ * never a y (y is formed mid-update), so no result needs the two equal.
  * Eight neighbouring rows of a line, two a pair in four pairs, share each
  * tap's broadcast; each row is summed in its own lane, from 0.0 over the
  * taps in order. The last width % 8 rows of a line are summed one at a

@@ -74,9 +74,14 @@ class AdaptConfig:
             raise ContractViolationError(f"taps must be >= 1, got {self.taps}")
         _check_schedule(self)
 
+    @property
+    def shape(self) -> tuple[int]:
+        """The shape of the filter, (taps,)."""
+        return (self.taps,)
+
     def identity(self) -> FilterTaps1D:
         """The starting filter: tap 0 is 1, so its output is the input."""
-        return FilterTaps1D(_unit(self.taps))
+        return FilterTaps1D(_unit(self.shape))
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,14 @@ class Adapt2dConfig:
             raise ContractViolationError(f"kernel dimensions must be odd and positive, got {self.rows}x{self.cols}")
         _check_schedule(self)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of the kernel, (rows, cols)."""
+        return (self.rows, self.cols)
+
     def identity(self) -> Kernel2D:
         """The starting filter: the center weight is 1, so its output is the input."""
-        return Kernel2D(_unit((self.rows, self.cols)))
+        return Kernel2D(_unit(self.shape))
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,6 +112,20 @@ def _slots(spec: DegradeSpec) -> dict[str, tuple]:
     return {name: (pos * spec.delay, sign) for name, (pos, sign) in _SLOTS[spec.kind].items()}
 
 
+def _slot_indices(spec: DegradeSpec, shape: tuple[int, ...]) -> dict[str, tuple[tuple, float]]:
+    """The index and sign of each parameter slot of spec in a filter of
+    this shape, (taps,) or (rows, cols), read from the shape alone. A slot
+    off the filter, or of the other dimension, is a ContractViolationError."""
+    origin = _origin(shape)
+    out = {}
+    for name, (pos, sign) in _slots(spec).items():
+        index = np.add(origin, pos)
+        if np.size(pos) != len(shape) or not np.all((index >= 0) & (index < shape)):
+            raise ContractViolationError(f"a {shape} filter has no {spec.kind} slot at {pos}")
+        out[name] = (tuple(index), sign)
+    return out
+
+
 def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | Kernel2D:
     """The analytic inverse of spec: a 3x3 Kernel2D for an image kind, else
     FilterTaps1D of taps length, by default the fewest that hold every slot.
@@ -136,8 +150,8 @@ def true_inverse(spec: DegradeSpec, taps: int | None = None) -> FilterTaps1D | K
         h = _unit(taps)
     if spec.kind == "fir2":
         return FilterTaps1D(allpole(h, 1, -(spec.a1 + spec.a2), -(spec.a1 * spec.a2)))
-    for name, (pos, sign) in slots.items():
-        h[tuple(np.add(_origin(h), pos))] = sign * getattr(spec, name)
+    for name, (index, sign) in _slot_indices(spec, h.shape).items():
+        h[index] = sign * getattr(spec, name)
     return Kernel2D(h) if h.ndim == 2 else FilterTaps1D(h)
 
 
@@ -148,17 +162,10 @@ def extract_parameters(spec: DegradeSpec, estimated) -> dict[str, float]:
     if not isinstance(estimated, (FilterTaps1D, Kernel2D)):
         raise ContractViolationError(f"unsupported estimate type {type(estimated).__name__}")
     coeffs = _array(estimated)
-    origin = _origin(coeffs)
-    unit = coeffs[origin]
+    unit = coeffs[_origin(coeffs.shape)]
     if unit == 0.0:
         raise DegenerateInputError("a filter whose unit coefficient is 0 cannot be scaled")
-    out = {}
-    for name, (pos, sign) in _slots(spec).items():
-        index = np.add(origin, pos)
-        if np.size(pos) != coeffs.ndim or not np.all((index >= 0) & (index < coeffs.shape)):
-            raise ContractViolationError(f"a {coeffs.shape} filter has no {spec.kind} slot at {pos}")
-        out[name] = sign * coeffs[tuple(index)] / unit
-    return out
+    return {name: sign * coeffs[index] / unit for name, (index, sign) in _slot_indices(spec, coeffs.shape).items()}
 
 
 def true_parameters(spec: DegradeSpec) -> dict[str, float]:

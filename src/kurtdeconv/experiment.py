@@ -15,7 +15,7 @@ import numpy as np
 
 from ._native import integrate
 from .adapt import Adapt2dConfig, AdaptConfig, run_adapt
-from .degrade import DegradeSpec, apply_degradation, extract_parameters, true_parameters
+from .degrade import DegradeSpec, _slot_indices, apply_degradation, extract_parameters, true_parameters
 from .errors import ContractViolationError, FormatError, _count
 from .fileio import _write_file, is_image_path, read_any, rescale_unit
 from .signals import Image2D, Signal1D, _apply, _array, _Owned
@@ -91,8 +91,9 @@ class ExperimentConfig:
             raise ContractViolationError("lpc whitening takes a 1-D source, not an image")
         if self.degrade is not None:
             # a filter with no slot for a parameter, the other dimension's
-            # included, fails here, not after adapting
-            extract_parameters(self.degrade, self.adapt.identity())
+            # included, fails here, not after adapting; the shape alone
+            # answers, so no filter is built
+            _slot_indices(self.degrade, self.adapt.shape)
 
 
 def make_source(spec: SourceSpec):

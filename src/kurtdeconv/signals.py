@@ -207,7 +207,8 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
 def _filtered(h: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The package's one filter: samples or pixels filtered by h, the walk
     filter of _native over the walk the adaptation reads, each output
-    summed from 0.0 in the order of h, as run_adapt forms its output."""
+    summed from 0.0 in the order of h. run_adapt sums its a-priori output
+    in that order only below 16 taps; no filtered output is one of those."""
     return filter_walk(*_walk(values, h.shape), h.ravel()).reshape(values.shape)
 
 
@@ -247,10 +248,10 @@ def _array(container) -> np.ndarray:
     return getattr(container, fields(container)[0].name)
 
 
-def _origin(coeffs: np.ndarray) -> tuple[int, ...]:
-    """Where a filter's unit coefficient sits: tap 0 of taps, the center
-    of a kernel's (odd-sized) weights."""
-    return (0,) if coeffs.ndim == 1 else tuple(n // 2 for n in coeffs.shape)
+def _origin(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Where the unit coefficient of a filter of this shape sits: tap 0 of
+    taps, the center of a kernel's (odd-sized) weights."""
+    return (0,) if len(shape) == 1 else tuple(n // 2 for n in shape)
 
 
 def normalize_taps(taps: FilterTaps1D) -> FilterTaps1D:
@@ -269,14 +270,14 @@ def normalize_kernel(kernel: Kernel2D) -> Kernel2D:
     peak = w[r, c]
     if peak == 0.0:
         raise DegenerateInputError("all-zero kernel cannot be normalized")
-    centered = np.roll(w / peak, tuple(np.subtract(_origin(w), (r, c))), axis=(0, 1))
+    centered = np.roll(w / peak, tuple(np.subtract(_origin(w.shape), (r, c))), axis=(0, 1))
     return Kernel2D(centered)
 
 
 def _unit(shape) -> np.ndarray:
     """The identity filter's coefficients: 1 at the origin, 0 elsewhere."""
     h = np.zeros(shape)
-    h[_origin(h)] = 1.0
+    h[_origin(h.shape)] = 1.0
     return h
 
 

@@ -161,6 +161,33 @@ def feedback(state: MomentState, y: float) -> float:
     return float(4.0 * ((m2 * (y * y) - state.m4) * y) / (m2 * m2 * m2))
 
 
+# The fewest taps whose output the engines sum in four lanes (LANES_FROM
+# in _adapt.c).
+LANES_FROM = 16
+
+
+def output(h, w) -> float:
+    """The a-priori output sum(h[j] * w[j]) in the engines' order: from
+    0.0, an odd count's term 0 first; then, below LANES_FROM taps, the rest
+    in tap order, else the rest four at a time into lanes a0, a1, c0, c1, a
+    leftover two into a0 and a1, added as (a0 + c0) + (a1 + c1)."""
+    terms = [tap * value for tap, value in zip(h, w)]
+    y = 0.0
+    if len(terms) % 2:
+        y += terms.pop(0)
+    if len(h) < LANES_FROM:
+        for t in terms:
+            y += t
+        return y
+    lanes = [0.0] * 4
+    for j, t in enumerate(terms[: len(terms) - len(terms) % 4]):
+        lanes[j % 4] += t
+    if len(terms) % 4:
+        lanes[0] += terms[-2]
+        lanes[1] += terms[-1]
+    return y + ((lanes[0] + lanes[2]) + (lanes[1] + lanes[3]))
+
+
 def adapt_step(h: np.ndarray, state: MomentState, window, mu: float):
     """One adaptive update of the float64 taps h; returns (y, new taps, new
     state).
@@ -168,15 +195,13 @@ def adapt_step(h: np.ndarray, state: MomentState, window, mu: float):
     The moment state always advances; the tap update is skipped when the
     second moment is not above the singularity guard. This is the
     reference the adaptation engines are tested against, so y is summed
-    tap by tap, in the order the engines sum it, and an update that
-    overflows to inf or NaN is followed, not warned about.
+    term by term in the order the engines sum it (output), and an update
+    that overflows to inf or NaN is followed, not warned about.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.ndim != 1 or w.shape != h.shape:
         raise ContractViolationError(f"window shape {w.shape} does not match {h.size} taps")
-    y = 0.0
-    for tap, value in zip(h.tolist(), w.tolist()):
-        y += tap * value
+    y = output(h.tolist(), w.tolist())
     state = update_moments(state, y)
     try:
         f = feedback(state, y)

@@ -265,6 +265,8 @@ class TestEngines:
     @example(4, 0, 1, 0.99, 308.0, 1.0, 0.0, 0, 300)
     # no warm-up: the engines start from zero moments, as the oracle does
     @example(3, 0, 2, 0.99, -3.0, 1.0, 0.0, 1, 200)
+    # 19 taps: tap 0, then four lanes and a leftover pair
+    @example(19, 5, 2, 0.99, -3.0, 1.0, 0.0, 2, 300)
     def test_engines_match_oracle(self, taps, warmup, passes, beta, log_mu, sign, log_gain, seed, length):
         # the kernel rounds as adapt_step does, so it matches it bit for bit
         # and diverges at the same (pass, sample)
@@ -298,6 +300,11 @@ class TestEngines:
         # each lane's squares sum to 6.4e11, under limit^2; the two lanes
         # together reach it
         pytest.param(np.array([0.0, 8e5, 8e5]), id="lanes-together"),
+        # 18 taps sum y in four lanes: taps 0, 1, 4, 5, ... into a, 2, 3,
+        # 6, 7, ... into c, and the leftover 16 and 17 into a
+        pytest.param(8e5 * np.eye(1, 18, 0)[0] + 8e5 * np.eye(1, 18, 5)[0], id="accumulator-a"),
+        pytest.param(8e5 * np.eye(1, 18, 2)[0] + 8e5 * np.eye(1, 18, 7)[0], id="accumulator-c"),
+        pytest.param(8e5 * np.eye(1, 18, 16)[0] + 8e5 * np.eye(1, 18, 17)[0], id="leftover-pair"),
     ])
     def test_norm_over_limit_with_every_tap_under_it_runs_on(self, h):
         # |h|_2 > limit trips the sum-of-squares screen on every row, and
@@ -315,13 +322,23 @@ class TestEngines:
         # the limit, but the NaN taps must still stop the pass
         pytest.param(4, 1e100, 0, TAP_LIMIT, id="nan-taps"),
     ])
-    # the kernel sweeps 5 taps as tap 0 and then two pairs: the spike and
-    # the one unit tap sit in the odd tap, or in lane 0 or 1 of a pair
-    @pytest.mark.parametrize("tap", [pytest.param(0, id="odd-tap"), pytest.param(1, id="lane-0"), pytest.param(4, id="lane-1")])
-    def test_divergence_names_the_row_that_updated(self, row, spike, warmup, limit, tap):
-        X = 0.1 * np.random.default_rng(72).laplace(size=(6, 5))
+    # the kernel sweeps 5 taps as tap 0 and then two pairs, summed in tap
+    # order: the spike and the one unit tap sit in the odd tap, or in lane
+    # 0 or 1 of a pair. 19 taps are tap 0 and then four lanes: taps 1, 2,
+    # 5, 6, ... into accumulator a, 3, 4, 7, 8, ... into c, and the
+    # leftover 17 and 18 into a.
+    @pytest.mark.parametrize("k, tap", [
+        pytest.param(5, 0, id="odd-tap"),
+        pytest.param(5, 1, id="lane-0"),
+        pytest.param(5, 4, id="lane-1"),
+        pytest.param(19, 6, id="accumulator-a"),
+        pytest.param(19, 11, id="accumulator-c"),
+        pytest.param(19, 17, id="leftover-pair"),
+    ])
+    def test_divergence_names_the_row_that_updated(self, row, spike, warmup, limit, k, tap):
+        X = 0.1 * np.random.default_rng(72).laplace(size=(6, k))
         X[row, tap] = spike
-        got, taps, _ = self.passes_agree(X, np.eye(1, 5, tap)[0], np.array([1.0, 3.0]), 1.0, 0.99, warmup, limit)
+        got, taps, _ = self.passes_agree(X, np.eye(1, k, tap)[0], np.array([1.0, 3.0]), 1.0, 0.99, warmup, limit)
         assert got == row and not np.all(np.abs(taps) <= limit)
 
     @pytest.mark.parametrize("tap, unit", [pytest.param(0, 1, id="odd-tap"), pytest.param(3, 0, id="lane-0"), pytest.param(2, 0, id="lane-1")])
@@ -342,6 +359,18 @@ class TestEngines:
         X[3, [0, 2]] = 10.0, 0.0
         got, taps, _ = self.passes_agree(X, np.eye(1, 5, 0)[0], np.array([1.0, 3.0]), 1e308, 0.99, 3)
         assert got == 3 and np.flatnonzero(np.isnan(taps)).tolist() == [2]
+
+    @pytest.mark.parametrize("k", [15, 16, 17, 18, 19, 21, 201])
+    def test_pass_matches_oracle_across_the_lane_threshold(self, k):
+        # odd and even tap counts below, at and above LANES_FROM = 16, with
+        # a leftover pair (18, 19) or none (16, 17, 21, 201). Four rows in
+        # twelve are drawn and the rest silent, so m2 falls below the guard
+        # and the first drawn row of each twelve is summed with no update
+        # held (as row 0 is), the other three in the update sweep.
+        X = np.random.default_rng(74).laplace(size=(96, k))
+        X[np.arange(96) % 12 >= 4] = 0.0
+        row, taps, _ = self.passes_agree(X, np.eye(1, k)[0], np.array([1.0, 3.0]), 1e-2, 0.05, 0)
+        assert row == -1 and not np.array_equal(taps, np.eye(1, k)[0])
 
     def test_nan_moments_hold_the_taps(self):
         # row 2's terms overflow to inf and -inf, so y and then m2 are NaN:

@@ -96,7 +96,7 @@ class TestRunAdapt2d:
     # product sums out of kernel order
     @example(3, 1, 8, 10, 8, 2, 0.99, -0.008, 2)
     def test_engines_match_oracle(self, rows, cols, extra_h, extra_w, warmup, passes, beta, mu, seed):
-        # the kernel sums each patch in kernel order, as adapt_step does, so
+        # the kernel sums each patch in the order adapt_step does, so
         # it matches it bit for bit and diverges at the same (pass, pixel)
         img = Image2D(np.random.default_rng(seed).laplace(0.0, 1.0, (rows + extra_h, cols + extra_w)))
         cfg = Adapt2dConfig(rows=rows, cols=cols, mu=mu, beta=beta, warmup=min(warmup, img.pixels.size - 1), passes=passes)

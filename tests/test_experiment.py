@@ -184,10 +184,22 @@ class TestParseConfig:
         ("source.height = 32\nsource.width = 32\ndegrade.kind = image_iir2\ndegrade.a1 = 0.5\n"
          "degrade.a2 = 0.4\nadapt.rows = 1\nadapt.cols = 1\n", "image_iir2 slot at (-1, 0)"),
     ], ids=["echo_iir", "image_iir2"])
-    def test_filter_without_parameter_slot_rejected(self, text, slot):
-        # rejected when the config is built, before any adaptation runs
+    def test_filter_without_parameter_slot_rejected(self, text, slot, monkeypatch):
+        # rejected when the config is built, before any adaptation runs,
+        # from the filter's shape: no filter is built
+        for cls in (AdaptConfig, Adapt2dConfig):
+            monkeypatch.setattr(cls, "identity", lambda self: pytest.fail("the slot check built the filter"))
         with pytest.raises(ContractViolationError, match=re.escape(slot)):
             parse_config("source.seed = 1\n" + text)
+
+    def test_slot_check_of_a_filter_too_large_to_build(self, monkeypatch):
+        # 1e12 taps would take 7.28 TiB; the slots are checked all the same
+        monkeypatch.setattr(AdaptConfig, "identity", lambda self: pytest.fail("the slot check built the filter"))
+        cfg = parse_config(
+            "source.seed = 1\nsource.length = 200000\ndegrade.kind = echo_iir\ndegrade.a1 = -0.6\n"
+            "degrade.a2 = 0.3\ndegrade.delay = 100\nadapt.taps = 1000000000000\n"
+        )
+        assert cfg.adapt.taps == 10**12
 
     def test_minimal_configs_take_dataclass_defaults(self):
         cfg = parse_config("source.seed = 1\nsource.length = 1000\n")
