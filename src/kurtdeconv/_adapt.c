@@ -5,9 +5,19 @@
  * of its reference in the tests (the adapt_step oracle, np.cumsum, lfilter,
  * ndimage.correlate) in the same order, but for kd_surface_moments, whose
  * sums are held to their numpy reference within rounding.
+ *
+ * The flags target no CPU beyond the compiler's default. One function is
+ * built for more: pass_quads, kd_adapt_pass's sweep of a 1-D walk as
+ * contiguous runs in four-lane vectors, has target("avx2") (no FMA) and
+ * runs only where the CPU has AVX2; elsewhere the offset-table sweep runs,
+ * as it does for 2-D kernels. The quads' lanes hold the reference's terms
+ * in reverse, and a two-operand add gives the same bits either way round,
+ * so they run the same operations too. gcc's SSE2 lowering of four-lane
+ * vectors was slower than the table (kd_adapt_pass says more).
  */
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
 /* Two doubles, one a lane: the vector extension of GCC and Clang, which the
  * build already assumes of cc (-ffp-contract=off). Each lane rounds as the
@@ -27,6 +37,14 @@ static int over_limit(const double *h, ptrdiff_t k, double limit)
  * y is summed in tap order: at 3 taps and 3 x 3 the latency of g, not the
  * chain of adds, bounds a row, and the lanes cost 4% at 3 taps. */
 #define LANES_FROM 16
+
+/* The fewest taps from which kd_adapt_pass sweeps a 1-D walk's rows as
+ * runs (at least LANES_FROM). Over audio_echo's walk, quads against the
+ * offset table took 2 ns more per update at 16 taps (30 against 28),
+ * under 1 ns more at 17 and 18, the same at 19 and 20, and 1-3 ns less
+ * from 21 (one pass, best of 7, 11 alternations, 2-vCPU Xeon), likely
+ * as summing the quad's halves adds a lane crossing to each row's chain. */
+#define RUNS_FROM 20
 
 /* The output sum of kd_adapt_pass over the k terms t(j) = h[j] * w[off[j]]
  * of a row whose taps take no update; the sweep of a row that takes one
@@ -76,6 +94,215 @@ static inline pair update(double *h, const ptrdiff_t *off, ptrdiff_t j, double g
     return v * (pair){w[a], w[b]};
 }
 
+/* The update sweep of kd_adapt_pass over the offset table: the taps take
+ * the held update g * u, the sum of their squares goes to *ss, and the
+ * output y of row w is returned, summed in the order of output(). */
+static inline double table_update(double *h, const ptrdiff_t *off, double g, const double *u, const double *w,
+                                  ptrdiff_t k, double *ss)
+{
+    pair sq = {0.0, 0.0};
+    double y = 0.0, s = 0.0;
+    ptrdiff_t j = 0;
+    if (k % 2) {
+        const double v = h[0] + g * u[off[0]];
+        h[0] = v;
+        s = v * v;
+        y += v * w[off[0]];
+        j = 1;
+    }
+    if (k < LANES_FROM) {
+        for (; j < k; j += 2) {
+            const pair p = update(h, off, j, g, u, w, &sq);
+            y += p[0];
+            y += p[1];
+        }
+    } else {
+        pair a = {0.0, 0.0}, c = {0.0, 0.0};
+        for (; j + 4 <= k; j += 4) {
+            a += update(h, off, j, g, u, w, &sq);
+            c += update(h, off, j + 2, g, u, w, &sq);
+        }
+        if (j < k)
+            a += update(h, off, j, g, u, w, &sq);
+        const pair t = a + c;
+        y += t[0] + t[1];
+    }
+    *ss = s + (sq[0] + sq[1]);
+    return y;
+}
+
+/* Four doubles, one a lane. Only pass_quads computes in them, and no
+ * function takes or returns one: without AVX a 32-byte vector has no fixed
+ * calling convention (gcc's -Wpsabi). */
+typedef double quad __attribute__((vector_size(32)));
+
+/* The run sweeps read a row of a 1-D walk as one run of memory. The walk's
+ * offsets descend by one (off[j] = off[0] - j), so tap j of the row based
+ * at w reads w[off[k - 1] + (k - 1 - j)]; with h reversed in place, tap j
+ * is h[k - 1 - j], and index i of h multiplies index i of the run that
+ * starts at the row's element off[k - 1]. Four taps j..j + 3 sit at
+ * indices i..i + 3, i = k - 4 - j, as one quad load of each array whose
+ * lanes hold them in reverse: j + 3, j + 2 (lanes of c) and j + 1, j
+ * (lanes of a). The sweeps run j upwards, i downwards, so each lane adds
+ * its terms in output()'s order, and (a + c)[0] + (a + c)[1] adds the
+ * same two sums of two lanes as output() does, each add with its operands
+ * swapped: y keeps every bit. */
+
+/* output() over a run: h reversed and w the row's element at off[k - 1],
+ * k >= RUNS_FROM. */
+static inline __attribute__((always_inline)) double run_output(const double *h, const double *w, ptrdiff_t k)
+{
+    const ptrdiff_t even = k - k % 2, left = even % 4;
+    double y = 0.0;
+    if (k % 2)
+        y += h[even] * w[even];
+    quad s = {0.0, 0.0, 0.0, 0.0};
+    for (ptrdiff_t i = even - 4; i >= left; i -= 4) {
+        quad x, z;
+        memcpy(&x, h + i, sizeof x);
+        memcpy(&z, w + i, sizeof z);
+        s += x * z;
+    }
+    pair a = {s[2], s[3]};
+    const pair c = {s[0], s[1]};
+    if (left)
+        a += (pair){h[0], h[1]} * (pair){w[0], w[1]};
+    const pair t = a + c;
+    return y + (t[0] + t[1]);
+}
+
+/* table_update() over a run, as run_output() reads it (u the held row's
+ * element at off[k - 1]). Each lane of the quad q sums the squares of its
+ * own taps, and q's halves are added before the lanes. */
+static inline __attribute__((always_inline)) double run_update(double *h, double g, const double *u,
+                                                               const double *w, ptrdiff_t k, double *ss)
+{
+    const ptrdiff_t even = k - k % 2, left = even % 4;
+    double y = 0.0, s0 = 0.0;
+    if (k % 2) {
+        const double v = h[even] + g * u[even];
+        h[even] = v;
+        s0 = v * v;
+        y += v * w[even];
+    }
+    quad s = {0.0, 0.0, 0.0, 0.0}, q = {0.0, 0.0, 0.0, 0.0};
+    for (ptrdiff_t i = even - 4; i >= left; i -= 4) {
+        quad v, x, z;
+        memcpy(&v, h + i, sizeof v);
+        memcpy(&x, u + i, sizeof x);
+        memcpy(&z, w + i, sizeof z);
+        v += g * x;
+        memcpy(h + i, &v, sizeof v);
+        q += v * v;
+        s += v * z;
+    }
+    pair a = {s[2], s[3]}, sq = (pair){q[0], q[1]} + (pair){q[2], q[3]};
+    const pair c = {s[0], s[1]};
+    if (left) {
+        const pair v = (pair){h[0], h[1]} + g * (pair){u[0], u[1]};
+        h[0] = v[0];
+        h[1] = v[1];
+        sq += v * v;
+        a += v * (pair){w[0], w[1]};
+    }
+    *ss = s0 + (sq[0] + sq[1]);
+    const pair t = a + c;
+    return y + (t[0] + t[1]);
+}
+
+/* The pass of kd_adapt_pass, inlined once for each way of reading: through
+ * the offset table, or over runs (runs, a constant there), h reversed
+ * throughout. */
+static inline __attribute__((always_inline)) ptrdiff_t pass(const double *P, const ptrdiff_t *off, ptrdiff_t width,
+                                                            ptrdiff_t stride, ptrdiff_t warmup, ptrdiff_t n,
+                                                            ptrdiff_t k, double *h, double *m, double mu,
+                                                            double beta, double guard, double limit, const int runs)
+{
+    double m2 = m[0], m4 = m[1];
+    const double omb = 1.0 - beta, limit2 = limit * limit;
+    const double *u = NULL; /* the row whose update g * u is held, if any */
+    double g = 0.0;
+    ptrdiff_t failed = -1;
+    ptrdiff_t line = warmup / width * stride, col = warmup % width;
+    const ptrdiff_t first = runs ? off[k - 1] : 0; /* where a run starts in its row */
+    for (ptrdiff_t r = warmup; r < n; r++) {
+        const double *w = P + line + col;
+        double y;
+        if (u) {
+            double ss;
+            y = runs ? run_update(h, g, u + first, w + first, k, &ss) : table_update(h, off, g, u, w, k, &ss);
+            u = NULL;
+            if (!(ss < limit2) && over_limit(h, k, limit)) {
+                failed = r - 1;
+                break;
+            }
+        } else {
+            y = runs ? run_output(h, w + first, k) : output(h, off, w, k);
+        }
+        const double y2 = y * y;
+        m2 = beta * m2 + omb * y2;
+        m4 = beta * m4 + omb * y2 * y2;
+        if (m2 > guard) {
+            g = mu * (4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2));
+            u = w;
+        }
+        if (++col == width) {
+            col = 0;
+            line += stride;
+        }
+    }
+    if (u) {
+        for (ptrdiff_t j = 0; j < k; j++)
+            h[j] += g * u[runs ? first + j : off[j]];
+        if (over_limit(h, k, limit))
+            failed = n - 1;
+    }
+    m[0] = m2;
+    m[1] = m4;
+    return failed;
+}
+
+/* The pass through the offset table, kept out of line so that the checks
+ * for the runs in kd_adapt_pass do not enter the build of its loop. */
+static __attribute__((noinline)) ptrdiff_t pass_table(const double *P, const ptrdiff_t *off, ptrdiff_t width,
+                                                      ptrdiff_t stride, ptrdiff_t warmup, ptrdiff_t n, ptrdiff_t k,
+                                                      double *h, double *m, double mu, double beta, double guard,
+                                                      double limit)
+{
+    return pass(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit, 0);
+}
+
+#ifdef __x86_64__
+/* The pass over runs: built for AVX2 (no FMA, and -ffp-contract=off fuses
+ * nothing), run where the CPU has it. */
+static __attribute__((target("avx2"))) ptrdiff_t pass_quads(const double *P, const ptrdiff_t *off, ptrdiff_t width,
+                                                            ptrdiff_t stride, ptrdiff_t warmup, ptrdiff_t n,
+                                                            ptrdiff_t k, double *h, double *m, double mu,
+                                                            double beta, double guard, double limit)
+{
+    return pass(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit, 1);
+}
+
+/* Reverses h[0..k-1] in place. */
+static void reverse(double *h, ptrdiff_t k)
+{
+    for (ptrdiff_t i = 0, j = k - 1; i < j; i++, j--) {
+        const double t = h[i];
+        h[i] = h[j];
+        h[j] = t;
+    }
+}
+
+/* Whether the k offsets descend by one, as a 1-D walk's do. */
+static int descending(const ptrdiff_t *off, ptrdiff_t k)
+{
+    for (ptrdiff_t j = 1; j < k; j++)
+        if (off[j] != off[0] - j)
+            return 0;
+    return 1;
+}
+#endif
+
 /* One pass of the kurtosis-gradient recursion of kurtdeconv.adapt._adapt.
  *
  * Runs rows warmup..n-1 of the regressor walk over P: row r starts at
@@ -106,12 +333,34 @@ static inline pair update(double *h, const ptrdiff_t *off, ptrdiff_t j, double g
  * adds the two products of a step in tap order; from LANES_FROM taps the
  * steps alternate between the accumulators a and c of output(), so four
  * chains of adds run side by side instead of one. The screen sums in its
- * own order: each lane sums the squares of its own taps, and the sum of
- * the two lanes is added to tap 0's square. Each lane's sum never
+ * own order: each lane sums the squares of its own taps, and the lane sums
+ * are added together and to tap 0's square. Each lane's sum never
  * decreases either, and neither does a sum of nonnegative sums, so the
  * total is at least the lane sum of any tap and the screen still misses
  * no tap over the limit and no NaN. A limit exceeded in the sweep of row r
  * is the update of row r - 1, whose moments m still holds.
+ *
+ * From RUNS_FROM taps, on a CPU with AVX2, a walk whose offsets descend
+ * by one (every 1-D walk; the choice reads off) is swept as runs
+ * (pass_quads, run_output, run_update): h is reversed on entry and back
+ * before the return, divergence included, and each step loads four taps
+ * of h, u and w as one quad each, where the table costs two offset loads
+ * and four scalar loads per pair. The lanes hold the terms of output()'s
+ * lanes in reverse, so every tap, output and moment keeps its bits; only
+ * the screen adds in another order, which is free. A 2-D kernel's offsets
+ * jump by a line between its rows, so it keeps the table, and so does a
+ * CPU without AVX2. Over audio_echo's walk at k = 201 (one pass, best of
+ * 7, alternated with the table in one process on a 2-vCPU Xeon), the
+ * table took 125-139 ns per update and quads 67-77. Quads in the baseline
+ * build, which gcc lowers to SSE2 halves, took 175-187 against the
+ * table's 134-151 in their own runs, so the pass is not one body built
+ * with target_clones("avx2", "default"), whose baseline clone would run
+ * those halves: pass_quads is built for AVX2 alone (with no FMA), and
+ * __builtin_cpu_supports picks it per call. Runs in two-lane pairs took
+ * 99-104 ns on the same host; without a host lacking AVX2 to time them
+ * on, they are left out. Eight lanes in quads, for y and for the screen,
+ * were no faster (65-66 ns), so the chains of adds no longer bound the
+ * sweep.
  *
  * A direct test !(|v| <= limit) in the lanes, in place of the screen, keeps
  * every bit too, but at k = 201 it took 356-362 ns per update against the
@@ -122,73 +371,15 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
                         ptrdiff_t warmup, ptrdiff_t n, ptrdiff_t k, double *h, double *m, double mu,
                         double beta, double guard, double limit)
 {
-    double m2 = m[0], m4 = m[1];
-    const double omb = 1.0 - beta, limit2 = limit * limit;
-    const double *u = NULL; /* the row whose update g * u is held, if any */
-    double g = 0.0;
-    ptrdiff_t failed = -1;
-    ptrdiff_t line = warmup / width * stride, col = warmup % width;
-    for (ptrdiff_t r = warmup; r < n; r++) {
-        const double *w = P + line + col;
-        double y = 0.0;
-        if (u) {
-            pair sq = {0.0, 0.0};
-            double ss = 0.0;
-            ptrdiff_t j = 0;
-            if (k % 2) {
-                const double v = h[0] + g * u[off[0]];
-                h[0] = v;
-                ss = v * v;
-                y += v * w[off[0]];
-                j = 1;
-            }
-            if (k < LANES_FROM) {
-                for (; j < k; j += 2) {
-                    const pair p = update(h, off, j, g, u, w, &sq);
-                    y += p[0];
-                    y += p[1];
-                }
-            } else {
-                pair a = {0.0, 0.0}, c = {0.0, 0.0};
-                for (; j + 4 <= k; j += 4) {
-                    a += update(h, off, j, g, u, w, &sq);
-                    c += update(h, off, j + 2, g, u, w, &sq);
-                }
-                if (j < k)
-                    a += update(h, off, j, g, u, w, &sq);
-                const pair s = a + c;
-                y += s[0] + s[1];
-            }
-            ss += sq[0] + sq[1];
-            u = NULL;
-            if (!(ss < limit2) && over_limit(h, k, limit)) {
-                failed = r - 1;
-                break;
-            }
-        } else {
-            y = output(h, off, w, k);
-        }
-        const double y2 = y * y;
-        m2 = beta * m2 + omb * y2;
-        m4 = beta * m4 + omb * y2 * y2;
-        if (m2 > guard) {
-            g = mu * (4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2));
-            u = w;
-        }
-        if (++col == width) {
-            col = 0;
-            line += stride;
-        }
+#ifdef __x86_64__
+    if (k >= RUNS_FROM && descending(off, k) && __builtin_cpu_supports("avx2")) {
+        reverse(h, k);
+        const ptrdiff_t failed = pass_quads(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit);
+        reverse(h, k);
+        return failed;
     }
-    if (u) {
-        for (ptrdiff_t j = 0; j < k; j++)
-            h[j] += g * u[off[j]];
-        if (over_limit(h, k, limit))
-            failed = n - 1;
-    }
-    m[0] = m2;
-    m[1] = m4;
-    return failed;
+#endif
+    return pass_table(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit);
 }
 
 /* The running sums of kurtdeconv._native.integrate over the h x w row-major

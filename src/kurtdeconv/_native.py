@@ -103,6 +103,13 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
     whose update a coefficient exceeds limit in magnitude or is NaN (the
     pass stops there), or -1.
 
+    From 20 taps, on a CPU with AVX2, a walk whose offsets descend by
+    one, as every 1-D walk's do, is read row by row as one run of memory,
+    four taps a 256-bit load, with h reversed in place during the call;
+    any other walk, and any walk on another CPU, is read through off.
+    Either way h, m and the result are the same to the bit, as the lanes
+    sum the same terms in the same order.
+
     A walk that would read outside P is a ContractViolationError, raised
     before any read.
     """

@@ -21,6 +21,8 @@ the usage for a usage error.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 import numpy as np
@@ -118,17 +120,25 @@ def _cmd_deconv(args) -> int:
     return 0
 
 
-def _grid(lo: float, hi: float, count: float) -> np.ndarray:
-    if not (np.isfinite(count) and count >= 1 and count == int(count)):
-        raise ContractViolationError(f"grid COUNT must be a whole number of at least 1, got {count:g}")
-    return np.linspace(lo, hi, int(count))
+def _grids(*ranges: tuple[float, float, float]) -> list[np.ndarray]:
+    """The sweep's grids, one (LO, HI, COUNT) each. Every COUNT is checked,
+    and so is the surface of 8 bytes a cell, against the host's physical
+    memory, before any grid is allocated."""
+    for *_, count in ranges:
+        if not (np.isfinite(count) and count >= 1 and count == int(count)):
+            raise ContractViolationError(f"grid COUNT must be a whole number of at least 1, got {count:g}")
+    counts = [int(count) for *_, count in ranges]
+    surface, memory = 8 * math.prod(counts), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if surface > memory:
+        raise ContractViolationError(f"a {' x '.join(map(str, counts))} surface takes {surface:,} bytes, "
+                                     f"more than the host's {memory:,} of physical memory")
+    return [np.linspace(lo, hi, count) for (lo, hi, _), count in zip(ranges, counts)]
 
 
 def _cmd_sweep(args) -> int:
     if is_image_path(args.input):
         raise ContractViolationError(f"sweep takes a WAV signal, not the image {args.input}")
-    grid_a1 = _grid(*args.a1_range)
-    grid_a2 = _grid(*args.a2_range)
+    grid_a1, grid_a2 = _grids(args.a1_range, args.a2_range)
     print(f"sweep: input={args.input} a1 grid {grid_a1[0]:g}..{grid_a1[-1]:g} ({grid_a1.size}) "
           f"a2 grid {grid_a2[0]:g}..{grid_a2[-1]:g} ({grid_a2.size})")
     signal = read_wav(args.input)

@@ -250,7 +250,8 @@ def outcome(x, cfg):
 
 class TestEngines:
     @given(
-        st.integers(1, 12),
+        # below the lanes, in lanes over the offset table, and in runs
+        st.integers(1, 40),
         st.integers(0, 40),
         st.integers(1, 3),
         st.floats(0.05, 0.999),
@@ -265,8 +266,11 @@ class TestEngines:
     @example(4, 0, 1, 0.99, 308.0, 1.0, 0.0, 0, 300)
     # no warm-up: the engines start from zero moments, as the oracle does
     @example(3, 0, 2, 0.99, -3.0, 1.0, 0.0, 1, 200)
-    # 19 taps: tap 0, then four lanes and a leftover pair
+    # 19 taps: tap 0, then four lanes and a leftover pair over the table;
+    # 23 taps the same over runs, and 40 taps runs with no leftover
     @example(19, 5, 2, 0.99, -3.0, 1.0, 0.0, 2, 300)
+    @example(23, 5, 2, 0.99, -3.0, 1.0, 0.0, 2, 300)
+    @example(40, 0, 1, 0.99, 308.0, 1.0, 0.0, 3, 200)
     def test_engines_match_oracle(self, taps, warmup, passes, beta, log_mu, sign, log_gain, seed, length):
         # the kernel rounds as adapt_step does, so it matches it bit for bit
         # and diverges at the same (pass, sample)
@@ -283,15 +287,19 @@ class TestEngines:
     def passes_agree(X, h, m, mu, beta, warmup, limit=TAP_LIMIT):
         """The row, taps and moments one adapt_pass over the rows of X
         leaves from h and m, asserted equal to those of oracle_adapt (NaN
-        equal to NaN). X is fed as a walk of width 1 and stride k."""
-        walk = (X.ravel(), np.arange(X.shape[1]), 1, X.shape[1], X.shape[0])
-        taps, moments = h.copy(), m.copy()
-        row = _native.adapt_pass(*walk, taps, moments, mu, beta, warmup, M2_GUARD, limit)
-        cfg = AdaptConfig(taps=X.shape[1], mu=mu, beta=beta, warmup=warmup, passes=1)
+        equal to NaN). X is fed as two walks of width 1 and stride k: with
+        ascending offsets, which the kernel reads through its offset
+        table, and in the 1-D layout, each row reversed under descending
+        offsets, which it reads as runs from 20 taps."""
+        k = X.shape[1]
+        cfg = AdaptConfig(taps=k, mu=mu, beta=beta, warmup=warmup, passes=1)
         want_taps, first, want_moments = oracle_adapt(X, h, m, cfg, limit)
-        assert row == (-1 if first is None else first[1])
-        assert np.array_equal(taps, want_taps, equal_nan=True)
-        assert np.array_equal(moments, want_moments, equal_nan=True)
+        for P, off in ((X.ravel(), np.arange(k)), (X[:, ::-1].ravel(), np.arange(k)[::-1].copy())):
+            taps, moments = h.copy(), m.copy()
+            row = _native.adapt_pass(P, off, 1, k, X.shape[0], taps, moments, mu, beta, warmup, M2_GUARD, limit)
+            assert row == (-1 if first is None else first[1])
+            assert np.array_equal(taps, want_taps, equal_nan=True)
+            assert np.array_equal(moments, want_moments, equal_nan=True)
         return row, taps, moments
 
     @pytest.mark.parametrize("h", [
@@ -300,11 +308,11 @@ class TestEngines:
         # each lane's squares sum to 6.4e11, under limit^2; the two lanes
         # together reach it
         pytest.param(np.array([0.0, 8e5, 8e5]), id="lanes-together"),
-        # 18 taps sum y in four lanes: taps 0, 1, 4, 5, ... into a, 2, 3,
-        # 6, 7, ... into c, and the leftover 16 and 17 into a
-        pytest.param(8e5 * np.eye(1, 18, 0)[0] + 8e5 * np.eye(1, 18, 5)[0], id="accumulator-a"),
-        pytest.param(8e5 * np.eye(1, 18, 2)[0] + 8e5 * np.eye(1, 18, 7)[0], id="accumulator-c"),
-        pytest.param(8e5 * np.eye(1, 18, 16)[0] + 8e5 * np.eye(1, 18, 17)[0], id="leftover-pair"),
+        # 22 taps sum y in four lanes: taps 0, 1, 4, 5, ... into a, 2, 3,
+        # 6, 7, ... into c, and the leftover 20 and 21 into a
+        pytest.param(8e5 * np.eye(1, 22, 0)[0] + 8e5 * np.eye(1, 22, 5)[0], id="accumulator-a"),
+        pytest.param(8e5 * np.eye(1, 22, 2)[0] + 8e5 * np.eye(1, 22, 7)[0], id="accumulator-c"),
+        pytest.param(8e5 * np.eye(1, 22, 20)[0] + 8e5 * np.eye(1, 22, 21)[0], id="leftover-pair"),
     ])
     def test_norm_over_limit_with_every_tap_under_it_runs_on(self, h):
         # |h|_2 > limit trips the sum-of-squares screen on every row, and
@@ -324,16 +332,16 @@ class TestEngines:
     ])
     # the kernel sweeps 5 taps as tap 0 and then two pairs, summed in tap
     # order: the spike and the one unit tap sit in the odd tap, or in lane
-    # 0 or 1 of a pair. 19 taps are tap 0 and then four lanes: taps 1, 2,
+    # 0 or 1 of a pair. 23 taps are tap 0 and then four lanes: taps 1, 2,
     # 5, 6, ... into accumulator a, 3, 4, 7, 8, ... into c, and the
-    # leftover 17 and 18 into a.
+    # leftover 21 and 22 into a.
     @pytest.mark.parametrize("k, tap", [
         pytest.param(5, 0, id="odd-tap"),
         pytest.param(5, 1, id="lane-0"),
         pytest.param(5, 4, id="lane-1"),
-        pytest.param(19, 6, id="accumulator-a"),
-        pytest.param(19, 11, id="accumulator-c"),
-        pytest.param(19, 17, id="leftover-pair"),
+        pytest.param(23, 6, id="accumulator-a"),
+        pytest.param(23, 11, id="accumulator-c"),
+        pytest.param(23, 21, id="leftover-pair"),
     ])
     def test_divergence_names_the_row_that_updated(self, row, spike, warmup, limit, k, tap):
         X = 0.1 * np.random.default_rng(72).laplace(size=(6, k))
@@ -341,14 +349,25 @@ class TestEngines:
         got, taps, _ = self.passes_agree(X, np.eye(1, k, tap)[0], np.array([1.0, 3.0]), 1.0, 0.99, warmup, limit)
         assert got == row and not np.all(np.abs(taps) <= limit)
 
-    @pytest.mark.parametrize("tap, unit", [pytest.param(0, 1, id="odd-tap"), pytest.param(3, 0, id="lane-0"), pytest.param(2, 0, id="lane-1")])
-    def test_one_tap_over_the_limit_stops_the_pass(self, tap, unit):
+    @pytest.mark.parametrize("k, tap, unit", [
+        pytest.param(5, 0, 1, id="odd-tap"),
+        pytest.param(5, 3, 0, id="lane-0"),
+        pytest.param(5, 2, 0, id="lane-1"),
+        # 23 taps run reversed as tap 0, five quads and a leftover pair:
+        # taps 8, 7, 6 and 5 fill lanes 0-3 of a quad, and 22 and 21 the pair
+        pytest.param(23, 8, 0, id="quad-lane-0"),
+        pytest.param(23, 7, 0, id="quad-lane-1"),
+        pytest.param(23, 6, 0, id="quad-lane-2"),
+        pytest.param(23, 5, 0, id="quad-lane-3"),
+        pytest.param(23, 21, 0, id="leftover-pair"),
+    ])
+    def test_one_tap_over_the_limit_stops_the_pass(self, k, tap, unit):
         # the first updated row is small but for one element: that tap's
         # update alone exceeds the limit, so one lane's squares (or the odd
         # tap's square) must trip the screen
-        X = 0.1 * np.random.default_rng(75).laplace(size=(6, 5))
+        X = 0.1 * np.random.default_rng(75).laplace(size=(6, k))
         X[3, tap] = 1e4
-        got, taps, _ = self.passes_agree(X, np.eye(1, 5, unit)[0], np.array([1.0, 3.0]), 1.0, 0.99, 3, 10.0)
+        got, taps, _ = self.passes_agree(X, np.eye(1, k, unit)[0], np.array([1.0, 3.0]), 1.0, 0.99, 3, 10.0)
         assert got == 3 and np.flatnonzero(~(np.abs(taps) <= 10.0)).tolist() == [tap]
 
     def test_nan_in_lane_1_stops_the_pass(self):
@@ -360,13 +379,14 @@ class TestEngines:
         got, taps, _ = self.passes_agree(X, np.eye(1, 5, 0)[0], np.array([1.0, 3.0]), 1e308, 0.99, 3)
         assert got == 3 and np.flatnonzero(np.isnan(taps)).tolist() == [2]
 
-    @pytest.mark.parametrize("k", [15, 16, 17, 18, 19, 21, 201])
+    @pytest.mark.parametrize("k", [15, 16, 17, 18, 19, 20, 21, 22, 23, 201])
     def test_pass_matches_oracle_across_the_lane_threshold(self, k):
-        # odd and even tap counts below, at and above LANES_FROM = 16, with
-        # a leftover pair (18, 19) or none (16, 17, 21, 201). Four rows in
-        # twelve are drawn and the rest silent, so m2 falls below the guard
-        # and the first drawn row of each twelve is summed with no update
-        # held (as row 0 is), the other three in the update sweep.
+        # odd and even tap counts below, at and above LANES_FROM = 16 and
+        # RUNS_FROM = 20, with a leftover pair (18, 19, 22, 23) or none
+        # (16, 17, 20, 21, 201). Four rows in twelve are drawn and the rest
+        # silent, so m2 falls below the guard and the first drawn row of
+        # each twelve is summed with no update held (as row 0 is), the
+        # other three in the update sweep.
         X = np.random.default_rng(74).laplace(size=(96, k))
         X[np.arange(96) % 12 >= 4] = 0.0
         row, taps, _ = self.passes_agree(X, np.eye(1, k)[0], np.array([1.0, 3.0]), 1e-2, 0.05, 0)
@@ -695,11 +715,37 @@ class TestKernelBuild:
         assert not list(source.parent.rglob("*.tmp")) and not list(source.parent.rglob("*.so"))
 
     def test_flags_keep_every_operation(self):
-        # the kernels' pairs round lane by lane as their scalar code does
-        # only if no multiply and add are fused and no sum is reordered
+        # the kernels' pairs and quads round lane by lane as their scalar
+        # code does only if no multiply and add are fused and no sum is
+        # reordered: neither by the flags nor by a function's target
         flags = _native._CFLAGS
         assert "-ffp-contract=off" in flags
         assert [f for f in flags if f in ("-ffast-math", "-Ofast", "-mfma") or f.startswith("-march=")] == []
+        targets = re.findall(r"(?:__attribute__\s*\(\(\s*target(?:_clones)?|#\s*pragma\s+GCC\s+target)\s*\(([^)]*)\)",
+                             _native._SOURCE.read_text())
+        options = [o.strip() for t in targets for o in ",".join(re.findall(r'"([^"]*)"', t)).split(",")]
+        assert "avx2" in options
+        assert [o for o in options if re.fullmatch(r"fma4?|avx512.*|arch=.*", o)] == []
+
+    @pytest.mark.parametrize("k", [23, 201])
+    def test_baseline_build_matches_oracle(self, source, monkeypatch, k):
+        # built as for a CPU without AVX2, the library reads a 1-D walk
+        # through the offset table rather than as runs, and matches the
+        # oracle bit for bit as well: on a pass that runs to its end, and
+        # on one that a spike in tap k - 2 stops (at 23 taps, a tap of the
+        # leftover pair)
+        text = source.read_text()
+        assert text.count('__builtin_cpu_supports("avx2")') == 1
+        source.write_text(text.replace('__builtin_cpu_supports("avx2")', "0"))
+        monkeypatch.setattr(_native, "_LIBRARY", _native._load_library())
+        X = np.random.default_rng(74).laplace(size=(96, k))
+        X[np.arange(96) % 12 >= 4] = 0.0
+        row, taps, _ = TestEngines.passes_agree(X, np.eye(1, k)[0], np.array([1.0, 3.0]), 1e-2, 0.05, 0)
+        assert row == -1 and not np.array_equal(taps, np.eye(1, k)[0])
+        X = 0.1 * np.random.default_rng(72).laplace(size=(6, k))
+        X[4, k - 2] = 5.0
+        row, _, _ = TestEngines.passes_agree(X, np.eye(1, k, k - 2)[0], np.array([1.0, 3.0]), 1.0, 0.99, 0, 10.0)
+        assert row == 4
 
     def test_compiles_without_warnings(self, source):
         flags = (*_native._CFLAGS, "-Wall", "-Wextra", "-Werror")

@@ -95,6 +95,9 @@ class TestRunAdapt2d:
     # an 11x11 image under a 3x1 kernel, whose patch rows a BLAS dot
     # product sums out of kernel order
     @example(3, 1, 8, 10, 8, 2, 0.99, -0.008, 2)
+    # a 5x5 kernel: 25 taps summed in lanes over the offset table, whose
+    # rows are not one run
+    @example(5, 5, 6, 7, 10, 2, 0.99, -0.008, 3)
     def test_engines_match_oracle(self, rows, cols, extra_h, extra_w, warmup, passes, beta, mu, seed):
         # the kernel sums each patch in the order adapt_step does, so
         # it matches it bit for bit and diverges at the same (pass, pixel)

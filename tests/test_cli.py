@@ -1,3 +1,6 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,26 @@ def test_sweep_outputs_argmax(tmp_path, capsys):
     assert lines[0] == "a1,a2,abs_kurtosis"
     assert len(lines) == 17
     assert "argmax a1=0.5 a2=0.3" in capsys.readouterr().out
+
+
+def test_sweep_refuses_a_surface_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # the surface takes 8 bytes a cell; one over the host's physical memory
+    # is a contract violation, raised before the input (missing here) is
+    # read or any grid is allocated: one 1e13-value axis, or two axes each
+    # small that span too many cells together
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    side = str(math.isqrt(memory // 8) + 1)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "g.csv"
+    for ranges in (["--a1-range", "-1", "1", "1e13"], ["--a1-range", "-1", "1", side, "--a2-range", "-1", "1", side]):
+        assert main(["sweep", str(tmp_path / "missing.wav"), str(out), *ranges]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "physical memory" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_clipped_samples_reported(tmp_path, capsys):
