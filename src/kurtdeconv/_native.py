@@ -108,7 +108,12 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
     four taps a 256-bit load, with h reversed in place during the call;
     any other walk, and any walk on another CPU, is read through off.
     Either way h, m and the result are the same to the bit, as the lanes
-    sum the same terms in the same order.
+    sum the same terms in the same order. The per-tap test for the limit
+    runs only when a cheaper screen cannot rule it out: through off, the
+    sum of the squares of the taps reaching limit**2; over runs, a
+    running bound on the largest tap reaching the limit. The bound grows
+    by |g| times the largest magnitude in the part of P the pass reads
+    (NaN if any element there is NaN), which the kernel takes itself.
 
     A walk that would read outside P is a ContractViolationError, raised
     before any read.
@@ -170,11 +175,14 @@ def image_allpole(f: np.ndarray, a1: float, a2: float, a3: float) -> np.ndarray:
 def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, h: np.ndarray) -> np.ndarray:
     """The filter h over the walk (P, off, width, stride, n) that
     signals._walk builds: element r of the result is the sum, from 0.0 and
-    in the order of the taps (adapt_pass's order, which neither BLAS nor
-    the CPU changes), of h[j] * P[(r // width) * stride + r % width +
-    off[j]]. The walk must cover whole lines (n a multiple of width) and
-    stay inside P; anything else is a ContractViolationError, raised before
-    any read."""
+    in the order of the taps, of h[j] * P[(r // width) * stride + r % width
+    + off[j]]. That order is adapt_pass's for y only below 16 taps (from 16
+    it sums y in four lanes), and neither BLAS nor the CPU changes it:
+    neighbouring rows of a line are summed side by side, one row a vector
+    lane, sixteen rows a block on a CPU with AVX2 and eight elsewhere, and
+    every row keeps its own sum. The walk must cover whole lines (n a
+    multiple of width) and stay inside P; anything else is a
+    ContractViolationError, raised before any read."""
     if not (_taps(h) and _walk_inside(P, off, width, stride, n, h.size) and n % width == 0):
         raise ContractViolationError("the walk filter needs a float64 walk of whole lines inside P and one intp offset per float64 tap")
     out = np.empty(n)

@@ -21,6 +21,7 @@ the usage for a usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -120,19 +121,47 @@ def _cmd_deconv(args) -> int:
     return 0
 
 
+#: The cgroup v2 memory limit of this process's container, read (never
+#: written) by _grids: a number of bytes, or "max" for none.
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+#: Lines of the sweep CSV built and written at a time.
+_CSV_BLOCK = 4096
+
+
+def _memory() -> int:
+    """The bytes this process may fill: the host's physical memory, or the
+    cgroup's memory.max when that file holds a smaller number."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(_CGROUP_MEMORY_MAX, "rb") as fh:
+            return min(memory, int(fh.read()))
+    except (OSError, ValueError):  # no cgroup v2 file, or "max"
+        return memory
+
+
 def _grids(*ranges: tuple[float, float, float]) -> list[np.ndarray]:
     """The sweep's grids, one (LO, HI, COUNT) each. Every COUNT is checked,
-    and so is the surface of 8 bytes a cell, against the host's physical
-    memory, before any grid is allocated."""
+    and so is the surface of 8 bytes a cell, against _memory(), before any
+    grid is allocated."""
     for *_, count in ranges:
         if not (np.isfinite(count) and count >= 1 and count == int(count)):
             raise ContractViolationError(f"grid COUNT must be a whole number of at least 1, got {count:g}")
     counts = [int(count) for *_, count in ranges]
-    surface, memory = 8 * math.prod(counts), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    surface, memory = 8 * math.prod(counts), _memory()
     if surface > memory:
-        raise ContractViolationError(f"a {' x '.join(map(str, counts))} surface takes {surface:,} bytes, "
-                                     f"more than the host's {memory:,} of physical memory")
+        raise ContractViolationError(f"a {' x '.join(map(str, counts))} surface takes {surface:,} bytes, more than the "
+                                     f"{memory:,} of the host's physical memory (or of its cgroup's memory.max, if lower)")
     return [np.linspace(lo, hi, count) for (lo, hi, _), count in zip(ranges, counts)]
+
+
+def _surface_csv(grid_a1: np.ndarray, grid_a2: np.ndarray, surface: np.ndarray):
+    """The sweep CSV's text: the header, then the lines of _CSV_BLOCK cells a
+    chunk, so that no more than one block's text is held at a time."""
+    yield "a1,a2,abs_kurtosis\n"
+    cells = ((a1, a2, surface[i, j]) for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2))
+    while block := list(itertools.islice(cells, _CSV_BLOCK)):
+        yield "".join(",".join(map(_cell, cell)) + "\n" for cell in block)
 
 
 def _cmd_sweep(args) -> int:
@@ -143,10 +172,7 @@ def _cmd_sweep(args) -> int:
           f"a2 grid {grid_a2[0]:g}..{grid_a2[-1]:g} ({grid_a2.size})")
     signal = read_wav(args.input)
     result = kurtosis_surface(signal, grid_a1, grid_a2)
-    lines = ["a1,a2,abs_kurtosis"] + [
-        ",".join(map(_cell, (a1, a2, result.surface[i, j]))) for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2)
-    ]
-    _write_file(args.output, "\n".join(lines) + "\n")
+    _write_file(args.output, _surface_csv(grid_a1, grid_a2, result.surface))
     print(f"argmax a1={result.argmax[0]:g} a2={result.argmax[1]:g}; surface written to {args.output}")
     return 0
 

@@ -5,6 +5,7 @@ import contextlib
 import os
 import re
 import struct
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -34,17 +35,19 @@ def _check_target(path) -> None:
         raise ContractViolationError(f"{path} is not a regular file, so it cannot be replaced")
 
 
-def _write_file(path, data: bytes | str) -> None:
-    """The package's one file writer: data, bytes or text as UTF-8, goes to
-    path.tmp<pid>, which then replaces path (through a symlink), or is
-    removed if anything fails. _check_target(path) runs before anything is
-    written."""
+def _write_file(path, data: bytes | str | Iterable[bytes | str]) -> None:
+    """The package's one file writer: data, bytes or text as UTF-8 or an
+    iterable of such chunks written one by one, goes to path.tmp<pid>,
+    which then replaces path (through a symlink), or is removed if anything
+    fails, a chunk's generator included. _check_target(path) runs before
+    anything is written."""
     _check_target(path)
     target = os.path.realpath(path)
     tmp = f"{target}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in (data,) if isinstance(data, (bytes, str)) else data:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -315,9 +315,12 @@ class TestEngines:
         pytest.param(8e5 * np.eye(1, 22, 20)[0] + 8e5 * np.eye(1, 22, 21)[0], id="leftover-pair"),
     ])
     def test_norm_over_limit_with_every_tap_under_it_runs_on(self, h):
-        # |h|_2 > limit trips the sum-of-squares screen on every row, and
-        # the exact per-tap test clears it; every row updates, the last one
-        # too
+        # |h|_2 > limit trips the table's sum-of-squares screen on every
+        # row, and the exact per-tap test clears it; every row updates, the
+        # last one too. Over runs (the 1-D layout of the 22, 100 and 101 tap
+        # ids) the screen is a bound on the largest tap instead: it starts
+        # at 2e5 or 8e5, under the limit however large the norm, and the
+        # pass must run on just the same.
         X = 1e-3 * np.random.default_rng(71).laplace(size=(50, h.size))
         row, taps, _ = self.passes_agree(X, h, np.array([1.0, 3.0]), 1e3, 0.9, 0)
         assert row == -1
@@ -363,12 +366,42 @@ class TestEngines:
     ])
     def test_one_tap_over_the_limit_stops_the_pass(self, k, tap, unit):
         # the first updated row is small but for one element: that tap's
-        # update alone exceeds the limit, so one lane's squares (or the odd
-        # tap's square) must trip the screen
+        # update alone exceeds the limit, so through the table one lane's
+        # squares (or the odd tap's square) must trip the screen; over runs
+        # (the 23-tap ids in the 1-D layout) the bound on the largest tap,
+        # 1 + |g| * 1e4 with 1e4 the largest element, must trip it
         X = 0.1 * np.random.default_rng(75).laplace(size=(6, k))
         X[3, tap] = 1e4
         got, taps, _ = self.passes_agree(X, np.eye(1, k, unit)[0], np.array([1.0, 3.0]), 1.0, 0.99, 3, 10.0)
         assert got == 3 and np.flatnonzero(~(np.abs(taps) <= 10.0)).tolist() == [tap]
+
+    def test_bound_over_limit_with_every_tap_under_it_runs_on(self):
+        # over runs, the bound on the largest tap starts at 9 and takes
+        # |g| * 1.0 from the one update that moves tap 12, as 1.0 is the
+        # largest element: it crosses the limit 10 while every tap stays
+        # under it, so the exact test runs, clears, and the pass runs on
+        X = 0.01 * np.random.default_rng(77).laplace(size=(5, 24))
+        X[3, 12], X[4, 12] = 1.0, 0.0
+        row, taps, _ = self.passes_agree(X, np.eye(1, 24)[0] * 9.0, np.array([1.0, 3.0]), 10.0, 0.99, 3, 10.0)
+        assert row == -1 and np.all(np.abs(taps) <= 10.0) and 9.0 + abs(taps[12]) > 10.0
+
+    @pytest.mark.parametrize("value, want", [
+        pytest.param(np.inf, 40, id="inf"),
+        pytest.param(np.nan, -1, id="nan"),
+        pytest.param(1e4, 40, id="large"),
+    ])
+    def test_element_past_the_first_rows_gives_the_oracle_row(self, value, want):
+        # the bound's scale is the largest element over every row the pass
+        # reads, NaN if one is NaN, so an element far from the first rows
+        # counts too. An inf makes row 40's y infinite and its update NaN,
+        # which stops the pass there; a NaN makes m2 NaN, so no later row
+        # updates and the pass runs to its end; 1e4 takes tap 5 over the
+        # limit 10 in row 40's update, which only a scale of at least 1e4
+        # bounds
+        X = 0.1 * np.random.default_rng(78).laplace(size=(50, 24))
+        X[40, 5] = value
+        row, _, _ = self.passes_agree(X, np.eye(1, 24)[0], np.array([1.0, 3.0]), 1e-2, 0.99, 2, 10.0)
+        assert row == want
 
     def test_nan_in_lane_1_stops_the_pass(self):
         # y = 10 at mu = 1e308 overflows the first update g to inf; tap 2's
@@ -746,6 +779,22 @@ class TestKernelBuild:
         X[4, k - 2] = 5.0
         row, _, _ = TestEngines.passes_agree(X, np.eye(1, k, k - 2)[0], np.array([1.0, 3.0]), 1.0, 0.99, 0, 10.0)
         assert row == 4
+
+    def test_baseline_build_filters_as_the_avx2_build(self, source, monkeypatch):
+        # built as for a CPU without AVX2, the walk filter sums eight rows a
+        # block rather than sixteen, and every output keeps its bits and
+        # sign: over line widths around the blocks, for 1, 3 and 201 taps
+        # and 3 x 3 and 5 x 5 kernels
+        rng = np.random.default_rng(79)
+        filters = [rng.laplace(size=shape) for shape in [(1,), (3,), (201,), (3, 3), (5, 5)]]
+        cases = [(h, rng.laplace(size=(4, width)) * (rng.random((4, width)) < 0.7)) for width in (1, 15, 16, 17, 31, 33, 256) for h in filters]
+        avx2 = [_native.filter_walk(*_walk(values, h.shape), h.ravel()) for h, values in cases]
+        text = source.read_text()
+        source.write_text(text.replace('__builtin_cpu_supports("avx2")', "0"))
+        monkeypatch.setattr(_native, "_LIBRARY", _native._load_library())
+        for (h, values), want in zip(cases, avx2):
+            got = _native.filter_walk(*_walk(values, h.shape), h.ravel())
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (h.shape, values.shape)
 
     def test_compiles_without_warnings(self, source):
         flags = (*_native._CFLAGS, "-Wall", "-Wextra", "-Werror")

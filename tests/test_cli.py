@@ -1,9 +1,14 @@
+import hashlib
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kurtdeconv
 from kurtdeconv import (
     Adapt2dConfig,
     AdaptConfig,
@@ -11,6 +16,7 @@ from kurtdeconv import (
     Image2D,
     Signal1D,
     apply_degradation,
+    kurtosis_surface,
     normalize_kernel,
     normalize_taps,
     read_image,
@@ -19,6 +25,7 @@ from kurtdeconv import (
     write_image,
     write_wav,
 )
+from kurtdeconv import cli
 from kurtdeconv.cli import main
 from conftest import laplace_signal
 
@@ -90,6 +97,71 @@ def test_sweep_refuses_a_surface_larger_than_memory(tmp_path, capsys, monkeypatc
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "physical memory" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_sweep_bound_reads_the_cgroup_memory_max(tmp_path, capsys, monkeypatch):
+    # a number in the cgroup's memory.max bounds the surface when it is
+    # below physical memory; "max", an unreadable file or no file leaves
+    # physical memory the bound. The file is read, never written.
+    limit = tmp_path / "memory.max"
+    monkeypatch.setattr(cli, "_CGROUP_MEMORY_MAX", str(limit))
+    missing = str(tmp_path / "missing.wav")
+
+    def refused(side):
+        assert main(["sweep", missing, str(tmp_path / "g.csv"), "--a1-range", "-1", "1", "10", "--a2-range", "-1", "1", side]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return "physical memory" in err and "more than the 800 of" in err
+
+    limit.write_text("800\n")
+    stamp = limit.stat().st_mtime_ns
+    assert refused("11") and not refused("10")  # 880 bytes against 800; 800 goes on to read the input
+    assert limit.read_text() == "800\n" and limit.stat().st_mtime_ns == stamp
+    for text in ("max\n", "", "8e2\n"):
+        limit.write_text(text)
+        assert not refused("11")
+    limit.unlink()
+    assert not refused("11")
+
+
+def test_sweep_csv_is_the_text_of_every_cell(tmp_path, monkeypatch):
+    # the CSV goes out in blocks of lines (seven here, so a 4 x 5 grid
+    # spans three), and its bytes are those of the whole text built at
+    # once, one line per cell
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    wav, out = tmp_path / "x.wav", tmp_path / "s.csv"
+    write_wav(wav, apply_degradation(DegradeSpec("ar2_iir", 0.5, 0.3), Signal1D(0.02 * laplace_signal(52, 5000))))
+    assert main(["sweep", str(wav), str(out), "--a1-range", "-0.9", "0.9", "4", "--a2-range", "-0.5", "0.5", "5"]) == 0
+    grid_a1, grid_a2 = np.linspace(-0.9, 0.9, 4), np.linspace(-0.5, 0.5, 5)
+    surface = kurtosis_surface(read_wav(wav), grid_a1, grid_a2).surface
+    lines = ["a1,a2,abs_kurtosis"] + [",".join(map(cli._cell, (a1, a2, surface[i, j])))
+                                      for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2)]
+    assert hashlib.sha256(out.read_bytes()).digest() == hashlib.sha256(("\n".join(lines) + "\n").encode()).digest()
+
+
+SWEEP_RSS = """
+import resource, sys
+from kurtdeconv.cli import main
+wav, out = sys.argv[1:]
+main(["sweep", wav, out + ".small", "--a1-range", "-1", "1", "5", "--a2-range", "-1", "1", "5"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+main(["sweep", wav, out, "--a1-range", "-1", "1", "1000", "--a2-range", "-1", "1", "1000"])
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+"""
+
+
+def test_sweep_memory_is_bounded_by_the_surface(tmp_path):
+    # a 1000 x 1000 sweep over a 5,000-sample WAV: an 8 MB surface and a
+    # 58 MB CSV. Written in blocks, it grows the max RSS of a fresh process
+    # (after a small sweep) by under three times the surface; the whole
+    # text built at once grew it by about 240 MiB
+    wav = tmp_path / "x.wav"
+    write_wav(wav, apply_degradation(DegradeSpec("ar2_iir", 0.5, 0.3), Signal1D(0.02 * laplace_signal(53, 5000))))
+    src = Path(kurtdeconv.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", SWEEP_RSS, str(wav), str(tmp_path / "s.csv")], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert int(proc.stdout.splitlines()[-1]) < 3 * 8 * 1000 * 1000
+    assert (tmp_path / "s.csv").read_bytes().count(b"\n") == 1 + 1000 * 1000
 
 
 def test_clipped_samples_reported(tmp_path, capsys):
