@@ -4,7 +4,9 @@
  * reordered and no multiply-add is fused: each function runs the operations
  * of its reference in the tests (the adapt_step oracle, np.cumsum, lfilter,
  * ndimage.correlate) in the same order, but for kd_surface_moments, whose
- * sums are held to their numpy reference within rounding.
+ * sums are held to their numpy reference within rounding. Below AHEAD_BELOW
+ * taps kd_adapt_pass forms each output one row ahead (pass_ahead), and its
+ * oracle forms it in the same order.
  *
  * The flags target no CPU beyond the compiler's default. Two functions are
  * built for more, with target("avx2") (no FMA), and run only where the CPU
@@ -75,13 +77,26 @@ static inline __attribute__((always_inline)) double peak(const double *x, ptrdif
     return m;
 }
 
-/* The fewest taps whose output kd_adapt_pass sums in four lanes. Below it
- * y is summed in tap order: at 3 taps and 3 x 3 the latency of g, not the
- * chain of adds, bounds a row, and the lanes cost 4% at 3 taps. */
+/* The fewest taps whose output sums kd_adapt_pass adds in four lanes. Below
+ * it they are summed in tap order: the lanes cost 4% at 3 taps when y's
+ * sum stood on each row's serial path, and from 8 taps they left 3 x 3 as
+ * fast as tap order once the sums ran beside it (22.8 against 22.9 ns per
+ * update, medians of 10 alternations). */
 #define LANES_FROM 16
 
+/* The fewest taps whose output kd_adapt_pass forms directly, the held update
+ * swept into the taps first. Below it each output is formed one row ahead
+ * (pass_ahead), so that the sweep runs beside the path of g instead of
+ * before it: over the perfbench inputs 3 x 3 took 20.6-26.1 ns per update
+ * against 30.0-36.5, 3 taps 21.1-23.7 against 26.6-30.7 and 16 taps (over
+ * audio_echo's walk) 23.2-39.2 against 32.2-36.3 (best of 7, 10
+ * alternations, 2-vCPU Xeon). Formed ahead over runs at 201 taps, y took
+ * 78 ns against 70 (medians) and audio_echo 169 ms against 151, as there
+ * the sweep's vector operations bound a row, not g. */
+#define AHEAD_BELOW 20
+
 /* The fewest taps from which kd_adapt_pass sweeps a 1-D walk's rows as
- * runs (at least LANES_FROM). Over audio_echo's walk, quads against the
+ * runs (at least AHEAD_BELOW). Over audio_echo's walk, quads against the
  * offset table took 2 ns more per update at 16 taps (30 against 28),
  * under 1 ns more at 17 and 18, the same at 19 and 20, and 1-3 ns less
  * from 21 (one pass, best of 7, 11 alternations, 2-vCPU Xeon), likely
@@ -89,8 +104,8 @@ static inline __attribute__((always_inline)) double peak(const double *x, ptrdif
 #define RUNS_FROM 20
 
 /* The output sum of kd_adapt_pass over the k terms t(j) = h[j] * w[off[j]]
- * of a row whose taps take no update; the sweep of a row that takes one
- * sums its products in the same order:
+ * of a row whose taps take no update; the sweeps sum their products in the
+ * same order (the products of two rows too, below AHEAD_BELOW taps):
  *
  *   - an odd count adds t(0) to 0.0 first, in a scalar step;
  *   - below LANES_FROM taps the rest follow in tap order;
@@ -136,13 +151,14 @@ static inline pair update(double *h, const ptrdiff_t *off, ptrdiff_t j, double g
     return v * (pair){w[a], w[b]};
 }
 
-/* The update sweep of kd_adapt_pass over the offset table: the taps take
- * the held update g * u, the sum of their squares goes to *ss, and the
- * output y of row w is returned, summed in the order of output(). */
+/* The update sweep of kd_adapt_pass over the offset table, k >= AHEAD_BELOW:
+ * the taps take the held update g * u, the sum of their squares goes to
+ * *ss, and the output y of row w is returned, summed in the order of
+ * output(). */
 static inline double table_update(double *h, const ptrdiff_t *off, double g, const double *u, const double *w,
                                   ptrdiff_t k, double *ss)
 {
-    pair sq = {0.0, 0.0};
+    pair sq = {0.0, 0.0}, a = {0.0, 0.0}, c = {0.0, 0.0};
     double y = 0.0, s = 0.0;
     ptrdiff_t j = 0;
     if (k % 2) {
@@ -152,25 +168,79 @@ static inline double table_update(double *h, const ptrdiff_t *off, double g, con
         y += v * w[off[0]];
         j = 1;
     }
+    for (; j + 4 <= k; j += 4) {
+        a += update(h, off, j, g, u, w, &sq);
+        c += update(h, off, j + 2, g, u, w, &sq);
+    }
+    if (j < k)
+        a += update(h, off, j, g, u, w, &sq);
+    const pair t = a + c;
+    *ss = s + (sq[0] + sq[1]);
+    return y + (t[0] + t[1]);
+}
+
+/* Taps j and j + 1 of pass_ahead's sweep, one a lane: the taps take the
+ * held update g * u when held (update()), and the products of the taps and
+ * of row w with row x are returned, the latter in *e. */
+static inline __attribute__((always_inline)) pair ahead_step(double *h, const ptrdiff_t *off, ptrdiff_t j, double g,
+                                                             const double *u, const double *w, const double *x,
+                                                             pair *sq, pair *e, const int held)
+{
+    const pair z = {x[off[j]], x[off[j + 1]]};
+    *e = (pair){w[off[j]], w[off[j + 1]]} * z;
+    return held ? update(h, off, j, g, u, x, sq) : (pair){h[j], h[j + 1]} * z;
+}
+
+/* The sweep of pass_ahead, k < AHEAD_BELOW: the taps take the held update
+ * g * u when held, the sum of their squares going to *ss, and the outputs
+ * output(h, off, x, k) of the new taps and *c = output(w, off, x, k) are
+ * returned, both summed as output() sums. */
+static inline __attribute__((always_inline)) double ahead_sweep(double *h, const ptrdiff_t *off, double g,
+                                                                const double *u, const double *w, const double *x,
+                                                                ptrdiff_t k, double *ss, double *c, const int held)
+{
+    pair sq = {0.0, 0.0}, e;
+    double p = 0.0, q = 0.0, s = 0.0;
+    ptrdiff_t j = 0;
+    if (k % 2) {
+        double v = h[0];
+        if (held) {
+            v += g * u[off[0]];
+            h[0] = v;
+            s = v * v;
+        }
+        p += v * x[off[0]];
+        q += w[off[0]] * x[off[0]];
+        j = 1;
+    }
     if (k < LANES_FROM) {
         for (; j < k; j += 2) {
-            const pair p = update(h, off, j, g, u, w, &sq);
-            y += p[0];
-            y += p[1];
+            const pair t = ahead_step(h, off, j, g, u, w, x, &sq, &e, held);
+            p += t[0];
+            p += t[1];
+            q += e[0];
+            q += e[1];
         }
     } else {
-        pair a = {0.0, 0.0}, c = {0.0, 0.0};
+        pair a = {0.0, 0.0}, b = {0.0, 0.0}, ea = {0.0, 0.0}, eb = {0.0, 0.0};
         for (; j + 4 <= k; j += 4) {
-            a += update(h, off, j, g, u, w, &sq);
-            c += update(h, off, j + 2, g, u, w, &sq);
+            a += ahead_step(h, off, j, g, u, w, x, &sq, &e, held);
+            ea += e;
+            b += ahead_step(h, off, j + 2, g, u, w, x, &sq, &e, held);
+            eb += e;
         }
-        if (j < k)
-            a += update(h, off, j, g, u, w, &sq);
-        const pair t = a + c;
-        y += t[0] + t[1];
+        if (j < k) {
+            a += ahead_step(h, off, j, g, u, w, x, &sq, &e, held);
+            ea += e;
+        }
+        const pair t = a + b, f = ea + eb;
+        p += t[0] + t[1];
+        q += f[0] + f[1];
     }
-    *ss = s + (sq[0] + sq[1]);
-    return y;
+    if (held)
+        *ss = s + (sq[0] + sq[1]);
+    *c = q;
+    return p;
 }
 
 /* The run sweeps read a row of a 1-D walk as one run of memory. The walk's
@@ -325,6 +395,66 @@ static __attribute__((noinline)) ptrdiff_t pass_table(const double *P, const ptr
     return pass(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit, 0);
 }
 
+/* The pass of kd_adapt_pass below AHEAD_BELOW taps, through the offset
+ * table: row r's output is p + g * c, formed when row r - 1 swept in the
+ * update held before it (kd_adapt_pass says more). */
+static __attribute__((noinline)) ptrdiff_t pass_ahead(const double *P, const ptrdiff_t *off, ptrdiff_t width,
+                                                      ptrdiff_t stride, ptrdiff_t warmup, ptrdiff_t n, ptrdiff_t k,
+                                                      double *h, double *m, double mu, double beta, double guard,
+                                                      double limit)
+{
+    double m2 = m[0], m4 = m[1];
+    const double omb = 1.0 - beta, limit2 = limit * limit;
+    const double *u = NULL; /* the row whose update g * u is held, if any */
+    double g = 0.0, p = 0.0, c = 0.0;
+    ptrdiff_t failed = -1;
+    ptrdiff_t line = warmup / width * stride, col = warmup % width;
+    if (warmup < n)
+        p = output(h, off, P + line + col, k);
+    for (ptrdiff_t r = warmup; r < n; r++) {
+        const double *w = P + line + col;
+        const double y = u ? p + g * c : p, y2 = y * y, held2 = m2, held4 = m4;
+        m2 = beta * m2 + omb * y2;
+        m4 = beta * m4 + omb * y2 * y2;
+        double next_g = 0.0;
+        const double *next_u = NULL;
+        if (m2 > guard) {
+            next_g = mu * (4.0 * ((m2 * y2 - m4) * y) / (m2 * m2 * m2));
+            next_u = w;
+        }
+        if (++col == width) {
+            col = 0;
+            line += stride;
+        }
+        /* the last row sums p and c over itself, and no row reads them */
+        const double *x = r + 1 < n ? P + line + col : w;
+        if (u) {
+            double ss;
+            p = ahead_sweep(h, off, g, u, w, x, k, &ss, &c, 1);
+            if (!(ss < limit2) && over_limit(h, k, limit)) {
+                failed = r - 1;
+                m2 = held2;
+                m4 = held4;
+                u = NULL;
+                break;
+            }
+        } else {
+            p = ahead_sweep(h, off, 0.0, NULL, w, x, k, NULL, &c, 0);
+        }
+        g = next_g;
+        u = next_u;
+    }
+    if (u) {
+        for (ptrdiff_t j = 0; j < k; j++)
+            h[j] += g * u[off[j]];
+        if (over_limit(h, k, limit))
+            failed = n - 1;
+    }
+    m[0] = m2;
+    m[1] = m4;
+    return failed;
+}
+
 #ifdef __x86_64__
 /* Whether the CPU runs the functions built for AVX2: the one run-time pick
  * of kd_adapt_pass and kd_filter_walk. */
@@ -374,14 +504,32 @@ static int descending(const ptrdiff_t *off, ptrdiff_t k)
  * is NaN; h and m are then as that row left them. The caller keeps every
  * read inside P (kurtdeconv._native.adapt_pass checks it).
  *
- * Each row costs one sweep over the taps. The update g * u computed at row
- * r (u = row r) is held until the sweep of row r + 1, which adds it to
- * each tap just before that tap enters the output sum, and the update of
- * the last row is applied after the loop. Every tap and output therefore
- * goes through the same operations in the same order as when the update
- * is applied in a sweep of its own: y is summed in the order of output()
- * in both. A limit exceeded in the sweep of row r is the update of row
- * r - 1, whose moments m still holds.
+ * Each row costs one sweep over the taps. From AHEAD_BELOW taps the update
+ * g * u computed at row r (u = row r) is held until the sweep of row r + 1,
+ * which adds it to each tap just before that tap enters the output sum, and
+ * the update of the last row is applied after the loop. Every tap and
+ * output therefore goes through the same operations in the same order as
+ * when the update is applied in a sweep of its own: y is summed in the
+ * order of output() in both. A limit exceeded in the sweep of row r is the
+ * update of row r - 1, whose moments m still holds.
+ *
+ * Below AHEAD_BELOW taps (pass_ahead) that sweep would stand on every row's
+ * one serial path, from y through the moments and the divide to g and on
+ * to the next y. There each output is formed one row ahead instead: in
+ * exact arithmetic h(r) = h(r - 1) + g(r - 1) w(r - 1), so
+ *
+ *     y(r) = p(r) + g(r - 1) c(r),  p(r) = h(r - 1)'w(r),  c(r) = w(r - 1)'w(r),
+ *
+ * p and c each summed in the order of output(), and y(r) = p(r) when no
+ * update is held. Row r forms y, its moments and g first; its sweep then
+ * adds the update of row r - 1 to the taps while it sums p(r + 1) over the
+ * new taps and c(r + 1), none of which waits on row r's g, so the sweep
+ * runs beside that path instead of before it. c is one scalar carried to
+ * the next row, and the last row's sweep sums p and c over itself, where
+ * no row reads them. A limit exceeded in the sweep of row r is the update
+ * of row r - 1: h is as that update left it, and m is set back to row
+ * r - 1's moments. y differs from the direct order's in its rounding (the
+ * tests' oracle forms it the same way, and bounds the difference).
  *
  * Through the offset table, the same sweep sums the squares of the new
  * taps, and only a sum of at least limit^2 (or NaN) runs the exact per-tap
@@ -391,13 +539,13 @@ static int descending(const ptrdiff_t *off, ptrdiff_t k)
  * leaves it NaN or infinite.
  *
  * The sweep takes two taps a step, one a lane of a pair (update()). An odd
- * count of taps takes tap 0 in a scalar step first, so that y's adds start
- * while g is still being copied into both lanes. Below LANES_FROM taps y
- * adds the two products of a step in tap order; from LANES_FROM taps the
- * steps alternate between the accumulators a and c of output(), so four
- * chains of adds run side by side instead of one. The screen sums in its
- * own order: each lane sums the squares of its own taps, and the lane sums
- * are added together and to tap 0's square. Each lane's sum never
+ * count of taps takes tap 0 in a scalar step first, so that the output's
+ * adds start while g is still being copied into both lanes. Below
+ * LANES_FROM taps the output sums add the two products of a step in tap
+ * order; from LANES_FROM taps the steps alternate between the accumulators
+ * a and c of output(), so four chains of adds run side by side instead of
+ * one. The screen sums in its own order: each lane sums the squares of its
+ * own taps, and the lane sums are added together and to tap 0's square. Each lane's sum never
  * decreases either, and neither does a sum of nonnegative sums, so the
  * total is at least the lane sum of any tap and the screen still misses
  * no tap over the limit and no NaN.
@@ -451,6 +599,8 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
                         ptrdiff_t warmup, ptrdiff_t n, ptrdiff_t k, double *h, double *m, double mu,
                         double beta, double guard, double limit)
 {
+    if (k < AHEAD_BELOW)
+        return pass_ahead(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit);
 #ifdef __x86_64__
     if (k >= RUNS_FROM && descending(off, k) && avx2()) {
         reverse(h, k);

@@ -101,13 +101,21 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
     Updates the contiguous float64 coefficients h and moments m = [m2, m4]
     in place, no update while m2 <= guard. Returns the first row after
     whose update a coefficient exceeds limit in magnitude or is NaN (the
-    pass stops there), or -1.
+    pass stops there), or -1; h and m are then as that row left them.
 
-    From 20 taps, on a CPU with AVX2, a walk whose offsets descend by
-    one, as every 1-D walk's do, is read row by row as one run of memory,
-    four taps a 256-bit load, with h reversed in place during the call;
-    any other walk, and any walk on another CPU, is read through off.
-    Either way h, m and the result are the same to the bit, as the lanes
+    Below 20 taps each row's output y is formed one row ahead, as p + g c:
+    p applies the taps before the previous row's update to the row, and c
+    is the product of the previous row with this one, each summed in the
+    order of the direct output h'x. Both are summed while that update, g
+    times the previous row, is added to the taps, so this sweep runs
+    beside the serial path from y through the moments to the next g
+    instead of on it. y then equals h'x only up to rounding, and the
+    tests' oracle forms it in the same order. From 20 taps y is h'x over
+    the updated taps; on a CPU with AVX2, a walk whose offsets descend by
+    one, as every 1-D walk's do, is then read row by row as one run of
+    memory, four taps a 256-bit load, with h reversed in place during the
+    call; any other walk, and any walk on another CPU, is read through
+    off. Either way h, m and the result are the same to the bit, as the lanes
     sum the same terms in the same order. The per-tap test for the limit
     runs only when a cheaper screen cannot rule it out: through off, the
     sum of the squares of the taps reaching limit**2; over runs, a
@@ -176,8 +184,8 @@ def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int,
     """The filter h over the walk (P, off, width, stride, n) that
     signals._walk builds: element r of the result is the sum, from 0.0 and
     in the order of the taps, of h[j] * P[(r // width) * stride + r % width
-    + off[j]]. That order is adapt_pass's for y only below 16 taps (from 16
-    it sums y in four lanes), and neither BLAS nor the CPU changes it:
+    + off[j]]. adapt_pass sums in that order only below 16 taps (from 16
+    it sums in four lanes), and neither BLAS nor the CPU changes it:
     neighbouring rows of a line are summed side by side, one row a vector
     lane, sixteen rows a block on a CPU with AVX2 and eight elsewhere, and
     every row keeps its own sum. The walk must cover whole lines (n a

@@ -31,7 +31,7 @@ import numpy as np
 from .adapt import Adapt2dConfig, AdaptConfig, kurtosis_surface, run_adapt
 from .degrade import KINDS, DegradeSpec, _degrades, apply_degradation
 from .errors import ContractViolationError, DivergenceError, FormatError, KurtdeconvError
-from .experiment import SourceSpec, _build, _cell, load_config, make_source, run_experiment, write_report_csv
+from .experiment import SourceSpec, _build, load_config, make_source, run_experiment, write_report_csv
 from .fileio import _check_target, _write_file, is_image_path, read_any, read_wav, rescale_unit, write_image, write_wav
 from .signals import Image2D, Kernel2D, Signal1D, _apply, _array, normalize_kernel, normalize_taps
 from .stats import aligned_correlation, kurtosis_excess, normalized_correlation
@@ -157,11 +157,25 @@ def _grids(*ranges: tuple[float, float, float]) -> list[np.ndarray]:
 
 def _surface_csv(grid_a1: np.ndarray, grid_a2: np.ndarray, surface: np.ndarray):
     """The sweep CSV's text: the header, then the lines of _CSV_BLOCK cells a
-    chunk, so that no more than one block's text is held at a time."""
+    chunk, so that no more than one block's text is held at a time. Each
+    cell follows experiment._cell's rule for a float, read as a Python float
+    from one tolist() per surface row: a call of _cell on each numpy scalar
+    cost ten times as much."""
+
+    def cell(v: float) -> str:
+        return repr(v) if math.isfinite(v) else ""
+
+    def lines():
+        a2 = [cell(v) for v in grid_a2.tolist()]
+        for a1, row in zip(grid_a1.tolist(), surface):
+            head = cell(a1)
+            for tail, v in zip(a2, row.tolist()):
+                yield f"{head},{tail},{cell(v)}\n"
+
     yield "a1,a2,abs_kurtosis\n"
-    cells = ((a1, a2, surface[i, j]) for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2))
-    while block := list(itertools.islice(cells, _CSV_BLOCK)):
-        yield "".join(",".join(map(_cell, cell)) + "\n" for cell in block)
+    chunks = lines()
+    while block := list(itertools.islice(chunks, _CSV_BLOCK)):
+        yield "".join(block)
 
 
 def _cmd_sweep(args) -> int:

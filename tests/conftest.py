@@ -161,9 +161,13 @@ def feedback(state: MomentState, y: float) -> float:
     return float(4.0 * ((m2 * (y * y) - state.m4) * y) / (m2 * m2 * m2))
 
 
-# The fewest taps whose output the engines sum in four lanes (LANES_FROM
-# in _adapt.c).
+# The fewest taps whose output sums the engines add in four lanes
+# (LANES_FROM in _adapt.c).
 LANES_FROM = 16
+
+# The fewest taps whose output the engines form directly (AHEAD_BELOW in
+# _adapt.c); below it, one row ahead (adapt_step).
+AHEAD_BELOW = 20
 
 
 def output(h, w) -> float:
@@ -188,20 +192,29 @@ def output(h, w) -> float:
     return y + ((lanes[0] + lanes[2]) + (lanes[1] + lanes[3]))
 
 
-def adapt_step(h: np.ndarray, state: MomentState, window, mu: float):
+def adapt_step(h: np.ndarray, state: MomentState, window, mu: float, held=None):
     """One adaptive update of the float64 taps h; returns (y, new taps, new
     state).
 
     The moment state always advances; the tap update is skipped when the
     second moment is not above the singularity guard. This is the
-    reference the adaptation engines are tested against, so y is summed
-    term by term in the order the engines sum it (output), and an update
-    that overflows to inf or NaN is followed, not warned about.
+    reference the adaptation engines are tested against, so y is formed as
+    they form it, each sum term by term in their order (output), and an
+    update that overflows to inf or NaN is followed, not warned about.
+
+    held is None, or the update that made h: (the taps it updated, its g,
+    its window), h = taps + g * window. Below AHEAD_BELOW taps y is then
+    formed one row ahead, as output(taps, w) + g * output(window, w), which
+    is h'w in exact arithmetic; otherwise y = output(h, w).
     """
     w = np.asarray(window, dtype=np.float64)
     if w.ndim != 1 or w.shape != h.shape:
         raise ContractViolationError(f"window shape {w.shape} does not match {h.size} taps")
-    y = output(h.tolist(), w.tolist())
+    if held is not None and h.size < AHEAD_BELOW:
+        before, g, last = held
+        y = output(before.tolist(), w.tolist()) + g * output(np.asarray(last, dtype=np.float64).tolist(), w.tolist())
+    else:
+        y = output(h.tolist(), w.tolist())
     state = update_moments(state, y)
     try:
         f = feedback(state, y)
@@ -218,23 +231,40 @@ def warmup_moments(block) -> tuple[float, float]:
     return (y2.mean(), (y2 * y2).mean()) if y2.size else (0.0, 0.0)
 
 
-def oracle_adapt(rows, h, moments, cfg, limit=TAP_LIMIT):
+def oracle_adapt(rows, h, moments, cfg, limit=TAP_LIMIT, ahead=True):
     """Repeated adapt_step over regressor rows[cfg.warmup:], cfg.passes
     times, from coefficients h and moments (m2, m4).
 
     Returns the final coefficients, the (pass, row) after whose update a
     coefficient first exceeds limit in magnitude or is NaN (the adaptation
-    stops there) or None, and the final moments.
+    stops there) or None, and the final moments. Each row is given the
+    update of the row before it in the pass, so that below AHEAD_BELOW taps
+    its y is formed one row ahead; with ahead false, none (direct_adapt).
     """
     h = np.array(h, dtype=np.float64)
     state = MomentState(*map(float, moments), cfg.beta)
     for p in range(cfg.passes):
+        held = None
         for n in range(cfg.warmup, len(rows)):
-            _, h, state = adapt_step(h, state, rows[n], cfg.mu)
+            y, updated, state = adapt_step(h, state, rows[n], cfg.mu, held)
+            # adapt_step returns h itself when the guard skips the update
+            if ahead and updated is not h:
+                held = (h, cfg.mu * feedback(state, y), rows[n])
+            else:
+                held = None
+            h = updated
             # negated, so NaN coefficients stop it too
             if not np.all(np.abs(h) <= limit):
                 return h, (p, n), (state.m2, state.m4)
     return h, None, (state.m2, state.m4)
+
+
+def direct_adapt(rows, h, moments, cfg, limit=TAP_LIMIT):
+    """oracle_adapt with every y = output(h, w) over the taps the row's
+    update meets: the paper's recursion, one update at a time, which the
+    engines' outputs formed one row ahead stay within rounding of. From
+    AHEAD_BELOW taps it is oracle_adapt."""
+    return oracle_adapt(rows, h, moments, cfg, limit, ahead=False)
 
 
 def direct_surface(x, grid_a1, grid_a2):

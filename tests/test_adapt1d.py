@@ -35,7 +35,8 @@ from kurtdeconv import (
 from kurtdeconv import _native
 from kurtdeconv.adapt import TAP_LIMIT
 from kurtdeconv.signals import _peak_shift, _walk
-from conftest import MomentState, adapt_step, batch_gradient, direct_surface, fir, fir_rounding, laplace_signal, oracle_adapt, rms_shift, warmup_moments, window
+from conftest import (AHEAD_BELOW, MomentState, adapt_step, batch_gradient, direct_adapt, direct_surface, feedback, fir, fir_rounding,
+                      laplace_signal, oracle_adapt, rms_shift, warmup_moments, window)
 
 
 def oracle_taps(x, cfg):
@@ -283,23 +284,117 @@ class TestEngines:
         else:
             assert isinstance(got[0], int) and got == first
 
+    @given(
+        # below AHEAD_BELOW taps, 1-D and 2-D (3 x 3, 1 x N), and from it
+        st.integers(1, 19).map(lambda k: (k,)) | st.sampled_from([(3, 3), (1, 1), (1, 5), (1, 19)])
+        | st.integers(20, 40).map(lambda k: (k,)) | st.sampled_from([(5, 5), (1, 21), (3, 7)]),
+        st.integers(2, 60),
+        st.floats(0.5, 0.999),
+        st.floats(-6.0, -2.0),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(-2.0, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((3, 3), 60, 0.99, -2.0, -1.0, 0.0, 1)
+    @example((16,), 60, 0.9, -2.0, 1.0, 1.0, 2)
+    def test_each_row_is_a_step_of_the_direct_recursion(self, shape, rows, beta, log_mu, sign, log_gain, seed):
+        # Below AHEAD_BELOW taps the engines form y(r) one row ahead, as
+        # p + g c with p = output(h(r-1), w(r)) and c = output(w(r-1), w(r)),
+        # where the paper's recursion (direct_adapt, one update at a time)
+        # sums y = output(h(r), w(r)). The kernel's state after every row r
+        # (its pass over rows 0..r) must be the direct step from its state
+        # after row r - 1, to within the rounding of y: the two recursions
+        # run the same moments, g and tap update once y is formed, and any
+        # difference then evolves as the recursion carries a rounding,
+        # which no fixed bound on whole runs would cover. From AHEAD_BELOW
+        # taps the step must be the direct one bit for bit.
+        #
+        # The bound, to first order in u = eps / 2 (the second-order terms
+        # are below u K times the first, so twice the first-order bound
+        # covers them). With H = sum |h(r) w(r)|, D = sum |h(r) - h(r-1)|
+        # |w(r)| and gamma_K = K u, any sum of K products is within gamma_K
+        # of its exact value relative to the sum of their magnitudes:
+        #   - p within gamma_K (H + D), as |h(r-1)| <= |h(r)| + |h(r) - h(r-1)|;
+        #   - g c within (gamma_K + u) D, as |g w(r-1)| <= |h(r) - h(r-1)|
+        #     up to a rounding of h(r);
+        #   - p + g c within u (H + 2D) of its exact sum;
+        #   - h(r) = fl(h(r-1) + fl(g w(r-1))) within u (H + D) of
+        #     h(r-1) + g w(r-1), and the direct y within gamma_K H of
+        #     h(r)'w(r);
+        # so |y_ahead - y_direct| <= E = (2K + 4) u (H + D). Then, with
+        # omb = 1 - beta and (a, b) the direct step's moments:
+        #   - a within omb ((|y| + E)^2 - y^2) + 4u omb y^2 + 2u a (the
+        #     rounding of each side's term and sum), b within omb ((|y| +
+        #     E)^4 - y^4) + 8u omb y^4 + 2u b;
+        #   - g = 4 mu (a y^3 - b y) / a^3 within 4|mu| (a ((|y| + E)^3 -
+        #     |y|^3) + b E) / a^3 from y, |dg/da| da + |dg/db| db from the
+        #     moments, and 8u S for each side's rounding of it, S = 4|mu y|
+        #     (a y^2 + b) / a^3 (its terms' magnitude);
+        #   - each new tap within dg |w_j| + 2u (|h_j| + 2 |g w_j|).
+        # a signal of rows + K samples, or an image N + 3 pixels wide
+        size = (shape[0] + rows // (shape[1] + 3), shape[1] + 3) if len(shape) == 2 else rows + shape[0]
+        values = 10.0**log_gain * np.random.default_rng(seed).laplace(size=size)
+        P, off, width, stride, n = _walk(values, shape)
+        P, k, u = P.copy(), off.size, np.finfo(np.float64).eps / 2
+        X = P[walk_reads(P.size, off, width, stride, n)]
+        h0 = np.eye(1, k, k // 2 if len(shape) == 2 else 0)[0]
+        m0 = np.array(warmup_moments(values.ravel()))
+        mu, omb = sign * 10.0**log_mu, 1.0 - beta
+        before, h, m = h0, h0, m0
+        for r in range(n):
+            taps, moments = h0.copy(), m0.copy()
+            assert _native.adapt_pass(P, off, width, stride, r + 1, taps, moments, mu, beta, 0, M2_GUARD, TAP_LIMIT) == -1
+            y, want, state = adapt_step(h, MomentState(*m, beta), X[r], mu)
+            a, b = state.m2, state.m4
+            if k >= AHEAD_BELOW:
+                tap_bound = moment_bound = 0.0
+            else:
+                E = (2 * k + 4) * u * (np.abs(h) @ np.abs(X[r]) + np.abs(h - before) @ np.abs(X[r]))
+                Y = abs(y)
+                da = omb * ((Y + E) ** 2 - Y**2) + 4 * u * omb * Y**2 + 2 * u * a
+                db = omb * ((Y + E) ** 4 - Y**4) + 8 * u * omb * Y**4 + 2 * u * b
+                moment_bound = 2.0 * np.array([da, db])
+                tap_bound = 0.0
+                if a > M2_GUARD:
+                    c = 4.0 * abs(mu) / a**3
+                    dg = (c * (a * ((Y + E) ** 3 - Y**3) + b * E) + c * Y * (3 * b + 2 * a * Y**2) / a * da
+                          + c * Y * db + 2 * 8 * u * c * Y * (a * Y**2 + b))
+                    g = mu * feedback(state, y)
+                    tap_bound = 2.0 * (dg * np.abs(X[r]) + 2 * u * (np.abs(h) + 2 * np.abs(g * X[r])))
+            assert np.all(np.abs(taps - want) <= tap_bound), (r, taps - want, tap_bound)
+            assert np.all(np.abs(moments - [a, b]) <= moment_bound), (r, moments - [a, b], moment_bound)
+            before, h, m = h, taps, moments
+        if k >= AHEAD_BELOW:
+            cfg = AdaptConfig(taps=k, mu=mu, beta=beta, warmup=0, passes=1)
+            assert np.array_equal(direct_adapt(X, h0, m0, cfg)[0], h)
+
     @staticmethod
     def passes_agree(X, h, m, mu, beta, warmup, limit=TAP_LIMIT):
         """The row, taps and moments one adapt_pass over the rows of X
         leaves from h and m, asserted equal to those of oracle_adapt (NaN
-        equal to NaN). X is fed as two walks of width 1 and stride k: with
-        ascending offsets, which the kernel reads through its offset
-        table, and in the 1-D layout, each row reversed under descending
-        offsets, which it reads as runs from 20 taps."""
+        equal to NaN). X is fed as three walks of width 1: with ascending
+        offsets, which the kernel reads through its offset table; in the
+        1-D layout, each row reversed under descending offsets, which it
+        reads as runs from 20 taps; and in the layout of a kernel three
+        taps wide, each three taps a line of four elements apart (at 9
+        taps, a 3 x 3 kernel's), which it reads through the table. A pass
+        that stops must leave what the same pass cut after the row it
+        names leaves, where no later row's moments are formed: its
+        moments are that row's."""
         k = X.shape[1]
         cfg = AdaptConfig(taps=k, mu=mu, beta=beta, warmup=warmup, passes=1)
         want_taps, first, want_moments = oracle_adapt(X, h, m, cfg, limit)
-        for P, off in ((X.ravel(), np.arange(k)), (X[:, ::-1].ravel(), np.arange(k)[::-1].copy())):
-            taps, moments = h.copy(), m.copy()
-            row = _native.adapt_pass(P, off, 1, k, X.shape[0], taps, moments, mu, beta, warmup, M2_GUARD, limit)
-            assert row == (-1 if first is None else first[1])
-            assert np.array_equal(taps, want_taps, equal_nan=True)
-            assert np.array_equal(moments, want_moments, equal_nan=True)
+        lines = np.arange(k) + np.arange(k) // 3
+        wide = np.zeros((X.shape[0], lines[-1] + 1))
+        wide[:, lines] = X
+        walks = ((X.ravel(), np.arange(k), k), (X[:, ::-1].ravel(), np.arange(k)[::-1].copy(), k), (wide.ravel(), lines, wide.shape[1]))
+        for P, off, stride in walks:
+            for n in (X.shape[0],) if first is None else (X.shape[0], first[1] + 1):
+                taps, moments = h.copy(), m.copy()
+                row = _native.adapt_pass(P, off, 1, stride, n, taps, moments, mu, beta, warmup, M2_GUARD, limit)
+                assert row == (-1 if first is None else first[1])
+                assert np.array_equal(taps, want_taps, equal_nan=True)
+                assert np.array_equal(moments, want_moments, equal_nan=True)
         return row, taps, moments
 
     @pytest.mark.parametrize("h", [
@@ -337,7 +432,11 @@ class TestEngines:
     # order: the spike and the one unit tap sit in the odd tap, or in lane
     # 0 or 1 of a pair. 23 taps are tap 0 and then four lanes: taps 1, 2,
     # 5, 6, ... into accumulator a, 3, 4, 7, 8, ... into c, and the
-    # leftover 21 and 22 into a.
+    # leftover 21 and 22 into a. Below 20 taps the update that diverges is
+    # swept in while the next row's output is formed ahead, after that
+    # row's moments: at 3 taps and at a 3 x 3 kernel's 9 (the spike in its
+    # centre), the pass must still name the updated row and leave its
+    # moments (passes_agree), the last row's update included.
     @pytest.mark.parametrize("k, tap", [
         pytest.param(5, 0, id="odd-tap"),
         pytest.param(5, 1, id="lane-0"),
@@ -345,6 +444,9 @@ class TestEngines:
         pytest.param(23, 6, id="accumulator-a"),
         pytest.param(23, 11, id="accumulator-c"),
         pytest.param(23, 21, id="leftover-pair"),
+        pytest.param(3, 0, id="3-taps-odd-tap"),
+        pytest.param(3, 2, id="3-taps-lane-1"),
+        pytest.param(9, 4, id="3x3-centre"),
     ])
     def test_divergence_names_the_row_that_updated(self, row, spike, warmup, limit, k, tap):
         X = 0.1 * np.random.default_rng(72).laplace(size=(6, k))
@@ -363,13 +465,21 @@ class TestEngines:
         pytest.param(23, 6, 0, id="quad-lane-2"),
         pytest.param(23, 5, 0, id="quad-lane-3"),
         pytest.param(23, 21, 0, id="leftover-pair"),
+        pytest.param(3, 0, 1, id="3-taps-odd-tap"),
+        pytest.param(3, 1, 0, id="3-taps-lane-0"),
+        pytest.param(3, 2, 0, id="3-taps-lane-1"),
+        pytest.param(9, 4, 0, id="3x3-centre"),
+        pytest.param(9, 8, 4, id="3x3-corner"),
     ])
     def test_one_tap_over_the_limit_stops_the_pass(self, k, tap, unit):
         # the first updated row is small but for one element: that tap's
         # update alone exceeds the limit, so through the table one lane's
         # squares (or the odd tap's square) must trip the screen; over runs
         # (the 23-tap ids in the 1-D layout) the bound on the largest tap,
-        # 1 + |g| * 1e4 with 1e4 the largest element, must trip it
+        # 1 + |g| * 1e4 with 1e4 the largest element, must trip it. Below
+        # 20 taps (5, 3 and 9) the screen trips in the sweep that forms row
+        # 4's output ahead, after row 4's moments, and the pass must leave
+        # row 3's (passes_agree)
         X = 0.1 * np.random.default_rng(75).laplace(size=(6, k))
         X[3, tap] = 1e4
         got, taps, _ = self.passes_agree(X, np.eye(1, k, unit)[0], np.array([1.0, 3.0]), 1.0, 0.99, 3, 10.0)
@@ -385,22 +495,33 @@ class TestEngines:
         row, taps, _ = self.passes_agree(X, np.eye(1, 24)[0] * 9.0, np.array([1.0, 3.0]), 10.0, 0.99, 3, 10.0)
         assert row == -1 and np.all(np.abs(taps) <= 10.0) and 9.0 + abs(taps[12]) > 10.0
 
-    @pytest.mark.parametrize("value, want", [
-        pytest.param(np.inf, 40, id="inf"),
-        pytest.param(np.nan, -1, id="nan"),
-        pytest.param(1e4, 40, id="large"),
+    @pytest.mark.parametrize("value, want, k", [
+        pytest.param(np.inf, 40, 24, id="inf"),
+        pytest.param(np.nan, -1, 24, id="nan"),
+        pytest.param(1e4, 40, 24, id="large"),
+        pytest.param(np.inf, 40, 3, id="inf-3-taps"),
+        pytest.param(np.nan, -1, 3, id="nan-3-taps"),
+        pytest.param(1e4, 40, 3, id="large-3-taps"),
+        pytest.param(np.inf, -1, 9, id="inf-3x3"),
+        pytest.param(np.nan, -1, 9, id="nan-3x3"),
+        pytest.param(1e4, 40, 9, id="large-3x3"),
     ])
-    def test_element_past_the_first_rows_gives_the_oracle_row(self, value, want):
+    def test_element_past_the_first_rows_gives_the_oracle_row(self, value, want, k):
         # the bound's scale is the largest element over every row the pass
         # reads, NaN if one is NaN, so an element far from the first rows
         # counts too. An inf makes row 40's y infinite and its update NaN,
         # which stops the pass there; a NaN makes m2 NaN, so no later row
-        # updates and the pass runs to its end; 1e4 takes tap 5 over the
-        # limit 10 in row 40's update, which only a scale of at least 1e4
-        # bounds
-        X = 0.1 * np.random.default_rng(78).laplace(size=(50, 24))
-        X[40, 5] = value
-        row, _, _ = self.passes_agree(X, np.eye(1, 24)[0], np.array([1.0, 3.0]), 1e-2, 0.99, 2, 10.0)
+        # updates and the pass runs to its end; 1e4 takes tap 2 (5 from 9
+        # taps) over the limit 10 in row 40's update, which only a scale of
+        # at least 1e4 bounds. Below 20 taps these elements enter y(40) as
+        # it is formed ahead, p + g c, and row 40's update trips the screen
+        # in the sweep of row 41. There an inf enters both p and g c as an
+        # infinity: of one sign at 3 taps, so y(40) is infinite as before,
+        # but of opposite signs at 9, so y(40) is NaN and, as with a NaN
+        # element, no later row updates (h(40)'w(40) would be infinite)
+        X = 0.1 * np.random.default_rng(78).laplace(size=(50, k))
+        X[40, min(5, k - 1)] = value
+        row, _, _ = self.passes_agree(X, np.eye(1, k)[0], np.array([1.0, 3.0]), 1e-2, 0.99, 2, 10.0)
         assert row == want
 
     def test_nan_in_lane_1_stops_the_pass(self):
@@ -415,7 +536,8 @@ class TestEngines:
     @pytest.mark.parametrize("k", [15, 16, 17, 18, 19, 20, 21, 22, 23, 201])
     def test_pass_matches_oracle_across_the_lane_threshold(self, k):
         # odd and even tap counts below, at and above LANES_FROM = 16 and
-        # RUNS_FROM = 20, with a leftover pair (18, 19, 22, 23) or none
+        # AHEAD_BELOW = RUNS_FROM = 20, with a leftover pair (18, 19, 22,
+        # 23) or none
         # (16, 17, 20, 21, 201). Four rows in twelve are drawn and the rest
         # silent, so m2 falls below the guard and the first drawn row of
         # each twelve is summed with no update held (as row 0 is), the
@@ -760,13 +882,14 @@ class TestKernelBuild:
         assert "avx2" in options
         assert [o for o in options if re.fullmatch(r"fma4?|avx512.*|arch=.*", o)] == []
 
-    @pytest.mark.parametrize("k", [23, 201])
+    @pytest.mark.parametrize("k", [23, 201, 5, 9, 19])
     def test_baseline_build_matches_oracle(self, source, monkeypatch, k):
         # built as for a CPU without AVX2, the library reads a 1-D walk
         # through the offset table rather than as runs, and matches the
         # oracle bit for bit as well: on a pass that runs to its end, and
         # on one that a spike in tap k - 2 stops (at 23 taps, a tap of the
-        # leftover pair)
+        # leftover pair). Below 20 taps it forms each output one row ahead,
+        # as the AVX2 build does
         text = source.read_text()
         assert text.count('__builtin_cpu_supports("avx2")') == 1
         source.write_text(text.replace('__builtin_cpu_supports("avx2")', "0"))

@@ -27,6 +27,7 @@ from kurtdeconv import (
 )
 from kurtdeconv import cli
 from kurtdeconv.cli import main
+from kurtdeconv.experiment import _cell
 from conftest import laplace_signal
 
 
@@ -134,9 +135,21 @@ def test_sweep_csv_is_the_text_of_every_cell(tmp_path, monkeypatch):
     assert main(["sweep", str(wav), str(out), "--a1-range", "-0.9", "0.9", "4", "--a2-range", "-0.5", "0.5", "5"]) == 0
     grid_a1, grid_a2 = np.linspace(-0.9, 0.9, 4), np.linspace(-0.5, 0.5, 5)
     surface = kurtosis_surface(read_wav(wav), grid_a1, grid_a2).surface
-    lines = ["a1,a2,abs_kurtosis"] + [",".join(map(cli._cell, (a1, a2, surface[i, j])))
+    lines = ["a1,a2,abs_kurtosis"] + [",".join(map(_cell, (a1, a2, surface[i, j])))
                                       for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2)]
     assert hashlib.sha256(out.read_bytes()).digest() == hashlib.sha256(("\n".join(lines) + "\n").encode()).digest()
+
+
+def test_sweep_csv_cells_follow_the_report_rule(monkeypatch):
+    # the sweep writes its cells from Python floats, not through _cell, and
+    # each must still be _cell's text: repr, or empty when NaN or infinite,
+    # subnormal and largest finite values included
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    grid_a1, grid_a2 = np.array([-0.5, 0.0, 1e-300]), np.array([0.1, 2.0 / 3.0])
+    surface = np.array([[np.nan, np.inf], [-np.inf, 1.0 / 3.0], [5e-324, np.finfo(np.float64).max]])
+    lines = ["a1,a2,abs_kurtosis"] + [",".join(map(_cell, (a1, a2, surface[i, j])))
+                                      for i, a1 in enumerate(grid_a1) for j, a2 in enumerate(grid_a2)]
+    assert "".join(cli._surface_csv(grid_a1, grid_a2, surface)) == "\n".join(lines) + "\n"
 
 
 SWEEP_RSS = """
