@@ -4,9 +4,11 @@
  * reordered and no multiply-add is fused: each function runs the operations
  * of its reference in the tests (the adapt_step oracle, np.cumsum, lfilter,
  * ndimage.correlate) in the same order, but for kd_surface_moments, whose
- * sums are held to their numpy reference within rounding. Below AHEAD_BELOW
- * taps kd_adapt_pass forms each output one row ahead (pass_ahead), and its
- * oracle forms it in the same order.
+ * sums are held to their numpy reference within rounding. kd_adapt_pass
+ * sums each output in one order at every tap count, an odd count's tap 0
+ * first and then four lanes (output()); below AHEAD_BELOW taps it forms
+ * each output one row ahead (pass_ahead), and its oracle forms it in the
+ * same order.
  *
  * The flags target no CPU beyond the compiler's default. Two functions are
  * built for more, with target("avx2") (no FMA), and run only where the CPU
@@ -77,13 +79,6 @@ static inline __attribute__((always_inline)) double peak(const double *x, ptrdif
     return m;
 }
 
-/* The fewest taps whose output sums kd_adapt_pass adds in four lanes. Below
- * it they are summed in tap order: the lanes cost 4% at 3 taps when y's
- * sum stood on each row's serial path, and from 8 taps they left 3 x 3 as
- * fast as tap order once the sums ran beside it (22.8 against 22.9 ns per
- * update, medians of 10 alternations). */
-#define LANES_FROM 16
-
 /* The fewest taps whose output kd_adapt_pass forms directly, the held update
  * swept into the taps first. Below it each output is formed one row ahead
  * (pass_ahead), so that the sweep runs beside the path of g instead of
@@ -92,26 +87,22 @@ static inline __attribute__((always_inline)) double peak(const double *x, ptrdif
  * audio_echo's walk) 23.2-39.2 against 32.2-36.3 (best of 7, 10
  * alternations, 2-vCPU Xeon). Formed ahead over runs at 201 taps, y took
  * 78 ns against 70 (medians) and audio_echo 169 ms against 151, as there
- * the sweep's vector operations bound a row, not g. */
+ * the sweep's vector operations bound a row, not g. It is also the fewest
+ * taps from which a 1-D walk's rows are swept as runs: over audio_echo's
+ * walk, quads against the offset table took 2 ns more per update at 16
+ * taps, the same at 19 and 20, and 1-3 ns less from 21 (one pass, best of
+ * 7, 11 alternations, 2-vCPU Xeon). */
 #define AHEAD_BELOW 20
-
-/* The fewest taps from which kd_adapt_pass sweeps a 1-D walk's rows as
- * runs (at least AHEAD_BELOW). Over audio_echo's walk, quads against the
- * offset table took 2 ns more per update at 16 taps (30 against 28),
- * under 1 ns more at 17 and 18, the same at 19 and 20, and 1-3 ns less
- * from 21 (one pass, best of 7, 11 alternations, 2-vCPU Xeon), likely
- * as summing the quad's halves adds a lane crossing to each row's chain. */
-#define RUNS_FROM 20
 
 /* The output sum of kd_adapt_pass over the k terms t(j) = h[j] * w[off[j]]
  * of a row whose taps take no update; the sweeps sum their products in the
- * same order (the products of two rows too, below AHEAD_BELOW taps):
+ * same order at every k (the products of two rows too, below AHEAD_BELOW
+ * taps):
  *
  *   - an odd count adds t(0) to 0.0 first, in a scalar step;
- *   - below LANES_FROM taps the rest follow in tap order;
- *   - from LANES_FROM taps the rest go four at a time into the lanes of
- *     two pairs, a and c: taps j and j + 1 into a, j + 2 and j + 3 into c,
- *     a leftover two into a; then y += (a + c)[0] + (a + c)[1].
+ *   - the rest go four at a time into the lanes of two pairs, a and c:
+ *     taps j and j + 1 into a, j + 2 and j + 3 into c, a leftover two into
+ *     a; then y += (a + c)[0] + (a + c)[1].
  */
 static double output(const double *h, const ptrdiff_t *off, const double *w, ptrdiff_t k)
 {
@@ -120,11 +111,6 @@ static double output(const double *h, const ptrdiff_t *off, const double *w, ptr
     if (k % 2) {
         y += h[0] * w[off[0]];
         j = 1;
-    }
-    if (k < LANES_FROM) {
-        for (; j < k; j++)
-            y += h[j] * w[off[j]];
-        return y;
     }
     pair a = {0.0, 0.0}, c = {0.0, 0.0};
     for (; j + 4 <= k; j += 4) {
@@ -213,30 +199,23 @@ static inline __attribute__((always_inline)) double ahead_sweep(double *h, const
         q += w[off[0]] * x[off[0]];
         j = 1;
     }
-    if (k < LANES_FROM) {
-        for (; j < k; j += 2) {
-            const pair t = ahead_step(h, off, j, g, u, w, x, &sq, &e, held);
-            p += t[0];
-            p += t[1];
-            q += e[0];
-            q += e[1];
-        }
-    } else {
-        pair a = {0.0, 0.0}, b = {0.0, 0.0}, ea = {0.0, 0.0}, eb = {0.0, 0.0};
-        for (; j + 4 <= k; j += 4) {
-            a += ahead_step(h, off, j, g, u, w, x, &sq, &e, held);
-            ea += e;
-            b += ahead_step(h, off, j + 2, g, u, w, x, &sq, &e, held);
-            eb += e;
-        }
-        if (j < k) {
-            a += ahead_step(h, off, j, g, u, w, x, &sq, &e, held);
-            ea += e;
-        }
-        const pair t = a + b, f = ea + eb;
-        p += t[0] + t[1];
-        q += f[0] + f[1];
+    /* a step adds into a, and a and b then swap, so that the steps alternate
+     * between output()'s lanes a and c, a leftover pair into a; whichever
+     * of a and b holds c at the end, a + b has the same bits. Over 3 x 3 a
+     * loop of four taps a step, as output() takes, took 1.2-1.7 ns more per
+     * update than this one (medians of 12 alternations, in each of 4
+     * processes, 2-vCPU Xeon). */
+    pair a = {0.0, 0.0}, b = {0.0, 0.0}, ea = {0.0, 0.0}, eb = {0.0, 0.0};
+    for (; j < k; j += 2) {
+        const pair t = a + ahead_step(h, off, j, g, u, w, x, &sq, &e, held), f = ea + e;
+        a = b;
+        b = t;
+        ea = eb;
+        eb = f;
     }
+    const pair t = a + b, f = ea + eb;
+    p += t[0] + t[1];
+    q += f[0] + f[1];
     if (held)
         *ss = s + (sq[0] + sq[1]);
     *c = q;
@@ -256,7 +235,7 @@ static inline __attribute__((always_inline)) double ahead_sweep(double *h, const
  * swapped: y keeps every bit. */
 
 /* output() over a run: h reversed and w the row's element at off[k - 1],
- * k >= RUNS_FROM. */
+ * k >= AHEAD_BELOW. */
 static inline __attribute__((always_inline)) double run_output(const double *h, const double *w, ptrdiff_t k)
 {
     const ptrdiff_t even = k - k % 2, left = even % 4;
@@ -504,6 +483,11 @@ static int descending(const ptrdiff_t *off, ptrdiff_t k)
  * is NaN; h and m are then as that row left them. The caller keeps every
  * read inside P (kurtdeconv._native.adapt_pass checks it).
  *
+ * One threshold on k, AHEAD_BELOW, picks one of three sweeps: below it,
+ * pass_ahead; from it, pass_quads for a walk whose offsets descend by one
+ * on a CPU with AVX2, and pass_table otherwise. Every one sums y in the
+ * order of output() at every k.
+ *
  * Each row costs one sweep over the taps. From AHEAD_BELOW taps the update
  * g * u computed at row r (u = row r) is held until the sweep of row r + 1,
  * which adds it to each tap just before that tap enters the output sum, and
@@ -540,17 +524,16 @@ static int descending(const ptrdiff_t *off, ptrdiff_t k)
  *
  * The sweep takes two taps a step, one a lane of a pair (update()). An odd
  * count of taps takes tap 0 in a scalar step first, so that the output's
- * adds start while g is still being copied into both lanes. Below
- * LANES_FROM taps the output sums add the two products of a step in tap
- * order; from LANES_FROM taps the steps alternate between the accumulators
- * a and c of output(), so four chains of adds run side by side instead of
- * one. The screen sums in its own order: each lane sums the squares of its
- * own taps, and the lane sums are added together and to tap 0's square. Each lane's sum never
+ * adds start while g is still being copied into both lanes. The steps
+ * alternate between the accumulators a and c of output(), so four chains
+ * of adds run side by side instead of one, at every k. The screen sums in
+ * its own order: each lane sums the squares of its own taps, and the lane
+ * sums are added together and to tap 0's square. Each lane's sum never
  * decreases either, and neither does a sum of nonnegative sums, so the
  * total is at least the lane sum of any tap and the screen still misses
  * no tap over the limit and no NaN.
  *
- * From RUNS_FROM taps, on a CPU with AVX2, a walk whose offsets descend
+ * From AHEAD_BELOW taps, on a CPU with AVX2, a walk whose offsets descend
  * by one (every 1-D walk; the choice reads off) is swept as runs
  * (pass_quads, run_output, run_update): h is reversed on entry and back
  * before the return, divergence included, and each step loads four taps
@@ -602,7 +585,7 @@ ptrdiff_t kd_adapt_pass(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
     if (k < AHEAD_BELOW)
         return pass_ahead(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit);
 #ifdef __x86_64__
-    if (k >= RUNS_FROM && descending(off, k) && avx2()) {
+    if (descending(off, k) && avx2()) {
         reverse(h, k);
         const ptrdiff_t failed = pass_quads(P, off, width, stride, warmup, n, k, h, m, mu, beta, guard, limit);
         reverse(h, k);
@@ -761,9 +744,10 @@ static __attribute__((target("avx2"))) void filter_quads(const double *restrict 
 /* The filter of kurtdeconv._native.filter_walk, every FIR and kernel filter
  * of kurtdeconv: out[r] is the sum, from 0.0 and in tap order, of
  * h[j] * P[base(r) + off[j]] over the k taps, for the n rows of the
- * regressor walk of kd_adapt_pass, n a multiple of width. That is the order
- * of kd_adapt_pass's y only below LANES_FROM taps; a filtered output is
- * never a y (y is formed mid-update), so no result needs the two equal.
+ * regressor walk of kd_adapt_pass, n a multiple of width. kd_adapt_pass
+ * sums its y in the lanes of output() instead, another order from 3 taps;
+ * a filtered output is never a y (y is formed mid-update), so no result
+ * needs the two equal.
  * Neighbouring rows of a line share each tap's broadcast, one row a lane,
  * each summed in its own lane from 0.0 over the taps in order: sixteen
  * rows a block in four quads on a CPU with AVX2, then eight a block in
@@ -833,14 +817,6 @@ static inline void flush(pair *total, pair *acc, int k)
  * time before adding them to the totals, so a term passes through about
  * BLOCK / 2 + n / BLOCK additions, not n / 2. The caller keeps every read
  * inside P and n >= 1 (kurtdeconv._native.surface_moments checks both).
- *
- * Pass 2 does not restart the block count: steps carries on from pass 1,
- * so pass 2's first block is cut short by the steps of pass 1's last one,
- * and where each of its blocks starts depends on pass 1's step count.
- * Resetting steps between the passes moves bits of G and M, and so of the
- * surface, once: on inputs shaped as perfbench's audio_ar2 workload's, at
- * n = 100,000 and 20,000 (the argmax unchanged), but not at n = 128, where
- * pass 1 ends on a block boundary.
  */
 void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, ptrdiff_t stride, ptrdiff_t n,
                         double *R, double *G, double *M)
@@ -906,6 +882,7 @@ void kd_surface_moments(const double *P, const ptrdiff_t *off, ptrdiff_t width, 
     }
     for (int k = 0; k < 9; k++)
         total[k] = (pair){0.0, 0.0};
+    steps = 0;
     pair b[21] = {{0.0, 0.0}};
     pair *const g = b, *const m = b + 6; /* pass 2: the six sums of G, then the 15 of M */
     for (ptrdiff_t first = 0, line = 0; first < n; first += width, line += stride) {

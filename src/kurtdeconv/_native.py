@@ -103,6 +103,8 @@ def adapt_pass(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int, 
     whose update a coefficient exceeds limit in magnitude or is NaN (the
     pass stops there), or -1; h and m are then as that row left them.
 
+    Every output sum takes one order at every tap count: from 0.0, an odd
+    count's tap 0 first, then the rest in four interleaved partial sums.
     Below 20 taps each row's output y is formed one row ahead, as p + g c:
     p applies the taps before the previous row's update to the row, and c
     is the product of the previous row with this one, each summed in the
@@ -184,13 +186,13 @@ def filter_walk(P: np.ndarray, off: np.ndarray, width: int, stride: int, n: int,
     """The filter h over the walk (P, off, width, stride, n) that
     signals._walk builds: element r of the result is the sum, from 0.0 and
     in the order of the taps, of h[j] * P[(r // width) * stride + r % width
-    + off[j]]. adapt_pass sums in that order only below 16 taps (from 16
-    it sums in four lanes), and neither BLAS nor the CPU changes it:
-    neighbouring rows of a line are summed side by side, one row a vector
-    lane, sixteen rows a block on a CPU with AVX2 and eight elsewhere, and
-    every row keeps its own sum. The walk must cover whole lines (n a
-    multiple of width) and stay inside P; anything else is a
-    ContractViolationError, raised before any read."""
+    + off[j]]. adapt_pass sums in four interleaved partial sums instead.
+    Neither BLAS nor the CPU changes this order: neighbouring rows of a
+    line are summed side by side, one row a vector lane, sixteen rows a
+    block on a CPU with AVX2 and eight elsewhere, and every row keeps its
+    own sum. The walk must cover whole lines (n a multiple of width) and
+    stay inside P; anything else is a ContractViolationError, raised
+    before any read."""
     if not (_taps(h) and _walk_inside(P, off, width, stride, n, h.size) and n % width == 0):
         raise ContractViolationError("the walk filter needs a float64 walk of whole lines inside P and one intp offset per float64 tap")
     out = np.empty(n)

@@ -261,8 +261,10 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     The walk divides x by the power of two just above max|x|, which is
     exact and changes no bit of any cell, so the surface is the same at any
     power-of-two gain. The walk, in the thread's scratch, is the only O(N)
-    array; the cells are evaluated _CELLS at a time, by np.einsum, not
-    BLAS, whose bits follow its thread count and the CPU.
+    array; the cells are evaluated _CELLS at a time (a grid row at least),
+    by np.einsum, not BLAS, whose bits follow its thread count and the CPU,
+    and the argmax is taken block by block, so the surface is the only
+    array of its size.
     """
     if not isinstance(x1, Signal1D):
         raise ContractViolationError(f"the kurtosis surface is taken over a Signal1D, not {type(x1).__name__}")
@@ -285,6 +287,7 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
     twice, minus = 2.0 * g2, -g2
     surface = np.empty((g1.size, g2.size))
     rows = max(1, _CELLS // g2.size)
+    best = None  # the flat index of the first largest cell that is not NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(0, g1.size, rows):
             a1 = g1[i:i + rows, None]
@@ -310,7 +313,13 @@ def kurtosis_surface(x1: Signal1D, grid_a1, grid_a2) -> SurfaceResult:
             np.abs(np.einsum("ac,ac->c", p, np.einsum("ab,bc->ac", F, p)) / (m2 * m2) - 3.0, out=cells)
             cells[degenerate] = np.nan
             del p, m2, degenerate
-    if np.isnan(surface).all():
+            try:
+                j = np.nanargmax(cells)
+            except ValueError:  # every cell of the block is NaN
+                continue
+            if best is None or cells[j] > surface.flat[best]:
+                best = i * g2.size + j
+    if best is None:
         raise DegenerateInputError("every grid cell produced a degenerate output")
-    i, j = np.unravel_index(np.nanargmax(surface), surface.shape)
+    i, j = divmod(int(best), g2.size)
     return SurfaceResult(surface, (float(g1[i]), float(g2[j])))

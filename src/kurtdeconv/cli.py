@@ -121,23 +121,28 @@ def _cmd_deconv(args) -> int:
     return 0
 
 
-#: The cgroup v2 memory limit of this process's container, read (never
-#: written) by _grids: a number of bytes, or "max" for none.
+#: The memory limits of this process's container, read (never written) by
+#: _grids: cgroup v2's memory.max (a number of bytes, or "max" for none) and
+#: cgroup v1's memory.limit_in_bytes (a number, near 2**63 for none).
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+_CGROUP_V1_LIMIT = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
 
 #: Lines of the sweep CSV built and written at a time.
 _CSV_BLOCK = 4096
 
 
 def _memory() -> int:
-    """The bytes this process may fill: the host's physical memory, or the
-    cgroup's memory.max when that file holds a smaller number."""
+    """The bytes this process may fill: the smallest of the host's physical
+    memory and the numbers in the cgroup files memory.max (v2) and
+    memory.limit_in_bytes (v1)."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    try:
-        with open(_CGROUP_MEMORY_MAX, "rb") as fh:
-            return min(memory, int(fh.read()))
-    except (OSError, ValueError):  # no cgroup v2 file, or "max"
-        return memory
+    for path in (_CGROUP_MEMORY_MAX, _CGROUP_V1_LIMIT):
+        try:
+            with open(path, "rb") as fh:
+                memory = min(memory, int(fh.read()))
+        except (OSError, ValueError):  # no such file, or "max"
+            pass
+    return memory
 
 
 def _grids(*ranges: tuple[float, float, float]) -> list[np.ndarray]:
@@ -151,7 +156,7 @@ def _grids(*ranges: tuple[float, float, float]) -> list[np.ndarray]:
     surface, memory = 8 * math.prod(counts), _memory()
     if surface > memory:
         raise ContractViolationError(f"a {' x '.join(map(str, counts))} surface takes {surface:,} bytes, more than the "
-                                     f"{memory:,} of the host's physical memory (or of its cgroup's memory.max, if lower)")
+                                     f"{memory:,} of the host's physical memory (or of its cgroup's memory limit, if lower)")
     return [np.linspace(lo, hi, count) for (lo, hi, _), count in zip(ranges, counts)]
 
 

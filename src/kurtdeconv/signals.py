@@ -207,9 +207,9 @@ def _walk(values: np.ndarray, shape: tuple[int, ...], shift: int = 0) -> tuple[n
 def _filtered(h: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The package's one filter: samples or pixels filtered by h, the walk
     filter of _native over the walk the adaptation reads, each output
-    summed from 0.0 in the order of h. run_adapt sums in that order only
-    below 16 taps, and there forms its a-priori output one row ahead; no
-    filtered output is one of those."""
+    summed from 0.0 in the order of h. run_adapt sums its a-priori output
+    in four interleaved partial sums instead (one row ahead below 20 taps);
+    no filtered output is one of those."""
     return filter_walk(*_walk(values, h.shape), h.ravel()).reshape(values.shape)
 
 

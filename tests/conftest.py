@@ -1,10 +1,11 @@
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, kurtosis_excess
+from kurtdeconv import M2_GUARD, ContractViolationError, DegenerateInputError, _native, kurtosis_excess
 from kurtdeconv.adapt import TAP_LIMIT
 from kurtdeconv.signals import _peak_shift
 
@@ -161,28 +162,20 @@ def feedback(state: MomentState, y: float) -> float:
     return float(4.0 * ((m2 * (y * y) - state.m4) * y) / (m2 * m2 * m2))
 
 
-# The fewest taps whose output sums the engines add in four lanes
-# (LANES_FROM in _adapt.c).
-LANES_FROM = 16
-
-# The fewest taps whose output the engines form directly (AHEAD_BELOW in
-# _adapt.c); below it, one row ahead (adapt_step).
-AHEAD_BELOW = 20
+# The fewest taps whose output the engines form directly, read from the
+# #define of AHEAD_BELOW in _adapt.c; below it, one row ahead (adapt_step).
+AHEAD_BELOW = int(re.search(r"^#define AHEAD_BELOW (\d+)$", _native._SOURCE.read_text(), re.M)[1])
 
 
 def output(h, w) -> float:
     """The a-priori output sum(h[j] * w[j]) in the engines' order: from
-    0.0, an odd count's term 0 first; then, below LANES_FROM taps, the rest
-    in tap order, else the rest four at a time into lanes a0, a1, c0, c1, a
-    leftover two into a0 and a1, added as (a0 + c0) + (a1 + c1)."""
+    0.0, an odd count's term 0 first; then the rest four at a time into
+    lanes a0, a1, c0, c1, a leftover two into a0 and a1, added as
+    (a0 + c0) + (a1 + c1), at every tap count."""
     terms = [tap * value for tap, value in zip(h, w)]
     y = 0.0
     if len(terms) % 2:
         y += terms.pop(0)
-    if len(h) < LANES_FROM:
-        for t in terms:
-            y += t
-        return y
     lanes = [0.0] * 4
     for j, t in enumerate(terms[: len(terms) - len(terms) % 4]):
         lanes[j % 4] += t

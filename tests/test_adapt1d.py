@@ -533,15 +533,16 @@ class TestEngines:
         got, taps, _ = self.passes_agree(X, np.eye(1, 5, 0)[0], np.array([1.0, 3.0]), 1e308, 0.99, 3)
         assert got == 3 and np.flatnonzero(np.isnan(taps)).tolist() == [2]
 
-    @pytest.mark.parametrize("k", [15, 16, 17, 18, 19, 20, 21, 22, 23, 201])
+    @pytest.mark.parametrize("k", [1, 2, 4, 15, 16, 17, 18, 19, 20, 21, 22, 23, 201])
     def test_pass_matches_oracle_across_the_lane_threshold(self, k):
-        # odd and even tap counts below, at and above LANES_FROM = 16 and
-        # AHEAD_BELOW = RUNS_FROM = 20, with a leftover pair (18, 19, 22,
-        # 23) or none
-        # (16, 17, 20, 21, 201). Four rows in twelve are drawn and the rest
-        # silent, so m2 falls below the guard and the first drawn row of
-        # each twelve is summed with no update held (as row 0 is), the
-        # other three in the update sweep.
+        # the lanes' shapes at small K: the odd tap alone (1), the leftover
+        # pair alone (2) and one four-tap step (4); then odd and even tap
+        # counts below, at and above the one threshold, AHEAD_BELOW = 20,
+        # with a leftover pair (15, 18, 19, 22, 23) or none (16, 17, 20,
+        # 21, 201). Four rows in twelve are drawn and the rest silent, so
+        # m2 falls below the guard and the first drawn row of each twelve
+        # is summed with no update held (as row 0 is), the other three in
+        # the update sweep.
         X = np.random.default_rng(74).laplace(size=(96, k))
         X[np.arange(96) % 12 >= 4] = 0.0
         row, taps, _ = self.passes_agree(X, np.eye(1, k)[0], np.array([1.0, 3.0]), 1e-2, 0.05, 0)
@@ -1084,6 +1085,24 @@ class TestKurtosisSurface:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (n + 2) + 64 * 1024
+
+    def test_argmax_takes_no_second_surface(self):
+        # the argmax is taken block by block as the cells are filled, so
+        # the surface is the only array of its size: no NaN mask or masked
+        # copy of it. Each block is one grid row here (250 cells), whose
+        # arrays 64 KiB covers with the walk's small companions
+        n = 5_000
+        x = Signal1D(laplace_signal(41, n))
+        g1, g2 = np.linspace(-1.0, 1.0, 1000), np.linspace(-1.0, 1.0, 250)
+        tracemalloc.start()
+        try:
+            result = kurtosis_surface(x, g1, g2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= result.surface.nbytes + 8 * (n + 2) + 64 * 1024
+        i, j = np.unravel_index(np.nanargmax(result.surface), result.surface.shape)
+        assert result.argmax == (g1[i], g2[j])
 
     @pytest.mark.parametrize("k", [-540, 540])
     def test_power_of_two_gain_leaves_surface(self, k):

@@ -101,11 +101,14 @@ def test_sweep_refuses_a_surface_larger_than_memory(tmp_path, capsys, monkeypatc
 
 
 def test_sweep_bound_reads_the_cgroup_memory_max(tmp_path, capsys, monkeypatch):
-    # a number in the cgroup's memory.max bounds the surface when it is
-    # below physical memory; "max", an unreadable file or no file leaves
-    # physical memory the bound. The file is read, never written.
-    limit = tmp_path / "memory.max"
-    monkeypatch.setattr(cli, "_CGROUP_MEMORY_MAX", str(limit))
+    # a number in the cgroup v2 memory.max or the cgroup v1
+    # memory.limit_in_bytes bounds the surface when it is below physical
+    # memory, the smaller of the two when both are; "max", an unreadable
+    # file or no file leaves the other bound. The files are read, never
+    # written.
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(cli, "_CGROUP_MEMORY_MAX", str(v2))
+    monkeypatch.setattr(cli, "_CGROUP_V1_LIMIT", str(v1))
     missing = str(tmp_path / "missing.wav")
 
     def refused(side):
@@ -114,15 +117,27 @@ def test_sweep_bound_reads_the_cgroup_memory_max(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1
         return "physical memory" in err and "more than the 800 of" in err
 
-    limit.write_text("800\n")
-    stamp = limit.stat().st_mtime_ns
-    assert refused("11") and not refused("10")  # 880 bytes against 800; 800 goes on to read the input
-    assert limit.read_text() == "800\n" and limit.stat().st_mtime_ns == stamp
-    for text in ("max\n", "", "8e2\n"):
-        limit.write_text(text)
+    for limit, other in ((v2, v1), (v1, v2)):
+        limit.write_text("800\n")
+        stamp = limit.stat().st_mtime_ns
+        assert refused("11") and not refused("10")  # 880 bytes against 800; 800 goes on to read the input
+        assert limit.read_text() == "800\n" and limit.stat().st_mtime_ns == stamp
+        for text in ("max\n", "", "8e2\n", "9223372036854771712\n"):
+            other.write_text(text)
+            assert refused("11") and not refused("10")
+        for text in ("max\n", "", "8e2\n"):
+            limit.write_text(text)
+            assert not refused("11")
+        limit.unlink()
         assert not refused("11")
-    limit.unlink()
-    assert not refused("11")
+        other.unlink()
+    # both numbers: the smaller bounds the surface
+    v2.write_text("960\n")
+    v1.write_text("800\n")
+    assert refused("11") and not refused("10")
+    v2.write_text("800\n")
+    v1.write_text("960\n")
+    assert refused("11") and not refused("10")
 
 
 def test_sweep_csv_is_the_text_of_every_cell(tmp_path, monkeypatch):

@@ -630,6 +630,7 @@ TRACED = [
     "tests/test_experiment.py::test_memory_peak_in_full_length_arrays[image_iir]",
     "tests/test_adapt2d.py::TestRunAdapt2d::test_memory_is_one_padded_copy",
     "tests/test_adapt1d.py::TestKurtosisSurface::test_memory_is_one_row_of_samples",
+    "tests/test_adapt1d.py::TestKurtosisSurface::test_argmax_takes_no_second_surface",
     "tests/test_signals.py::TestApply::test_apply_taps_memory_is_its_output",
     "tests/test_fileio.py::TestWav::test_read_memory_is_the_file_and_its_samples",
     "tests/test_fileio.py::TestPgm::test_read_memory_is_the_file_and_its_pixels",
